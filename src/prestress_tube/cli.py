@@ -52,7 +52,10 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg)
     geom_block = config.get_block(cfg, "geometry")
     tube_geom = config.parse_tube(geom_block, "geometry", need_interface=len(layers) == 2)
-    alpha = math.radians(config.get_number(geom_block, "alpha_deg", "geometry"))
+    alpha_deg = config.get_number(geom_block, "alpha_deg", "geometry")
+    if not 0.0 <= alpha_deg < 360.0:
+        raise ConfigError(f'field "geometry.alpha_deg" must be in [0, 360) (got {alpha_deg})')
+    alpha = math.radians(alpha_deg)
     solver = config.parse_solver(cfg, args.tol)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **_solver_kwargs(solver))
@@ -106,8 +109,13 @@ def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     start = args.grid_start if args.grid_start is not None else grid.get("start_deg", 0.0)
     end = args.grid_end if args.grid_end is not None else grid.get("end_deg", 180.0)
     step = args.grid_step if args.grid_step is not None else grid.get("step_deg", 2.0)
+    solver = config.parse_solver(cfg)
+    for key in ("tol", "max_iter"):
+        if solver[key] is not None:
+            raise ConfigError(f'field "solver.{key}" is not used by energy-scan')
 
-    curve = find_opening_angle(layers, float(start), float(end), float(step))
+    curve = find_opening_angle(layers, float(start), float(end), float(step),
+                               **_solver_kwargs(solver))
     _write_csv(out_path, ["alpha_deg", "E_microJ"], curve.samples, cfg_hash)
 
     return {
@@ -167,7 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+        if name in ("inverse-sf", "load-free"):
+            p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
         if name == "energy-scan":
             p.add_argument("--grid-start", type=float, default=None, help="grid start, deg")
             p.add_argument("--grid-end", type=float, default=None, help="grid end, deg")

@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .driver import LoadProgram
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .materials import PreStressField
-from .tube import F0_at, MaterialLayer, OpeningMap, SectorGeometry, TubeGeometry
+from .tube import MaterialLayer, OpeningMap, SectorGeometry, TubeGeometry
 
 WORKFLOWS = ("inverse-sf", "load-free", "energy-scan", "point-test")
 
@@ -45,7 +45,7 @@ def _require(block: dict, key: str, ctx: str):
     return block[key]
 
 
-def _number(block: dict, key: str, ctx: str) -> float:
+def get_number(block: dict, key: str, ctx: str) -> float:
     v = _require(block, key, ctx)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f'field "{ctx}.{key}" must be a number (got {v!r})')
@@ -61,20 +61,11 @@ def _optional_number(block: dict, key: str, default: Optional[float]) -> Optiona
     return float(v)
 
 
-def _block(cfg: dict, key: str, ctx: str = "config") -> dict:
+def get_block(cfg: dict, key: str, ctx: str = "config") -> dict:
     v = _require(cfg, key, ctx)
     if not isinstance(v, dict):
         raise ConfigError(f'field "{ctx}.{key}" must be an object')
     return v
-
-
-# public aliases for consumers assembling their own blocks
-def get_block(cfg: dict, key: str, ctx: str = "config") -> dict:
-    return _block(cfg, key, ctx)
-
-
-def get_number(block: dict, key: str, ctx: str) -> float:
-    return _number(block, key, ctx)
 
 
 def parse_workflow(cfg: dict, expected: Optional[str] = None) -> str:
@@ -88,9 +79,9 @@ def parse_workflow(cfg: dict, expected: Optional[str] = None) -> str:
 
 def parse_sector(block: dict, ctx: str) -> SectorGeometry:
     try:
-        return SectorGeometry(_number(block, "R_i_mm", ctx), _number(block, "R_o_mm", ctx),
-                              _number(block, "L_mm", ctx),
-                              math.radians(_number(block, "alpha_deg", ctx)))
+        return SectorGeometry(get_number(block, "R_i_mm", ctx), get_number(block, "R_o_mm", ctx),
+                              get_number(block, "L_mm", ctx),
+                              math.radians(get_number(block, "alpha_deg", ctx)))
     except ValueError as e:
         raise ConfigError(f'invalid sector "{ctx}": {e}')
 
@@ -98,10 +89,10 @@ def parse_sector(block: dict, ctx: str) -> SectorGeometry:
 def parse_tube(block: dict, ctx: str, need_interface: bool) -> TubeGeometry:
     r_int = None
     if need_interface or "r_interface_mm" in block:
-        r_int = _number(block, "r_interface_mm", ctx)
+        r_int = get_number(block, "r_interface_mm", ctx)
     try:
-        return TubeGeometry(_number(block, "r_i_mm", ctx), _number(block, "r_o_mm", ctx),
-                            _number(block, "l_mm", ctx), r_int)
+        return TubeGeometry(get_number(block, "r_i_mm", ctx), get_number(block, "r_o_mm", ctx),
+                            get_number(block, "l_mm", ctx), r_int)
     except ValueError as e:
         raise ConfigError(f'invalid geometry "{ctx}": {e}')
 
@@ -109,20 +100,20 @@ def parse_tube(block: dict, ctx: str, need_interface: bool) -> TubeGeometry:
 def parse_layer(block: dict, ctx: str, need_sector: bool = False,
                 need_maxwell: bool = False) -> MaterialLayer:
     kwargs = dict(
-        c1=_number(block, "c1_kpa", ctx),
-        c2=_number(block, "c2_kpa", ctx),
-        k1=_number(block, "k1_kpa", ctx),
-        k2=_number(block, "k2", ctx),
-        beta_deg=_number(block, "beta_deg", ctx),
+        c1=get_number(block, "c1_kpa", ctx),
+        c2=get_number(block, "c2_kpa", ctx),
+        k1=get_number(block, "k1_kpa", ctx),
+        k2=get_number(block, "k2", ctx),
+        beta_deg=get_number(block, "beta_deg", ctx),
     )
     has_maxwell = need_maxwell or "mu_matrix_kpa" in block
     if has_maxwell:
         kwargs.update(
-            mu=_number(block, "mu_matrix_kpa", ctx),
-            eta_matrix=_number(block, "eta_matrix_kpa_s", ctx),
-            k1v=_number(block, "k1_visc_kpa", ctx),
-            k2v=_number(block, "k2_visc", ctx),
-            eta_fibre=_number(block, "eta_fibre_kpa_s", ctx),
+            mu=get_number(block, "mu_matrix_kpa", ctx),
+            eta_matrix=get_number(block, "eta_matrix_kpa_s", ctx),
+            k1v=get_number(block, "k1_visc_kpa", ctx),
+            k2v=get_number(block, "k2_visc", ctx),
+            eta_fibre=get_number(block, "eta_fibre_kpa_s", ctx),
         )
     if need_sector or "sector" in block:
         sector_block = _require(block, "sector", ctx)
@@ -137,9 +128,9 @@ def parse_layer(block: dict, ctx: str, need_sector: bool = False,
 
 def parse_layers(cfg: dict, need_sector: bool = False, need_maxwell: bool = False):
     """The media layer plus, when present, the adventitia layer."""
-    layers = [parse_layer(_block(cfg, "media"), "media", need_sector, need_maxwell)]
+    layers = [parse_layer(get_block(cfg, "media"), "media", need_sector, need_maxwell)]
     if "adventitia" in cfg:
-        layers.append(parse_layer(_block(cfg, "adventitia"), "adventitia",
+        layers.append(parse_layer(get_block(cfg, "adventitia"), "adventitia",
                                   need_sector, need_maxwell))
     return layers
 
@@ -159,17 +150,25 @@ def parse_f0(cfg: dict) -> PreStressField:
         except ValueError as e:
             raise ConfigError(f'invalid "f0": {e}')
     if "f0_opening_map" in cfg:
-        b = _block(cfg, "f0_opening_map")
         ctx = "f0_opening_map"
-        m = OpeningMap(k=_number(b, "k", ctx), c=_number(b, "c", ctx),
-                       ri=_number(b, "ri_mm", ctx), Ri=_number(b, "Ri_mm", ctx))
-        return PreStressField(F0_at(_number(b, "r_mm", ctx), m))
+        b = get_block(cfg, ctx)
+        k, c = get_number(b, "k", ctx), get_number(b, "c", ctx)
+        ri, Ri, r = (get_number(b, key, ctx) for key in ("ri_mm", "Ri_mm", "r_mm"))
+        if not k >= 1.0:
+            raise ConfigError(f'field "{ctx}.k" must be >= 1 (got {k})')
+        for key, v in (("c", c), ("ri_mm", ri), ("Ri_mm", Ri), ("r_mm", r)):
+            if not v > 0.0:
+                raise ConfigError(f'field "{ctx}.{key}" must be > 0 (got {v})')
+        try:
+            return PreStressField(OpeningMap(k, c, ri, Ri).F0(r))
+        except DomainError:
+            raise ConfigError(f'field "{ctx}.r_mm" = {r} lies outside the layer the map covers')
     raise ConfigError('missing field "f0" (or "f0_opening_map")')
 
 
 def parse_program(cfg: dict, dt_override: Optional[float] = None) -> LoadProgram:
-    b = _block(cfg, "program")
-    dt = dt_override if dt_override is not None else _number(b, "dt_s", "program")
+    b = get_block(cfg, "program")
+    dt = dt_override if dt_override is not None else get_number(b, "dt_s", "program")
     frames = _require(b, "keyframes", "program")
     if not isinstance(frames, list) or not frames:
         raise ConfigError('field "program.keyframes" must be a non-empty list of [t_s, F] pairs')

@@ -54,7 +54,7 @@ class LoadProgram:
         for t, F in frames:
             if F.shape != (3, 3):
                 raise ValueError("keyframe deformation gradients must be 3x3")
-            if tn.det(F) <= 0.0:
+            if not tn.det(F) > 0.0:  # also rejects NaN entries
                 raise ValueError(f"keyframe at t = {t} has det F <= 0")
         object.__setattr__(self, 'keyframes', frames)
 

@@ -48,7 +48,6 @@ class HolzapfelFibreParams:
     k1: float
     k2: float
     a: np.ndarray
-    tension_only: bool = False  # optional switch: no stress for lam2 < 1; off by default
 
     def __post_init__(self):
         if self.k1 <= 0.0 or self.k2 <= 0.0:
@@ -67,7 +66,7 @@ class PreStressField:
     def __post_init__(self):
         f0 = np.asarray(self.F0, dtype=float)
         d = tn.det(f0)
-        if np.any(np.abs(d - 1.0) > 1e-10):
+        if not np.all(np.abs(d - 1.0) <= 1e-10):  # also rejects NaN entries
             raise ValueError(f"F0 must be unimodular (det = {np.max(np.abs(d - 1.0)):.3e} from 1)")
         object.__setattr__(self, 'F0', f0)
 
@@ -164,10 +163,7 @@ def sq_stretch_gradient(c_sf, a):
 def holzapfel_pk2_sf(c_sf, p: HolzapfelFibreParams):
     """PK2 stress of one fibre family: 2 f(lam2) d(lam2)/dC."""
     grad, lam2 = sq_stretch_gradient(c_sf, p.a)
-    fval = fibre_f(lam2, p.k1, p.k2)
-    if p.tension_only:
-        fval = np.where(lam2 < 1.0, 0.0, fval)
-    return 2.0 * np.asarray(fval)[..., None, None] * grad
+    return 2.0 * np.asarray(fibre_f(lam2, p.k1, p.k2))[..., None, None] * grad
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +177,10 @@ class EquilibriumMaterial:
     fibres: tuple = field(default=())
 
     @classmethod
-    def from_constants(cls, c1, c2, k1, k2, beta_deg, tension_only=False):
+    def from_constants(cls, c1, c2, k1, k2, beta_deg):
         ap, am = fibre_directions(np.radians(beta_deg))
         return cls(MooneyRivlinParams(c1, c2),
-                   (HolzapfelFibreParams(k1, k2, ap, tension_only),
-                    HolzapfelFibreParams(k1, k2, am, tension_only)))
+                   (HolzapfelFibreParams(k1, k2, ap), HolzapfelFibreParams(k1, k2, am)))
 
 
 def equilibrium_pk2_sf(c_sf, mat: EquilibriumMaterial):
@@ -204,14 +199,14 @@ def equilibrium_energy_sf(c_sf, mat: EquilibriumMaterial):
     return w
 
 
-def extra_cauchy_equilibrium(f_sf, mat: EquilibriumMaterial):
+def extra_cauchy_equilibrium(f, mat: EquilibriumMaterial):
     """Pressure-indeterminate Cauchy stress F_sf T_pk2 F_sf^T for det F_sf = 1.
 
     Only differences of its normal components are meaningful; they equal the
     corresponding differences of the true Cauchy stress, the incompressibility
     pressure having cancelled.
     """
-    f = np.asarray(f_sf, dtype=float)
+    f = np.asarray(f, dtype=float)
     d = tn.det(f)
     if np.any(np.abs(d - 1.0) > 1e-10):
         raise DomainError(f"extra stress assumes det F_sf = 1 (worst |det-1| = {np.max(np.abs(d - 1.0)):.3e})")

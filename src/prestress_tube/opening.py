@@ -28,8 +28,8 @@ from scipy.optimize import minimize
 from .errors import DomainError, NoConvergence
 from .materials import equilibrium_energy_sf
 from .tensor import transpose
-from .tube import (N_QUAD, TWO_PI, MaterialLayer, WallSegment, equilibrium_residuals,
-                   gauss_segment, newton2)
+from .tube import (N_QUAD, TWO_PI, MaterialLayer, gauss_segment, newton2, sector_segments,
+                   wall_sectors)
 
 GRAD_TOL = 1e-8        # required infinity-norm of dE/d(rho, l) at the inner optimum
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -60,23 +60,8 @@ class EnergyCurve:
 
 
 def opened_segments(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate):
-    """Wall segments of the opened sector (reuses the tube map machinery).
-
-    Layer j maps its sf sector (span 2*pi - alpha_j) onto the common opened
-    sector (span 2*pi - alpha_trial), so the circumferential ratio is
-    kappa_j = (2*pi - alpha_trial)/(2*pi - alpha_j); the first layer is
-    anchored at the interface by its outer sf radius, the second by its inner.
-    """
-    segs = []
-    span_t = TWO_PI - cand.alpha_trial
-    for idx, layer in enumerate(layers):
-        sec = layer.sector
-        kappa = span_t / (TWO_PI - sec.alpha)
-        anchor_R = sec.Ro if idx == 0 else sec.Ri
-        segs.append(WallSegment(layer, kappa, cand.l_open / sec.L,
-                                ri_anchor=cand.rho_interface, Ri_anchor=anchor_R,
-                                R_span=(sec.Ri, sec.Ro)))
-    return segs
+    """Wall segments of the opened sector: the glued wall at the trial angle."""
+    return sector_segments(layers, cand.alpha_trial, cand.rho_interface, cand.l_open)
 
 
 def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
@@ -90,8 +75,7 @@ def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
     for seg in opened_segments(layers, cand):
         sec = seg.layer.sector
         R, w = gauss_segment(sec.Ri, sec.Ro, npts)
-        rho = seg.radius_current(R)
-        F = seg.deformation_gradient(rho, R)
+        F = seg.map.deformation_gradient(seg.map.radius_current(R), R)
         wdens = equilibrium_energy_sf(transpose(F) @ F, seg.layer.equilibrium)
         e += (TWO_PI - sec.alpha) * sec.L * float(np.sum(w * wdens * R))
     return e
@@ -105,17 +89,16 @@ def equilibrate_opened(layers: Sequence[MaterialLayer], alpha_trial: float,
     polishes with a finite-difference-gradient Newton step loop.  Returns
     (OpenedStateCandidate, energy).
     """
-    if any(layer.sector is None for layer in layers):
-        raise ValueError("every layer needs its sector geometry")
-    sec0 = layers[0].sector
-    kappa0 = (TWO_PI - alpha_trial) / (TWO_PI - sec0.alpha)
-    x0 = np.array([sec0.Ro * math.sqrt(1.0 / kappa0),
-                   sum(l.sector.L for l in layers) / len(layers)])
+    sec = wall_sectors(layers)
+    kappa0 = (TWO_PI - alpha_trial) / (TWO_PI - sec[0].alpha)
+    x0 = np.array([sec[0].Ro * math.sqrt(1.0 / kappa0), sum(s.L for s in sec) / len(sec)])
 
     def energy(x):
+        if x[0] <= 0.0 or x[1] <= 0.0:
+            return 1e30
         try:
             return opened_energy(layers, OpenedStateCandidate(alpha_trial, x[0], x[1]), npts)
-        except (DomainError, ValueError):
+        except DomainError:
             return 1e30
 
     res = minimize(energy, x0, method='Nelder-Mead',

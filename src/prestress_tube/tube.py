@@ -10,6 +10,7 @@ two constants,
 together with one anchored radius pair (r_a, R_a); incompressibility then gives
 R^2 - R_a^2 = k c (r^2 - r_a^2) pointwise and the deformation gradient in the
 cylindrical triad is diag(R/(k c r), k r / R, c) with det = 1 exactly.
+OpeningMap is that map; its inverse gradient is the pre-stress map F0.
 
 The load-free equilibrium of a layered wall is characterised by two integrals
 over the wall thickness (inner/outer tractions and resultant axial force both
@@ -31,14 +32,13 @@ on nondimensionalized residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, QuadratureFailure
-from .materials import (EquilibriumMaterial, HolzapfelFibreParams, MooneyRivlinParams,
-                        extra_cauchy_equilibrium, fibre_directions)
+from .materials import EquilibriumMaterial, extra_cauchy_equilibrium
 from .maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 TWO_PI = 2.0 * math.pi
@@ -99,54 +99,51 @@ class TubeGeometry:
 
 @dataclass(frozen=True)
 class OpeningMap:
-    """Constants of one layer's sector<->tube map, anchored at the inner radii."""
+    """One layer's sector<->tube map, anchored at the radius pair (ri, Ri).
+
+    R^2 - Ri^2 = k c (r^2 - ri^2) links the load-free radius r to the
+    stress-free radius R.  k < 1 is admissible: an opened sector whose angle
+    exceeds the layer's own stretches the layer circumferentially.
+    """
     k: float
     c: float
     ri: float
     Ri: float
 
     def __post_init__(self):
-        if self.k < 1.0 or self.c <= 0.0:
-            raise ValueError("need k >= 1 and c > 0")
+        if self.k <= 0.0 or self.c <= 0.0:
+            raise ValueError(f"need k > 0 and c > 0 (got k={self.k}, c={self.c})")
 
+    def radius_sf(self, r):
+        rad = self.Ri ** 2 + self.k * self.c * (np.asarray(r, float) ** 2 - self.ri ** 2)
+        if np.any(rad <= 0.0):
+            raise DomainError("sf radius radicand not positive")
+        return np.sqrt(rad)
 
-def f_lf(r, m: OpeningMap):
-    """Hoop pre-strain distribution in load-free coordinates: k r / R(r)."""
-    r = np.asarray(r, dtype=float)
-    rad = (r * r - m.ri * m.ri) * m.k * m.c + m.Ri * m.Ri
-    if np.any(rad <= 0.0):
-        raise DomainError("radius outside the admissible layer range")
-    return m.k * r / np.sqrt(rad)
+    def radius_current(self, R):
+        rad = self.ri ** 2 + (np.asarray(R, float) ** 2 - self.Ri ** 2) / (self.k * self.c)
+        if np.any(rad <= 0.0):
+            raise DomainError("current radius radicand not positive")
+        return np.sqrt(rad)
 
+    def deformation_gradient(self, r, R):
+        """Closing gradient sf -> lf: diag(R/(k c r), k r/R, c), det = 1."""
+        R = np.asarray(R, dtype=float)
+        r = np.asarray(r, dtype=float)
+        out = np.zeros(np.broadcast(R, r).shape + (3, 3))
+        out[..., 0, 0] = R / (self.k * self.c * r)
+        out[..., 1, 1] = self.k * r / R
+        out[..., 2, 2] = self.c
+        return out
 
-def f_sf(R, m: OpeningMap):
-    """The same distribution expressed in stress-free coordinates: k r(R) / R."""
-    R = np.asarray(R, dtype=float)
-    rad = (R * R - m.Ri * m.Ri) / (m.k * m.c) + m.ri * m.ri
-    if np.any(rad <= 0.0):
-        raise DomainError("radius outside the admissible layer range")
-    return m.k * np.sqrt(rad) / R
-
-
-def F0_at(r, m: OpeningMap):
-    """Pre-stress map F0 = diag(c f, 1/f, 1/c) at load-free radius r (det = 1)."""
-    f = f_lf(r, m)
-    out = np.zeros(np.shape(f) + (3, 3))
-    out[..., 0, 0] = m.c * f
-    out[..., 1, 1] = 1.0 / f
-    out[..., 2, 2] = 1.0 / m.c
-    return out
-
-
-def sector_to_tube_F(R, r, k: float, lambda_z: float):
-    """Deformation gradient diag(R/(k lambda_z r), k r/R, lambda_z) of the closing map."""
-    R = np.asarray(R, dtype=float)
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(np.broadcast(R, r).shape + (3, 3))
-    out[..., 0, 0] = R / (k * lambda_z * r)
-    out[..., 1, 1] = k * r / R
-    out[..., 2, 2] = lambda_z
-    return out
+    def F0(self, r):
+        """Pre-stress map lf -> sf at load-free radius r: the inverse closing gradient."""
+        f = self.k * np.asarray(r, float) / self.radius_sf(r)
+        out = np.zeros(np.shape(f) + (3, 3))
+        out[..., 0, 0] = self.c * f
+        out[..., 1, 1] = 1.0 / f
+        out[..., 2, 2] = 1.0 / self.c
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,35 +152,21 @@ def sector_to_tube_F(R, r, k: float, lambda_z: float):
 
 @dataclass(frozen=True)
 class MaterialLayer:
-    """One wall layer: equilibrium constants, Maxwell constants, optional sector."""
-    matrix: MooneyRivlinParams
-    fibres: tuple
-    beta_deg: float
+    """One wall layer: equilibrium material, Maxwell constants, optional sector."""
+    equilibrium: EquilibriumMaterial
     iso_maxwell: Optional[IsoMaxwellParams] = None
-    fibre_maxwell: tuple = field(default=())
+    fibre_maxwell: tuple = ()
     sector: Optional[SectorGeometry] = None
 
     @classmethod
     def from_constants(cls, c1, c2, k1, k2, beta_deg, mu=None, eta_matrix=None,
-                       k1v=None, k2v=None, eta_fibre=None, sector=None,
-                       tension_only=False):
-        ap, am = fibre_directions(math.radians(beta_deg))
-        fibres = (HolzapfelFibreParams(k1, k2, ap, tension_only),
-                  HolzapfelFibreParams(k1, k2, am, tension_only))
+                       k1v=None, k2v=None, eta_fibre=None, sector=None):
+        eq = EquilibriumMaterial.from_constants(c1, c2, k1, k2, beta_deg)
         iso = IsoMaxwellParams(mu, eta_matrix) if mu is not None else None
         fmax = ()
         if k1v is not None:
-            fmax = (FibreMaxwellParams(k1v, k2v, eta_fibre, ap),
-                    FibreMaxwellParams(k1v, k2v, eta_fibre, am))
-        return cls(MooneyRivlinParams(c1, c2), fibres, beta_deg, iso, fmax, sector)
-
-    @property
-    def equilibrium(self) -> EquilibriumMaterial:
-        return EquilibriumMaterial(self.matrix, self.fibres)
-
-    def with_sector(self, sector: SectorGeometry) -> "MaterialLayer":
-        return MaterialLayer(self.matrix, self.fibres, self.beta_deg,
-                             self.iso_maxwell, self.fibre_maxwell, sector)
+            fmax = tuple(FibreMaxwellParams(k1v, k2v, eta_fibre, fp.a) for fp in eq.fibres)
+        return cls(eq, iso, fmax, sector)
 
 
 # ---------------------------------------------------------------------------
@@ -204,48 +187,56 @@ def gauss_segment(a: float, b: float, n: int = N_QUAD):
 
 @dataclass(frozen=True)
 class WallSegment:
-    """One layer's span of the wall together with its incompressible map.
+    """One layer's span of the wall together with its sector<->tube map.
 
-    The map satisfies R^2 - Ri_anchor^2 = k c (r^2 - ri_anchor^2); exactly one
-    of r_span (current-frame radii) / R_span (sf-frame radii) fixes the
-    integration variable.
+    Exactly one of r_span (current-frame radii) / R_span (sf-frame radii)
+    fixes the integration variable.
     """
     layer: MaterialLayer
-    k: float
-    c: float
-    ri_anchor: float
-    Ri_anchor: float
+    map: OpeningMap
     r_span: Optional[tuple] = None
     R_span: Optional[tuple] = None
 
-    def radius_sf(self, r):
-        rad = self.Ri_anchor ** 2 + self.k * self.c * (np.asarray(r, float) ** 2 - self.ri_anchor ** 2)
-        if np.any(rad <= 0.0):
-            raise DomainError("sf radius radicand not positive")
-        return np.sqrt(rad)
-
-    def radius_current(self, R):
-        rad = self.ri_anchor ** 2 + (np.asarray(R, float) ** 2 - self.Ri_anchor ** 2) / (self.k * self.c)
-        if np.any(rad <= 0.0):
-            raise DomainError("current radius radicand not positive")
-        return np.sqrt(rad)
-
     def nodes(self, n: int = N_QUAD):
         """(r, R, w) with w the weights for integration in the current-frame radius r."""
+        m = self.map
         if self.r_span is not None:
             r, w = gauss_segment(*self.r_span, n)
-            return r, self.radius_sf(r), w
+            return r, m.radius_sf(r), w
         R, w = gauss_segment(*self.R_span, n)
-        r = self.radius_current(R)
-        return r, R, w * R / (self.k * self.c * r)   # dr/dR = R/(k c r)
+        r = m.radius_current(R)
+        return r, R, w * R / (m.k * m.c * r)   # dr/dR = R/(k c r)
 
-    def deformation_gradient(self, r, R):
-        return sector_to_tube_F(R, r, self.k, self.c)
+
+def wall_sectors(layers: Sequence[MaterialLayer]):
+    """The stress-free sectors of a glued wall of one or two sectored layers."""
+    if not 1 <= len(layers) <= 2:
+        raise ValueError("the sectored wall is written for one or two layers")
+    if any(layer.sector is None for layer in layers):
+        raise ValueError("every layer needs its sector geometry")
+    return [layer.sector for layer in layers]
+
+
+def sector_segments(layers: Sequence[MaterialLayer], alpha: float, rho: float, l: float):
+    """Segments of the per-layer sectors glued into one sector of angle alpha.
+
+    alpha = 0 closes the wall into a tube.  Layer j maps its sf sector (span
+    2*pi - alpha_j) onto the common span 2*pi - alpha, so k_j = (2*pi - alpha)
+    / (2*pi - alpha_j) and c_j = l / L_j.  The glue interface sits at the
+    current radius rho: the first layer is anchored there by its outer sf
+    radius, the second by its inner.
+    """
+    span = TWO_PI - alpha
+    segs = []
+    for j, sec in enumerate(wall_sectors(layers)):
+        m = OpeningMap(span / (TWO_PI - sec.alpha), l / sec.L, rho, sec.Ro if j == 0 else sec.Ri)
+        segs.append(WallSegment(layers[j], m, R_span=(sec.Ri, sec.Ro)))
+    return segs
 
 
 def _stress_differences(seg: WallSegment, r, R):
     """(T_theta - T_rr, T_zz - T_rr) of the equilibrium extra Cauchy stress."""
-    F = seg.deformation_gradient(r, R)
+    F = seg.map.deformation_gradient(r, R)
     t = extra_cauchy_equilibrium(F, seg.layer.equilibrium)
     return t[..., 1, 1] - t[..., 0, 0], t[..., 2, 2] - t[..., 0, 0]
 
@@ -264,16 +255,6 @@ def equilibrium_residuals(segments: Sequence[WallSegment], npts: int = N_QUAD):
     return p, fz
 
 
-def net_pressure(segments: Sequence[WallSegment], npts: int = N_QUAD) -> float:
-    """Inner-minus-outer pressure required to hold the candidate state (kPa)."""
-    return equilibrium_residuals(segments, npts)[0]
-
-
-def reduced_axial_force(segments: Sequence[WallSegment], npts: int = N_QUAD) -> float:
-    """Resultant axial force minus end-cap pressure thrust (kPa mm^2)."""
-    return equilibrium_residuals(segments, npts)[1]
-
-
 def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 101):
     """Radial Cauchy stress profile (r, T_rr, T_theta, T_zz) across the wall.
 
@@ -288,10 +269,10 @@ def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 10
     for seg in segments:
         if seg.r_span is not None:
             r = np.linspace(*seg.r_span, n_per_segment)
-            R = seg.radius_sf(r)
+            R = seg.map.radius_sf(r)
         else:
             R = np.linspace(*seg.R_span, n_per_segment)
-            r = seg.radius_current(R)
+            r = seg.map.radius_current(R)
         dth, dzz = _stress_differences(seg, r, R)
         t_rr = t_rr_carry + cumulative_trapezoid(dth / r, r, initial=0.0)
         rows.append(np.column_stack([r, t_rr, t_rr + dth, t_rr + dzz]))
@@ -315,7 +296,9 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
     """Damped Newton for a 2-unknown nondimensional residual function.
 
     fun maps x (len-2 array) to a len-2 residual array; returns (x, residual,
-    iterations).  Raises NoConvergence carrying the last iterate.
+    iterations).  A step is taken only once the residual at its end is checked
+    to be smaller; raises NoConvergence carrying the last checked iterate and
+    its residual norm.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(fun(x), dtype=float)
@@ -339,6 +322,9 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
             if np.max(np.abs(fn)) < norm:
                 break
             step *= 0.5
+        else:
+            raise NoConvergence(f"line search stalled at |res| = {norm:.3e}",
+                                last_iterate=x, residuals={'norm': float(norm)}, iterations=it)
         x = x + step
         f = fn
     norm = float(np.max(np.abs(f)))
@@ -394,13 +380,12 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     """
     breaks = _lf_breaks(tube, len(layers))
     k = TWO_PI / (TWO_PI - alpha)
-    c1s = max(layer.matrix.c1 for layer in layers)
+    c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
     scale = np.array([c1s, c1s * tube.ri ** 2])
 
     def segments_at(Ri, L):
-        c = tube.l / L
-        return [WallSegment(layer, k, c, ri_anchor=tube.ri, Ri_anchor=Ri,
-                            r_span=(breaks[j], breaks[j + 1]))
+        m = OpeningMap(k, tube.l / L, tube.ri, Ri)
+        return [WallSegment(layer, m, r_span=(breaks[j], breaks[j + 1]))
                 for j, layer in enumerate(layers)]
 
     def resid(x):
@@ -414,7 +399,7 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     Ri, L = float(x[0]), float(x[1])
 
     segs = segments_at(Ri, L)
-    radii_sf = [float(segs[j].radius_sf(breaks[j + 1])) for j in range(len(layers))]
+    radii_sf = [float(segs[0].map.radius_sf(r)) for r in breaks[1:]]
     sectors = []
     lo = Ri
     for hi in radii_sf:
@@ -448,38 +433,25 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
     layers are anchored to that radius; inner/outer radii follow in closed form
     from the maps.
     """
-    if not 1 <= len(layers) <= 2:
-        raise ValueError("the equilibrium system is written for one or two layers")
-    if any(layer.sector is None for layer in layers):
-        raise ValueError("every layer needs its sector geometry")
-    sec = [layer.sector for layer in layers]
-    c1s = max(layer.matrix.c1 for layer in layers)
+    sec = wall_sectors(layers)
+    c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
     r_anchor0 = sec[0].Ro * math.sqrt(1.0 / sec[0].k)
     scale = np.array([c1s, c1s * r_anchor0 ** 2])
-
-    def segments_at(r_anchor, l):
-        segs = [WallSegment(layers[0], sec[0].k, l / sec[0].L,
-                            ri_anchor=r_anchor, Ri_anchor=sec[0].Ro,
-                            R_span=(sec[0].Ri, sec[0].Ro))]
-        if len(layers) == 2:
-            segs.append(WallSegment(layers[1], sec[1].k, l / sec[1].L,
-                                    ri_anchor=r_anchor, Ri_anchor=sec[1].Ri,
-                                    R_span=(sec[1].Ri, sec[1].Ro)))
-        return segs
 
     def resid(x):
         r_anchor, l = x
         if r_anchor <= 0.0 or l <= 0.0:
             raise DomainError("negative trial geometry")
-        return np.asarray(equilibrium_residuals(segments_at(r_anchor, l), npts)) / scale
+        return np.asarray(equilibrium_residuals(sector_segments(layers, 0.0, r_anchor, l),
+                                                npts)) / scale
 
     x0 = np.array([r_anchor0, sum(s.L for s in sec) / len(sec)])
     x, fhat, iters = newton2(_guarded(resid), x0, tol=tol, max_iter=max_iter)
     r_anchor, l = float(x[0]), float(x[1])
 
-    segs = segments_at(r_anchor, l)
-    ri = float(segs[0].radius_current(sec[0].Ri))
-    ro = float(segs[-1].radius_current(sec[-1].Ro))
+    segs = sector_segments(layers, 0.0, r_anchor, l)
+    ri = float(segs[0].map.radius_current(sec[0].Ri))
+    ro = float(segs[-1].map.radius_current(sec[-1].Ro))
     tube = TubeGeometry(ri, ro, l, r_interface=r_anchor if len(layers) == 2 else None)
     p, fz = equilibrium_residuals(segs, npts)
     p2, fz2 = equilibrium_residuals(segs, 2 * npts)

@@ -10,6 +10,7 @@ start passing, the suite flags it loudly.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from prestress_tube import (
     PreStressField,
     SectorGeometry,
     ViscousState,
-    F0_at,
     cauchy_from_pk2,
     equilibrium_pk2_sf,
     fibre_directions,
@@ -314,7 +314,7 @@ def test_criterion_8_relaxed_start_fixed_point():
     prog = LoadProgram(((0.0, np.eye(3)), (2.0, np.eye(3))), dt=0.01)
     worst = 0.0
     cases = [PreStressField(rand_unimodular(rng)),
-             PreStressField(F0_at(0.9, OpeningMap(k=1.8, c=1.1, ri=0.71, Ri=1.39)))]
+             PreStressField(OpeningMap(k=1.8, c=1.1, ri=0.71, Ri=1.39).F0(0.9))]
     for f0 in cases:
         trace = run_point(prog, layer, f0)
         worst = max(worst, float(np.max(trace.overstress_norm)))
@@ -336,7 +336,7 @@ def test_criterion_9_sector_round_trip():
         Ri = rng.uniform(0.7, 1.3)
         sec = SectorGeometry(Ri, Ri + rng.uniform(0.2, 0.5), rng.uniform(0.8, 2.5),
                              math.radians(rng.uniform(30.0, 220.0)))
-        fwd = solve_load_free([layer.with_sector(sec)])
+        fwd = solve_load_free([replace(layer, sector=sec)])
         inv = solve_inverse_sf(fwd.tube, sec.alpha, [layer])
         got = inv.sectors[0]
         worst = max(worst, abs(got.Ri - sec.Ri), abs(got.Ro - sec.Ro),

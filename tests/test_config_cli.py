@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prestress_tube import F0_at, OpeningMap, config
+from prestress_tube import OpeningMap, config, equilibrate_opened
 from prestress_tube.cli import main
 from prestress_tube.errors import ConfigError
 
@@ -117,12 +117,21 @@ def test_parse_f0_matrix_and_opening_map():
     assert_allclose(f0.F0, np.eye(3))
     m = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
     f0m = config.parse_f0({"f0_opening_map": m})
-    expect = F0_at(0.9, OpeningMap(k=1.8, c=1.1, ri=0.71, Ri=1.39))
+    expect = OpeningMap(k=1.8, c=1.1, ri=0.71, Ri=1.39).F0(0.9)
     assert_allclose(f0m.F0, expect, rtol=1e-14)
     with pytest.raises(ConfigError, match="f0"):
         config.parse_f0({})
     with pytest.raises(ConfigError):
         config.parse_f0({"f0": [[1.0, 0.0], [0.0, 1.0]]})
+    with pytest.raises(ConfigError, match="unimodular"), np.errstate(invalid="ignore"):
+        config.parse_f0({"f0": [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})
+    # an inadmissible opening map is a config error naming the field
+    # (r_mm = 0.3 with Ri_mm = 0.5 lies inside the hole the map leaves)
+    for field, bad in (("k", {"k": 0.9}), ("c", {"c": 0.0}), ("c", {"c": -1.1}),
+                       ("r_mm", {"r_mm": 0.0}), ("ri_mm", {"ri_mm": -0.71}),
+                       ("r_mm", {"Ri_mm": 0.5, "r_mm": 0.3})):
+        with pytest.raises(ConfigError, match=rf"f0_opening_map\.{field}"):
+            config.parse_f0({"f0_opening_map": dict(m, **bad)})
 
 
 def test_parse_program_and_override():
@@ -134,6 +143,10 @@ def test_parse_program_and_override():
     assert prog2.dt == pytest.approx(0.001)
     with pytest.raises(ConfigError, match=r"keyframes\[0\]"):
         config.parse_program({"program": {"dt_s": 0.01, "keyframes": [[0.0]]}})
+    nan_frame = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(ConfigError, match="det F"), np.errstate(invalid="ignore"):
+        config.parse_program({"program": {"dt_s": 0.01,
+                                          "keyframes": [[0.0, IDENT], [1.0, nan_frame]]}})
 
 
 def test_parse_workflow_mismatch():
@@ -309,6 +322,69 @@ def test_cli_exit_1_workflow_mismatch(tmp_path, capsys):
                             "--out", str(tmp_path / "x.csv"))
     assert rc == 1
     assert "does not match" in stderr
+
+
+def test_cli_exit_1_bad_opening_map(tmp_path, capsys):
+    for field, bad in (("k", {"k": 0.5}), ("r_mm", {"Ri_mm": 0.5, "r_mm": 0.3})):
+        cfg = point_config()
+        del cfg["f0"]
+        cfg["f0_opening_map"] = dict({"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39,
+                                      "r_mm": 0.9}, **bad)
+        cfg_path = write_config(tmp_path, cfg)
+        rc, stdout, stderr = run_cli(capsys, "point-test", "--config", str(cfg_path),
+                                     "--out", str(tmp_path / "x.csv"))
+        assert rc == 1
+        assert stderr.startswith("config error:")
+        assert f"f0_opening_map.{field}" in stderr
+        assert stdout == ""
+
+
+def test_cli_exit_1_opening_angle_out_of_range(tmp_path, capsys):
+    cfg = inverse_config()
+    cfg["geometry"]["alpha_deg"] = 400.0
+    cfg_path = write_config(tmp_path, cfg)
+    rc, _, stderr = run_cli(capsys, "inverse-sf", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    assert "geometry.alpha_deg" in stderr
+
+
+def test_cli_tol_only_on_tube_solvers(tmp_path, capsys):
+    # --tol is read only by the tube solvers; elsewhere argparse rejects it
+    for workflow, cfg in (("point-test", point_config()), ("energy-scan", scan_config())):
+        cfg_path = write_config(tmp_path, cfg)
+        with pytest.raises(SystemExit) as exc:
+            main([workflow, "--config", str(cfg_path), "--tol", "1e-99"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+def test_cli_energy_scan_solver_block(tmp_path, capsys):
+    # tol and max_iter mean nothing to the scan and are rejected ...
+    for key, value in (("tol", 1e-12), ("max_iter", 5)):
+        cfg = scan_config()
+        cfg["solver"] = {key: value}
+        cfg_path = write_config(tmp_path, cfg)
+        rc, stdout, stderr = run_cli(capsys, "energy-scan", "--config", str(cfg_path),
+                                     "--out", str(tmp_path / "x.csv"))
+        assert rc == 1
+        assert f"solver.{key}" in stderr
+        assert stdout == ""
+    # ... while quad_points sets the quadrature of every energy evaluation
+    cfg = scan_config()
+    cfg["solver"] = {"quad_points": 3}
+    cfg["grid"] = {"start_deg": 122.0, "end_deg": 126.0, "step_deg": 2.0}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "curve.csv"
+    rc, _, _ = run_cli(capsys, "energy-scan", "--config", str(cfg_path), "--out", str(out))
+    assert rc == 0
+    layers = config.parse_layers(cfg, need_sector=True)
+    _, _, data = read_csv(out)
+    for a_deg, e in data:
+        e3 = equilibrate_opened(layers, math.radians(a_deg), npts=3)[1]
+        e32 = equilibrate_opened(layers, math.radians(a_deg))[1]
+        assert e == pytest.approx(e3, rel=1e-11)
+        assert e != pytest.approx(e32, rel=1e-9)
 
 
 def test_cli_exit_2_nonconvergence(tmp_path, capsys):

@@ -194,20 +194,6 @@ def test_holzapfel_pk2_matches_fd_gradient():
         assert rel_err(s, s_fd) < 1e-6
 
 
-def test_holzapfel_tension_only_switch():
-    # compressed fibre (lam2 < 1) carries no stress when the switch is on
-    a = np.array([0.0, 1.0, 0.0])
-    p_on = HolzapfelFibreParams(k1=1.0, k2=1.0, a=a, tension_only=True)
-    p_off = HolzapfelFibreParams(k1=1.0, k2=1.0, a=a, tension_only=False)
-    c = np.diag([1.3, 0.7, 1.1])
-    assert fibre_sq_stretch(c, a) < 1.0
-    assert_allclose(holzapfel_pk2_sf(c, p_on), 0.0, atol=1e-15)
-    assert np.max(np.abs(holzapfel_pk2_sf(c, p_off))) > 0.0
-    c2 = np.diag([0.8, 1.4, 0.95])
-    assert fibre_sq_stretch(c2, a) > 1.0
-    assert_allclose(holzapfel_pk2_sf(c2, p_on), holzapfel_pk2_sf(c2, p_off))
-
-
 # ---------------------------------------------------------------------------
 # assembled equilibrium material
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ from prestress_tube import (
     SectorGeometry,
     equilibrate_opened,
     equilibrium_energy_sf,
+    equilibrium_residuals,
     find_opening_angle,
-    net_pressure,
     opened_energy,
     opened_segments,
-    reduced_axial_force,
     solve_load_free,
 )
 from prestress_tube import tensor as tn
@@ -37,8 +36,8 @@ def test_opened_energy_matches_fine_trapezoid(t3_layers):
     for seg in opened_segments(t3_layers, cand):
         sec = seg.layer.sector
         R = np.linspace(sec.Ri, sec.Ro, 20001)
-        rho = seg.radius_current(R)
-        F = seg.deformation_gradient(rho, R)
+        rho = seg.map.radius_current(R)
+        F = seg.map.deformation_gradient(rho, R)
         w = equilibrium_energy_sf(tn.transpose(F) @ F, seg.layer.equilibrium)
         e_trap += (TWO_PI - sec.alpha) * sec.L * np.trapezoid(w * R, R)
     assert e_gauss == pytest.approx(e_trap, rel=1e-6)
@@ -51,7 +50,7 @@ def test_opened_energy_zero_at_own_sector():
     assert opened_energy([layer], cand) == pytest.approx(0.0, abs=1e-14)
     segs = opened_segments([layer], cand)
     R = np.linspace(MEDIA_SECTOR.Ri, MEDIA_SECTOR.Ro, 5)
-    F = segs[0].deformation_gradient(segs[0].radius_current(R), R)
+    F = segs[0].map.deformation_gradient(segs[0].map.radius_current(R), R)
     assert_allclose(F, np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-12)
 
 
@@ -93,8 +92,23 @@ def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
         assert abs(slope) < 1e-6
     # stationarity coincides with sector equilibrium (net traction balance)
     segs = opened_segments(t3_layers, cand)
-    assert abs(net_pressure(segs)) < 1e-7
-    assert abs(reduced_axial_force(segs)) < 1e-7
+    p_net, f_red = equilibrium_residuals(segs)
+    assert abs(p_net) < 1e-7
+    assert abs(f_red) < 1e-7
+
+
+def test_opened_wall_rejects_three_layers(t3_layers):
+    # the glued-sector wall is written for one or two layers; a third layer
+    # must not be silently laid over the second
+    third = MaterialLayer.from_constants(
+        **MEDIA_EQ, sector=SectorGeometry(1.6, 1.9, 1.0, math.radians(120.0)))
+    layers = t3_layers + [third]
+    with pytest.raises(ValueError, match="one or two layers"):
+        equilibrate_opened(layers, math.radians(124.0))
+    with pytest.raises(ValueError, match="one or two layers"):
+        find_opening_angle(layers, 120.0, 130.0, 5.0, threads=1)
+    with pytest.raises(ValueError, match="one or two layers"):
+        solve_load_free(layers)
 
 
 # ---------------------------------------------------------------------------
