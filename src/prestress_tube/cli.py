@@ -48,6 +48,20 @@ def _solver_kwargs(solver: dict) -> dict:
     return kw
 
 
+def _tube_summary(workflow: str, sol, key: dict, out_path: str, cfg_hash: str) -> dict:
+    """Write the solved wall's stress profile; the tube solvers' JSON summary."""
+    profile = wall_stress_profile(sol.segments)
+    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
+    return {
+        "workflow": workflow,
+        "converged": sol.report.converged,
+        "iterations": sol.report.iterations,
+        "residuals": sol.report.residuals,
+        "key_results": key,
+        "csv": out_path,
+    }
+
+
 def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg)
     geom_block = config.get_block(cfg, "geometry")
@@ -59,9 +73,6 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     solver = config.parse_solver(cfg, args.tol)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **_solver_kwargs(solver))
-    profile = wall_stress_profile(sol.segments)
-    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
-
     key = {
         "Ri_mm": sol.sectors[0].Ri,
         "Ro_mm": sol.sectors[-1].Ro,
@@ -70,14 +81,7 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     }
     if len(sol.sectors) == 2:
         key["R_interface_mm"] = sol.sectors[0].Ro
-    return {
-        "workflow": "inverse-sf",
-        "converged": sol.report.converged,
-        "iterations": sol.report.iterations,
-        "residuals": sol.report.residuals,
-        "key_results": key,
-        "csv": out_path,
-    }
+    return _tube_summary("inverse-sf", sol, key, out_path, cfg_hash)
 
 
 def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -85,43 +89,28 @@ def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     solver = config.parse_solver(cfg, args.tol)
 
     sol = solve_load_free(layers, **_solver_kwargs(solver))
-    profile = wall_stress_profile(sol.segments)
-    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
-
     key = {"r_i_mm": sol.tube.ri, "r_o_mm": sol.tube.ro, "l_mm": sol.tube.l}
     if sol.tube.r_interface is not None:
         key["r_interface_mm"] = sol.tube.r_interface
-    return {
-        "workflow": "load-free",
-        "converged": sol.report.converged,
-        "iterations": sol.report.iterations,
-        "residuals": sol.report.residuals,
-        "key_results": key,
-        "csv": out_path,
-    }
+    return _tube_summary("load-free", sol, key, out_path, cfg_hash)
 
 
 def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg, need_sector=True)
-    grid = cfg.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError('field "grid" must be an object')
-    start = args.grid_start if args.grid_start is not None else grid.get("start_deg", 0.0)
-    end = args.grid_end if args.grid_end is not None else grid.get("end_deg", 180.0)
-    step = args.grid_step if args.grid_step is not None else grid.get("step_deg", 2.0)
+    grid = config.parse_grid(cfg, args.grid_start, args.grid_end, args.grid_step)
     solver = config.parse_solver(cfg)
     for key in ("tol", "max_iter"):
         if solver[key] is not None:
             raise ConfigError(f'field "solver.{key}" is not used by energy-scan')
 
-    curve = find_opening_angle(layers, float(start), float(end), float(step),
-                               **_solver_kwargs(solver))
+    curve = find_opening_angle(layers, *grid, **_solver_kwargs(solver))
     _write_csv(out_path, ["alpha_deg", "E_microJ"], curve.samples, cfg_hash)
 
     return {
         "workflow": "energy-scan",
         "converged": True,
-        "residuals": {},
+        "iterations": curve.iterations,
+        "residuals": curve.residuals,
         "key_results": {
             "argmin_deg": curve.argmin_deg,
             "e_min_microj": curve.e_min_microj,

@@ -52,12 +52,12 @@ def get_number(block: dict, key: str, ctx: str) -> float:
     return float(v)
 
 
-def _optional_number(block: dict, key: str, default: Optional[float]) -> Optional[float]:
+def _optional_number(block: dict, key: str, default: Optional[float], ctx: str) -> Optional[float]:
     v = block.get(key, default)
     if v is None:
         return None
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f'field "{key}" must be a number (got {v!r})')
+        raise ConfigError(f'field "{ctx}.{key}" must be a number (got {v!r})')
     return float(v)
 
 
@@ -185,12 +185,27 @@ def parse_program(cfg: dict, dt_override: Optional[float] = None) -> LoadProgram
         raise ConfigError(f'invalid "program": {e}')
 
 
+def parse_grid(cfg: dict, start=None, end=None, step=None):
+    """Energy-scan angle grid (start_deg, end_deg, step_deg); CLI flags override fields."""
+    b = get_block(cfg, "grid") if "grid" in cfg else {}
+    start, end, step = (v if v is not None else _optional_number(b, key, default, "grid")
+                        for v, key, default in ((start, "start_deg", 0.0), (end, "end_deg", 180.0),
+                                                (step, "step_deg", 2.0)))
+    for key, ok, want in (("start_deg", 0.0 <= start, ">= 0"),
+                          ("end_deg", start < end < 360.0, "above start_deg and below 360"),
+                          ("step_deg", 0.0 < step < 360.0, "in (0, 360)")):
+        if not ok:
+            raise ConfigError(f'field "grid.{key}" must be {want} '
+                              f'(grid {start}..{end} step {step})')
+    return start, end, step
+
+
 def parse_solver(cfg: dict, tol_override: Optional[float] = None) -> dict:
     b = cfg.get("solver", {})
     if not isinstance(b, dict):
         raise ConfigError('field "solver" must be an object')
     out = {
-        "tol": _optional_number(b, "tol", None),
+        "tol": _optional_number(b, "tol", None, "solver"),
         "max_iter": b.get("max_iter"),
         "quad_points": b.get("quad_points"),
     }

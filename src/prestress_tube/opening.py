@@ -2,38 +2,35 @@
 
 When a two-layer tube with incompatible stress-free sectors is cut open, it
 springs to an opened sector whose angle minimizes the total stored energy.
-For a trial angle alpha_t the opened sector is assumed circular; its remaining
-kinematic freedoms are the interface radius rho_interface and the length
-l_open, fixed by minimizing the energy at that angle (which is equivalent to
-sector equilibrium: at the inner minimum the net pressure and reduced axial
-force of the opened sector vanish).
+For a trial angle alpha_t the opened sector is assumed circular; its interface
+radius rho_interface and length l_open minimize the energy at that angle, that
+is, they satisfy sector equilibrium, which the tube solvers' Newton solves.
 
-The argmin over the angle grid exhibits the mutual locking of the layers: the
-composite's opening angle is smaller than either layer's own angle.  All
-energies are equilibrium-only (Maxwell branches relaxed); units are
-microjoule (kPa mm^3).
+At an equilibrated state dE/dalpha = -l_open * M, where M = 1/2 int (T_theta -
+T_rr) r dr is the bending moment on the cut face.  The argmin is therefore the
+angle at which the cut face carries no moment (Chuong & Fung 1986): the scan
+brackets it on an angle grid and solves M = 0 in the bracket.
+
+The argmin exhibits the mutual locking of the layers: the composite's opening
+angle is smaller than either layer's own angle.  All energies are
+equilibrium-only (Maxwell branches relaxed); units are microjoule (kPa mm^3).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import DomainError, NoConvergence
+from .errors import NoConvergence
 from .materials import equilibrium_energy_sf
 from .tensor import transpose
-from .tube import (N_QUAD, TWO_PI, MaterialLayer, gauss_segment, newton2, sector_segments,
-                   wall_sectors)
+from .tube import (N_QUAD, TWO_PI, MaterialLayer, _solve_sector, _stress_differences,
+                   equilibrium_residuals, gauss_segment, sector_segments)
 
-GRAD_TOL = 1e-8        # required infinity-norm of dE/d(rho, l) at the inner optimum
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-THREADS_ENV = "PRESTRESS_TUBE_THREADS"
+REFINE_MAXIT = 50      # secant iterations on the cut-face moment
 
 
 @dataclass(frozen=True)
@@ -57,11 +54,27 @@ class EnergyCurve:
     argmin_deg: float
     e_min_microj: float
     candidate: OpenedStateCandidate   # equilibrated state at the refined argmin
+    residuals: dict            # p_net_kpa, F_red_kpa_mm2, moment_kpa_mm2 of the candidate
+    iterations: int            # secant iterations on the cut-face moment
 
 
 def opened_segments(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate):
     """Wall segments of the opened sector: the glued wall at the trial angle."""
     return sector_segments(layers, cand.alpha_trial, cand.rho_interface, cand.l_open)
+
+
+def cut_moment(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
+               npts: int = N_QUAD) -> float:
+    """Bending moment on the cut face, M = 1/2 int (T_theta - T_rr) r dr (kPa mm^2).
+
+    At equilibrium T_rr vanishes on both faces, so M = int T_theta r dr.
+    """
+    m = 0.0
+    for seg in opened_segments(layers, cand):
+        r, R, w = seg.nodes(npts)
+        dth, _ = _stress_differences(seg, r, R)
+        m += 0.5 * float(np.sum(w * dth * r))
+    return m
 
 
 def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
@@ -82,102 +95,75 @@ def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
 
 
 def equilibrate_opened(layers: Sequence[MaterialLayer], alpha_trial: float,
-                       npts: int = N_QUAD):
-    """Equilibrated opened state at a fixed trial angle.
-
-    Minimizes the energy over (rho_interface, l_open) by Nelder-Mead, then
-    polishes with a finite-difference-gradient Newton step loop.  Returns
-    (OpenedStateCandidate, energy).
-    """
-    sec = wall_sectors(layers)
-    kappa0 = (TWO_PI - alpha_trial) / (TWO_PI - sec[0].alpha)
-    x0 = np.array([sec[0].Ro * math.sqrt(1.0 / kappa0), sum(s.L for s in sec) / len(sec)])
-
-    def energy(x):
-        if x[0] <= 0.0 or x[1] <= 0.0:
-            return 1e30
-        try:
-            return opened_energy(layers, OpenedStateCandidate(alpha_trial, x[0], x[1]), npts)
-        except DomainError:
-            return 1e30
-
-    res = minimize(energy, x0, method='Nelder-Mead',
-                   options={'xatol': 1e-10, 'fatol': 1e-12, 'maxiter': 4000, 'maxfev': 4000})
-    x = np.asarray(res.x, dtype=float)
-
-    def grad(x):
-        g = np.empty(2)
-        for j in range(2):
-            h = 1e-6 * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            g[j] = (energy(xp) - energy(xm)) / (2.0 * h)
-        return g
-
-    try:
-        x_pol, gval, _ = newton2(grad, x, tol=GRAD_TOL, max_iter=12)
-        if energy(x_pol) <= energy(x) + 1e-14:
-            x = x_pol
-    except NoConvergence:
-        pass  # keep the Nelder-Mead iterate; the gradient check below decides
-
-    g = grad(x)
-    if np.max(np.abs(g)) > GRAD_TOL:
-        raise NoConvergence(f"inner equilibration stalled at |dE| = {np.max(np.abs(g)):.3e}",
-                            last_iterate=x, residuals={'grad': g.tolist()})
+                       npts: int = N_QUAD, start=None):
+    """Equilibrated opened state at a fixed trial angle, (OpenedStateCandidate, energy):
+    Newton on sector equilibrium, from `start` = (rho_interface, l_open) if given."""
+    x, _, _ = _solve_sector(layers, alpha_trial, npts, start=start)
     cand = OpenedStateCandidate(alpha_trial, float(x[0]), float(x[1]))
-    return cand, float(energy(x))
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return cand, opened_energy(layers, cand, npts)
 
 
 def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 0.0,
                        grid_end_deg: float = 180.0, grid_step_deg: float = 2.0,
-                       npts: int = N_QUAD, threads: Optional[int] = None,
-                       refine_tol_deg: float = 0.1) -> EnergyCurve:
-    """Scan the energy over an angle grid and refine the argmin.
+                       npts: int = N_QUAD, refine_tol_deg: float = 0.1) -> EnergyCurve:
+    """Scan the energy over an angle grid and solve for its argmin.
 
-    Grid points are independent and evaluated in a thread pool (capped by the
-    PRESTRESS_TUBE_THREADS environment variable); the argmin cell is then
-    refined by golden-section search down to refine_tol_deg.
+    The grid is equilibrated in order, each angle starting from its neighbours'
+    states.  The argmin is the cut-face moment's root in the grid cell next to
+    the lowest sample, bracketed to refine_tol_deg; without a sign change there
+    (minimum on a grid end) it is the lowest sample.
     """
     if grid_step_deg <= 0.0 or grid_end_deg <= grid_start_deg:
         raise ValueError("invalid angle grid")
     angles = np.arange(grid_start_deg, grid_end_deg + 0.5 * grid_step_deg, grid_step_deg)
 
-    def eval_deg(a_deg: float) -> float:
-        return equilibrate_opened(layers, math.radians(a_deg), npts)[1]
+    cands, samples = [], []
+    for a_deg in angles:
+        # start on the line through the two previous states
+        xs = [np.array([c.rho_interface, c.l_open]) for c in cands[-2:]]
+        start = 2.0 * xs[1] - xs[0] if len(xs) == 2 else (xs[0] if xs else None)
+        cand, e = equilibrate_opened(layers, math.radians(a_deg), npts, start)
+        cands.append(cand)
+        samples.append((float(a_deg), e))
 
-    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as pool:
-        energies = list(pool.map(eval_deg, angles))
+    def moment_at(a_deg):
+        nonlocal best
+        start = (best[0].rho_interface, best[0].l_open)
+        best = equilibrate_opened(layers, math.radians(a_deg), npts, start)
+        return cut_moment(layers, best[0], npts)
 
-    samples = [(float(a), float(e)) for a, e in zip(angles, energies)]
-    i_min = int(np.argmin(energies))
-    lo = angles[max(i_min - 1, 0)]
-    hi = angles[min(i_min + 1, len(angles) - 1)]
+    i_min = int(np.argmin([e for _, e in samples]))
+    a_best, best = float(angles[i_min]), (cands[i_min], samples[i_min][1])
+    m_best = cut_moment(layers, best[0], npts)
+    j = i_min + 1 if m_best > 0.0 else i_min - 1   # M > 0 below the argmin, < 0 above
+    iterations = 0
+    if m_best != 0.0 and 0 <= j < len(angles):
+        m_j = cut_moment(layers, cands[j], npts)
+        if (m_j > 0.0) != (m_best > 0.0):
+            a_best, m_best, iterations = _illinois(moment_at, a_best, m_best, float(angles[j]),
+                                                   m_j, refine_tol_deg)
+    cand, e_min = best
+    p, fz = equilibrium_residuals(opened_segments(layers, cand), npts)
+    residuals = {'p_net_kpa': p, 'F_red_kpa_mm2': fz, 'moment_kpa_mm2': m_best}
+    return EnergyCurve(samples, a_best, e_min, cand, residuals, iterations)
 
-    # golden-section refinement inside the bracketing cell
-    a, b = float(lo), float(hi)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = eval_deg(c), eval_deg(d)
-    while b - a > refine_tol_deg:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = eval_deg(c)
+
+def _illinois(f, a, fa, b, fb, tol):
+    """Root of f between a and b (fa, fb of opposite sign) by Illinois regula falsi:
+    the last iterate, f there and the iteration count once the bracket is below tol."""
+    side = 0
+    for it in range(1, REFINE_MAXIT + 1):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if (fc > 0.0) == (fa > 0.0):
+            a, fa = c, fc
+            fb *= 0.5 if side == 1 else 1.0
+            side = 1
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = eval_deg(d)
-    argmin_deg = 0.5 * (a + b)
-    cand, e_min = equilibrate_opened(layers, math.radians(argmin_deg), npts)
-    return EnergyCurve(samples, argmin_deg, e_min, cand)
+            b, fb = c, fc
+            fa *= 0.5 if side == -1 else 1.0
+            side = -1
+        if fc == 0.0 or abs(b - a) <= tol:
+            return c, fc, it
+    raise NoConvergence(f"cut-moment root not bracketed within {tol} deg in {REFINE_MAXIT} "
+                        "iterations", last_iterate=[a, b], iterations=REFINE_MAXIT)

@@ -26,7 +26,9 @@ having cancelled from the differences.  Two solvers are provided:
 * solve_load_free:  per-layer sectors known, find the composite tube.
 
 Both use a damped 2-unknown Newton iteration with forward-difference Jacobian
-on nondimensionalized residuals.
+on nondimensionalized residuals.  The load-free solve is the glued-sector
+Newton at alpha = 0; the opened sector of the energy scan is the same solve at
+its trial angle.
 """
 
 from __future__ import annotations
@@ -262,8 +264,6 @@ def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 10
     T_rr(r) = int_{ri}^{r} (T_theta - T_rr)/rho d(rho).  Segments must be
     ordered inner to outer.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     rows = []
     t_rr_carry = 0.0
     for seg in segments:
@@ -274,7 +274,8 @@ def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 10
             R = np.linspace(*seg.R_span, n_per_segment)
             r = seg.map.radius_current(R)
         dth, dzz = _stress_differences(seg, r, R)
-        t_rr = t_rr_carry + cumulative_trapezoid(dth / r, r, initial=0.0)
+        y = dth / r
+        t_rr = t_rr_carry + np.concatenate(([0.0], np.cumsum(np.diff(r) * (y[1:] + y[:-1]) / 2.0)))
         rows.append(np.column_stack([r, t_rr, t_rr + dth, t_rr + dzz]))
         t_rr_carry = t_rr[-1]
     return np.vstack(rows)
@@ -290,6 +291,14 @@ class SolverReport:
     iterations: int
     residuals: dict
     quad_check: Optional[dict] = None
+
+
+def _report(segments, residual, iterations: int, npts: int) -> SolverReport:
+    """A converged solve's residual (kPa, kPa mm^2) and its change under 2*npts quadrature."""
+    p, fz = float(residual[0]), float(residual[1])
+    p2, fz2 = equilibrium_residuals(segments, 2 * npts)
+    return SolverReport(True, iterations, {'p_net_kpa': p, 'F_red_kpa_mm2': fz},
+                        {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
 
 
 def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
@@ -335,13 +344,16 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
 
 
 def _guarded(build_and_integrate):
-    """Wrap a residual builder so inadmissible candidates return huge residuals
-    (the damped line search then backs off instead of crashing)."""
+    """Wrap a residual builder of two lengths so inadmissible candidates (a length
+    <= 0, or a DomainError) return huge residuals (the damped line search then
+    backs off instead of crashing)."""
     def fun(x):
         try:
-            return build_and_integrate(x)
+            if x[0] > 0.0 and x[1] > 0.0:
+                return build_and_integrate(x)
         except DomainError:
-            return np.array([1e30, 1e30])
+            pass
+        return np.array([1e30, 1e30])
     return fun
 
 
@@ -389,10 +401,7 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
                 for j, layer in enumerate(layers)]
 
     def resid(x):
-        Ri, L = x
-        if Ri <= 0.0 or L <= 0.0:
-            raise DomainError("negative trial geometry")
-        return np.asarray(equilibrium_residuals(segments_at(Ri, L), npts)) / scale
+        return np.asarray(equilibrium_residuals(segments_at(*x), npts)) / scale
 
     x0 = np.array([k * tube.ri, tube.l])
     x, fhat, iters = newton2(_guarded(resid), x0, tol=tol, max_iter=max_iter)
@@ -405,12 +414,8 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     for hi in radii_sf:
         sectors.append(SectorGeometry(lo, hi, L, alpha))
         lo = hi
-    p, fz = equilibrium_residuals(segs, npts)
-    p2, fz2 = equilibrium_residuals(segs, 2 * npts)
-    report = SolverReport(True, iters,
-                          {'p_net_kpa': p, 'F_red_kpa_mm2': fz},
-                          {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
-    return InverseSolution(tuple(sectors), tube, alpha, segs, report)
+    return InverseSolution(tuple(sectors), tube, alpha, segs,
+                           _report(segs, fhat * scale, iters, npts))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +429,27 @@ class LoadFreeSolution:
     report: SolverReport
 
 
+def _solve_sector(layers: Sequence[MaterialLayer], alpha: float, npts: int = N_QUAD,
+                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT, start=None):
+    """Newton on (rho, l) of the glued sector of angle alpha (alpha = 0: the tube).
+
+    Starts from `start`, else from the mean L and rho = Ro_1 / sqrt(k_1).
+    Returns (x, residual in kPa and kPa mm^2, iterations).
+    """
+    sec = wall_sectors(layers)
+    c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
+    k1 = (TWO_PI - alpha) / (TWO_PI - sec[0].alpha)
+    rho0 = sec[0].Ro * math.sqrt(1.0 / k1)
+    scale = np.array([c1s, c1s * rho0 ** 2])
+
+    def resid(x):
+        return np.asarray(equilibrium_residuals(sector_segments(layers, alpha, *x), npts)) / scale
+
+    x0 = np.array([rho0, sum(s.L for s in sec) / len(sec)]) if start is None else start
+    x, fhat, iters = newton2(_guarded(resid), x0, tol=tol, max_iter=max_iter)
+    return x, fhat * scale, iters
+
+
 def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
                     tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT) -> LoadFreeSolution:
     """Close the per-layer sectors into one equilibrated load-free tube.
@@ -434,28 +460,11 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
     from the maps.
     """
     sec = wall_sectors(layers)
-    c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
-    r_anchor0 = sec[0].Ro * math.sqrt(1.0 / sec[0].k)
-    scale = np.array([c1s, c1s * r_anchor0 ** 2])
-
-    def resid(x):
-        r_anchor, l = x
-        if r_anchor <= 0.0 or l <= 0.0:
-            raise DomainError("negative trial geometry")
-        return np.asarray(equilibrium_residuals(sector_segments(layers, 0.0, r_anchor, l),
-                                                npts)) / scale
-
-    x0 = np.array([r_anchor0, sum(s.L for s in sec) / len(sec)])
-    x, fhat, iters = newton2(_guarded(resid), x0, tol=tol, max_iter=max_iter)
+    x, f, iters = _solve_sector(layers, 0.0, npts, tol, max_iter)
     r_anchor, l = float(x[0]), float(x[1])
 
     segs = sector_segments(layers, 0.0, r_anchor, l)
     ri = float(segs[0].map.radius_current(sec[0].Ri))
     ro = float(segs[-1].map.radius_current(sec[-1].Ro))
     tube = TubeGeometry(ri, ro, l, r_interface=r_anchor if len(layers) == 2 else None)
-    p, fz = equilibrium_residuals(segs, npts)
-    p2, fz2 = equilibrium_residuals(segs, 2 * npts)
-    report = SolverReport(True, iters,
-                          {'p_net_kpa': p, 'F_red_kpa_mm2': fz},
-                          {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
-    return LoadFreeSolution(tube, segs, report)
+    return LoadFreeSolution(tube, segs, _report(segs, f, iters, npts))

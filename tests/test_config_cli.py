@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from prestress_tube import OpeningMap, config, equilibrate_opened
 from prestress_tube.cli import main
 from prestress_tube.errors import ConfigError
+from prestress_tube.tube import NEWTON_TOL
 
 MEDIA_BLOCK = {"c1_kpa": 3.0, "c2_kpa": 2.0, "k1_kpa": 2.3632, "k2": 0.8393,
                "beta_deg": 29.0}
@@ -215,6 +216,31 @@ def test_cli_energy_scan_with_grid_flags(tmp_path, capsys):
     assert data.shape == (7, 2)
     assert_allclose(data[:, 0], np.arange(118.0, 131.0, 2.0))
     assert np.all(data[:, 1] >= key["e_min_microj"] - 1e-12)
+    # the summary reports the returned state: Newton-converged, on the moment root
+    summary = json.loads(stdout)
+    assert summary["converged"] is True
+    assert summary["iterations"] >= 1
+    res, c1, ro = summary["residuals"], MEDIA_BLOCK["c1_kpa"], MEDIA_SECTOR_BLOCK["R_o_mm"]
+    assert abs(res["p_net_kpa"]) < NEWTON_TOL * c1
+    assert abs(res["F_red_kpa_mm2"]) < NEWTON_TOL * c1 * ro ** 2
+    assert abs(res["moment_kpa_mm2"]) < 1e-6
+
+
+@pytest.mark.parametrize("grid, argv, field", [
+    ({"step_deg": "two"}, [], "grid.step_deg"),
+    ({"step_deg": 0.0}, [], "grid.step_deg"),
+    ({}, ["--grid-start", "130", "--grid-end", "120"], "grid.end_deg"),
+])
+def test_cli_exit_1_bad_grid(tmp_path, capsys, grid, argv, field):
+    cfg = scan_config()
+    cfg["grid"] = grid
+    cfg_path = write_config(tmp_path, cfg)
+    rc, stdout, stderr = run_cli(capsys, "energy-scan", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "x.csv"), *argv)
+    assert rc == 1
+    assert stderr.startswith("config error:")
+    assert field in stderr
+    assert stdout == ""
 
 
 def test_cli_point_test(tmp_path, capsys):

@@ -10,6 +10,7 @@ from prestress_tube import (
     MaterialLayer,
     OpenedStateCandidate,
     SectorGeometry,
+    cut_moment,
     equilibrate_opened,
     equilibrium_energy_sf,
     equilibrium_residuals,
@@ -97,6 +98,19 @@ def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
     assert abs(f_red) < 1e-7
 
 
+@pytest.mark.parametrize("npts", [32, 3])
+def test_energy_slope_is_minus_length_times_cut_moment(t3_layers, npts):
+    # dE/dalpha = -l_open * M at equilibrated states: the argmin is the moment root
+    h = 1e-4
+    for a_deg in (60.0, 100.0, 140.0):
+        alpha = math.radians(a_deg)
+        cand, _ = equilibrate_opened(t3_layers, alpha, npts)
+        slope = (equilibrate_opened(t3_layers, alpha + h, npts)[1]
+                 - equilibrate_opened(t3_layers, alpha - h, npts)[1]) / (2.0 * h)
+        m = cut_moment(t3_layers, cand, npts)
+        assert slope == pytest.approx(-cand.l_open * m, rel=1e-4)
+
+
 def test_opened_wall_rejects_three_layers(t3_layers):
     # the glued-sector wall is written for one or two layers; a third layer
     # must not be silently laid over the second
@@ -106,7 +120,7 @@ def test_opened_wall_rejects_three_layers(t3_layers):
     with pytest.raises(ValueError, match="one or two layers"):
         equilibrate_opened(layers, math.radians(124.0))
     with pytest.raises(ValueError, match="one or two layers"):
-        find_opening_angle(layers, 120.0, 130.0, 5.0, threads=1)
+        find_opening_angle(layers, 120.0, 130.0, 5.0)
     with pytest.raises(ValueError, match="one or two layers"):
         solve_load_free(layers)
 
@@ -122,7 +136,7 @@ def test_scan_finds_common_angle_of_compatible_layers():
         **MEDIA_EQ, sector=SectorGeometry(1.0, 1.2, 1.0, math.radians(160.0)))
     outer = MaterialLayer.from_constants(
         **MEDIA_EQ, sector=SectorGeometry(1.2, 1.4, 1.0, math.radians(160.0)))
-    curve = find_opening_angle([inner, outer], 150.0, 170.0, 2.0, threads=1)
+    curve = find_opening_angle([inner, outer], 150.0, 170.0, 2.0)
     assert curve.argmin_deg == pytest.approx(160.0, abs=0.2)
     # refinement stops at 0.1 deg, so e_min carries a small quadratic remnant
     assert curve.e_min_microj == pytest.approx(0.0, abs=1e-8)
@@ -134,7 +148,7 @@ def test_scan_finds_common_angle_of_compatible_layers():
 def test_scan_locking_regression(t3_layers):
     # incompatible layers lock each other: argmin falls well below both
     # individual opening angles (140 and 160 degrees)
-    curve = find_opening_angle(t3_layers, 100.0, 150.0, 2.0, threads=2)
+    curve = find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
     assert curve.argmin_deg == pytest.approx(124.6, abs=0.2)
     assert curve.e_min_microj == pytest.approx(0.029851, rel=1e-3)
     assert curve.argmin_deg < 140.0
@@ -146,21 +160,30 @@ def test_scan_locking_regression(t3_layers):
     assert curve.candidate.l_open > 0.0
 
 
+def test_scan_argmin_is_dense_energy_argmin(t3_layers):
+    curve = find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
+    dense = np.linspace(curve.argmin_deg - 0.4, curve.argmin_deg + 0.4, 41)
+    energies = [equilibrate_opened(t3_layers, math.radians(a))[1] for a in dense]
+    assert abs(dense[int(np.argmin(energies))] - curve.argmin_deg) <= 0.1
+    assert curve.e_min_microj <= min(energies) + 1e-12
+    assert curve.iterations >= 1
+
+
+def test_scan_minimum_on_grid_end_is_the_sample(t3_layers):
+    # the energy still falls past the grid end: no moment root in the cell
+    curve = find_opening_angle(t3_layers, 100.0, 120.0, 4.0)
+    assert curve.argmin_deg == 120.0
+    assert curve.iterations == 0
+    assert curve.e_min_microj == dict(curve.samples)[120.0]
+    assert curve.residuals["moment_kpa_mm2"] > 0.0
+
+
 def test_scan_endpoint_energies(t3_layers):
     # frozen endpoints of the full curve (regression against convention drift)
     e0 = equilibrate_opened(t3_layers, 0.0)[1]
     e180 = equilibrate_opened(t3_layers, math.radians(180.0))[1]
     assert e0 == pytest.approx(0.155060, rel=1e-3)
     assert e180 == pytest.approx(0.056540, rel=1e-3)
-
-
-def test_scan_thread_count_does_not_change_samples(t3_layers, monkeypatch):
-    curve1 = find_opening_angle(t3_layers, 120.0, 130.0, 5.0, threads=1)
-    monkeypatch.setenv("PRESTRESS_TUBE_THREADS", "3")
-    curve3 = find_opening_angle(t3_layers, 120.0, 130.0, 5.0)
-    for (a1, e1), (a3, e3) in zip(curve1.samples, curve3.samples):
-        assert a1 == a3
-        assert e1 == pytest.approx(e3, rel=1e-12, abs=1e-15)
 
 
 def test_scan_rejects_bad_grid(t3_layers):
