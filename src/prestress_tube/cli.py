@@ -48,20 +48,6 @@ def _solver_kwargs(solver: dict) -> dict:
     return kw
 
 
-def _tube_summary(workflow: str, sol, key: dict, out_path: str, cfg_hash: str) -> dict:
-    """Write the solved wall's stress profile; the tube solvers' JSON summary."""
-    profile = wall_stress_profile(sol.segments)
-    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
-    return {
-        "workflow": workflow,
-        "converged": sol.report.converged,
-        "iterations": sol.report.iterations,
-        "residuals": sol.report.residuals,
-        "key_results": key,
-        "csv": out_path,
-    }
-
-
 def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg)
     geom_block = config.get_block(cfg, "geometry")
@@ -73,6 +59,9 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     solver = config.parse_solver(cfg, args.tol)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **_solver_kwargs(solver))
+    profile = wall_stress_profile(sol.segments)
+    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
+
     key = {
         "Ri_mm": sol.sectors[0].Ri,
         "Ro_mm": sol.sectors[-1].Ro,
@@ -81,7 +70,14 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     }
     if len(sol.sectors) == 2:
         key["R_interface_mm"] = sol.sectors[0].Ro
-    return _tube_summary("inverse-sf", sol, key, out_path, cfg_hash)
+    return {
+        "workflow": "inverse-sf",
+        "converged": sol.report.converged,
+        "iterations": sol.report.iterations,
+        "residuals": sol.report.residuals,
+        "key_results": key,
+        "csv": out_path,
+    }
 
 
 def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -89,10 +85,20 @@ def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     solver = config.parse_solver(cfg, args.tol)
 
     sol = solve_load_free(layers, **_solver_kwargs(solver))
+    profile = wall_stress_profile(sol.segments)
+    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
+
     key = {"r_i_mm": sol.tube.ri, "r_o_mm": sol.tube.ro, "l_mm": sol.tube.l}
     if sol.tube.r_interface is not None:
         key["r_interface_mm"] = sol.tube.r_interface
-    return _tube_summary("load-free", sol, key, out_path, cfg_hash)
+    return {
+        "workflow": "load-free",
+        "converged": sol.report.converged,
+        "iterations": sol.report.iterations,
+        "residuals": sol.report.residuals,
+        "key_results": key,
+        "csv": out_path,
+    }
 
 
 def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:

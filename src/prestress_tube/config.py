@@ -191,9 +191,11 @@ def parse_grid(cfg: dict, start=None, end=None, step=None):
     start, end, step = (v if v is not None else _optional_number(b, key, default, "grid")
                         for v, key, default in ((start, "start_deg", 0.0), (end, "end_deg", 180.0),
                                                 (step, "step_deg", 2.0)))
+    # the scan samples start, start + step, ... below end + step/2
     for key, ok, want in (("start_deg", 0.0 <= start, ">= 0"),
-                          ("end_deg", start < end < 360.0, "above start_deg and below 360"),
-                          ("step_deg", 0.0 < step < 360.0, "in (0, 360)")):
+                          ("step_deg", 0.0 < step < 360.0, "in (0, 360)"),
+                          ("end_deg", start < end <= 360.0 - 0.5 * step,
+                           "above start_deg and at most 360 - step_deg/2")):
         if not ok:
             raise ConfigError(f'field "grid.{key}" must be {want} '
                               f'(grid {start}..{end} step {step})')

@@ -28,7 +28,7 @@ from .errors import NoConvergence
 from .materials import equilibrium_energy_sf
 from .tensor import transpose
 from .tube import (N_QUAD, TWO_PI, MaterialLayer, _solve_sector, _stress_differences,
-                   equilibrium_residuals, gauss_segment, sector_segments)
+                   gauss_segment, sector_segments)
 
 REFINE_MAXIT = 50      # secant iterations on the cut-face moment
 
@@ -96,11 +96,11 @@ def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
 
 def equilibrate_opened(layers: Sequence[MaterialLayer], alpha_trial: float,
                        npts: int = N_QUAD, start=None):
-    """Equilibrated opened state at a fixed trial angle, (OpenedStateCandidate, energy):
-    Newton on sector equilibrium, from `start` = (rho_interface, l_open) if given."""
-    x, _, _ = _solve_sector(layers, alpha_trial, npts, start=start)
+    """(OpenedStateCandidate, energy, (p_net, F_red)) equilibrated at a fixed trial angle
+    by Newton on sector equilibrium, from `start` = (rho_interface, l_open) if given."""
+    x, f, _ = _solve_sector(layers, alpha_trial, npts, start=start)
     cand = OpenedStateCandidate(alpha_trial, float(x[0]), float(x[1]))
-    return cand, opened_energy(layers, cand, npts)
+    return cand, opened_energy(layers, cand, npts), f
 
 
 def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 0.0,
@@ -116,15 +116,16 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
     if grid_step_deg <= 0.0 or grid_end_deg <= grid_start_deg:
         raise ValueError("invalid angle grid")
     angles = np.arange(grid_start_deg, grid_end_deg + 0.5 * grid_step_deg, grid_step_deg)
+    if angles[0] < 0.0 or angles[-1] >= 360.0:
+        raise ValueError("angle grid leaves [0, 360) deg")
 
-    cands, samples = [], []
+    states = []        # (candidate, energy, residual) per grid angle
     for a_deg in angles:
         # start on the line through the two previous states
-        xs = [np.array([c.rho_interface, c.l_open]) for c in cands[-2:]]
+        xs = [np.array([s[0].rho_interface, s[0].l_open]) for s in states[-2:]]
         start = 2.0 * xs[1] - xs[0] if len(xs) == 2 else (xs[0] if xs else None)
-        cand, e = equilibrate_opened(layers, math.radians(a_deg), npts, start)
-        cands.append(cand)
-        samples.append((float(a_deg), e))
+        states.append(equilibrate_opened(layers, math.radians(a_deg), npts, start))
+    samples = [(float(a_deg), s[1]) for a_deg, s in zip(angles, states)]
 
     def moment_at(a_deg):
         nonlocal best
@@ -133,18 +134,17 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
         return cut_moment(layers, best[0], npts)
 
     i_min = int(np.argmin([e for _, e in samples]))
-    a_best, best = float(angles[i_min]), (cands[i_min], samples[i_min][1])
+    a_best, best = float(angles[i_min]), states[i_min]
     m_best = cut_moment(layers, best[0], npts)
     j = i_min + 1 if m_best > 0.0 else i_min - 1   # M > 0 below the argmin, < 0 above
     iterations = 0
     if m_best != 0.0 and 0 <= j < len(angles):
-        m_j = cut_moment(layers, cands[j], npts)
+        m_j = cut_moment(layers, states[j][0], npts)
         if (m_j > 0.0) != (m_best > 0.0):
             a_best, m_best, iterations = _illinois(moment_at, a_best, m_best, float(angles[j]),
                                                    m_j, refine_tol_deg)
-    cand, e_min = best
-    p, fz = equilibrium_residuals(opened_segments(layers, cand), npts)
-    residuals = {'p_net_kpa': p, 'F_red_kpa_mm2': fz, 'moment_kpa_mm2': m_best}
+    cand, e_min, (p, fz) = best
+    residuals = {'p_net_kpa': float(p), 'F_red_kpa_mm2': float(fz), 'moment_kpa_mm2': m_best}
     return EnergyCurve(samples, a_best, e_min, cand, residuals, iterations)
 
 

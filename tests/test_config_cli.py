@@ -230,6 +230,8 @@ def test_cli_energy_scan_with_grid_flags(tmp_path, capsys):
     ({"step_deg": "two"}, [], "grid.step_deg"),
     ({"step_deg": 0.0}, [], "grid.step_deg"),
     ({}, ["--grid-start", "130", "--grid-end", "120"], "grid.end_deg"),
+    ({"start_deg": 300.0, "end_deg": 359.6, "step_deg": 1.0}, [], "grid.end_deg"),
+    ({"start_deg": 300.0, "end_deg": 359.0, "step_deg": 100.0}, [], "grid.end_deg"),
 ])
 def test_cli_exit_1_bad_grid(tmp_path, capsys, grid, argv, field):
     cfg = scan_config()

@@ -66,7 +66,7 @@ def test_opened_energy_positive_off_equilibrium(t3_layers):
 
 def test_equilibrate_single_layer_recovers_sector():
     layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR)
-    cand, e = equilibrate_opened([layer], MEDIA_SECTOR.alpha)
+    cand, e, _ = equilibrate_opened([layer], MEDIA_SECTOR.alpha)
     assert cand.rho_interface == pytest.approx(MEDIA_SECTOR.Ro, abs=1e-6)
     assert cand.l_open == pytest.approx(MEDIA_SECTOR.L, abs=1e-6)
     assert e == pytest.approx(0.0, abs=1e-12)
@@ -75,7 +75,7 @@ def test_equilibrate_single_layer_recovers_sector():
 def test_equilibrate_closed_matches_load_free(t3_layers):
     # trial angle 0 closes the sector into a tube: must agree with the
     # load-free equilibrium solver (cross-module consistency)
-    cand, e = equilibrate_opened(t3_layers, 0.0)
+    cand, e, _ = equilibrate_opened(t3_layers, 0.0)
     sol = solve_load_free(t3_layers)
     assert cand.rho_interface == pytest.approx(sol.tube.r_interface, abs=1e-5)
     assert cand.l_open == pytest.approx(sol.tube.l, abs=1e-5)
@@ -84,7 +84,7 @@ def test_equilibrate_closed_matches_load_free(t3_layers):
 
 def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
     alpha = math.radians(124.0)
-    cand, e = equilibrate_opened(t3_layers, alpha)
+    cand, e, _ = equilibrate_opened(t3_layers, alpha)
     # energy stationarity in both inner unknowns
     for dx in ((1e-5, 0.0), (0.0, 1e-5)):
         up = OpenedStateCandidate(alpha, cand.rho_interface + dx[0], cand.l_open + dx[1])
@@ -104,7 +104,7 @@ def test_energy_slope_is_minus_length_times_cut_moment(t3_layers, npts):
     h = 1e-4
     for a_deg in (60.0, 100.0, 140.0):
         alpha = math.radians(a_deg)
-        cand, _ = equilibrate_opened(t3_layers, alpha, npts)
+        cand = equilibrate_opened(t3_layers, alpha, npts)[0]
         slope = (equilibrate_opened(t3_layers, alpha + h, npts)[1]
                  - equilibrate_opened(t3_layers, alpha - h, npts)[1]) / (2.0 * h)
         m = cut_moment(t3_layers, cand, npts)
@@ -191,3 +191,5 @@ def test_scan_rejects_bad_grid(t3_layers):
         find_opening_angle(t3_layers, 10.0, 5.0, 2.0)
     with pytest.raises(ValueError):
         find_opening_angle(t3_layers, 0.0, 10.0, 0.0)
+    with pytest.raises(ValueError):      # the last sample, 360, is the closed tube again
+        find_opening_angle(t3_layers, 300.0, 359.6, 1.0)
