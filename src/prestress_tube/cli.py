@@ -88,9 +88,10 @@ def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     profile = wall_stress_profile(sol.segments)
     _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
 
-    key = {"r_i_mm": sol.tube.ri, "r_o_mm": sol.tube.ro, "l_mm": sol.tube.l}
-    if sol.tube.r_interface is not None:
-        key["r_interface_mm"] = sol.tube.r_interface
+    radii = sol.tube.radii
+    key = {"r_i_mm": radii[0], "r_o_mm": radii[-1], "l_mm": sol.tube.l}
+    if len(radii) == 3:
+        key["r_interface_mm"] = radii[1]
     return {
         "workflow": "load-free",
         "converged": sol.report.converged,
@@ -138,7 +139,7 @@ def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     return {
         "workflow": "point-test",
         "converged": True,
-        "residuals": {},
+        "residuals": {"det_ci_max_dev": float(np.max(np.abs(trace.det_ci - 1.0)))},
         "key_results": {
             "steps": int(trace.t.size - 1),
             "peak_overstress_kpa": float(trace.overstress_norm.max()),

@@ -1,10 +1,11 @@
 """JSON run-configuration parsing with field-level diagnostics.
 
 Keys are snake_case with unit suffixes so that a config is a literal
-transcription of a parameter table: geometry r_i_mm / r_interface_mm / r_o_mm /
-l_mm / alpha_deg (sectors R_i_mm / R_o_mm / L_mm / alpha_deg), materials
-c1_kpa / c2_kpa / k1_kpa / k2 / beta_deg and Maxwell constants mu_matrix_kpa /
-eta_matrix_kpa_s / k1_visc_kpa / k2_visc / eta_fibre_kpa_s.
+transcription of a parameter table: geometry r_i_mm / r_interface_mm (with
+an adventitia only) / r_o_mm / l_mm / alpha_deg (sectors R_i_mm / R_o_mm /
+L_mm / alpha_deg), materials c1_kpa / c2_kpa / k1_kpa / k2 / beta_deg and
+Maxwell constants mu_matrix_kpa / eta_matrix_kpa_s / k1_visc_kpa / k2_visc /
+eta_fibre_kpa_s.
 """
 
 from __future__ import annotations
@@ -87,12 +88,14 @@ def parse_sector(block: dict, ctx: str) -> SectorGeometry:
 
 
 def parse_tube(block: dict, ctx: str, need_interface: bool) -> TubeGeometry:
-    r_int = None
-    if need_interface or "r_interface_mm" in block:
-        r_int = get_number(block, "r_interface_mm", ctx)
+    """Tube radii r_i_mm, r_interface_mm (two-layer walls only), r_o_mm and l_mm."""
+    keys = ("r_i_mm", "r_interface_mm", "r_o_mm") if need_interface else ("r_i_mm", "r_o_mm")
+    if not need_interface and "r_interface_mm" in block:
+        raise ConfigError(f'field "{ctx}.r_interface_mm" is not used by a one-layer wall '
+                          '(no "adventitia")')
     try:
-        return TubeGeometry(get_number(block, "r_i_mm", ctx), get_number(block, "r_o_mm", ctx),
-                            get_number(block, "l_mm", ctx), r_int)
+        return TubeGeometry([get_number(block, key, ctx) for key in keys],
+                            get_number(block, "l_mm", ctx))
     except ValueError as e:
         raise ConfigError(f'invalid geometry "{ctx}": {e}')
 
@@ -206,15 +209,15 @@ def parse_solver(cfg: dict, tol_override: Optional[float] = None) -> dict:
     b = cfg.get("solver", {})
     if not isinstance(b, dict):
         raise ConfigError('field "solver" must be an object')
-    out = {
-        "tol": _optional_number(b, "tol", None, "solver"),
-        "max_iter": b.get("max_iter"),
-        "quad_points": b.get("quad_points"),
-    }
+    tol, source = _optional_number(b, "tol", None, "solver"), ""
     if tol_override is not None:
-        out["tol"] = tol_override
-    if out["max_iter"] is not None and (not isinstance(out["max_iter"], int) or out["max_iter"] < 1):
-        raise ConfigError('field "solver.max_iter" must be a positive integer')
-    if out["quad_points"] is not None and (not isinstance(out["quad_points"], int) or out["quad_points"] < 2):
-        raise ConfigError('field "solver.quad_points" must be an integer >= 2')
+        tol, source = tol_override, " (from --tol)"
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ConfigError(f'field "solver.tol"{source} must be a finite number > 0 (got {tol})')
+    out = {"tol": tol}
+    for key, least, want in (("max_iter", 1, "a positive integer"),
+                             ("quad_points", 2, "an integer >= 2")):
+        v = out[key] = b.get(key)
+        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < least):
+            raise ConfigError(f'field "solver.{key}" must be {want} (got {v!r})')
     return out

@@ -32,11 +32,13 @@ from .tube import MaterialLayer
 
 # a Maxwell branch's relaxation time must be resolved by at least this many steps
 MIN_STEPS_PER_TAU = 10
+# a k*dt grid point closer than this fraction of dt to a keyframe merges into it
+MERGE_FRACTION = 1e-9
 
 
 @dataclass(frozen=True)
 class LoadProgram:
-    """Piecewise-linear F_lf history: keyframes (t_s, F 3x3), fixed step dt."""
+    """Piecewise-linear F_lf history: keyframes (t_s, F 3x3), step at most dt."""
     keyframes: tuple
     dt: float
 
@@ -48,8 +50,8 @@ class LoadProgram:
         times = [float(t) for t, _ in self.keyframes]
         if times[0] != 0.0:
             raise ValueError("first keyframe must be at t = 0")
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("keyframe times must be strictly increasing")
+        if not all(t2 - t1 >= MERGE_FRACTION * self.dt for t1, t2 in zip(times, times[1:])):
+            raise ValueError(f"keyframe times must increase by at least {MERGE_FRACTION:g} dt")
         frames = tuple((float(t), np.asarray(F, dtype=float)) for t, F in self.keyframes)
         for t, F in frames:
             if F.shape != (3, 3):
@@ -74,6 +76,21 @@ class LoadProgram:
         t1, f1 = self.keyframes[j + 1]
         w = (t - t0) / (t1 - t0)
         return (1.0 - w) * f0 + w * f1
+
+
+def step_times(program: LoadProgram) -> np.ndarray:
+    """Row times of a run: the k*dt grid below t_end plus every keyframe time.
+
+    Grid points within MERGE_FRACTION*dt of a keyframe merge into it, so no
+    step is shorter than MERGE_FRACTION*dt or longer than (1 + MERGE_FRACTION)*dt,
+    and the last row is at t_end.
+    """
+    keys = np.array([t for t, _ in program.keyframes])
+    grid = np.arange(math.ceil(program.t_end / program.dt)) * program.dt
+    j = np.searchsorted(keys, grid)
+    gap = np.minimum(np.abs(keys[np.minimum(j, keys.size - 1)] - grid),
+                     np.abs(grid - keys[np.maximum(j - 1, 0)]))
+    return np.sort(np.concatenate((grid[gap >= MERGE_FRACTION * program.dt], keys)))
 
 
 @dataclass
@@ -120,8 +137,7 @@ def run_point(program: LoadProgram, layer: MaterialLayer, f0: PreStressField) ->
     _check_dt_resolves(layer, program.dt)
     f0inv = tn.inverse(f0.F0)
     fibres_v = layer.fibre_maxwell
-    n_steps = int(round(program.t_end / program.dt))
-    times = np.arange(n_steps + 1) * program.dt
+    times = step_times(program)
 
     F_lf0 = program.F_at(0.0)
     state = initial_state(f0, tn.transpose(F_lf0) @ F_lf0, fibres_v)
@@ -132,14 +148,14 @@ def run_point(program: LoadProgram, layer: MaterialLayer, f0: PreStressField) ->
         F_sf = F_lf @ f0inv
         c_sf = tn.transpose(F_sf) @ F_sf
         if n > 0:
+            h = float(t - times[n - 1])
             if layer.iso_maxwell is not None:
-                state.Ci = iso_evolve_step(c_sf, state.Ci, program.dt, layer.iso_maxwell)
+                state.Ci = iso_evolve_step(c_sf, state.Ci, h, layer.iso_maxwell)
             if fibres_v:
                 cbar = tn.unimodular(c_sf)
                 for j, fp in enumerate(fibres_v):
                     lam = math.sqrt(float(np.einsum('ij,i,j->', cbar, fp.a, fp.a)))
-                    state.lambda_i[j] = fibre_evolve_step(lam, state.lambda_i[j],
-                                                          program.dt, fp)
+                    state.lambda_i[j] = fibre_evolve_step(lam, state.lambda_i[j], h, fp)
         t_eq_sf = equilibrium_pk2_sf(c_sf, layer.equilibrium)
         t_over_sf = overstress_pk2_sf(c_sf, state, layer.iso_maxwell, fibres_v)
         t_lf = pull_back_pk2(t_eq_sf + t_over_sf, f0)

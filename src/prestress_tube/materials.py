@@ -26,9 +26,6 @@ import numpy as np
 from . import tensor as tn
 from .errors import DomainError, NonPositiveDeterminant, SingularTensor
 
-# stress magnitude below which the zero-stress invariant is asserted
-ZERO_STRESS_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class MooneyRivlinParams:

@@ -1,10 +1,12 @@
 """Stored energy of a cut composite sector versus trial opening angle.
 
-When a two-layer tube with incompatible stress-free sectors is cut open, it
+When a layered tube with incompatible stress-free sectors is cut open, it
 springs to an opened sector whose angle minimizes the total stored energy.
-For a trial angle alpha_t the opened sector is assumed circular; its interface
-radius rho_interface and length l_open minimize the energy at that angle, that
-is, they satisfy sector equilibrium, which the tube solvers' Newton solves.
+For a trial angle alpha_t the opened sector is assumed circular: the layers'
+sectors glued into one sector of that angle (tube.sector_segments).  Its
+anchor radius rho_interface and length l_open minimize the energy at that
+angle, that is, they satisfy sector equilibrium, which the tube solvers'
+Newton solves.
 
 At an equilibrated state dE/dalpha = -l_open * M, where M = 1/2 int (T_theta -
 T_rr) r dr is the bending moment on the cut face.  The argmin is therefore the
@@ -12,7 +14,7 @@ angle at which the cut face carries no moment (Chuong & Fung 1986): the scan
 brackets it on an angle grid and solves M = 0 in the bracket.
 
 The argmin exhibits the mutual locking of the layers: the composite's opening
-angle is smaller than either layer's own angle.  All energies are
+angle is smaller than each layer's own angle.  All energies are
 equilibrium-only (Maxwell branches relaxed); units are microjoule (kPa mm^3).
 """
 
@@ -28,14 +30,19 @@ from .errors import NoConvergence
 from .materials import equilibrium_energy_sf
 from .tensor import transpose
 from .tube import (N_QUAD, TWO_PI, MaterialLayer, _solve_sector, _stress_differences,
-                   gauss_segment, sector_segments)
+                   sector_segments)
 
 REFINE_MAXIT = 50      # secant iterations on the cut-face moment
 
 
 @dataclass(frozen=True)
 class OpenedStateCandidate:
-    """Trial opened configuration: angle (rad), interface radius and length (mm)."""
+    """Trial opened configuration: angle (rad), anchor radius and length (mm).
+
+    rho_interface is the current radius at which the innermost layer's outer
+    sf radius sits: its interface with the next layer, or the outer radius of
+    a one-layer wall.
+    """
     alpha_trial: float
     rho_interface: float
     l_open: float
@@ -81,17 +88,17 @@ def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
                   npts: int = N_QUAD) -> float:
     """Total stored equilibrium energy of the opened composite (microJ).
 
-    E = sum_j (2*pi - alpha_j) * L_j * int W(C_sf(R)) R dR over each layer's
-    sf volume.
+    E = (2*pi - alpha) * l_open * int W(C_sf) r dr over the opened wall; the
+    maps are isochoric, so each layer's part equals its sf-volume integral
+    (2*pi - alpha_j) * L_j * int W R dR.
     """
     e = 0.0
     for seg in opened_segments(layers, cand):
-        sec = seg.layer.sector
-        R, w = gauss_segment(sec.Ri, sec.Ro, npts)
-        F = seg.map.deformation_gradient(seg.map.radius_current(R), R)
+        r, R, w = seg.nodes(npts)
+        F = seg.map.deformation_gradient(r, R)
         wdens = equilibrium_energy_sf(transpose(F) @ F, seg.layer.equilibrium)
-        e += (TWO_PI - sec.alpha) * sec.L * float(np.sum(w * wdens * R))
-    return e
+        e += float(np.sum(w * wdens * r))
+    return (TWO_PI - cand.alpha_trial) * cand.l_open * e
 
 
 def equilibrate_opened(layers: Sequence[MaterialLayer], alpha_trial: float,

@@ -15,7 +15,6 @@ from .errors import NonPositiveDeterminant, SingularTensor
 # module tolerances (tests may monkeypatch)
 SYM_TOL = 1e-12       # relative symmetry check
 SINGULAR_TOL = 1e-14  # |det| below this counts as singular
-UNIMOD_TOL = 1e-12    # det-of-unimodular-part budget
 
 IDENTITY = np.eye(3)
 

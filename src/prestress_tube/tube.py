@@ -1,8 +1,8 @@
 """Opening-angle kinematics and thick-walled-tube equilibrium solvers.
 
 A circular sector (inner radius Ri, outer Ro, length L, opening angle alpha)
-closes into a tube (radii ri..ro, length l).  Each layer's map is determined by
-two constants,
+closes into a tube (length l).  Each layer's map is determined by two
+constants,
 
     k = 2*pi / (2*pi - alpha)   (circumferential ratio),
     c = l / L                   (axial stretch),
@@ -12,9 +12,11 @@ R^2 - R_a^2 = k c (r^2 - r_a^2) pointwise and the deformation gradient in the
 cylindrical triad is diag(R/(k c r), k r / R, c) with det = 1 exactly.
 OpeningMap is that map; its inverse gradient is the pre-stress map F0.
 
-The load-free equilibrium of a layered wall is characterised by two integrals
-over the wall thickness (inner/outer tractions and resultant axial force both
-zero):
+A wall is a list of layers, inner to outer, each a WallSegment: the layer, its
+map and its span in the stress-free radius R.  Integrals run over Gauss nodes
+in R, which do not move with the unknowns.  The load-free equilibrium of the
+wall is characterised by two integrals over its thickness (inner/outer
+tractions and resultant axial force both zero):
 
     p_net   = int (T_theta - T_rr) / r dr        = 0 ,
     F_red   = pi * int (2 T_zz - T_theta - T_rr) r dr = 0 ,
@@ -84,19 +86,17 @@ class SectorGeometry:
 
 @dataclass(frozen=True)
 class TubeGeometry:
-    """Closed tube: radii and length in mm; r_interface only for two-layer walls."""
-    ri: float
-    ro: float
+    """Closed tube: layer-boundary radii, inner to outer, and length in mm."""
+    radii: tuple
     l: float
-    r_interface: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 < self.ri < self.ro:
-            raise ValueError(f"need 0 < ri < ro (got {self.ri}, {self.ro})")
-        if self.l <= 0.0:
+        radii = tuple(float(r) for r in self.radii)
+        if len(radii) < 2 or not all(a < b for a, b in zip((0.0,) + radii, radii)):
+            raise ValueError(f"need two or more radii 0 < r_0 < r_1 < ... (got {radii})")
+        if not self.l > 0.0:
             raise ValueError("need l > 0")
-        if self.r_interface is not None and not self.ri < self.r_interface < self.ro:
-            raise ValueError("need ri < r_interface < ro")
+        object.__setattr__(self, 'radii', radii)
 
 
 @dataclass(frozen=True)
@@ -189,33 +189,25 @@ def gauss_segment(a: float, b: float, n: int = N_QUAD):
 
 @dataclass(frozen=True)
 class WallSegment:
-    """One layer's span of the wall together with its sector<->tube map.
-
-    Exactly one of r_span (current-frame radii) / R_span (sf-frame radii)
-    fixes the integration variable.
-    """
+    """One layer of the wall: its sector<->tube map and its span (R_inner,
+    R_outer) in the stress-free radius."""
     layer: MaterialLayer
     map: OpeningMap
-    r_span: Optional[tuple] = None
-    R_span: Optional[tuple] = None
+    R_span: tuple
 
     def nodes(self, n: int = N_QUAD):
-        """(r, R, w) with w the weights for integration in the current-frame radius r."""
+        """(r, R, w): Gauss nodes in R, their current radii r, and the weights
+        for integration in r."""
         m = self.map
-        if self.r_span is not None:
-            r, w = gauss_segment(*self.r_span, n)
-            return r, m.radius_sf(r), w
         R, w = gauss_segment(*self.R_span, n)
         r = m.radius_current(R)
         return r, R, w * R / (m.k * m.c * r)   # dr/dR = R/(k c r)
 
 
 def wall_sectors(layers: Sequence[MaterialLayer]):
-    """The stress-free sectors of a glued wall of one or two sectored layers."""
-    if not 1 <= len(layers) <= 2:
-        raise ValueError("the sectored wall is written for one or two layers")
-    if any(layer.sector is None for layer in layers):
-        raise ValueError("every layer needs its sector geometry")
+    """The stress-free sectors of a glued wall of sectored layers, inner to outer."""
+    if not layers or any(layer.sector is None for layer in layers):
+        raise ValueError("the wall needs one or more layers, each with its sector geometry")
     return [layer.sector for layer in layers]
 
 
@@ -224,15 +216,18 @@ def sector_segments(layers: Sequence[MaterialLayer], alpha: float, rho: float, l
 
     alpha = 0 closes the wall into a tube.  Layer j maps its sf sector (span
     2*pi - alpha_j) onto the common span 2*pi - alpha, so k_j = (2*pi - alpha)
-    / (2*pi - alpha_j) and c_j = l / L_j.  The glue interface sits at the
-    current radius rho: the first layer is anchored there by its outer sf
-    radius, the second by its inner.
+    / (2*pi - alpha_j) and c_j = l / L_j.  The first layer is anchored at the
+    current radius rho by its outer sf radius; each later layer is anchored by
+    its inner sf radius at the outer current radius of the layer inside it.
     """
+    secs = wall_sectors(layers)
     span = TWO_PI - alpha
     segs = []
-    for j, sec in enumerate(wall_sectors(layers)):
-        m = OpeningMap(span / (TWO_PI - sec.alpha), l / sec.L, rho, sec.Ro if j == 0 else sec.Ri)
-        segs.append(WallSegment(layers[j], m, R_span=(sec.Ri, sec.Ro)))
+    r = rho
+    for layer, sec, R_anchor in zip(layers, secs, [secs[0].Ro] + [s.Ri for s in secs[1:]]):
+        m = OpeningMap(span / (TWO_PI - sec.alpha), l / sec.L, r, R_anchor)
+        segs.append(WallSegment(layer, m, (sec.Ri, sec.Ro)))
+        r = float(m.radius_current(sec.Ro))
     return segs
 
 
@@ -262,17 +257,13 @@ def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 10
 
     T_rr is integrated from the traction-free inner surface:
     T_rr(r) = int_{ri}^{r} (T_theta - T_rr)/rho d(rho).  Segments must be
-    ordered inner to outer.
+    ordered inner to outer; each is sampled uniformly in r.
     """
     rows = []
     t_rr_carry = 0.0
     for seg in segments:
-        if seg.r_span is not None:
-            r = np.linspace(*seg.r_span, n_per_segment)
-            R = seg.map.radius_sf(r)
-        else:
-            R = np.linspace(*seg.R_span, n_per_segment)
-            r = seg.map.radius_current(R)
+        r = np.linspace(*seg.map.radius_current(seg.R_span), n_per_segment)
+        R = seg.map.radius_sf(r)
         dth, dzz = _stress_differences(seg, r, R)
         y = dth / r
         t_rr = t_rr_carry + np.concatenate(([0.0], np.cumsum(np.diff(r) * (y[1:] + y[:-1]) / 2.0)))
@@ -370,52 +361,40 @@ class InverseSolution:
     report: SolverReport
 
 
-def _lf_breaks(tube: TubeGeometry, n_layers: int):
-    if n_layers == 1:
-        return [tube.ri, tube.ro]
-    if n_layers == 2:
-        if tube.r_interface is None:
-            raise ValueError("two-layer wall needs tube.r_interface")
-        return [tube.ri, tube.r_interface, tube.ro]
-    raise ValueError("the equilibrium system is written for one or two layers")
-
-
 def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLayer],
                      npts: int = N_QUAD, tol: float = NEWTON_TOL,
                      max_iter: int = NEWTON_MAXIT) -> InverseSolution:
     """Find the stress-free sector geometry of a load-free tube.
 
-    All layers share the opening angle alpha (rad) and the sector length L.
-    Unknowns are (Ri, L); the per-layer radii follow from the pointwise
-    incompressible map, which also enforces the per-layer volume identities
-    exactly.  Residuals are the net pressure and the reduced axial force.
+    All layers share the opening angle alpha (rad) and the sector length L;
+    tube.radii holds one boundary radius more than there are layers.  Unknowns
+    are (Ri, L); one incompressible map of the whole wall carries the tube
+    radii to the sectors' sf radii, which also enforces the per-layer volume
+    identities exactly.  Residuals are the net pressure and the reduced axial
+    force.
     """
-    breaks = _lf_breaks(tube, len(layers))
+    if len(tube.radii) != len(layers) + 1:
+        raise ValueError(f"{len(layers)} layer(s) need {len(layers) + 1} tube radii "
+                         f"(got {len(tube.radii)})")
+    ri = tube.radii[0]
     k = TWO_PI / (TWO_PI - alpha)
     c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
-    scale = np.array([c1s, c1s * tube.ri ** 2])
+    scale = np.array([c1s, c1s * ri ** 2])
 
     def segments_at(Ri, L):
-        m = OpeningMap(k, tube.l / L, tube.ri, Ri)
-        return [WallSegment(layer, m, r_span=(breaks[j], breaks[j + 1]))
-                for j, layer in enumerate(layers)]
+        m = OpeningMap(k, tube.l / L, ri, Ri)
+        R = m.radius_sf(tube.radii).tolist()
+        return [WallSegment(layer, m, span) for layer, span in zip(layers, zip(R, R[1:]))]
 
     def resid(x):
         return np.asarray(equilibrium_residuals(segments_at(*x), npts)) / scale
 
-    x0 = np.array([k * tube.ri, tube.l])
+    x0 = np.array([k * ri, tube.l])
     x, fhat, iters = newton2(_guarded(resid), x0, tol=tol, max_iter=max_iter)
-    Ri, L = float(x[0]), float(x[1])
-
-    segs = segments_at(Ri, L)
-    radii_sf = [float(segs[0].map.radius_sf(r)) for r in breaks[1:]]
-    sectors = []
-    lo = Ri
-    for hi in radii_sf:
-        sectors.append(SectorGeometry(lo, hi, L, alpha))
-        lo = hi
-    return InverseSolution(tuple(sectors), tube, alpha, segs,
-                           _report(segs, fhat * scale, iters, npts))
+    L = float(x[1])
+    segs = segments_at(float(x[0]), L)
+    sectors = tuple(SectorGeometry(*seg.R_span, L, alpha) for seg in segs)
+    return InverseSolution(sectors, tube, alpha, segs, _report(segs, fhat * scale, iters, npts))
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +433,13 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
                     tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT) -> LoadFreeSolution:
     """Close the per-layer sectors into one equilibrated load-free tube.
 
-    Unknowns are the current radius of the first layer's outer sf radius (the
-    glue interface for a two-layer wall) and the tube length l.  The outer
-    layers are anchored to that radius; inner/outer radii follow in closed form
-    from the maps.
+    Unknowns are the current radius of the first layer's outer sf radius and
+    the tube length l (see sector_segments); the tube radii follow in closed
+    form from the maps.
     """
-    sec = wall_sectors(layers)
     x, f, iters = _solve_sector(layers, 0.0, npts, tol, max_iter)
-    r_anchor, l = float(x[0]), float(x[1])
-
-    segs = sector_segments(layers, 0.0, r_anchor, l)
-    ri = float(segs[0].map.radius_current(sec[0].Ri))
-    ro = float(segs[-1].map.radius_current(sec[-1].Ro))
-    tube = TubeGeometry(ri, ro, l, r_interface=r_anchor if len(layers) == 2 else None)
-    return LoadFreeSolution(tube, segs, _report(segs, f, iters, npts))
+    segs = sector_segments(layers, 0.0, float(x[0]), float(x[1]))
+    radii = [segs[0].map.radius_current(segs[0].R_span[0])]
+    radii += [seg.map.radius_current(seg.R_span[1]) for seg in segs]
+    return LoadFreeSolution(TubeGeometry(radii, float(x[1])), segs,
+                            _report(segs, f, iters, npts))

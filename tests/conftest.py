@@ -1,6 +1,7 @@
 """Shared fixtures: reference parameter sets, random-tensor factories, oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ ADV_VISC_FAST = dict(mu=1.0, eta_matrix=0.1, k1v=1.3, k2v=0.7112, eta_fibre=0.13
 MEDIA_VISC_SLOW = dict(mu=5.0, eta_matrix=5.0, k1v=5.3, k2v=0.8393, eta_fibre=5.3)
 
 # load-free two-layer tube whose stress-free sectors are sought (mm / deg)
-T1_TUBE = TubeGeometry(ri=0.71, ro=1.1, l=3.0, r_interface=0.97)
+T1_TUBE = TubeGeometry(radii=(0.71, 0.97, 1.1), l=3.0)
 T1_ALPHA_DEG = 160.0
 T1_TARGET = dict(Ri_mm=1.3948, R_interface_mm=1.6589, Ro_mm=1.8024, L_mm=2.9251)
 
@@ -46,6 +47,16 @@ def sectored_layers():
     """Media + adventitia layers carrying their stress-free sectors."""
     return [MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR),
             MaterialLayer.from_constants(**ADV_EQ, sector=ADV_SECTOR)]
+
+
+def split_sectored_layer(layers, j, t):
+    """The wall with sectored layer j split at the fraction t of its thickness
+    into two layers of the same material; returns (layers, split sf radius)."""
+    sec = layers[j].sector
+    Rs = sec.Ri + t * (sec.Ro - sec.Ri)
+    halves = [replace(layers[j], sector=SectorGeometry(lo, hi, sec.L, sec.alpha))
+              for lo, hi in ((sec.Ri, Rs), (Rs, sec.Ro))]
+    return list(layers[:j]) + halves + list(layers[j + 1:]), Rs
 
 
 @pytest.fixture

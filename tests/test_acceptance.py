@@ -109,8 +109,8 @@ def test_criterion_2_forward_reference_values():
     t0 = time.perf_counter()
     sol = solve_load_free(sectored_layers())
     elapsed = time.perf_counter() - t0
-    got = {"r_i_mm": sol.tube.ri, "r_interface_mm": sol.tube.r_interface,
-           "r_o_mm": sol.tube.ro, "l_mm": sol.tube.l}
+    ri, r_interface, ro = sol.tube.radii
+    got = {"r_i_mm": ri, "r_interface_mm": r_interface, "r_o_mm": ro, "l_mm": sol.tube.l}
     errs = {k: abs(got[k] - T3_TARGET[k]) / T3_TARGET[k] for k in T3_TARGET}
     detail = ", ".join(f"{k}={got[k]:.4f} (ref {T3_TARGET[k]}, {100 * errs[k]:.2f}%)"
                        for k in errs) + f"; {elapsed:.2f} s"

@@ -259,6 +259,8 @@ def test_cli_point_test(tmp_path, capsys):
     assert header[0] == "t_s"
     assert header[-1] == "overstress_kpa"
     assert data.shape[0] == 301
+    # the summary reports the driver's own check: max |det Ci - 1| over the trace
+    assert 0.0 <= json.loads(stdout)["residuals"]["det_ci_max_dev"] < 1e-10
     # numbers are written with 12 significant digits
     first_line = out.read_text().splitlines()[2]
     for tok in first_line.split(","):
@@ -413,6 +415,40 @@ def test_cli_energy_scan_solver_block(tmp_path, capsys):
         e32 = equilibrate_opened(layers, math.radians(a_deg))[1]
         assert e == pytest.approx(e3, rel=1e-11)
         assert e != pytest.approx(e32, rel=1e-9)
+
+
+@pytest.mark.parametrize("solver, argv, field", [
+    ({}, ["--tol", "-1"], "solver.tol"),
+    ({}, ["--tol", "0"], "solver.tol"),
+    ({}, ["--tol", "nan"], "solver.tol"),
+    ({"tol": math.nan}, [], "solver.tol"),
+    ({"tol": math.inf}, [], "solver.tol"),
+    ({"max_iter": True}, [], "solver.max_iter"),
+    ({"quad_points": True}, [], "solver.quad_points"),
+])
+def test_cli_exit_1_bad_solver_block(tmp_path, capsys, solver, argv, field):
+    cfg = load_free_config()
+    cfg["solver"] = solver
+    cfg_path = write_config(tmp_path, cfg)
+    rc, stdout, stderr = run_cli(capsys, "load-free", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "x.csv"), *argv)
+    assert rc == 1
+    assert stderr.startswith("config error:")
+    assert field in stderr
+    assert stdout == ""
+
+
+def test_cli_exit_1_unused_interface_radius(tmp_path, capsys):
+    # a one-layer wall has no interface: the radius would be silently ignored
+    cfg = inverse_config()
+    del cfg["adventitia"]
+    cfg_path = write_config(tmp_path, cfg)
+    rc, stdout, stderr = run_cli(capsys, "inverse-sf", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    assert stderr.startswith("config error:")
+    assert "geometry.r_interface_mm" in stderr
+    assert stdout == ""
 
 
 def test_cli_exit_2_nonconvergence(tmp_path, capsys):

@@ -13,6 +13,7 @@ from prestress_tube import (
     extra_cauchy_equilibrium,
     run_point,
 )
+from prestress_tube.driver import MERGE_FRACTION, step_times
 from prestress_tube.errors import DomainError
 
 from conftest import (
@@ -48,6 +49,10 @@ def test_program_validation():
     with pytest.raises(ValueError):
         LoadProgram(((0.0, IDENT), (0.0, F_STRETCH)), dt=0.01)  # not increasing
     with pytest.raises(ValueError):
+        LoadProgram(((0.0, IDENT), (1e-12, F_STRETCH)), dt=0.01)  # gap below 1e-9 dt
+    with pytest.raises(ValueError):
+        LoadProgram(((0.0, IDENT), (math.nan, F_STRETCH)), dt=0.01)
+    with pytest.raises(ValueError):
         LoadProgram(((0.0, IDENT), (1.0, -IDENT)), dt=0.01)  # det <= 0
     with pytest.raises(ValueError):
         LoadProgram(((0.0, IDENT), (1.0, F_STRETCH)), dt=0.0)
@@ -67,6 +72,34 @@ def test_dt_must_resolve_relaxation_times():
     # fastest time constant of the fast set is eta_f/(4 k1v) = 0.025 s
     with pytest.raises(DomainError):
         run_point(prog, fast_layer(), PreStressField(IDENT))
+
+
+def test_steps_sample_every_keyframe_and_end_at_t_end():
+    # keyframes off the k*dt grid: t_end = 1.0 with dt = 0.024 used to end at 1.008
+    dt = 0.024
+    prog = LoadProgram(((0.0, IDENT), (0.137, F_STRETCH), (1.0, F_STRETCH)), dt=dt)
+    trace = run_point(prog, slow_layer(), PreStressField(IDENT))
+    for t_k, _ in prog.keyframes:
+        assert t_k in trace.t
+    assert trace.t[-1] == 1.0
+    steps = np.diff(trace.t)
+    assert np.all(steps <= dt * (1.0 + MERGE_FRACTION))
+    assert np.all(steps >= MERGE_FRACTION * dt)
+    assert trace.t.size == 44   # the grid 0, dt, ..., 41 dt plus 0.137 and 1.0
+
+
+def test_step_grid_merges_near_coincident_points():
+    dt = 0.01
+    # 0.1 and 0.5 lie on the grid up to rounding: the grid is unchanged
+    on = step_times(LoadProgram(((0.0, IDENT), (0.1, F_STRETCH), (0.5, F_STRETCH)), dt=dt))
+    assert on.size == 51
+    assert_allclose(on, np.arange(51) * dt, rtol=0.0, atol=1e-15)
+    # a keyframe a hair past a grid point replaces it rather than adding a sliver step
+    t_k = 0.2 + 0.1 * MERGE_FRACTION * dt
+    near = step_times(LoadProgram(((0.0, IDENT), (t_k, F_STRETCH), (0.3, F_STRETCH)), dt=dt))
+    assert near.size == 31
+    assert t_k in near
+    assert np.diff(near).min() >= MERGE_FRACTION * dt
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from prestress_tube import (
     TubeGeometry,
     WallSegment,
     equilibrium_residuals,
+    extra_cauchy_equilibrium,
     gauss_segment,
     newton2,
     solve_inverse_sf,
@@ -33,6 +34,7 @@ from conftest import (
     T1_TUBE,
     equilibrium_layers,
     sectored_layers,
+    split_sectored_layer,
 )
 
 
@@ -51,10 +53,12 @@ def test_sector_geometry_k():
 
 
 def test_tube_geometry_validation():
-    with pytest.raises(ValueError):
-        TubeGeometry(1.1, 0.71, 3.0)
-    with pytest.raises(ValueError):
-        TubeGeometry(0.71, 1.1, 3.0, r_interface=1.2)  # outside the wall
+    assert TubeGeometry([0.71, 0.97, 1.1], 3.0).radii == (0.71, 0.97, 1.1)
+    for radii, l in (((1.1, 0.71), 3.0), ((0.71, 1.2, 1.1), 3.0),  # not increasing
+                     ((0.71,), 3.0), ((0.0, 1.1), 3.0), ((0.71, math.nan), 3.0),
+                     ((0.71, 1.1), 0.0)):
+        with pytest.raises(ValueError):
+            TubeGeometry(radii, l)
 
 
 def test_f_maps_are_mutual_inverses():
@@ -139,8 +143,8 @@ def test_gauss_segment_exact_for_polynomials():
 
 def test_wall_segment_radius_round_trip():
     layer = MaterialLayer.from_constants(**MEDIA_EQ)
-    seg = WallSegment(layer, OpeningMap(k=1.8, c=1.05, ri=0.71, Ri=1.39),
-                      r_span=(0.71, 0.97))
+    m = OpeningMap(k=1.8, c=1.05, ri=0.71, Ri=1.39)
+    seg = WallSegment(layer, m, tuple(m.radius_sf([0.71, 0.97])))
     r = np.linspace(0.71, 0.97, 11)
     R = seg.map.radius_sf(r)
     assert_allclose(seg.map.radius_current(R), r, rtol=1e-13)
@@ -151,13 +155,16 @@ def test_wall_segment_radius_round_trip():
 
 
 def test_wall_segment_r_span_R_span_equivalence():
+    # the sf-frame nodes with dr/dR weights integrate the same wall as a
+    # Gauss rule over the current-frame span
     layer = MaterialLayer.from_constants(**MEDIA_EQ)
     m = OpeningMap(k=1.8, c=1.05, ri=0.71, Ri=1.39)
-    seg_r = WallSegment(layer, m, r_span=(0.71, 0.97))
-    R_lo = float(m.radius_sf(0.71))
-    R_hi = float(m.radius_sf(0.97))
-    seg_R = WallSegment(layer, m, R_span=(R_lo, R_hi))
-    p_r, f_r = equilibrium_residuals([seg_r], 24)
+    seg_R = WallSegment(layer, m, tuple(m.radius_sf([0.71, 0.97])))
+    r, w = gauss_segment(0.71, 0.97, 24)
+    t = extra_cauchy_equilibrium(m.deformation_gradient(r, m.radius_sf(r)), layer.equilibrium)
+    dth, dzz = t[:, 1, 1] - t[:, 0, 0], t[:, 2, 2] - t[:, 0, 0]
+    p_r = np.sum(w * dth / r)
+    f_r = math.pi * np.sum(w * (2.0 * dzz - dth) * r)
     p_R, f_R = equilibrium_residuals([seg_R], 24)
     assert p_r == pytest.approx(p_R, rel=1e-12, abs=1e-12)
     assert f_r == pytest.approx(f_R, rel=1e-12, abs=1e-12)
@@ -218,7 +225,7 @@ def test_inverse_volume_identity(two_layers):
     # per-layer incompressibility L (2pi - alpha)(Ro^2 - Ri^2) = 2 pi l (ro^2 - ri^2)
     alpha = math.radians(T1_ALPHA_DEG)
     sol = solve_inverse_sf(T1_TUBE, alpha, two_layers)
-    breaks = [T1_TUBE.ri, T1_TUBE.r_interface, T1_TUBE.ro]
+    breaks = T1_TUBE.radii
     for sec, (lo, hi) in zip(sol.sectors, zip(breaks, breaks[1:])):
         lhs = sec.L * (2.0 * math.pi - alpha) * (sec.Ro ** 2 - sec.Ri ** 2)
         rhs = 2.0 * math.pi * T1_TUBE.l * (hi ** 2 - lo ** 2)
@@ -228,7 +235,7 @@ def test_inverse_volume_identity(two_layers):
 def test_inverse_trivial_when_no_opening():
     # alpha = 0 and a single layer: the stress-free body is the tube itself
     layer = MaterialLayer.from_constants(**MEDIA_EQ)
-    tube = TubeGeometry(0.8, 1.2, 2.0)
+    tube = TubeGeometry((0.8, 1.2), 2.0)
     sol = solve_inverse_sf(tube, 0.0, [layer])
     sec = sol.sectors[0]
     assert sec.Ri == pytest.approx(0.8, abs=1e-9)
@@ -251,9 +258,10 @@ def test_inverse_max_iter_guard(two_layers):
 def test_load_free_two_layer_reference_fixture(t3_layers):
     sol = solve_load_free(t3_layers)
     # frozen regression values of this implementation (4 decimals)
-    assert sol.tube.ri == pytest.approx(0.4740, abs=2e-4)
-    assert sol.tube.r_interface == pytest.approx(0.8687, abs=2e-4)
-    assert sol.tube.ro == pytest.approx(1.1644, abs=2e-4)
+    ri, r_interface, ro = sol.tube.radii
+    assert ri == pytest.approx(0.4740, abs=2e-4)
+    assert r_interface == pytest.approx(0.8687, abs=2e-4)
+    assert ro == pytest.approx(1.1644, abs=2e-4)
     assert sol.tube.l == pytest.approx(1.0063, abs=2e-4)
     assert sol.report.converged
     assert abs(sol.report.residuals['p_net_kpa']) < 1e-10
@@ -271,8 +279,7 @@ def test_load_free_single_layer_trivial_when_closed():
     layer = MaterialLayer.from_constants(**MEDIA_EQ,
                                          sector=SectorGeometry(0.9, 1.3, 1.5, 0.0))
     sol = solve_load_free([layer])
-    assert sol.tube.ri == pytest.approx(0.9, abs=1e-9)
-    assert sol.tube.ro == pytest.approx(1.3, abs=1e-9)
+    assert sol.tube.radii == pytest.approx((0.9, 1.3), abs=1e-9)
     assert sol.tube.l == pytest.approx(1.5, abs=1e-9)
 
 
@@ -284,7 +291,7 @@ def test_load_free_thin_outer_layer_limit(t3_layers):
                                                               math.radians(140.0)))
     sol_pair = solve_load_free([media, thin])
     sol_single = solve_load_free([media])
-    assert sol_pair.tube.ri == pytest.approx(sol_single.tube.ri, abs=5e-4)
+    assert sol_pair.tube.radii[0] == pytest.approx(sol_single.tube.radii[0], abs=5e-4)
     assert sol_pair.tube.l == pytest.approx(sol_single.tube.l, abs=5e-4)
 
 
@@ -297,9 +304,7 @@ def test_round_trip_tube_to_sectors_to_tube(two_layers):
     inv = solve_inverse_sf(T1_TUBE, alpha, two_layers)
     layers = [replace(l, sector=s) for l, s in zip(two_layers, inv.sectors)]
     fwd = solve_load_free(layers)
-    assert fwd.tube.ri == pytest.approx(T1_TUBE.ri, abs=1e-8)
-    assert fwd.tube.r_interface == pytest.approx(T1_TUBE.r_interface, abs=1e-8)
-    assert fwd.tube.ro == pytest.approx(T1_TUBE.ro, abs=1e-8)
+    assert fwd.tube.radii == pytest.approx(T1_TUBE.radii, abs=1e-8)
     assert fwd.tube.l == pytest.approx(T1_TUBE.l, abs=1e-8)
 
 
@@ -318,6 +323,47 @@ def test_round_trip_sector_to_tube_to_sector():
 
 
 # ---------------------------------------------------------------------------
+# layer-split oracle: one layer cut into two of the same material is the same wall
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(j=st.sampled_from([0, 1]), t=st.floats(0.05, 0.95))
+def test_load_free_invariant_under_layer_split(j, t):
+    base = solve_load_free(sectored_layers())
+    layers, Rs = split_sectored_layer(sectored_layers(), j, t)
+    split = solve_load_free(layers)
+    assert len(split.segments) == 3
+    radii = list(split.tube.radii)
+    r_split = radii.pop(j + 1)
+    assert radii == pytest.approx(base.tube.radii, abs=1e-9)
+    assert split.tube.l == pytest.approx(base.tube.l, abs=1e-9)
+    assert r_split == pytest.approx(float(base.segments[j].map.radius_current(Rs)), abs=1e-9)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(j=st.sampled_from([0, 1]), t=st.floats(0.05, 0.95))
+def test_inverse_invariant_under_layer_split(j, t):
+    alpha = math.radians(T1_ALPHA_DEG)
+    base = solve_inverse_sf(T1_TUBE, alpha, equilibrium_layers())
+    radii = list(T1_TUBE.radii)
+    radii.insert(j + 1, radii[j] + t * (radii[j + 1] - radii[j]))
+    layers = equilibrium_layers()
+    layers.insert(j, layers[j])
+    split = solve_inverse_sf(TubeGeometry(radii, T1_TUBE.l), alpha, layers)
+    assert len(split.sectors) == 3
+    bounds = [sec.Ri for sec in split.sectors] + [split.sectors[-1].Ro]
+    del bounds[j + 1]
+    assert bounds == pytest.approx([base.sectors[0].Ri] + [sec.Ro for sec in base.sectors],
+                                   abs=1e-9)
+    assert all(sec.L == pytest.approx(base.sectors[0].L, abs=1e-9) for sec in split.sectors)
+
+
+def test_inverse_needs_one_radius_per_layer_boundary(two_layers):
+    with pytest.raises(ValueError, match="tube radii"):
+        solve_inverse_sf(TubeGeometry((0.71, 1.1), 3.0), 1.0, two_layers)
+
+
+# ---------------------------------------------------------------------------
 # wall stress profile
 # ---------------------------------------------------------------------------
 
@@ -325,8 +371,8 @@ def test_wall_profile_boundary_conditions(two_layers):
     sol = solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
     prof = wall_stress_profile(sol.segments, n_per_segment=2001)
     r, t_rr = prof[:, 0], prof[:, 1]
-    assert r[0] == pytest.approx(T1_TUBE.ri)
-    assert r[-1] == pytest.approx(T1_TUBE.ro)
+    assert r[0] == pytest.approx(T1_TUBE.radii[0])
+    assert r[-1] == pytest.approx(T1_TUBE.radii[-1])
     # traction-free inner and outer surfaces (fine trapezoid residual only)
     assert abs(t_rr[0]) < 1e-12
     assert abs(t_rr[-1]) < 1e-6
