@@ -24,7 +24,7 @@ from .materials import (EquilibriumMaterial, HolzapfelFibreParams, MooneyRivlinP
 from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState,
                       fibre_evolve_step, fibre_flow_rhs, fibre_overstress,
                       fibre_overstress_scalar, initial_state, iso_energy,
-                      iso_evolve_step, iso_flow_rhs, iso_overstress,
+                      iso_evolve, iso_evolve_step, iso_flow_rhs, iso_overstress,
                       overstress_pk2_sf, visc_fibre_energy, visc_fibre_f)
 from .tube import (InverseSolution, LoadFreeSolution, MaterialLayer, OpeningMap,
                    SectorGeometry, TubeGeometry, WallSegment, equilibrium_residuals,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDetermi
                      NonPositiveStretch, QuadratureFailure, SingularTensor)
 from .opening import find_opening_angle
 from .driver import run_point
+from .maxwell import NEWTON_TOL
 from .tube import solve_inverse_sf, solve_load_free, wall_stress_profile
 
 FLOAT_FMT = "{:.12g}"
@@ -38,14 +40,8 @@ def _write_csv(path: str, header, rows, cfg_hash: str):
 
 
 def _solver_kwargs(solver: dict) -> dict:
-    kw = {}
-    if solver["tol"] is not None:
-        kw["tol"] = solver["tol"]
-    if solver["max_iter"] is not None:
-        kw["max_iter"] = solver["max_iter"]
-    if solver["quad_points"] is not None:
-        kw["npts"] = solver["quad_points"]
-    return kw
+    names = {"tol": "tol", "max_iter": "max_iter", "quad_points": "npts"}
+    return {names[key]: v for key, v in solver.items() if v is not None}
 
 
 def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -138,8 +134,10 @@ def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
 
     return {
         "workflow": "point-test",
-        "converged": True,
-        "residuals": {"det_ci_max_dev": float(np.max(np.abs(trace.det_ci - 1.0)))},
+        "converged": trace.fibre_r_max < NEWTON_TOL,
+        "iterations": trace.fibre_iterations,
+        "residuals": {"det_ci_max_dev": float(np.max(np.abs(trace.det_ci - 1.0))),
+                      "fibre_r_max": trace.fibre_r_max},
         "key_results": {
             "steps": int(trace.t.size - 1),
             "peak_overstress_kpa": float(trace.overstress_norm.max()),
@@ -157,7 +155,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prestress-tube",
         description="Pre-stressed viscoelastic fibre-reinforced tube workflows.")
@@ -183,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg, raw = config.load_config(args.config)
         config.parse_workflow(cfg, args.workflow)

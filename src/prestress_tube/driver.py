@@ -1,11 +1,17 @@
 """Material-point driver: deformation-gradient histories through the full model.
 
 The driver composes all constitutive pieces at one material point carrying a
-pre-stress map F0: at every time step the load-free deformation gradient F_lf
-is converted to the stress-free one (F_sf = F_lf F0^{-1}), the Maxwell internal
-variables are advanced implicitly, and the total PK2 stress (equilibrium +
-overstresses) is pulled back to the lf-configuration and pushed forward to a
-Cauchy stress.
+pre-stress map F0: the load-free deformation gradient F_lf is converted to the
+stress-free one (F_sf = F_lf F0^{-1}), the Maxwell internal variables are
+advanced implicitly, and the total PK2 stress (equilibrium + overstresses) is
+pulled back to the lf-configuration and pushed forward to a Cauchy stress.
+
+A run is batched over its rows: F_lf, C_sf, Cbar, the fibre stretches, the
+stresses and their transforms, det Ci and the overstress norms come from
+whole-run tensor calls.  Only the recurrences step: the isotropic Ci update
+and, per fibre family, the scalar fibre Newton.  Per-step checks apply to the
+whole history: det C > 0 before the recurrences, a valid ViscousState history
+(unimodular symmetric Ci, positive lambda_i) before the stresses.
 
 The model carries no volumetric energy: the reported stress is the
 constitutively determinate ("extra") part, to which an arbitrary hydrostatic
@@ -26,7 +32,7 @@ from . import tensor as tn
 from .errors import DomainError
 from .materials import (PreStressField, cauchy_from_pk2, equilibrium_pk2_sf,
                         pull_back_pk2)
-from .maxwell import (fibre_evolve_step, initial_state, iso_evolve_step,
+from .maxwell import (ViscousState, fibre_evolve_step, initial_state, iso_evolve,
                       overstress_pk2_sf)
 from .tube import MaterialLayer
 
@@ -64,18 +70,17 @@ class LoadProgram:
     def t_end(self) -> float:
         return self.keyframes[-1][0]
 
-    def F_at(self, t: float):
-        """Componentwise linear interpolation; held constant beyond the last keyframe."""
-        times = [kf[0] for kf in self.keyframes]
-        if t <= times[0]:
-            return self.keyframes[0][1]
-        if t >= times[-1]:
-            return self.keyframes[-1][1]
-        j = int(np.searchsorted(times, t, side='right')) - 1
-        t0, f0 = self.keyframes[j]
-        t1, f1 = self.keyframes[j + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * f0 + w * f1
+    def F_at(self, t):
+        """Componentwise linear interpolation at a time or an array of times (shape
+        (..., 3, 3)); held constant beyond the last keyframe."""
+        times = np.array([kf[0] for kf in self.keyframes])
+        frames = np.array([kf[1] for kf in self.keyframes])
+        t = np.asarray(t, dtype=float)
+        if times.size == 1:
+            return np.broadcast_to(frames[0], t.shape + (3, 3)).copy()
+        j = np.clip(np.searchsorted(times, t, side='right') - 1, 0, times.size - 2)
+        w = np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0)[..., None, None]
+        return (1.0 - w) * frames[j] + w * frames[j + 1]
 
 
 def step_times(program: LoadProgram) -> np.ndarray:
@@ -95,30 +100,24 @@ def step_times(program: LoadProgram) -> np.ndarray:
 
 @dataclass
 class PointTrace:
-    """Per-step records of a driver run."""
+    """Per-step records of a driver run, with the fibre local solves' statistics."""
     t: np.ndarray               # (n,)
     cauchy: np.ndarray          # (n, 3, 3)
     det_ci: np.ndarray          # (n,)
     lambda_i: np.ndarray        # (n, n_families)
     overstress_norm: np.ndarray  # (n,) Frobenius norm of the Cauchy overstress, kPa
+    fibre_iterations: int = 0   # most iterations of one fibre Newton solve
+    fibre_r_max: float = 0.0    # largest final |r| of a fibre Newton solve
 
     CSV_STRESS_COLS = ("s11_kpa", "s22_kpa", "s33_kpa", "s12_kpa", "s13_kpa", "s23_kpa")
 
     def header(self):
-        cols = ["t_s", *self.CSV_STRESS_COLS, "det_ci"]
-        cols += [f"lambda_i_{j + 1}" for j in range(self.lambda_i.shape[1])]
-        cols.append("overstress_kpa")
-        return cols
+        return ["t_s", *self.CSV_STRESS_COLS, "det_ci",
+                *(f"lambda_i_{j + 1}" for j in range(self.lambda_i.shape[1])), "overstress_kpa"]
 
     def rows(self):
-        ij = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-        for n in range(self.t.size):
-            row = [self.t[n]]
-            row += [self.cauchy[n, i, j] for i, j in ij]
-            row.append(self.det_ci[n])
-            row += list(self.lambda_i[n])
-            row.append(self.overstress_norm[n])
-            yield row
+        yield from np.column_stack((self.t, self.cauchy[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]],
+                                    self.det_ci, self.lambda_i, self.overstress_norm)).tolist()
 
 
 def _check_dt_resolves(layer: MaterialLayer, dt: float):
@@ -135,39 +134,33 @@ def _check_dt_resolves(layer: MaterialLayer, dt: float):
 def run_point(program: LoadProgram, layer: MaterialLayer, f0: PreStressField) -> PointTrace:
     """Integrate the full constitutive response along a load program."""
     _check_dt_resolves(layer, program.dt)
-    f0inv = tn.inverse(f0.F0)
-    fibres_v = layer.fibre_maxwell
+    iso, fibres_v = layer.iso_maxwell, layer.fibre_maxwell
     times = step_times(program)
+    h = np.diff(times)
 
-    F_lf0 = program.F_at(0.0)
-    state = initial_state(f0, tn.transpose(F_lf0) @ F_lf0, fibres_v)
+    F_lf = program.F_at(times)
+    F_sf = F_lf @ tn.inverse(f0.F0)
+    c_sf = tn.transpose(F_sf) @ F_sf
+    cbar = tn.unimodular(c_sf) if iso is not None or fibres_v else None
+    state = initial_state(f0, tn.transpose(F_lf[0]) @ F_lf[0], fibres_v)
 
-    rec_t, rec_cauchy, rec_det, rec_li, rec_over = [], [], [], [], []
-    for n, t in enumerate(times):
-        F_lf = program.F_at(float(t))
-        F_sf = F_lf @ f0inv
-        c_sf = tn.transpose(F_sf) @ F_sf
-        if n > 0:
-            h = float(t - times[n - 1])
-            if layer.iso_maxwell is not None:
-                state.Ci = iso_evolve_step(c_sf, state.Ci, h, layer.iso_maxwell)
-            if fibres_v:
-                cbar = tn.unimodular(c_sf)
-                for j, fp in enumerate(fibres_v):
-                    lam = math.sqrt(float(np.einsum('ij,i,j->', cbar, fp.a, fp.a)))
-                    state.lambda_i[j] = fibre_evolve_step(lam, state.lambda_i[j], h, fp)
-        t_eq_sf = equilibrium_pk2_sf(c_sf, layer.equilibrium)
-        t_over_sf = overstress_pk2_sf(c_sf, state, layer.iso_maxwell, fibres_v)
-        t_lf = pull_back_pk2(t_eq_sf + t_over_sf, f0)
-        cauchy = cauchy_from_pk2(t_lf, F_lf)
-        over_cauchy = cauchy_from_pk2(t_over_sf, F_sf)
+    ci = iso_evolve(state.Ci, cbar[1:], h, iso) if iso is not None else \
+        np.broadcast_to(state.Ci, c_sf.shape)
+    lam_i = np.empty((times.size, len(fibres_v)))
+    lam_i[0] = state.lambda_i
+    its, r_max = 0, 0.0
+    if fibres_v:
+        lams = np.sqrt(np.stack([np.einsum('nij,i,j->n', cbar, fp.a, fp.a)
+                                 for fp in fibres_v], axis=1)).tolist()
+        row = state.lambda_i.tolist()
+        for n, hn in enumerate(h.tolist(), start=1):
+            for j, fp in enumerate(fibres_v):
+                row[j], k, r = fibre_evolve_step(lams[n][j], row[j], hn, fp)
+                its, r_max = max(its, k), max(r_max, r)
+            lam_i[n] = row
+    history = ViscousState(ci, lam_i)
 
-        rec_t.append(float(t))
-        rec_cauchy.append(cauchy)
-        rec_det.append(float(tn.det(state.Ci)))
-        rec_li.append(state.lambda_i.copy())
-        rec_over.append(float(np.linalg.norm(over_cauchy)))
-
-    return PointTrace(np.asarray(rec_t), np.asarray(rec_cauchy), np.asarray(rec_det),
-                      np.asarray(rec_li) if fibres_v else np.zeros((len(rec_t), 0)),
-                      np.asarray(rec_over))
+    t_over_sf = overstress_pk2_sf(c_sf, history, iso, fibres_v)
+    t_lf = pull_back_pk2(equilibrium_pk2_sf(c_sf, layer.equilibrium) + t_over_sf, f0)
+    return PointTrace(times, cauchy_from_pk2(t_lf, F_lf), tn.det(history.Ci), lam_i,
+                      np.linalg.norm(cauchy_from_pk2(t_over_sf, F_sf), axis=(1, 2)), its, r_max)

@@ -28,13 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tn
-from .errors import NoConvergence, NonPositiveStretch
+from .errors import NoConvergence, NonPositiveDeterminant, NonPositiveStretch
 from .materials import PreStressField, csf_from_clf, sq_stretch_gradient
 
 # fibre local solve
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
 LAM_E_RANGE = (0.2, 5.0)  # outside this the exp() argument is meaningless; refuse the step
+
+# the six symmetric components 11, 22, 33, 12, 13, 23 of a 3x3 tensor, and back
+_SYM = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])
+_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 
 @dataclass(frozen=True)
@@ -67,15 +71,17 @@ class FibreMaxwellParams:
 
 @dataclass
 class ViscousState:
-    """Internal variables of one material point (one isotropic branch + n fibre families)."""
+    """Internal variables of one material point (one isotropic branch + n fibre families),
+    or of a history of them: Ci of shape (..., 3, 3), lambda_i of shape (..., n)."""
     Ci: np.ndarray
     lambda_i: np.ndarray
 
     def __post_init__(self):
         self.Ci = np.asarray(self.Ci, dtype=float)
         self.lambda_i = np.atleast_1d(np.asarray(self.lambda_i, dtype=float))
-        if abs(tn.det(self.Ci) - 1.0) > 1e-10:
-            raise ValueError(f"Ci must be unimodular (det = {tn.det(self.Ci):.12f})")
+        dev = np.abs(tn.det(self.Ci) - 1.0)
+        if not np.all(dev <= 1e-10):  # also rejects NaN entries
+            raise ValueError(f"Ci must be unimodular (|det - 1| up to {np.max(dev):.3e})")
         if not tn.is_symmetric(self.Ci):
             raise ValueError("Ci must be symmetric")
         if np.any(self.lambda_i <= 0.0):
@@ -107,15 +113,34 @@ def iso_overstress(c_sf, ci, p: IsoMaxwellParams):
                    - (trterm / 3.0)[..., None, None] * tn.inverse(c))
 
 
+def iso_evolve(ci0, cbar, h, p: IsoMaxwellParams):
+    """Ci history [ci0, Ci_1, ..., Ci_n] (n + 1, 3, 3) of the isotropic flow with
+    Ci_k = unimodular(Ci_{k-1} + h_k mu/eta Cbar_k), Cbar (n, 3, 3), steps h (n,),
+    stepped in plain floats over the six symmetric components from ci0, which
+    must have |det ci0 - 1| <= 1e-8."""
+    ks = (np.asarray(h, dtype=float) * (p.mu / p.eta)).tolist()
+    if not all(k > 0.0 for k in ks):
+        raise ValueError("dt must be positive")
+    ci0 = np.asarray(ci0, dtype=float)
+    if abs(tn.det(ci0) - 1.0) > 1e-8:
+        raise ValueError(f"det Ci_old = {tn.det(ci0):.10f}, expected 1")
+    a00, a11, a22, a01, a02, a12 = ci0[_SYM].tolist()
+    rows = [(a00, a11, a22, a01, a02, a12)]
+    for (b00, b11, b22, b01, b02, b12), k in zip(np.asarray(cbar)[:, _SYM[0], _SYM[1]].tolist(), ks):
+        a00, a11, a22 = a00 + k * b00, a11 + k * b11, a22 + k * b22
+        a01, a02, a12 = a01 + k * b01, a02 + k * b02, a12 + k * b12
+        d = a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02) + a02 * (a01 * a12 - a11 * a02)
+        if not d > 0.0:
+            raise NonPositiveDeterminant(f"unimodular part needs det > 0 (det = {d:.3e})")
+        s = d ** (-1.0 / 3.0)
+        a00, a11, a22, a01, a02, a12 = a00 * s, a11 * s, a22 * s, a01 * s, a02 * s, a12 * s
+        rows.append((a00, a11, a22, a01, a02, a12))
+    return np.array(rows)[:, _FULL]
+
+
 def iso_evolve_step(c_sf_new, ci_old, dt: float, p: IsoMaxwellParams):
     """One implicit step of the isotropic flow; returns the new (unimodular) Ci."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    ci_old = np.asarray(ci_old, dtype=float)
-    if abs(tn.det(ci_old) - 1.0) > 1e-8:
-        raise ValueError(f"det Ci_old = {tn.det(ci_old):.10f}, expected 1")
-    cbar = tn.unimodular(c_sf_new)
-    return tn.unimodular(ci_old + (dt * p.mu / p.eta) * cbar)
+    return iso_evolve(ci_old, tn.unimodular(c_sf_new)[None], (dt,), p)[1]
 
 
 def iso_flow_rhs(c_sf, ci, p: IsoMaxwellParams):
@@ -143,8 +168,7 @@ def visc_fibre_energy(lam2, k1v: float, k2v: float):
 
 def fibre_overstress_scalar(lam, lam_i, p: FibreMaxwellParams):
     """Prefactor f_v(lam_e^2) / lam_i^2 with lam_e = lam/lam_i."""
-    lam = np.asarray(lam, dtype=float)
-    lam_i = np.asarray(lam_i, dtype=float)
+    lam, lam_i = np.asarray(lam, dtype=float), np.asarray(lam_i, dtype=float)
     if np.any(lam <= 0.0) or np.any(lam_i <= 0.0):
         raise NonPositiveStretch("stretches must be positive")
     lam_e2 = (lam / lam_i) ** 2
@@ -168,11 +192,13 @@ def fibre_flow_rhs(lam, lam_i, p: FibreMaxwellParams):
     return lam_i / p.eta_f * visc_fibre_f(lam_e2, p.k1v, p.k2v) * lam_e2
 
 
-def fibre_evolve_step(lam_new: float, lam_i_old: float, dt: float, p: FibreMaxwellParams) -> float:
+def fibre_evolve_step(lam_new: float, lam_i_old: float, dt: float, p: FibreMaxwellParams):
     """Backward-Euler update of the inelastic fibre stretch.
 
     Solves  x = x_old + (dt/eta) f_v(u) u,  u = lam_new^2 exp(-2x),  for
-    x = ln(lambda_i) with a bracketed Newton iteration.
+    x = ln(lambda_i) with a bracketed Newton iteration.  Returns
+    (lambda_i, iterations, |r|) with r the residual at the returned x; |r| can
+    exceed NEWTON_TOL when the iterate stops moving before it gets there.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -202,19 +228,16 @@ def fibre_evolve_step(lam_new: float, lam_i_old: float, dt: float, p: FibreMaxwe
 
     x = 0.5 * (lo + hi)
     r, dr = resid(x)
-    for _ in range(NEWTON_MAXIT):
+    for it in range(NEWTON_MAXIT):
         if abs(r) < NEWTON_TOL:
-            return math.exp(x)
-        if r > 0.0:
-            hi = x
-        else:
-            lo = x
+            return math.exp(x), it, abs(r)
+        lo, hi = (lo, x) if r > 0.0 else (x, hi)
         step = r / dr if dr != 0.0 else math.inf
         x_new = x - step
         if not lo < x_new < hi:          # Newton left the bracket: bisect
             x_new = 0.5 * (lo + hi)
         if x_new == x:
-            return math.exp(x)
+            return math.exp(x), it, abs(r)
         x = x_new
         r, dr = resid(x)
     raise NoConvergence("fibre stretch update did not converge "
@@ -227,11 +250,12 @@ def fibre_evolve_step(lam_new: float, lam_i_old: float, dt: float, p: FibreMaxwe
 # ---------------------------------------------------------------------------
 
 def overstress_pk2_sf(c_sf, state: ViscousState, iso, fibres):
-    """Total viscous PK2 overstress (isotropic branch, if any, + all fibre families)."""
+    """Total viscous PK2 overstress (isotropic branch, if any, + all fibre families);
+    broadcasts over a history of C and of states."""
     t = iso_overstress(c_sf, state.Ci, iso) if iso is not None else \
         np.zeros(np.shape(c_sf))
-    for fp, li in zip(fibres, state.lambda_i):
-        t = t + fibre_overstress(c_sf, li, fp)[1]
+    for j, fp in enumerate(fibres):
+        t = t + fibre_overstress(c_sf, state.lambda_i[..., j], fp)[1]
     return t
 
 
@@ -241,7 +265,6 @@ def initial_state(f0: PreStressField, c_lf_initial, fibres) -> ViscousState:
     Ci = Cbar_sf at t = 0 and lambda_i = lambda at t = 0, so that every
     overstress vanishes identically at the start of the run.
     """
-    c_sf0 = csf_from_clf(c_lf_initial, f0)
-    cbar0 = tn.unimodular(c_sf0)
+    cbar0 = tn.unimodular(csf_from_clf(c_lf_initial, f0))
     lam_i0 = [math.sqrt(float(np.einsum('ij,i,j->', cbar0, fp.a, fp.a))) for fp in fibres]
     return ViscousState(cbar0, np.asarray(lam_i0, dtype=float))

@@ -16,8 +16,6 @@ from .errors import NonPositiveDeterminant, SingularTensor
 SYM_TOL = 1e-12       # relative symmetry check
 SINGULAR_TOL = 1e-14  # |det| below this counts as singular
 
-IDENTITY = np.eye(3)
-
 
 def identity(shape=()):
     """Identity tensor broadcast to leading shape `shape`."""
@@ -91,16 +89,3 @@ def is_symmetric(a, tol: float = SYM_TOL) -> bool:
     if scale == 0.0:
         return True
     return bool(np.max(np.abs(a - transpose(a))) <= tol * scale)
-
-
-def require_spd(c, name: str = "C"):
-    """Cheap SPD guard for right Cauchy-Green inputs: symmetry + positive leading minors."""
-    c = np.asarray(c, dtype=float)
-    if not is_symmetric(c):
-        raise SingularTensor(f"{name} must be symmetric")
-    m1 = c[..., 0, 0]
-    m2 = c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
-    m3 = np.linalg.det(c)
-    if np.any(m1 <= 0.0) or np.any(m2 <= 0.0) or np.any(m3 <= 0.0):
-        raise SingularTensor(f"{name} must be positive-definite")
-    return c

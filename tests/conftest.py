@@ -11,7 +11,15 @@ from prestress_tube import (
     MaterialLayer,
     SectorGeometry,
     TubeGeometry,
+    cauchy_from_pk2,
+    equilibrium_pk2_sf,
+    fibre_evolve_step,
+    initial_state,
+    overstress_pk2_sf,
+    pull_back_pk2,
 )
+from prestress_tube import tensor as tn
+from prestress_tube.driver import PointTrace, step_times
 
 # ---------------------------------------------------------------------------
 # reference parameter sets (kPa, kPa*s, degrees).  "media" = stiff inner
@@ -150,3 +158,45 @@ def ode_reference(rhs, y0, t_eval):
                     t_eval=t_eval, rtol=1e-12, atol=1e-14)
     assert sol.success
     return sol.y.T
+
+
+def reference_iso_step(c_sf_new, ci_old, dt, p):
+    """One isotropic Maxwell update as a single numpy expression on 3x3 tensors."""
+    if abs(tn.det(ci_old) - 1.0) > 1e-8:
+        raise ValueError(f"det Ci_old = {tn.det(ci_old):.10f}, expected 1")
+    return tn.unimodular(ci_old + (dt * p.mu / p.eta) * tn.unimodular(c_sf_new))
+
+
+def reference_run_point(program, layer, f0, iso_step=reference_iso_step):
+    """The driver as a per-step loop over single 3x3 tensors (oracle of run_point)."""
+    f0inv = tn.inverse(f0.F0)
+    fibres_v = layer.fibre_maxwell
+    times = step_times(program)
+    F_lf0 = program.F_at(0.0)
+    state = initial_state(f0, tn.transpose(F_lf0) @ F_lf0, fibres_v)
+
+    rec_cauchy, rec_det, rec_li, rec_over = [], [], [], []
+    for n, t in enumerate(times):
+        F_lf = program.F_at(float(t))
+        F_sf = F_lf @ f0inv
+        c_sf = tn.transpose(F_sf) @ F_sf
+        if n > 0:
+            h = float(t - times[n - 1])
+            if layer.iso_maxwell is not None:
+                state.Ci = iso_step(c_sf, state.Ci, h, layer.iso_maxwell)
+            if fibres_v:
+                cbar = tn.unimodular(c_sf)
+                for j, fp in enumerate(fibres_v):
+                    lam = math.sqrt(float(np.einsum('ij,i,j->', cbar, fp.a, fp.a)))
+                    state.lambda_i[j] = fibre_evolve_step(lam, state.lambda_i[j], h, fp)[0]
+        t_eq_sf = equilibrium_pk2_sf(c_sf, layer.equilibrium)
+        t_over_sf = overstress_pk2_sf(c_sf, state, layer.iso_maxwell, fibres_v)
+        t_lf = pull_back_pk2(t_eq_sf + t_over_sf, f0)
+        rec_cauchy.append(cauchy_from_pk2(t_lf, F_lf))
+        rec_det.append(float(tn.det(state.Ci)))
+        rec_li.append(state.lambda_i.copy())
+        rec_over.append(float(np.linalg.norm(cauchy_from_pk2(t_over_sf, F_sf))))
+
+    return PointTrace(times, np.asarray(rec_cauchy), np.asarray(rec_det),
+                      np.asarray(rec_li).reshape(times.size, len(fibres_v)),
+                      np.asarray(rec_over))

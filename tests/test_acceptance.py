@@ -261,7 +261,7 @@ def test_criterion_7_ode_integrator_oracle():
     err_fib = 0.0
     for i in range(t_rec.size):
         for _ in range(1000):
-            li = fibre_evolve_step(1.3, li, 1e-5, fib)
+            li = fibre_evolve_step(1.3, li, 1e-5, fib)[0]
         err_fib = max(err_fib, abs(li - fref[i]))
 
     # --- det drift over 1e4 coarse steps ---
@@ -286,7 +286,7 @@ def test_criterion_7_ode_integrator_oracle():
     def fib_err(dt):
         li = 1.0
         for _ in range(int(round(1.0 / dt))):
-            li = fibre_evolve_step(1.3, li, dt, fib)
+            li = fibre_evolve_step(1.3, li, dt, fib)[0]
         return abs(li - exact_fib)
 
     ratio_iso = iso_err(0.01) / iso_err(0.005)

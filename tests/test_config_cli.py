@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prestress_tube import OpeningMap, config, equilibrate_opened
-from prestress_tube.cli import main
+from prestress_tube import OpeningMap, config, equilibrate_opened, maxwell
+from prestress_tube.cli import _parser, main
 from prestress_tube.errors import ConfigError
 from prestress_tube.tube import NEWTON_TOL
 
@@ -260,12 +260,21 @@ def test_cli_point_test(tmp_path, capsys):
     assert header[-1] == "overstress_kpa"
     assert data.shape[0] == 301
     # the summary reports the driver's own check: max |det Ci - 1| over the trace
-    assert 0.0 <= json.loads(stdout)["residuals"]["det_ci_max_dev"] < 1e-10
+    summary = json.loads(stdout)
+    assert 0.0 <= summary["residuals"]["det_ci_max_dev"] < 1e-10
+    # and what the fibre local solves did
+    assert summary["converged"] is True
+    assert 1 <= summary["iterations"] <= maxwell.NEWTON_MAXIT
+    assert 0.0 <= summary["residuals"]["fibre_r_max"] < maxwell.NEWTON_TOL
     # numbers are written with 12 significant digits
     first_line = out.read_text().splitlines()[2]
     for tok in first_line.split(","):
         digits = tok.replace("-", "").replace("+", "").replace(".", "").lstrip("0")
         assert len(digits.split("e")[0]) <= 12
+
+
+def test_cli_parser_is_built_once():
+    assert _parser() is _parser()
 
 
 def test_cli_point_test_dt_override(tmp_path, capsys):

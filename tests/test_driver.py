@@ -1,9 +1,12 @@
 """Material-point viscoelastic driver: programs, traces, relaxation behavior."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prestress_tube import (
@@ -11,16 +14,21 @@ from prestress_tube import (
     MaterialLayer,
     PreStressField,
     extra_cauchy_equilibrium,
+    initial_state,
     run_point,
 )
+from prestress_tube import driver
 from prestress_tube.driver import MERGE_FRACTION, step_times
-from prestress_tube.errors import DomainError
+from prestress_tube.errors import DomainError, NonPositiveDeterminant, SingularTensor
 
 from conftest import (
     MEDIA_EQ,
     MEDIA_VISC_FAST,
     MEDIA_VISC_SLOW,
+    rand_motion,
     rand_unimodular,
+    reference_iso_step,
+    reference_run_point,
 )
 
 F_STRETCH = np.diag([1.0 / math.sqrt(1.3), 1.0 / math.sqrt(1.3), 1.3])
@@ -65,6 +73,11 @@ def test_program_interpolation_and_hold():
     assert_allclose(prog.F_at(0.05), 0.5 * (IDENT + F_STRETCH), rtol=1e-14)
     assert_allclose(prog.F_at(2.0), F_STRETCH)
     assert_allclose(prog.F_at(99.0), F_STRETCH)  # hold past the last keyframe
+    # an array of times gives the stack of the per-time values, bit for bit
+    t = np.array([0.0, 0.03, 0.1, 0.1 + 1e-9, 2.0, 99.0])
+    assert np.array_equal(prog.F_at(t), np.stack([prog.F_at(float(x)) for x in t]))
+    single = LoadProgram(((0.0, F_STRETCH),), dt=0.01)
+    assert np.array_equal(single.F_at(np.array([0.0, 1.0])), np.stack([F_STRETCH] * 2))
 
 
 def test_dt_must_resolve_relaxation_times():
@@ -217,3 +230,103 @@ def test_trace_is_deterministic():
     assert np.array_equal(a.cauchy, b.cauchy)
     assert np.array_equal(a.lambda_i, b.lambda_i)
     assert np.array_equal(a.overstress_norm, b.overstress_norm)
+
+
+# ---------------------------------------------------------------------------
+# batched driver against the per-step reference loop
+# ---------------------------------------------------------------------------
+
+VISC_BRANCHES = {
+    "iso": dict(mu=MEDIA_VISC_FAST["mu"], eta_matrix=MEDIA_VISC_FAST["eta_matrix"]),
+    "fibre": {k: MEDIA_VISC_FAST[k] for k in ("k1v", "k2v", "eta_fibre")},
+    "both": MEDIA_VISC_FAST,
+    "neither": {},
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["ramp-hold", "cyclic", "single"]),
+       branches=st.sampled_from(sorted(VISC_BRANCHES)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       dt=st.floats(2e-4, 2.4e-3),
+       n_steps=st.floats(3.0, 60.0),
+       frac=st.floats(0.05, 0.95),
+       cycles=st.integers(1, 3))
+def test_batched_driver_matches_per_step_reference(kind, branches, seed, dt, n_steps,
+                                                   frac, cycles):
+    rng = np.random.default_rng(seed)
+    f0 = PreStressField(rand_unimodular(rng))
+    F = rand_motion(rng, spread=0.2)
+    t_end = n_steps * dt   # keyframes fall off the k*dt grid
+    if kind == "ramp-hold":
+        keys = ((0.0, IDENT), (frac * t_end, F), (t_end, F))
+    elif kind == "cyclic":
+        n = 2 * cycles
+        keys = tuple((t_end * j / n, F if j % 2 else IDENT) for j in range(n + 1))
+    else:
+        keys = ((0.0, F),)
+    prog = LoadProgram(keys, dt=dt)
+    assume(np.all(np.linalg.det(prog.F_at(step_times(prog))) > 0.1))
+    layer = MaterialLayer.from_constants(**MEDIA_EQ, **VISC_BRANCHES[branches])
+
+    ref = reference_run_point(prog, layer, f0)
+    got = run_point(prog, layer, f0)
+    assert np.array_equal(got.t, ref.t)
+    scale = np.max(np.abs(ref.cauchy))
+    assert np.max(np.abs(got.cauchy - ref.cauchy)) <= 1e-13 * scale
+    assert got.lambda_i.shape == ref.lambda_i.shape
+    assert_allclose(got.lambda_i, ref.lambda_i, rtol=0.0, atol=1e-14)
+    assert np.max(np.abs(got.det_ci - 1.0)) <= 1e-12
+
+
+def test_corrupted_ci_history_raises_like_per_step_code(monkeypatch):
+    # a starting Ci off the unimodular manifold by 1e-3 (the state check itself is bypassed)
+    def corrupted(f0, c_lf, fibres):
+        good = initial_state(f0, c_lf, fibres)
+        return SimpleNamespace(Ci=good.Ci * 1.001, lambda_i=good.lambda_i)
+
+    prog = LoadProgram(((0.0, IDENT), (0.1, F_STRETCH)), dt=0.002)
+    layer, f0 = iso_only_layer(), PreStressField(IDENT)
+    monkeypatch.setattr("conftest.initial_state", corrupted)
+    with pytest.raises(ValueError):
+        reference_run_point(prog, layer, f0)
+    monkeypatch.setattr(driver, "initial_state", corrupted)
+    with pytest.raises(ValueError):
+        run_point(prog, layer, f0)
+
+
+def test_corrupted_ci_step_raises_like_per_step_code(monkeypatch):
+    # an update that leaves the unimodular manifold in mid-run
+    def drifting_step(c_sf, ci, h, p):
+        return reference_iso_step(c_sf, ci, h, p) * 1.001
+
+    evolve = driver.iso_evolve
+
+    def drifting_history(ci0, cbar, h, p):
+        ci = evolve(ci0, cbar, h, p)
+        ci[5:] *= 1.001
+        return ci
+
+    prog = LoadProgram(((0.0, IDENT), (0.1, F_STRETCH)), dt=0.002)
+    layer, f0 = iso_only_layer(), PreStressField(IDENT)
+    with pytest.raises(ValueError):
+        reference_run_point(prog, layer, f0, iso_step=drifting_step)
+    monkeypatch.setattr(driver, "iso_evolve", drifting_history)
+    with pytest.raises(ValueError):
+        run_point(prog, layer, f0)
+
+
+@pytest.mark.parametrize("visc", ["iso", "both", "neither"])
+@pytest.mark.parametrize("f_end, t_end, error", [
+    (np.diag([-1.0, -1.0, 1.0]), 0.004, (NonPositiveDeterminant, SingularTensor)),  # det F = 0
+    (np.diag([-1.0, -3.0, 1.0 / 3.0]), 0.006, (NonPositiveDeterminant,)),          # det F < 0
+])
+def test_non_positive_det_step_raises_like_per_step_code(f_end, t_end, error, visc):
+    # the first step lands on det F = 0 (det C = 0), or on det F < 0 with a regular C
+    prog = LoadProgram(((0.0, IDENT), (t_end, f_end)), dt=0.002)
+    layer = MaterialLayer.from_constants(**MEDIA_EQ, **VISC_BRANCHES[visc])
+    f0 = PreStressField(IDENT)
+    with pytest.raises(error) as ref_err:
+        reference_run_point(prog, layer, f0)
+    with pytest.raises(ref_err.type):
+        run_point(prog, layer, f0)

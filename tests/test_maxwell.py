@@ -176,7 +176,7 @@ def test_fibre_overstress_gradient_and_guards():
 def test_fibre_relaxed_state_carries_no_stress():
     assert fibre_overstress_scalar(1.3, 1.3, FIB) == 0.0
     assert fibre_flow_rhs(1.3, 1.3, FIB) == 0.0
-    assert fibre_evolve_step(1.3, 1.3, 0.01, FIB) == pytest.approx(1.3, rel=1e-13)
+    assert fibre_evolve_step(1.3, 1.3, 0.01, FIB)[0] == pytest.approx(1.3, rel=1e-13)
 
 
 def test_fibre_step_matches_adaptive_reference():
@@ -189,7 +189,7 @@ def test_fibre_step_matches_adaptive_reference():
     nsub = round(0.01 / dt)
     for i in range(t_rec.size):
         for _ in range(nsub):
-            li = fibre_evolve_step(1.3, li, dt, FIB)
+            li = fibre_evolve_step(1.3, li, dt, FIB)[0]
         err = max(err, abs(li - ref[i]))
     assert err < 2e-5
 
@@ -201,7 +201,7 @@ def test_fibre_step_first_order_in_dt():
     def final_li(dt):
         li = 1.0
         for _ in range(int(round(1.0 / dt))):
-            li = fibre_evolve_step(1.3, li, dt, FIB)
+            li = fibre_evolve_step(1.3, li, dt, FIB)[0]
         return li
 
     e1 = abs(final_li(0.01) - exact)
@@ -212,7 +212,7 @@ def test_fibre_step_first_order_in_dt():
 def test_fibre_full_relaxation_limit():
     li = 1.0
     for _ in range(3000):
-        li = fibre_evolve_step(1.3, li, 0.01, FIB)
+        li = fibre_evolve_step(1.3, li, 0.01, FIB)[0]
     assert li == pytest.approx(1.3, abs=1e-9)
 
 
@@ -220,14 +220,14 @@ def test_fibre_step_monotone_and_bounded():
     li = 1.0
     prev = li
     for _ in range(500):
-        li = fibre_evolve_step(1.3, li, 0.01, FIB)
+        li = fibre_evolve_step(1.3, li, 0.01, FIB)[0]
         assert prev <= li <= 1.3 + 1e-12
         prev = li
 
 
 def test_fibre_step_large_dt_stable():
     # implicit update stays inside [lam_i_old, lam] even for dt >> tau
-    li = fibre_evolve_step(1.3, 1.0, 50.0, FIB)
+    li = fibre_evolve_step(1.3, 1.0, 50.0, FIB)[0]
     assert 1.0 < li <= 1.3
 
 

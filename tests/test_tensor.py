@@ -84,18 +84,6 @@ def test_sym_and_is_symmetric():
     assert tn.is_symmetric(big)
 
 
-def test_require_spd():
-    rng = np.random.default_rng(6)
-    c = rand_spd(rng)
-    assert tn.require_spd(c) is not None
-    with pytest.raises(SingularTensor):
-        tn.require_spd(np.diag([1.0, -1.0, 1.0]))
-    bad = c.copy()
-    bad[0, 1] += 1.0
-    with pytest.raises(SingularTensor):
-        tn.require_spd(bad)
-
-
 def test_batched_ops_match_loop():
     rng = np.random.default_rng(7)
     batch = np.stack([rand_spd(rng) for _ in range(6)])
