@@ -17,10 +17,11 @@ from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDetermi
                      NonPositiveStretch, QuadratureFailure, SingularTensor)
 from .materials import (EquilibriumMaterial, HolzapfelFibreParams, MooneyRivlinParams,
                         PreStressField, cauchy_from_pk2, csf_from_clf, clf_from_csf,
-                        equilibrium_energy_sf, equilibrium_pk2_sf, extra_cauchy_equilibrium,
-                        fibre_directions, fibre_energy, fibre_f, fibre_sq_stretch,
-                        holzapfel_pk2_sf, mooney_rivlin_energy, mooney_rivlin_pk2_sf,
-                        pull_back_pk2, sq_stretch_gradient)
+                        diagonal_energy, diagonal_stress_differences, equilibrium_energy_sf,
+                        equilibrium_pk2_sf, extra_cauchy_equilibrium, fibre_directions,
+                        fibre_energy, fibre_f, fibre_sq_stretch, holzapfel_pk2_sf,
+                        mooney_rivlin_energy, mooney_rivlin_pk2_sf, pull_back_pk2,
+                        sq_stretch_gradient)
 from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState,
                       fibre_evolve_step, fibre_flow_rhs, fibre_overstress,
                       fibre_overstress_scalar, initial_state, iso_energy,

@@ -1,12 +1,12 @@
 """Command-line surface: one workflow per invocation, CSV out, JSON summary on stdout.
 
-Exit codes: 0 converged, 1 invalid input, 2 numerical failure.
+Exit codes: 0 converged, 1 invalid input, 2 numerical failure (also a run that
+finished with "converged": false).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -26,22 +26,35 @@ from .tube import solve_inverse_sf, solve_load_free, wall_stress_profile
 FLOAT_FMT = "{:.12g}"
 
 
-def _fmt(x) -> str:
-    return FLOAT_FMT.format(float(x))
-
-
 def _write_csv(path: str, header, rows, cfg_hash: str):
+    """A comment line, then the header and FLOAT_FMT rows as csv.writer writes them."""
+    line = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
     with open(path, 'w', newline='') as fh:
         fh.write(f"# prestress-tube {__version__} config_sha256={cfg_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line.format(*row) for row in np.asarray(rows, dtype=float).tolist())
 
 
 def _solver_kwargs(solver: dict) -> dict:
     names = {"tol": "tol", "max_iter": "max_iter", "quad_points": "npts"}
     return {names[key]: v for key, v in solver.items() if v is not None}
+
+
+def _summary(workflow: str, converged: bool, iterations: int, residuals: dict, key: dict,
+             out_path: str, **extra) -> dict:
+    """The JSON summary a workflow prints."""
+    return {"workflow": workflow, "converged": converged, "iterations": iterations,
+            "residuals": residuals, "key_results": key, "csv": out_path, **extra}
+
+
+def _tube_summary(workflow: str, sol, key: dict, out_path: str, cfg_hash: str) -> dict:
+    """Write a solved wall's stress profile; its summary, with the solver's
+    quadrature-refinement check under diagnostics."""
+    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"],
+               wall_stress_profile(sol.segments), cfg_hash)
+    r = sol.report
+    return _summary(workflow, r.converged, r.iterations, r.residuals, key, out_path,
+                    diagnostics={"quad_check": r.quad_check})
 
 
 def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -55,9 +68,6 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     solver = config.parse_solver(cfg, args.tol)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **_solver_kwargs(solver))
-    profile = wall_stress_profile(sol.segments)
-    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
-
     key = {
         "Ri_mm": sol.sectors[0].Ri,
         "Ro_mm": sol.sectors[-1].Ro,
@@ -66,14 +76,7 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     }
     if len(sol.sectors) == 2:
         key["R_interface_mm"] = sol.sectors[0].Ro
-    return {
-        "workflow": "inverse-sf",
-        "converged": sol.report.converged,
-        "iterations": sol.report.iterations,
-        "residuals": sol.report.residuals,
-        "key_results": key,
-        "csv": out_path,
-    }
+    return _tube_summary("inverse-sf", sol, key, out_path, cfg_hash)
 
 
 def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -81,21 +84,11 @@ def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     solver = config.parse_solver(cfg, args.tol)
 
     sol = solve_load_free(layers, **_solver_kwargs(solver))
-    profile = wall_stress_profile(sol.segments)
-    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"], profile, cfg_hash)
-
     radii = sol.tube.radii
     key = {"r_i_mm": radii[0], "r_o_mm": radii[-1], "l_mm": sol.tube.l}
     if len(radii) == 3:
         key["r_interface_mm"] = radii[1]
-    return {
-        "workflow": "load-free",
-        "converged": sol.report.converged,
-        "iterations": sol.report.iterations,
-        "residuals": sol.report.residuals,
-        "key_results": key,
-        "csv": out_path,
-    }
+    return _tube_summary("load-free", sol, key, out_path, cfg_hash)
 
 
 def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -108,20 +101,10 @@ def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
 
     curve = find_opening_angle(layers, *grid, **_solver_kwargs(solver))
     _write_csv(out_path, ["alpha_deg", "E_microJ"], curve.samples, cfg_hash)
-
-    return {
-        "workflow": "energy-scan",
-        "converged": True,
-        "iterations": curve.iterations,
-        "residuals": curve.residuals,
-        "key_results": {
-            "argmin_deg": curve.argmin_deg,
-            "e_min_microj": curve.e_min_microj,
-            "rho_interface_mm": curve.candidate.rho_interface,
-            "l_open_mm": curve.candidate.l_open,
-        },
-        "csv": out_path,
-    }
+    key = {"argmin_deg": curve.argmin_deg, "e_min_microj": curve.e_min_microj,
+           "rho_interface_mm": curve.candidate.rho_interface,
+           "l_open_mm": curve.candidate.l_open}
+    return _summary("energy-scan", True, curve.iterations, curve.residuals, key, out_path)
 
 
 def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -131,20 +114,13 @@ def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
 
     trace = run_point(program, layer, f0)
     _write_csv(out_path, trace.header(), trace.rows(), cfg_hash)
-
-    return {
-        "workflow": "point-test",
-        "converged": trace.fibre_r_max < NEWTON_TOL,
-        "iterations": trace.fibre_iterations,
-        "residuals": {"det_ci_max_dev": float(np.max(np.abs(trace.det_ci - 1.0))),
-                      "fibre_r_max": trace.fibre_r_max},
-        "key_results": {
-            "steps": int(trace.t.size - 1),
-            "peak_overstress_kpa": float(trace.overstress_norm.max()),
-            "final_overstress_kpa": float(trace.overstress_norm[-1]),
-        },
-        "csv": out_path,
-    }
+    residuals = {"det_ci_max_dev": float(np.max(np.abs(trace.det_ci - 1.0))),
+                 "fibre_r_max": trace.fibre_r_max}
+    key = {"steps": int(trace.t.size - 1),
+           "peak_overstress_kpa": float(trace.overstress_norm.max()),
+           "final_overstress_kpa": float(trace.overstress_norm[-1])}
+    return _summary("point-test", trace.fibre_r_max < NEWTON_TOL, trace.fibre_iterations,
+                    residuals, key, out_path)
 
 
 _COMMANDS = {
@@ -212,7 +188,7 @@ def main(argv=None) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 2
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
+    return 0 if summary["converged"] else 2
 
 
 if __name__ == "__main__":

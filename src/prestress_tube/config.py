@@ -141,12 +141,11 @@ def parse_layers(cfg: dict, need_sector: bool = False, need_maxwell: bool = Fals
 def parse_f0(cfg: dict) -> PreStressField:
     """F0 either as an explicit 3x3 matrix or from an opening map at one radius."""
     if "f0" in cfg:
-        mat = cfg["f0"]
         try:
-            arr = np.asarray(mat, dtype=float)
+            arr = np.asarray(cfg["f0"], dtype=float)
+            if arr.shape != (3, 3):
+                raise ValueError
         except (TypeError, ValueError):
-            raise ConfigError('field "f0" must be a 3x3 array of numbers')
-        if arr.shape != (3, 3):
             raise ConfigError('field "f0" must be a 3x3 array of numbers')
         try:
             return PreStressField(arr)

@@ -116,8 +116,8 @@ class PointTrace:
                 *(f"lambda_i_{j + 1}" for j in range(self.lambda_i.shape[1])), "overstress_kpa"]
 
     def rows(self):
-        yield from np.column_stack((self.t, self.cauchy[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]],
-                                    self.det_ci, self.lambda_i, self.overstress_norm)).tolist()
+        return np.column_stack((self.t, self.cauchy[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]],
+                                self.det_ci, self.lambda_i, self.overstress_norm))
 
 
 def _check_dt_resolves(layer: MaterialLayer, dt: float):

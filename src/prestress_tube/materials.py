@@ -129,13 +129,13 @@ def mooney_rivlin_pk2_sf(c_sf, p: MooneyRivlinParams):
 
 def fibre_f(lam2, k1: float, k2: float):
     """f(lam2) = k1 (lam2 - 1) exp(k2 (lam2 - 1)^2) = d(energy)/d(lam2)."""
-    u = np.asarray(lam2, dtype=float) - 1.0
+    u = np.asarray(lam2) - 1.0
     return k1 * u * np.exp(k2 * u * u)
 
 
 def fibre_energy(lam2, k1: float, k2: float):
     """k1/(2 k2) (exp(k2 (lam2 - 1)^2) - 1)."""
-    u = np.asarray(lam2, dtype=float) - 1.0
+    u = np.asarray(lam2) - 1.0
     return k1 / (2.0 * k2) * (np.exp(k2 * u * u) - 1.0)
 
 
@@ -209,3 +209,30 @@ def extra_cauchy_equilibrium(f, mat: EquilibriumMaterial):
         raise DomainError(f"extra stress assumes det F_sf = 1 (worst |det-1| = {np.max(np.abs(d - 1.0)):.3e})")
     c = tn.transpose(f) @ f
     return f @ equilibrium_pk2_sf(c, mat) @ tn.transpose(f)
+
+
+# ---------------------------------------------------------------------------
+# closed forms for F_sf = diag(lam_i), det = 1, in l2 = (lam_1^2, lam_2^2, lam_3^2):
+# C_sf = diag(l2) = Cbar and a fibre's lam2 = sum_i a_i^2 l2_i.  Only arithmetic
+# and exp appear, so complex arguments pass through (complex-step derivatives).
+# ---------------------------------------------------------------------------
+
+def diagonal_stress_differences(l2, mat: EquilibriumMaterial):
+    """(T_22 - T_11, T_33 - T_11) of extra_cauchy_equilibrium(diag(sqrt(l2)), mat)."""
+    p = mat.matrix
+    t = [p.c1 * s - p.c2 / s for s in l2]
+    for fp in mat.fibres:
+        a2 = fp.a ** 2
+        f2 = 2.0 * fibre_f(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], fp.k1, fp.k2)
+        t = [ti + f2 * (ai * si) for ti, ai, si in zip(t, a2, l2)]
+    return t[1] - t[0], t[2] - t[0]
+
+
+def diagonal_energy(l2, mat: EquilibriumMaterial):
+    """equilibrium_energy_sf(diag(l2), mat) for det = l2_1 l2_2 l2_3 = 1."""
+    p = mat.matrix
+    w = 0.5 * p.c1 * (sum(l2) - 3.0) + 0.5 * p.c2 * (sum(1.0 / s for s in l2) - 3.0)
+    for fp in mat.fibres:
+        a2 = fp.a ** 2
+        w = w + fibre_energy(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], fp.k1, fp.k2)
+    return w

@@ -6,7 +6,7 @@ For a trial angle alpha_t the opened sector is assumed circular: the layers'
 sectors glued into one sector of that angle (tube.sector_segments).  Its
 anchor radius rho_interface and length l_open minimize the energy at that
 angle, that is, they satisfy sector equilibrium, which the tube solvers'
-Newton solves.
+Newton (complex-step Jacobian) solves.
 
 At an equilibrated state dE/dalpha = -l_open * M, where M = 1/2 int (T_theta -
 T_rr) r dr is the bending moment on the cut face.  The argmin is therefore the
@@ -27,10 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoConvergence
-from .materials import equilibrium_energy_sf
-from .tensor import transpose
-from .tube import (N_QUAD, TWO_PI, MaterialLayer, _solve_sector, _stress_differences,
-                   sector_segments)
+from .materials import diagonal_energy
+from .tube import N_QUAD, TWO_PI, MaterialLayer, _solve_sector, sector_segments
 
 REFINE_MAXIT = 50      # secant iterations on the cut-face moment
 
@@ -79,7 +77,7 @@ def cut_moment(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
     m = 0.0
     for seg in opened_segments(layers, cand):
         r, R, w = seg.nodes(npts)
-        dth, _ = _stress_differences(seg, r, R)
+        dth, _ = seg.stress_differences(r, R)
         m += 0.5 * float(np.sum(w * dth * r))
     return m
 
@@ -95,8 +93,7 @@ def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
     e = 0.0
     for seg in opened_segments(layers, cand):
         r, R, w = seg.nodes(npts)
-        F = seg.map.deformation_gradient(r, R)
-        wdens = equilibrium_energy_sf(transpose(F) @ F, seg.layer.equilibrium)
+        wdens = diagonal_energy(seg.map.sq_stretches(r, R), seg.layer.equilibrium)
         e += float(np.sum(w * wdens * r))
     return (TWO_PI - cand.alpha_trial) * cand.l_open * e
 

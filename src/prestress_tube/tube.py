@@ -14,7 +14,7 @@ OpeningMap is that map; its inverse gradient is the pre-stress map F0.
 
 A wall is a list of layers, inner to outer, each a WallSegment: the layer, its
 map and its span in the stress-free radius R.  Integrals run over Gauss nodes
-in R, which do not move with the unknowns.  The load-free equilibrium of the
+in R (fixed when the sectors are given).  The load-free equilibrium of the
 wall is characterised by two integrals over its thickness (inner/outer
 tractions and resultant axial force both zero):
 
@@ -22,19 +22,23 @@ tractions and resultant axial force both zero):
     F_red   = pi * int (2 T_zz - T_theta - T_rr) r dr = 0 ,
 
 evaluated with the pressure-free "extra" Cauchy stress, the hydrostatic part
-having cancelled from the differences.  Two solvers are provided:
+having cancelled from the differences; they are closed forms in the squared
+stretches, with det F_sf = 1 by construction (OpeningMap.sq_stretches).  Two
+solvers are provided:
 
 * solve_inverse_sf: tube geometry known, find the stress-free sector(s);
 * solve_load_free:  per-layer sectors known, find the composite tube.
 
-Both use a damped 2-unknown Newton iteration with forward-difference Jacobian
-on nondimensionalized residuals.  The load-free solve is the glued-sector
-Newton at alpha = 0; the opened sector of the energy scan is the same solve at
-its trial angle.
+Both use a damped 2-unknown Newton iteration on nondimensionalized residuals
+with a complex-step Jacobian: one residual call at the columns x + i h e_j
+gives the residual and the exact Jacobian.  The load-free solve is the
+glued-sector Newton at alpha = 0; the opened sector of the energy scan is the
+same solve at its trial angle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence, QuadratureFailure
-from .materials import EquilibriumMaterial, extra_cauchy_equilibrium
+from .materials import EquilibriumMaterial, diagonal_stress_differences
 from .maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 TWO_PI = 2.0 * math.pi
@@ -51,7 +55,7 @@ TWO_PI = 2.0 * math.pi
 N_QUAD = 32            # Gauss-Legendre points per layer
 NEWTON_TOL = 1e-10     # infinity-norm of the nondimensional residual
 NEWTON_MAXIT = 25
-FD_STEP = 1e-7         # relative forward-difference step for the Jacobian
+CS_STEP = 1e-20        # relative complex step for the Jacobian
 MAX_HALVINGS = 8
 
 
@@ -105,7 +109,9 @@ class OpeningMap:
 
     R^2 - Ri^2 = k c (r^2 - ri^2) links the load-free radius r to the
     stress-free radius R.  k < 1 is admissible: an opened sector whose angle
-    exceeds the layer's own stretches the layer circumferentially.
+    exceeds the layer's own stretches the layer circumferentially.  Constants
+    of shape (m, 1), complex in a Jacobian, map m states at once (radii get a
+    leading state axis); admissibility is checked on real parts.
     """
     k: float
     c: float
@@ -113,39 +119,40 @@ class OpeningMap:
     Ri: float
 
     def __post_init__(self):
-        if self.k <= 0.0 or self.c <= 0.0:
+        if np.any(np.real(self.k) <= 0.0) or np.any(np.real(self.c) <= 0.0):
             raise ValueError(f"need k > 0 and c > 0 (got k={self.k}, c={self.c})")
 
     def radius_sf(self, r):
-        rad = self.Ri ** 2 + self.k * self.c * (np.asarray(r, float) ** 2 - self.ri ** 2)
-        if np.any(rad <= 0.0):
+        rad = self.Ri ** 2 + self.k * self.c * (np.asarray(r) ** 2 - self.ri ** 2)
+        if np.any(np.real(rad) <= 0.0):
             raise DomainError("sf radius radicand not positive")
         return np.sqrt(rad)
 
     def radius_current(self, R):
-        rad = self.ri ** 2 + (np.asarray(R, float) ** 2 - self.Ri ** 2) / (self.k * self.c)
-        if np.any(rad <= 0.0):
+        rad = self.ri ** 2 + (np.asarray(R) ** 2 - self.Ri ** 2) / (self.k * self.c)
+        if np.any(np.real(rad) <= 0.0):
             raise DomainError("current radius radicand not positive")
         return np.sqrt(rad)
 
+    def sq_stretches(self, r, R):
+        """Squared stretches (lam_r^2, lam_theta^2, lam_z^2) of the closing gradient;
+        lam_r^2 = 1 / (lam_theta^2 lam_z^2), so det = 1 by construction."""
+        lt, lz = (self.k * r / R) ** 2, self.c ** 2
+        return 1.0 / (lt * lz), lt, lz
+
     def deformation_gradient(self, r, R):
         """Closing gradient sf -> lf: diag(R/(k c r), k r/R, c), det = 1."""
-        R = np.asarray(R, dtype=float)
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(np.broadcast(R, r).shape + (3, 3))
-        out[..., 0, 0] = R / (self.k * self.c * r)
-        out[..., 1, 1] = self.k * r / R
-        out[..., 2, 2] = self.c
-        return out
+        return _diag(R / (self.k * self.c * r), self.k * r / R, self.c)
 
     def F0(self, r):
         """Pre-stress map lf -> sf at load-free radius r: the inverse closing gradient."""
         f = self.k * np.asarray(r, float) / self.radius_sf(r)
-        out = np.zeros(np.shape(f) + (3, 3))
-        out[..., 0, 0] = self.c * f
-        out[..., 1, 1] = 1.0 / f
-        out[..., 2, 2] = 1.0 / self.c
-        return out
+        return _diag(self.c * f, 1.0 / f, 1.0 / self.c)
+
+
+def _diag(*d):
+    """Diagonal 3x3 tensors from three broadcastable diagonals."""
+    return np.stack(np.broadcast_arrays(*d), axis=-1)[..., None] * np.eye(3)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +172,8 @@ class MaterialLayer:
                        k1v=None, k2v=None, eta_fibre=None, sector=None):
         eq = EquilibriumMaterial.from_constants(c1, c2, k1, k2, beta_deg)
         iso = IsoMaxwellParams(mu, eta_matrix) if mu is not None else None
-        fmax = ()
-        if k1v is not None:
-            fmax = tuple(FibreMaxwellParams(k1v, k2v, eta_fibre, fp.a) for fp in eq.fibres)
+        fmax = () if k1v is None else \
+            tuple(FibreMaxwellParams(k1v, k2v, eta_fibre, fp.a) for fp in eq.fibres)
         return cls(eq, iso, fmax, sector)
 
 
@@ -175,14 +181,14 @@ class MaterialLayer:
 # wall segments and equilibrium integrals
 # ---------------------------------------------------------------------------
 
-_GAUSS_CACHE: dict = {}
+@functools.cache
+def _leggauss(n: int):
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_segment(a: float, b: float, n: int = N_QUAD):
     """Gauss-Legendre nodes/weights mapped to [a, b]."""
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    x, w = _GAUSS_CACHE[n]
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -202,6 +208,10 @@ class WallSegment:
         R, w = gauss_segment(*self.R_span, n)
         r = m.radius_current(R)
         return r, R, w * R / (m.k * m.c * r)   # dr/dR = R/(k c r)
+
+    def stress_differences(self, r, R):
+        """(T_theta - T_rr, T_zz - T_rr) of the equilibrium extra Cauchy stress."""
+        return diagonal_stress_differences(self.map.sq_stretches(r, R), self.layer.equilibrium)
 
 
 def wall_sectors(layers: Sequence[MaterialLayer]):
@@ -227,27 +237,20 @@ def sector_segments(layers: Sequence[MaterialLayer], alpha: float, rho: float, l
     for layer, sec, R_anchor in zip(layers, secs, [secs[0].Ro] + [s.Ri for s in secs[1:]]):
         m = OpeningMap(span / (TWO_PI - sec.alpha), l / sec.L, r, R_anchor)
         segs.append(WallSegment(layer, m, (sec.Ri, sec.Ro)))
-        r = float(m.radius_current(sec.Ro))
+        r = m.radius_current(sec.Ro)
     return segs
 
 
-def _stress_differences(seg: WallSegment, r, R):
-    """(T_theta - T_rr, T_zz - T_rr) of the equilibrium extra Cauchy stress."""
-    F = seg.map.deformation_gradient(r, R)
-    t = extra_cauchy_equilibrium(F, seg.layer.equilibrium)
-    return t[..., 1, 1] - t[..., 0, 0], t[..., 2, 2] - t[..., 0, 0]
-
-
 def equilibrium_residuals(segments: Sequence[WallSegment], npts: int = N_QUAD):
-    """(net pressure kPa, reduced axial force kPa mm^2) of a candidate wall state."""
-    p = 0.0
-    fz = 0.0
+    """(net pressure kPa, reduced axial force kPa mm^2) of a candidate wall state;
+    arrays over the states when the maps' constants have shape (m, 1)."""
+    p = fz = 0.0
     for seg in segments:
         r, R, w = seg.nodes(npts)
-        dth, dzz = _stress_differences(seg, r, R)
-        p += float(np.sum(w * dth / r))
-        fz += math.pi * float(np.sum(w * (2.0 * dzz - dth) * r))
-    if not (math.isfinite(p) and math.isfinite(fz)):
+        dth, dzz = seg.stress_differences(r, R)
+        p = p + np.sum(w * dth / r, axis=-1)
+        fz = fz + math.pi * np.sum(w * (2.0 * dzz - dth) * r, axis=-1)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(fz))):
         raise QuadratureFailure(f"non-finite wall integrals (p={p}, F={fz})")
     return p, fz
 
@@ -264,7 +267,7 @@ def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 10
     for seg in segments:
         r = np.linspace(*seg.map.radius_current(seg.R_span), n_per_segment)
         R = seg.map.radius_sf(r)
-        dth, dzz = _stress_differences(seg, r, R)
+        dth, dzz = seg.stress_differences(r, R)
         y = dth / r
         t_rr = t_rr_carry + np.concatenate(([0.0], np.cumsum(np.diff(r) * (y[1:] + y[:-1]) / 2.0)))
         rows.append(np.column_stack([r, t_rr, t_rr + dth, t_rr + dzz]))
@@ -273,7 +276,7 @@ def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 10
 
 
 # ---------------------------------------------------------------------------
-# damped Newton on two unknowns
+# damped Newton with a complex-step Jacobian
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -287,65 +290,72 @@ class SolverReport:
 def _report(segments, residual, iterations: int, npts: int) -> SolverReport:
     """A converged solve's residual (kPa, kPa mm^2) and its change under 2*npts quadrature."""
     p, fz = float(residual[0]), float(residual[1])
-    p2, fz2 = equilibrium_residuals(segments, 2 * npts)
+    p2, fz2 = map(float, equilibrium_residuals(segments, 2 * npts))
     return SolverReport(True, iterations, {'p_net_kpa': p, 'F_red_kpa_mm2': fz},
                         {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
 
 
-def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
-    """Damped Newton for a 2-unknown nondimensional residual function.
+def _value_and_jacobian(fun, x):
+    """fun(x) and its Jacobian from one call on the complex-step columns x + i h_j e_j."""
+    h = CS_STEP * np.maximum(1.0, np.abs(x))
+    out = np.asarray(fun(x[:, None] + 1j * np.diag(h)))
+    return out.real[:, 0], out.imag / h
 
-    fun maps x (len-2 array) to a len-2 residual array; returns (x, residual,
-    iterations).  A step is taken only once the residual at its end is checked
-    to be smaller; raises NoConvergence carrying the last checked iterate and
-    its residual norm.
+
+def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
+    """Damped Newton for a nondimensional residual function, complex-step Jacobian.
+
+    fun maps n unknowns for m complex states, shape (n, m), to residuals of the
+    same shape, analytically (no abs, comparisons or casts on the values).
+    Each trial point comes with its Jacobian, one call per accepted step; a
+    step is taken only once the residual at its end is checked to be smaller.
+    Returns (x, residual, iterations); raises NoConvergence carrying the last
+    checked iterate and its residual norm.
     """
     x = np.asarray(x0, dtype=float).copy()
-    f = np.asarray(fun(x), dtype=float)
-    for it in range(max_iter):
-        norm = np.max(np.abs(f))
+    f, jac = _value_and_jacobian(fun, x)
+    for it in range(max_iter + 1):
+        norm = float(np.max(np.abs(f)))
         if norm < tol:
             return x, f, it
-        jac = np.empty((2, 2))
-        for j in range(2):
-            h = FD_STEP * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (np.asarray(fun(xp)) - f) / h
+        if it == max_iter:
+            break
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular Jacobian in tube solve",
                                 last_iterate=x, residuals={'norm': norm}, iterations=it)
         for _ in range(MAX_HALVINGS):
-            fn = np.asarray(fun(x + step), dtype=float)
+            fn, jn = _value_and_jacobian(fun, x + step)
             if np.max(np.abs(fn)) < norm:
                 break
             step *= 0.5
         else:
             raise NoConvergence(f"line search stalled at |res| = {norm:.3e}",
-                                last_iterate=x, residuals={'norm': float(norm)}, iterations=it)
-        x = x + step
-        f = fn
-    norm = float(np.max(np.abs(f)))
-    if norm < tol:
-        return x, f, max_iter
+                                last_iterate=x, residuals={'norm': norm}, iterations=it)
+        x, f, jac = x + step, fn, jn
     raise NoConvergence(f"no convergence in {max_iter} Newton iterations (|res| = {norm:.3e})",
                         last_iterate=x, residuals={'norm': norm}, iterations=max_iter)
 
 
-def _guarded(build_and_integrate):
-    """Wrap a residual builder of two lengths so inadmissible candidates (a length
-    <= 0, or a DomainError) return huge residuals (the damped line search then
-    backs off instead of crashing)."""
-    def fun(x):
+def _solve_wall(layers, build, x0, length: float, npts: int, tol: float, max_iter: int):
+    """newton2 on the two lengths x of the wall build(*x): (p_net, F_red) over (c1,
+    c1 length^2), c1 of the stiffest matrix.  Inadmissible candidates (a length
+    <= 0, a DomainError) get huge residuals, so the line search backs off.
+    Returns (x, residual in kPa and kPa mm^2, iterations)."""
+    c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
+    scale = np.array([[c1s], [c1s * length ** 2]])
+
+    def resid(x):
         try:
-            if x[0] > 0.0 and x[1] > 0.0:
-                return build_and_integrate(x)
+            if np.all(x.real > 0.0):
+                return np.asarray(equilibrium_residuals(build(*x[..., None]), npts)) / scale
         except DomainError:
             pass
-        return np.array([1e30, 1e30])
-    return fun
+        return np.full(x.shape, 1e30)
+
+    x, fhat, iters = newton2(resid, x0, tol=tol, max_iter=max_iter)
+    return x, fhat * scale[:, 0], iters
 
 
 # ---------------------------------------------------------------------------
@@ -378,23 +388,18 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
                          f"(got {len(tube.radii)})")
     ri = tube.radii[0]
     k = TWO_PI / (TWO_PI - alpha)
-    c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
-    scale = np.array([c1s, c1s * ri ** 2])
 
     def segments_at(Ri, L):
         m = OpeningMap(k, tube.l / L, ri, Ri)
-        R = m.radius_sf(tube.radii).tolist()
+        R = [m.radius_sf(r) for r in tube.radii]
         return [WallSegment(layer, m, span) for layer, span in zip(layers, zip(R, R[1:]))]
 
-    def resid(x):
-        return np.asarray(equilibrium_residuals(segments_at(*x), npts)) / scale
-
-    x0 = np.array([k * ri, tube.l])
-    x, fhat, iters = newton2(_guarded(resid), x0, tol=tol, max_iter=max_iter)
+    x, f, iters = _solve_wall(layers, segments_at, np.array([k * ri, tube.l]), ri,
+                              npts, tol, max_iter)
     L = float(x[1])
     segs = segments_at(float(x[0]), L)
-    sectors = tuple(SectorGeometry(*seg.R_span, L, alpha) for seg in segs)
-    return InverseSolution(sectors, tube, alpha, segs, _report(segs, fhat * scale, iters, npts))
+    sectors = tuple(SectorGeometry(*map(float, seg.R_span), L, alpha) for seg in segs)
+    return InverseSolution(sectors, tube, alpha, segs, _report(segs, f, iters, npts))
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +421,11 @@ def _solve_sector(layers: Sequence[MaterialLayer], alpha: float, npts: int = N_Q
     Returns (x, residual in kPa and kPa mm^2, iterations).
     """
     sec = wall_sectors(layers)
-    c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
     k1 = (TWO_PI - alpha) / (TWO_PI - sec[0].alpha)
     rho0 = sec[0].Ro * math.sqrt(1.0 / k1)
-    scale = np.array([c1s, c1s * rho0 ** 2])
-
-    def resid(x):
-        return np.asarray(equilibrium_residuals(sector_segments(layers, alpha, *x), npts)) / scale
-
     x0 = np.array([rho0, sum(s.L for s in sec) / len(sec)]) if start is None else start
-    x, fhat, iters = newton2(_guarded(resid), x0, tol=tol, max_iter=max_iter)
-    return x, fhat * scale, iters
+    return _solve_wall(layers, functools.partial(sector_segments, layers, alpha), x0, rho0,
+                       npts, tol, max_iter)
 
 
 def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,

@@ -1,5 +1,6 @@
 """JSON config parsing and the four CLI workflows (exit codes, CSV, JSON)."""
 
+import csv
 import hashlib
 import json
 import math
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prestress_tube import OpeningMap, config, equilibrate_opened, maxwell
-from prestress_tube.cli import _parser, main
+from prestress_tube import OpeningMap, config, driver, equilibrate_opened, maxwell
+from prestress_tube.cli import FLOAT_FMT, _parser, _write_csv, main
 from prestress_tube.errors import ConfigError
 from prestress_tube.tube import NEWTON_TOL
 
@@ -176,6 +177,10 @@ def test_cli_inverse_sf(tmp_path, capsys):
     assert key["Ro_mm"] == pytest.approx(1.7829, abs=2e-4)
     assert key["L_mm"] == pytest.approx(3.0009, abs=2e-4)
     assert key["alpha_deg"] == pytest.approx(160.0)
+    # the quadrature-refinement check is printed, outside key_results
+    quad = summary["diagnostics"]["quad_check"]
+    assert set(quad) == {"p_refine_change", "F_refine_change"}
+    assert 0.0 <= quad["p_refine_change"] < 1e-10 and 0.0 <= quad["F_refine_change"] < 1e-10
 
     comment, header, data = read_csv(out)
     digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
@@ -192,7 +197,9 @@ def test_cli_load_free(tmp_path, capsys):
     rc, stdout, _ = run_cli(capsys, "load-free", "--config", str(cfg_path),
                             "--out", str(out))
     assert rc == 0
-    key = json.loads(stdout)["key_results"]
+    summary = json.loads(stdout)
+    assert 0.0 <= summary["diagnostics"]["quad_check"]["F_refine_change"] < 1e-10
+    key = summary["key_results"]
     assert key["r_i_mm"] == pytest.approx(0.4740, abs=2e-4)
     assert key["r_interface_mm"] == pytest.approx(0.8687, abs=2e-4)
     assert key["r_o_mm"] == pytest.approx(1.1644, abs=2e-4)
@@ -271,6 +278,49 @@ def test_cli_point_test(tmp_path, capsys):
     for tok in first_line.split(","):
         digits = tok.replace("-", "").replace("+", "").replace(".", "").lstrip("0")
         assert len(digits.split("e")[0]) <= 12
+
+
+def test_cli_point_test_exit_2_when_not_converged(tmp_path, capsys, monkeypatch):
+    # one 1e4 s step to a hoop stretch of 1.5: the fibre Newton stops moving at
+    # |r| = 2.35e-11 > NEWTON_TOL; the step is far too long for the dt check,
+    # which is switched off here to reach that local solve
+    lam = 1.5
+    f = [[lam ** -0.5, 0.0, 0.0], [0.0, lam, 0.0], [0.0, 0.0, lam ** -0.5]]
+    fib = maxwell.FibreMaxwellParams(5.3, 0.8393, 0.53, np.array([0.0, 1.0, 0.0]))
+    assert maxwell.fibre_evolve_step(lam, 1.0, 1e4, fib)[2] > maxwell.NEWTON_TOL
+    cfg = point_config()
+    cfg["material"]["beta_deg"] = 0.0
+    cfg["program"] = {"dt_s": 1e4, "keyframes": [[0.0, IDENT], [1e4, f]]}
+    monkeypatch.setattr(driver, "MIN_STEPS_PER_TAU", 1e-12)
+    rc, stdout, _ = run_cli(capsys, "point-test", "--config", str(write_config(tmp_path, cfg)),
+                            "--out", str(tmp_path / "x.csv"))
+    summary = json.loads(stdout)
+    assert summary["converged"] is False
+    assert summary["residuals"]["fibre_r_max"] == pytest.approx(2.35e-11, rel=0.01)
+    assert rc == 2
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
+    rows[:4] = [[0.0, -0.0, 5e-324, -1.7976931348623157e308],
+                [1e-310, 123456789012345.6, 0.1, 1.0 / 3.0],
+                [1e21, -1e-5, 1e16, 2.5],
+                [-0.0, 0.0, 1e-7, 999999999999.5]]
+    header = ["a", "b_kpa", "c", "d"]
+    _write_csv(str(tmp_path / "new.csv"), header, rows, "abc")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        fh.write("# prestress-tube 0.1.0 config_sha256=abc\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([FLOAT_FMT.format(float(v)) for v in row])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # lists of tuples (the energy curve) and an empty table
+    _write_csv(str(tmp_path / "list.csv"), header, [tuple(r) for r in rows], "abc")
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _write_csv(str(tmp_path / "empty.csv"), header, [], "abc")
+    assert (tmp_path / "empty.csv").read_text().splitlines()[1:] == [",".join(header)]
 
 
 def test_cli_parser_is_built_once():

@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prestress_tube import (
+    EquilibriumMaterial,
+    HolzapfelFibreParams,
     MaterialLayer,
+    MooneyRivlinParams,
     OpeningMap,
     SectorGeometry,
     TubeGeometry,
     WallSegment,
+    diagonal_energy,
+    diagonal_stress_differences,
+    equilibrium_energy_sf,
     equilibrium_residuals,
     extra_cauchy_equilibrium,
     gauss_segment,
@@ -24,6 +30,7 @@ from prestress_tube import (
     wall_stress_profile,
 )
 from prestress_tube import tensor as tn
+from prestress_tube import tube
 from prestress_tube.errors import DomainError, NoConvergence
 
 from conftest import (
@@ -170,9 +177,108 @@ def test_wall_segment_r_span_R_span_equivalence():
     assert f_r == pytest.approx(f_R, rel=1e-12, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c1=st.floats(0.0, 20.0), c2=st.floats(0.0, 20.0), k1=st.floats(0.01, 10.0),
+       k2=st.floats(0.01, 2.0), beta_deg=st.floats(0.0, 90.0), k=st.floats(0.3, 4.0),
+       c=st.floats(0.5, 2.0), ri=st.floats(0.2, 2.0), lam=st.floats(0.6, 1.6),
+       t=st.floats(0.05, 1.0))
+def test_closed_form_kernel_matches_tensor_route(c1, c2, k1, k2, beta_deg, k, c, ri, lam, t):
+    # the wall kernel's scalar closed forms against the 3x3 tensor route, per
+    # Gauss point, relative to the segment's largest stress component or energy
+    mat = EquilibriumMaterial.from_constants(c1 if c1 + c2 > 0.0 else 1.0, c2, k1, k2, beta_deg)
+    m = OpeningMap(k=k, c=c, ri=ri, Ri=k * ri / lam)   # hoop stretch lam at ri
+    seg = WallSegment(MaterialLayer(mat), m, tuple(m.radius_sf([ri, ri * (1.0 + t)])))
+    r, R, _ = seg.nodes()
+    F = m.deformation_gradient(r, R)
+    T = extra_cauchy_equilibrium(F, mat)
+    l2 = m.sq_stretches(r, R)
+    dth, dzz = diagonal_stress_differences(l2, mat)
+    t_max = np.max(np.abs(T))
+    assert_allclose(dth, T[:, 1, 1] - T[:, 0, 0], rtol=0.0, atol=1e-13 * t_max)
+    assert_allclose(dzz, T[:, 2, 2] - T[:, 0, 0], rtol=0.0, atol=1e-13 * t_max)
+    w = equilibrium_energy_sf(tn.transpose(F) @ F, mat)
+    assert_allclose(diagonal_energy(l2, mat), w, rtol=0.0, atol=1e-13 * np.max(np.abs(w)))
+
+
+def test_closed_form_kernel_takes_any_fibre_direction():
+    # a fibre family with a radial component, outside the theta-z plane
+    a = np.array([0.6, 0.0, 0.8])
+    mat = EquilibriumMaterial(MooneyRivlinParams(2.0, 1.0), (HolzapfelFibreParams(3.0, 0.7, a),))
+    l2 = (np.array([0.6, 1.3]), np.array([1.4, 0.9]))
+    l2 = (1.0 / (l2[0] * l2[1]), *l2)
+    F = np.zeros((2, 3, 3))
+    for i in range(3):
+        F[:, i, i] = np.sqrt(l2[i])
+    T = extra_cauchy_equilibrium(F, mat)
+    dth, dzz = diagonal_stress_differences(l2, mat)
+    assert_allclose(dth, T[:, 1, 1] - T[:, 0, 0], rtol=1e-13)
+    assert_allclose(dzz, T[:, 2, 2] - T[:, 0, 0], rtol=1e-13)
+    assert_allclose(diagonal_energy(l2, mat), equilibrium_energy_sf(tn.transpose(F) @ F, mat),
+                    rtol=1e-13)
+
+
 # ---------------------------------------------------------------------------
-# 2x2 damped Newton
+# damped Newton with a complex-step Jacobian
 # ---------------------------------------------------------------------------
+
+def _cubic_system(x):
+    return np.array([x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - 3.0, x[0] * x[1] - 1.0,
+                     x[2] ** 3 - x[0]])
+
+
+def _cubic_jacobian(x):
+    return np.array([[2.0 * x[0], 2.0 * x[1], 2.0 * x[2]], [x[1], x[0], 0.0],
+                     [-1.0, 0.0, 3.0 * x[2] ** 2]])
+
+
+def test_newton2_complex_step_on_polynomial_system():
+    # the complex-step Jacobian of a polynomial is exact, so newton2 takes the
+    # iterates of Newton with the analytic Jacobian
+    x0 = np.array([1.7, 0.4, 1.3])
+    f, jac = tube._value_and_jacobian(_cubic_system, x0)
+    assert_allclose(f, _cubic_system(x0), rtol=1e-15)
+    assert_allclose(jac, _cubic_jacobian(x0), rtol=1e-15)
+    x, res, iters = newton2(_cubic_system, x0)
+    assert_allclose(x, [1.0, 1.0, 1.0], rtol=1e-12)
+    assert np.max(np.abs(res)) < 1e-10
+    xa = x0.copy()
+    for it in range(iters):
+        step = np.linalg.solve(_cubic_jacobian(xa), -_cubic_system(xa))
+        while np.max(np.abs(_cubic_system(xa + step))) >= np.max(np.abs(_cubic_system(xa))):
+            step *= 0.5
+        xa = xa + step
+    assert_allclose(x, xa, rtol=1e-14)
+
+
+def test_complex_step_jacobian_matches_central_difference(monkeypatch, two_layers, t3_layers):
+    # record the solvers' own residual functions and every point they evaluate
+    solves = []
+    newton = tube.newton2
+
+    def recording(fun, x0, **kwargs):
+        points = []
+
+        def rec(x):
+            points.append(x.real[:, 0].copy())
+            return fun(x)
+        solves.append((fun, points))
+        return newton(rec, x0, **kwargs)
+
+    monkeypatch.setattr(tube, "newton2", recording)
+    solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
+    solve_load_free(t3_layers)
+    assert len(solves) == 2
+    for fun, points in solves:
+        assert len(points) >= 4
+        for x in points:
+            _, jac = tube._value_and_jacobian(fun, x)
+            cd = np.empty((2, 2))
+            for j in range(2):
+                e = np.zeros(2)
+                e[j] = 1e-6 * max(1.0, abs(x[j]))
+                cd[:, j] = (fun((x + e)[:, None]) - fun((x - e)[:, None]))[:, 0] / (2.0 * e[j])
+            assert_allclose(jac, cd, rtol=0.0, atol=1e-7 * np.max(np.abs(jac)))
+
 
 def test_newton2_solves_smooth_system():
     def fun(x):
