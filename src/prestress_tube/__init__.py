@@ -31,7 +31,7 @@ from .tube import (InverseSolution, LoadFreeSolution, MaterialLayer, OpeningMap,
                    SectorGeometry, TubeGeometry, WallSegment, equilibrium_residuals,
                    gauss_segment, newton2, sector_segments, solve_inverse_sf,
                    solve_load_free, wall_stress_profile)
-from .opening import (EnergyCurve, OpenedStateCandidate, cut_moment, equilibrate_opened,
+from .opening import (EnergyCurve, OpenedStateCandidate, equilibrate_opened,
                       find_opening_angle, opened_energy, opened_segments)
 from .driver import LoadProgram, PointTrace, run_point
 from . import config, tensor

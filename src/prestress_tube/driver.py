@@ -49,8 +49,8 @@ class LoadProgram:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be a finite number > 0 (got {self.dt})")
         if not self.keyframes:
             raise ValueError("need at least one keyframe")
         times = [float(t) for t, _ in self.keyframes]

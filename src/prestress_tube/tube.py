@@ -16,10 +16,12 @@ A wall is a list of layers, inner to outer, each a WallSegment: the layer, its
 map and its span in the stress-free radius R.  Integrals run over Gauss nodes
 in R (fixed when the sectors are given).  The load-free equilibrium of the
 wall is characterised by two integrals over its thickness (inner/outer
-tractions and resultant axial force both zero):
+tractions and resultant axial force both zero), and an opened sector at rest
+also carries no moment on its cut face:
 
     p_net   = int (T_theta - T_rr) / r dr        = 0 ,
     F_red   = pi * int (2 T_zz - T_theta - T_rr) r dr = 0 ,
+    M       = 1/2 int (T_theta - T_rr) r dr       = 0 ,
 
 evaluated with the pressure-free "extra" Cauchy stress, the hydrostatic part
 having cancelled from the differences; they are closed forms in the squared
@@ -29,11 +31,13 @@ solvers are provided:
 * solve_inverse_sf: tube geometry known, find the stress-free sector(s);
 * solve_load_free:  per-layer sectors known, find the composite tube.
 
-Both use a damped 2-unknown Newton iteration on nondimensionalized residuals
-with a complex-step Jacobian: one residual call at the columns x + i h e_j
-gives the residual and the exact Jacobian.  The load-free solve is the
-glued-sector Newton at alpha = 0; the opened sector of the energy scan is the
-same solve at its trial angle.
+Both use a damped Newton iteration on the first n nondimensionalized
+residuals with a complex-step Jacobian: one residual call at the columns
+x + i h e_j gives the residual and the exact Jacobian.  The Newton takes one
+system or a batch of independent ones.  The load-free solve is the
+glued-sector Newton at alpha = 0; the energy scan runs the same solve at every
+angle of its grid as one batch, and its argmin solves all three residuals for
+(rho, l, alpha).
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class OpeningMap:
 
     def __post_init__(self):
         if np.any(np.real(self.k) <= 0.0) or np.any(np.real(self.c) <= 0.0):
-            raise ValueError(f"need k > 0 and c > 0 (got k={self.k}, c={self.c})")
+            raise DomainError(f"need k > 0 and c > 0 (got k={self.k}, c={self.c})")
 
     def radius_sf(self, r):
         rad = self.Ri ** 2 + self.k * self.c * (np.asarray(r) ** 2 - self.ri ** 2)
@@ -242,17 +246,21 @@ def sector_segments(layers: Sequence[MaterialLayer], alpha: float, rho: float, l
 
 
 def equilibrium_residuals(segments: Sequence[WallSegment], npts: int = N_QUAD):
-    """(net pressure kPa, reduced axial force kPa mm^2) of a candidate wall state;
-    arrays over the states when the maps' constants have shape (m, 1)."""
-    p = fz = 0.0
+    """(net pressure kPa, reduced axial force kPa mm^2, cut-face moment kPa mm^2)
+    of a candidate wall state; arrays over the states when the maps' constants
+    have a trailing axis of length 1.  At equilibrium T_rr vanishes on both
+    faces, so M = int T_theta r dr."""
+    p = fz = m = 0.0
     for seg in segments:
         r, R, w = seg.nodes(npts)
         dth, dzz = seg.stress_differences(r, R)
-        p = p + np.sum(w * dth / r, axis=-1)
-        fz = fz + math.pi * np.sum(w * (2.0 * dzz - dth) * r, axis=-1)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(fz))):
-        raise QuadratureFailure(f"non-finite wall integrals (p={p}, F={fz})")
-    return p, fz
+        wdth = w * dth
+        p = p + (wdth / r).sum(axis=-1)
+        fz = fz + math.pi * (w * (2.0 * dzz - dth) * r).sum(axis=-1)
+        m = m + 0.5 * (wdth * r).sum(axis=-1)
+    if not np.isfinite((p, fz, m)).all():
+        raise QuadratureFailure(f"non-finite wall integrals (p={p}, F={fz}, M={m})")
+    return p, fz, m
 
 
 def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 101):
@@ -290,72 +298,89 @@ class SolverReport:
 def _report(segments, residual, iterations: int, npts: int) -> SolverReport:
     """A converged solve's residual (kPa, kPa mm^2) and its change under 2*npts quadrature."""
     p, fz = float(residual[0]), float(residual[1])
-    p2, fz2 = map(float, equilibrium_residuals(segments, 2 * npts))
+    p2, fz2 = map(float, equilibrium_residuals(segments, 2 * npts)[:2])
     return SolverReport(True, iterations, {'p_net_kpa': p, 'F_red_kpa_mm2': fz},
                         {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
 
 
+_eye = functools.cache(np.eye)     # shared, so never written to
+
+
 def _value_and_jacobian(fun, x):
-    """fun(x) and its Jacobian from one call on the complex-step columns x + i h_j e_j."""
-    h = CS_STEP * np.maximum(1.0, np.abs(x))
-    out = np.asarray(fun(x[:, None] + 1j * np.diag(h)))
-    return out.real[:, 0], out.imag / h
+    """fun(x) and its Jacobian from one call on the complex-step columns x + i h_j e_j.
+
+    x has shape (n,), or (n, B) for B systems; fun gets the columns as (n, n),
+    or (n, B, n) with system b's at [:, b, :], and the Jacobian comes back as
+    (n, n) or (B, n, n).
+    """
+    h = CS_STEP * np.maximum(1.0, abs(x))
+    eye = _eye(len(x))[:, None] if x.ndim > 1 else _eye(len(x))
+    out = np.asarray(fun(x[..., None] + 1j * (h[..., None] * eye)))
+    return out.real[..., 0], (out.imag / h.T).swapaxes(0, -2)
 
 
 def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
     """Damped Newton for a nondimensional residual function, complex-step Jacobian.
 
-    fun maps n unknowns for m complex states, shape (n, m), to residuals of the
-    same shape, analytically (no abs, comparisons or casts on the values).
-    Each trial point comes with its Jacobian, one call per accepted step; a
-    step is taken only once the residual at its end is checked to be smaller.
-    Returns (x, residual, iterations); raises NoConvergence carrying the last
-    checked iterate and its residual norm.
+    x0 has shape (n,) for one system or (n, B) for B independent systems.  fun
+    maps n unknowns for complex states of shape S, (m,) or (B, m), given as an
+    array (n, *S), to residuals of the same shape, analytically (no abs,
+    comparisons or casts on the values).  Each trial point comes with its
+    Jacobian, one call per accepted step; a step is taken only once the
+    residual at its end is checked to be smaller.  Every system converges,
+    halves its step and stops on its own: where fun evaluates each state as it
+    would alone, a batch returns the x each system reaches alone.  Returns (x,
+    residual, iterations of the slowest system); raises NoConvergence carrying
+    the last checked iterates and the largest residual norm.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     f, jac = _value_and_jacobian(fun, x)
     for it in range(max_iter + 1):
-        norm = float(np.max(np.abs(f)))
-        if norm < tol:
+        norm = abs(f).max(axis=0)
+        worst = float(norm.max())
+        if worst < tol:
             return x, f, it
         if it == max_iter:
-            break
+            raise NoConvergence(f"no convergence in {max_iter} Newton iterations "
+                                f"(|res| = {worst:.3e})", x, {'norm': worst}, it)
+        pending = ~(norm < tol)
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(jac, -f.T[..., None])[..., 0].T * pending
         except np.linalg.LinAlgError:
-            raise NoConvergence("singular Jacobian in tube solve",
-                                last_iterate=x, residuals={'norm': norm}, iterations=it)
+            raise NoConvergence("singular Jacobian in tube solve", x, {'norm': worst}, it)
         for _ in range(MAX_HALVINGS):
             fn, jn = _value_and_jacobian(fun, x + step)
-            if np.max(np.abs(fn)) < norm:
+            worse = pending & ~(abs(fn).max(axis=0) < norm)
+            if not worse.any():
                 break
-            step *= 0.5
+            step *= 1.0 - 0.5 * worse
         else:
-            raise NoConvergence(f"line search stalled at |res| = {norm:.3e}",
-                                last_iterate=x, residuals={'norm': norm}, iterations=it)
+            raise NoConvergence(f"line search stalled at |res| = {worst:.3e}", x,
+                                {'norm': worst}, it)
         x, f, jac = x + step, fn, jn
-    raise NoConvergence(f"no convergence in {max_iter} Newton iterations (|res| = {norm:.3e})",
-                        last_iterate=x, residuals={'norm': norm}, iterations=max_iter)
 
 
-def _solve_wall(layers, build, x0, length: float, npts: int, tol: float, max_iter: int):
-    """newton2 on the two lengths x of the wall build(*x): (p_net, F_red) over (c1,
-    c1 length^2), c1 of the stiffest matrix.  Inadmissible candidates (a length
-    <= 0, a DomainError) get huge residuals, so the line search backs off.
-    Returns (x, residual in kPa and kPa mm^2, iterations)."""
+def _solve_wall(layers, build, x0, length, npts: int, tol: float, max_iter: int):
+    """newton2 on the n = 2 or 3 unknowns x of the wall build(*x), x0 of shape (n,)
+    or (n, B): the first n of (p_net, F_red, M) over (c1, c1 length^2, c1
+    length^2), c1 of the stiffest matrix, length a scalar or one per system.
+    Inadmissible candidates (a length x[0] or x[1] <= 0, a DomainError) make
+    every state of the call huge, so the line search backs off.  Returns (x,
+    residual in kPa and kPa mm^2, iterations)."""
+    n = len(x0)
     c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
-    scale = np.array([[c1s], [c1s * length ** 2]])
+    scale = c1s * np.array([np.ones_like(length), length ** 2, length ** 2])[:n, ..., None]
 
     def resid(x):
         try:
-            if np.all(x.real > 0.0):
-                return np.asarray(equilibrium_residuals(build(*x[..., None]), npts)) / scale
+            if (x[:2].real > 0.0).all():
+                return np.asarray(equilibrium_residuals(build(*x[..., None]), npts)[:n]) / scale
         except DomainError:
             pass
         return np.full(x.shape, 1e30)
 
     x, fhat, iters = newton2(resid, x0, tol=tol, max_iter=max_iter)
-    return x, fhat * scale[:, 0], iters
+    return x, fhat * scale[..., 0], iters
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +438,24 @@ class LoadFreeSolution:
     report: SolverReport
 
 
-def _solve_sector(layers: Sequence[MaterialLayer], alpha: float, npts: int = N_QUAD,
-                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT, start=None):
-    """Newton on (rho, l) of the glued sector of angle alpha (alpha = 0: the tube).
+def _solve_sector(layers: Sequence[MaterialLayer], alpha, npts: int = N_QUAD,
+                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
+    """Newton on (rho, l) of the glued sector of angle alpha (alpha = 0: the tube),
+    or on one (rho, l) per angle of an array alpha, in one batch.
 
-    Starts from `start`, else from the mean L and rho = Ro_1 / sqrt(k_1).
-    Returns (x, residual in kPa and kPa mm^2, iterations).
+    Every angle starts from the mean L and the larger of rho = Ro_1 / k_1 (the
+    first layer's outer arc keeps its length) and Ro_1 / sqrt(k_1) (its sector
+    keeps its area), the latter for k_1 >= 1.  Returns (x, residual in kPa and
+    kPa mm^2, iterations), of shape (2,) or (2, B).
     """
     sec = wall_sectors(layers)
-    k1 = (TWO_PI - alpha) / (TWO_PI - sec[0].alpha)
-    rho0 = sec[0].Ro * math.sqrt(1.0 / k1)
-    x0 = np.array([rho0, sum(s.L for s in sec) / len(sec)]) if start is None else start
-    return _solve_wall(layers, functools.partial(sector_segments, layers, alpha), x0, rho0,
+    alphas = np.asarray(alpha)
+    k1 = (TWO_PI - alphas) / (TWO_PI - sec[0].alpha)
+    rho0 = sec[0].Ro * np.maximum(1.0 / k1, np.sqrt(1.0 / k1))
+    x0 = np.array([rho0, np.full_like(rho0, sum(s.L for s in sec) / len(sec))])
+    # a batch's states have shape (B, m): the angles vary along the first axis
+    a = alphas[:, None, None] if alphas.ndim else alpha
+    return _solve_wall(layers, functools.partial(sector_segments, layers, a), x0, rho0,
                        npts, tol, max_iter)
 
 

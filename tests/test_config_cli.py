@@ -233,6 +233,16 @@ def test_cli_energy_scan_with_grid_flags(tmp_path, capsys):
     assert abs(res["moment_kpa_mm2"]) < 1e-6
 
 
+def test_cli_energy_scan_to_the_last_admissible_angles(tmp_path, capsys):
+    # every angle starts cold, so a grid that ends next to 360 deg converges
+    cfg_path = write_config(tmp_path, scan_config())
+    rc, stdout, _ = run_cli(capsys, "energy-scan", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "x.csv"), "--grid-start", "300",
+                            "--grid-end", "359", "--grid-step", "0.5")
+    assert rc == 0
+    assert json.loads(stdout)["key_results"]["argmin_deg"] == 300.0
+
+
 @pytest.mark.parametrize("grid, argv, field", [
     ({"step_deg": "two"}, [], "grid.step_deg"),
     ({"step_deg": 0.0}, [], "grid.step_deg"),
@@ -521,6 +531,21 @@ def test_cli_exit_2_nonconvergence(tmp_path, capsys):
     assert summary["converged"] is False
     assert len(summary["last_iterate"]) == 2
     assert "error" in summary
+
+
+@pytest.mark.parametrize("frames", [[[0.0, IDENT]], [[0.0, IDENT], [0.1, F_STRETCH]]])
+@pytest.mark.parametrize("dt_s, argv", [(0.002, ["--dt", "nan"]), (0.002, ["--dt", "inf"]),
+                                        (math.nan, [])])
+def test_cli_exit_1_non_finite_dt(tmp_path, capsys, frames, dt_s, argv):
+    # one keyframe leaves no keyframe spacing to trip over a bad dt
+    cfg = point_config()
+    cfg["program"] = {"dt_s": dt_s, "keyframes": frames}
+    rc, stdout, stderr = run_cli(capsys, "point-test", "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(tmp_path / "x.csv"), *argv)
+    assert rc == 1
+    assert stderr.startswith("config error:")
+    assert "dt must be a finite number > 0" in stderr
+    assert stdout == ""
 
 
 def test_cli_exit_2_unresolvable_dt(tmp_path, capsys):

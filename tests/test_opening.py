@@ -12,7 +12,6 @@ from prestress_tube import (
     MaterialLayer,
     OpenedStateCandidate,
     SectorGeometry,
-    cut_moment,
     equilibrate_opened,
     equilibrium_energy_sf,
     equilibrium_residuals,
@@ -21,9 +20,11 @@ from prestress_tube import (
     opened_segments,
     solve_load_free,
 )
+from prestress_tube import opening
 from prestress_tube import tensor as tn
+from prestress_tube.errors import NoConvergence
 
-from conftest import MEDIA_EQ, MEDIA_SECTOR, sectored_layers, split_sectored_layer
+from conftest import ADV_EQ, MEDIA_EQ, MEDIA_SECTOR, sectored_layers, split_sectored_layer
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,7 +96,7 @@ def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
         assert abs(slope) < 1e-6
     # stationarity coincides with sector equilibrium (net traction balance)
     segs = opened_segments(t3_layers, cand)
-    p_net, f_red = equilibrium_residuals(segs)
+    p_net, f_red, _ = equilibrium_residuals(segs)
     assert abs(p_net) < 1e-7
     assert abs(f_red) < 1e-7
 
@@ -109,7 +110,7 @@ def test_energy_slope_is_minus_length_times_cut_moment(t3_layers, npts):
         cand = equilibrate_opened(t3_layers, alpha, npts)[0]
         slope = (equilibrate_opened(t3_layers, alpha + h, npts)[1]
                  - equilibrate_opened(t3_layers, alpha - h, npts)[1]) / (2.0 * h)
-        m = cut_moment(t3_layers, cand, npts)
+        m = equilibrium_residuals(opened_segments(t3_layers, cand), npts)[2]
         assert slope == pytest.approx(-cand.l_open * m, rel=1e-4)
 
 
@@ -126,7 +127,7 @@ def test_scan_finds_common_angle_of_compatible_layers():
         **MEDIA_EQ, sector=SectorGeometry(1.2, 1.4, 1.0, math.radians(160.0)))
     curve = find_opening_angle([inner, outer], 150.0, 170.0, 2.0)
     assert curve.argmin_deg == pytest.approx(160.0, abs=0.2)
-    # refinement stops at 0.1 deg, so e_min carries a small quadratic remnant
+    # the argmin is the cut-moment root, where the composite is strain-free
     assert curve.e_min_microj == pytest.approx(0.0, abs=1e-8)
     # at the exact common angle the composite is strain-free
     assert equilibrate_opened([inner, outer], math.radians(160.0))[1] == \
@@ -164,6 +165,53 @@ def test_scan_minimum_on_grid_end_is_the_sample(t3_layers):
     assert curve.iterations == 0
     assert curve.e_min_microj == dict(curve.samples)[120.0]
     assert curve.residuals["moment_kpa_mm2"] > 0.0
+
+
+def test_scan_raises_when_the_moment_root_leaves_its_cell(t3_layers, monkeypatch):
+    solve_wall = opening._solve_wall
+
+    def shifted(*args):
+        y, res, iterations = solve_wall(*args)
+        return y + [0.0, 0.0, math.radians(2.5)], res, iterations
+
+    monkeypatch.setattr(opening, "_solve_wall", shifted)
+    with pytest.raises(NoConvergence, match="left the grid cell 124..126 deg"):
+        find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
+
+
+def test_scan_starts_every_angle_cold(t3_layers):
+    # no angle depends on its neighbours: a grid up to 359 deg converges, and
+    # its samples are the per-angle equilibria
+    curve = find_opening_angle(t3_layers, 0.0, 359.0, 1.0)
+    ref = find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
+    assert curve.argmin_deg == pytest.approx(ref.argmin_deg, abs=1e-9)
+    assert curve.e_min_microj == pytest.approx(ref.e_min_microj, rel=1e-12)
+    assert curve.argmin_deg == pytest.approx(124.6, abs=0.2)
+    samples = dict(curve.samples)
+    for a_deg in (358.0, 359.0):
+        e = equilibrate_opened(t3_layers, math.radians(a_deg))[1]
+        assert samples[a_deg] == pytest.approx(e, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(Ri=st.floats(0.9, 1.1), h_m=st.floats(0.35, 0.45), gap=st.floats(0.08, 0.15),
+       h_a=st.floats(0.25, 0.35), L=st.floats(0.8, 1.2), L_ratio=st.floats(1.0, 1.1),
+       alpha_a=st.floats(110.0, 150.0), wider=st.floats(5.0, 25.0))
+def test_incompatible_layers_lock_below_both_angles(Ri, h_m, gap, h_a, L, L_ratio, alpha_a,
+                                                     wider):
+    # the paper's locking claim: a media sector opening wider than an
+    # adventitia sector that lies outside it makes the cut composite open
+    # less than either layer alone.  It is a regime, not a law: a thicker
+    # media under a thinner adventitia (h_m = 0.5, h_a = 0.2, alpha_a = 100)
+    # opens just past the adventitia's angle
+    Ri_a = Ri + h_m + gap
+    media = MaterialLayer.from_constants(
+        **MEDIA_EQ, sector=SectorGeometry(Ri, Ri + h_m, L, math.radians(alpha_a + wider)))
+    adventitia = MaterialLayer.from_constants(
+        **ADV_EQ, sector=SectorGeometry(Ri_a, Ri_a + h_a, L * L_ratio, math.radians(alpha_a)))
+    curve = find_opening_angle([media, adventitia], 0.0, 180.0, 4.0)
+    assert curve.argmin_deg < alpha_a < alpha_a + wider
+    assert curve.e_min_microj <= min(e for _, e in curve.samples) + 1e-12
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)

@@ -137,6 +137,13 @@ def test_opening_map_validation():
             OpeningMap(k=k, c=c, ri=1.0, Ri=1.0)
 
 
+def test_sector_at_a_full_turn_is_a_domain_error():
+    # alpha >= 2 pi leaves k <= 0: a DomainError, from which a Newton trial
+    # on the opening angle backs off
+    with pytest.raises(DomainError):
+        tube.sector_segments(sectored_layers(), 2.0 * math.pi, 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # quadrature and wall segments
 # ---------------------------------------------------------------------------
@@ -172,7 +179,7 @@ def test_wall_segment_r_span_R_span_equivalence():
     dth, dzz = t[:, 1, 1] - t[:, 0, 0], t[:, 2, 2] - t[:, 0, 0]
     p_r = np.sum(w * dth / r)
     f_r = math.pi * np.sum(w * (2.0 * dzz - dth) * r)
-    p_R, f_R = equilibrium_residuals([seg_R], 24)
+    p_R, f_R, _ = equilibrium_residuals([seg_R], 24)
     assert p_r == pytest.approx(p_R, rel=1e-12, abs=1e-12)
     assert f_r == pytest.approx(f_R, rel=1e-12, abs=1e-12)
 
@@ -248,6 +255,23 @@ def test_newton2_complex_step_on_polynomial_system():
             step *= 0.5
         xa = xa + step
     assert_allclose(x, xa, rtol=1e-14)
+    # a batch of systems, one per column, converges and halves system by system:
+    # bitwise the x of each system solved alone
+    x0s = np.array([[1.7, 0.4, 1.3], [0.8, 1.2, 0.9], [1.0, 1.0, 1.0], [3.0, 0.2, 2.5]]).T
+    xb, resb, itb = newton2(_cubic_system, x0s)
+    alone = [newton2(_cubic_system, x0s[:, b]) for b in range(x0s.shape[1])]
+    assert np.array_equal(xb, np.array([a[0] for a in alone]).T)
+    assert np.array_equal(resb, np.array([a[1] for a in alone]).T)
+    assert itb == max(a[2] for a in alone) and len({a[2] for a in alone}) > 1
+    f, jac = tube._value_and_jacobian(_cubic_system, x0s)
+    assert jac.shape == (4, 3, 3)
+    for b in range(x0s.shape[1]):
+        assert np.array_equal(jac[b], tube._value_and_jacobian(_cubic_system, x0s[:, b])[1])
+    # one member without a real root fails the batch with every last iterate
+    c = np.array([1.0, -1.0])[:, None]
+    with pytest.raises(NoConvergence) as exc:
+        newton2(lambda x: np.array([x[0] ** 2 - c, x[1] + 0.0 * c]), np.full((2, 2), 3.0))
+    assert exc.value.last_iterate.shape == (2, 2)
 
 
 def test_complex_step_jacobian_matches_central_difference(monkeypatch, two_layers, t3_layers):
