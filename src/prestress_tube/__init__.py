@@ -19,10 +19,10 @@ from .materials import (EquilibriumMaterial, HolzapfelFibreParams, MooneyRivlinP
                         PreStressField, cauchy_from_pk2, csf_from_clf, clf_from_csf,
                         diagonal_energy, diagonal_stress_differences, equilibrium_energy_sf,
                         equilibrium_pk2_sf, extra_cauchy_equilibrium, fibre_directions,
-                        fibre_energy, fibre_f, fibre_sq_stretch, holzapfel_pk2_sf,
+                        fibre_energy, fibre_f, fibre_sq_stretch, holzapfel_pk2_sf, isochoric_pk2,
                         mooney_rivlin_energy, mooney_rivlin_pk2_sf, pull_back_pk2,
                         sq_stretch_gradient)
-from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState,
+from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState, fibre_evolve,
                       fibre_evolve_step, fibre_flow_rhs, fibre_overstress,
                       fibre_overstress_scalar, initial_state, iso_energy,
                       iso_evolve, iso_evolve_step, iso_flow_rhs, iso_overstress,

@@ -8,10 +8,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
+try:  # the builtin module first, as random.py does: hashlib loads OpenSSL (~3.5 MB peak RSS)
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -165,7 +171,7 @@ def main(argv=None) -> int:
         out_path = args.out or cfg.get("output") or f"{args.workflow.replace('-', '_')}.csv"
         if not isinstance(out_path, str):
             raise ConfigError('field "output" must be a string path')
-        cfg_hash = hashlib.sha256(raw).hexdigest()
+        cfg_hash = sha256(raw).hexdigest()
         summary = _COMMANDS[args.workflow](cfg, args, out_path, cfg_hash)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

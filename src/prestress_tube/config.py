@@ -140,6 +140,8 @@ def parse_layers(cfg: dict, need_sector: bool = False, need_maxwell: bool = Fals
 
 def parse_f0(cfg: dict) -> PreStressField:
     """F0 either as an explicit 3x3 matrix or from an opening map at one radius."""
+    if "f0" in cfg and "f0_opening_map" in cfg:
+        raise ConfigError('fields "f0" and "f0_opening_map" exclude each other: give one')
     if "f0" in cfg:
         try:
             arr = np.asarray(cfg["f0"], dtype=float)

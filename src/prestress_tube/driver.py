@@ -7,11 +7,13 @@ advanced implicitly, and the total PK2 stress (equilibrium + overstresses) is
 pulled back to the lf-configuration and pushed forward to a Cauchy stress.
 
 A run is batched over its rows: F_lf, C_sf, Cbar, the fibre stretches, the
-stresses and their transforms, det Ci and the overstress norms come from
-whole-run tensor calls.  Only the recurrences step: the isotropic Ci update
-and, per fibre family, the scalar fibre Newton.  Per-step checks apply to the
-whole history: det C > 0 before the recurrences, a valid ViscousState history
-(unimodular symmetric Ci, positive lambda_i) before the stresses.
+stresses (one isochoric projection for equilibrium and overstress, so one C_sf
+inverse per run) and their transforms, det Ci and the overstress norms come
+from whole-run tensor calls.  Only the recurrences step, each in one
+plain-float loop over the run: the isotropic Ci update and each fibre family's
+scalar Newton.  Per-step checks apply to the whole history: det C > 0 before
+the recurrences, a valid ViscousState history (unimodular symmetric Ci,
+positive lambda_i) before the stresses.
 
 The model carries no volumetric energy: the reported stress is the
 constitutively determinate ("extra") part, to which an arbitrary hydrostatic
@@ -30,10 +32,9 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import DomainError
-from .materials import (PreStressField, cauchy_from_pk2, equilibrium_pk2_sf,
+from .materials import (PreStressField, cauchy_from_pk2, equilibrium_sbar, isochoric_pk2,
                         pull_back_pk2)
-from .maxwell import (ViscousState, fibre_evolve_step, initial_state, iso_evolve,
-                      overstress_pk2_sf)
+from .maxwell import ViscousState, fibre_evolve, initial_state, iso_evolve, overstress_sbar
 from .tube import MaterialLayer
 
 # a Maxwell branch's relaxation time must be resolved by at least this many steps
@@ -54,8 +55,8 @@ class LoadProgram:
         if not self.keyframes:
             raise ValueError("need at least one keyframe")
         times = [float(t) for t, _ in self.keyframes]
-        if times[0] != 0.0:
-            raise ValueError("first keyframe must be at t = 0")
+        if times[0] != 0.0 or not all(map(math.isfinite, times)):
+            raise ValueError("keyframe times must be finite numbers, the first one 0")
         if not all(t2 - t1 >= MERGE_FRACTION * self.dt for t1, t2 in zip(times, times[1:])):
             raise ValueError(f"keyframe times must increase by at least {MERGE_FRACTION:g} dt")
         frames = tuple((float(t), np.asarray(F, dtype=float)) for t, F in self.keyframes)
@@ -147,20 +148,15 @@ def run_point(program: LoadProgram, layer: MaterialLayer, f0: PreStressField) ->
     ci = iso_evolve(state.Ci, cbar[1:], h, iso) if iso is not None else \
         np.broadcast_to(state.Ci, c_sf.shape)
     lam_i = np.empty((times.size, len(fibres_v)))
-    lam_i[0] = state.lambda_i
     its, r_max = 0, 0.0
-    if fibres_v:
-        lams = np.sqrt(np.stack([np.einsum('nij,i,j->n', cbar, fp.a, fp.a)
-                                 for fp in fibres_v], axis=1)).tolist()
-        row = state.lambda_i.tolist()
-        for n, hn in enumerate(h.tolist(), start=1):
-            for j, fp in enumerate(fibres_v):
-                row[j], k, r = fibre_evolve_step(lams[n][j], row[j], hn, fp)
-                its, r_max = max(its, k), max(r_max, r)
-            lam_i[n] = row
+    for j, fp in enumerate(fibres_v):
+        lam = np.sqrt(np.einsum('nij,i,j->n', cbar, fp.a, fp.a))[1:]
+        lam_i[:, j], k, r = fibre_evolve(lam, state.lambda_i[j], h, fp)
+        its, r_max = max(its, k), max(r_max, r)
     history = ViscousState(ci, lam_i)
 
-    t_over_sf = overstress_pk2_sf(c_sf, history, iso, fibres_v)
-    t_lf = pull_back_pk2(equilibrium_pk2_sf(c_sf, layer.equilibrium) + t_over_sf, f0)
-    return PointTrace(times, cauchy_from_pk2(t_lf, F_lf), tn.det(history.Ci), lam_i,
+    t_eq_sf, t_over_sf = isochoric_pk2(c_sf, lambda cbar: np.stack((
+        equilibrium_sbar(cbar, layer.equilibrium), overstress_sbar(cbar, history, iso, fibres_v))))
+    return PointTrace(times, cauchy_from_pk2(pull_back_pk2(t_eq_sf + t_over_sf, f0), F_lf),
+                      tn.det(history.Ci), lam_i,
                       np.linalg.norm(cauchy_from_pk2(t_over_sf, F_sf), axis=(1, 2)), its, r_max)

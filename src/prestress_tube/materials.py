@@ -10,9 +10,11 @@ Conventions used throughout:
   density never appears as a separate parameter.
 * Every PK2 stress below is the exact gradient 2 * d(energy)/dC of the stored
   energy it accompanies; the finite-difference tests rely on that.
-* The matrix is an incompressible Mooney-Rivlin solid acting on the unimodular
-  part of C; fibre families use an exponential stored energy in the squared
-  unimodular fibre stretch lam2 = a . (det C)^(-1/3) C a.
+* Every energy acts on Cbar = J^(-2/3) C (J^2 = det C), so every PK2 stress is
+  J^(-2/3) Dev Sbar, Dev(.) = (.) - 1/3 [(.) : C] C^{-1} (Holzapfel 2000, 6.4), of
+  its fictitious stress Sbar = 2 dW/dCbar: each law gives Sbar to isochoric_pk2.
+* The matrix is an incompressible Mooney-Rivlin solid; fibre families use an
+  exponential stored energy in the squared fibre stretch lam2 = a . Cbar a.
 
 All stress functions broadcast over leading axes of C (shape (..., 3, 3)).
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tn
-from .errors import DomainError, NonPositiveDeterminant, SingularTensor
+from .errors import DomainError, NonPositiveDeterminant
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,18 @@ def cauchy_from_pk2(t_pk2, f):
     return (f @ np.asarray(t_pk2, dtype=float) @ tn.transpose(f)) / d[..., None, None]
 
 
+def isochoric_pk2(c_sf, fictitious):
+    """J^(-2/3) Dev Sbar for Sbar = fictitious(Cbar) of shape (..., 3, 3), or (k, ..., 3, 3)
+    for k stresses at once; det C and C^{-1} are formed once for all of them."""
+    c = np.asarray(c_sf, dtype=float)
+    cinv, d = tn.inverse(c), tn.det(c)
+    if np.any(d <= 0.0):
+        raise NonPositiveDeterminant(f"unimodular part needs det > 0 (min det = {np.min(d):.3e})")
+    j23 = d[..., None, None] ** (-1.0 / 3.0)
+    sbar = fictitious(c * j23)
+    return j23 * (sbar - (tn.ddot(sbar, c) / 3.0)[..., None, None] * cinv)
+
+
 # ---------------------------------------------------------------------------
 # Mooney-Rivlin matrix
 # ---------------------------------------------------------------------------
@@ -116,11 +130,8 @@ def mooney_rivlin_energy(c_sf, p: MooneyRivlinParams):
 
 
 def mooney_rivlin_pk2_sf(c_sf, p: MooneyRivlinParams):
-    """PK2 stress C^{-1} (c1 Cbar - c2 Cbar^{-1})^D; exact gradient of the energy."""
-    c = np.asarray(c_sf, dtype=float)
-    cinv = tn.inverse(c)
-    cbar = tn.unimodular(c)
-    return cinv @ tn.deviator(p.c1 * cbar - p.c2 * tn.inverse(cbar))
+    """PK2 stress of the matrix alone (tr Cbar^{-1} = I2(Cbar) since det Cbar = 1)."""
+    return equilibrium_pk2_sf(c_sf, EquilibriumMaterial(p))
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +152,23 @@ def fibre_energy(lam2, k1: float, k2: float):
 
 def fibre_sq_stretch(c_sf, a):
     """Squared unimodular fibre stretch lam2 = a . Cbar a."""
-    c = np.asarray(c_sf, dtype=float)
-    d = tn.det(c)
-    if np.any(d <= 0.0):
-        raise SingularTensor("fibre stretch needs det C > 0")
-    return d ** (-1.0 / 3.0) * np.einsum('...ij,i,j->...', c, a, a)
+    return np.einsum('...ij,i,j->...', tn.unimodular(c_sf), a, a)
 
 
 def sq_stretch_gradient(c_sf, a):
-    """d(lam2)/dC = (det C)^{-1/3} a(x)a - (lam2/3) C^{-1}  (exact)."""
-    c = np.asarray(c_sf, dtype=float)
-    d = tn.det(c)
-    lam2 = d ** (-1.0 / 3.0) * np.einsum('...ij,i,j->...', c, a, a)
-    m = tn.dyad(np.asarray(a, dtype=float))
-    return (d ** (-1.0 / 3.0))[..., None, None] * m - (lam2 / 3.0)[..., None, None] * tn.inverse(c), lam2
+    """(d(lam2)/dC, lam2) with d(lam2)/dC = J^(-2/3) Dev(a(x)a)  (exact)."""
+    return isochoric_pk2(c_sf, lambda cbar: tn.dyad(a)), fibre_sq_stretch(c_sf, a)
+
+
+def holzapfel_sbar(cbar, p: HolzapfelFibreParams):
+    """Fictitious stress 2 f(lam2) a(x)a of one fibre family."""
+    f = fibre_f(np.einsum('...ij,i,j->...', cbar, p.a, p.a), p.k1, p.k2)
+    return 2.0 * np.asarray(f)[..., None, None] * tn.dyad(p.a)
 
 
 def holzapfel_pk2_sf(c_sf, p: HolzapfelFibreParams):
-    """PK2 stress of one fibre family: 2 f(lam2) d(lam2)/dC."""
-    grad, lam2 = sq_stretch_gradient(c_sf, p.a)
-    return 2.0 * np.asarray(fibre_f(lam2, p.k1, p.k2))[..., None, None] * grad
+    """PK2 stress of one fibre family."""
+    return isochoric_pk2(c_sf, lambda cbar: holzapfel_sbar(cbar, p))
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +188,16 @@ class EquilibriumMaterial:
                    (HolzapfelFibreParams(k1, k2, ap), HolzapfelFibreParams(k1, k2, am)))
 
 
+def equilibrium_sbar(cbar, mat: EquilibriumMaterial):
+    """Fictitious stress of the matrix, (c1 + c2 tr Cbar) 1 - c2 Cbar, plus each fibre family's."""
+    p = mat.matrix
+    s = (p.c1 + p.c2 * tn.trace(cbar))[..., None, None] * np.eye(3) - p.c2 * cbar
+    return sum((holzapfel_sbar(cbar, fp) for fp in mat.fibres), s)
+
+
 def equilibrium_pk2_sf(c_sf, mat: EquilibriumMaterial):
     """Total equilibrium PK2 on the sf configuration (matrix + all fibre families)."""
-    t = mooney_rivlin_pk2_sf(c_sf, mat.matrix)
-    for fp in mat.fibres:
-        t = t + holzapfel_pk2_sf(c_sf, fp)
-    return t
+    return isochoric_pk2(c_sf, lambda cbar: equilibrium_sbar(cbar, mat))
 
 
 def equilibrium_energy_sf(c_sf, mat: EquilibriumMaterial):

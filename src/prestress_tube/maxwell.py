@@ -17,7 +17,9 @@ namely  Ci_new = unimodular( Ci_old + (dt mu/eta) Cbar_new ),  which is
 unconditionally stable and preserves det Ci = 1 exactly.  The fibre update is
 backward Euler on x = ln(lambda_i) with a safeguarded Newton (bisection
 fallback); the root is bracketed by [x_old, ln(lambda)] because the flow drives
-lambda_i monotonically toward lambda.
+lambda_i monotonically toward lambda.  iso_evolve and fibre_evolve step whole
+histories in plain floats (the *_step functions are one-step calls).  Each
+overstress is materials.isochoric_pk2 of its fictitious stress.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import NoConvergence, NonPositiveDeterminant, NonPositiveStretch
-from .materials import PreStressField, csf_from_clf, sq_stretch_gradient
+from .materials import PreStressField, csf_from_clf, isochoric_pk2
 
 # fibre local solve
 NEWTON_TOL = 1e-12
@@ -102,15 +104,9 @@ def iso_energy(c_sf, ci, p: IsoMaxwellParams):
 
 
 def iso_overstress(c_sf, ci, p: IsoMaxwellParams):
-    """PK2 overstress mu C^{-1} (Cbar Ci^{-1})^D = 2 d(energy)/dC at fixed Ci."""
-    c = np.asarray(c_sf, dtype=float)
-    d = tn.det(c)
+    """PK2 overstress 2 d(energy)/dC at fixed Ci, of fictitious stress mu Ci^{-1}."""
     ciinv = tn.inverse(ci)
-    cbar = c * d[..., None, None] ** (-1.0 / 3.0)
-    trterm = np.einsum('...ij,...ji->...', cbar, ciinv)
-    # C^{-1} Cbar = (det C)^{-1/3} 1, so the product collapses to a symmetric form
-    return p.mu * (d[..., None, None] ** (-1.0 / 3.0) * ciinv
-                   - (trterm / 3.0)[..., None, None] * tn.inverse(c))
+    return isochoric_pk2(c_sf, lambda cbar: p.mu * ciinv)
 
 
 def iso_evolve(ci0, cbar, h, p: IsoMaxwellParams):
@@ -176,14 +172,15 @@ def fibre_overstress_scalar(lam, lam_i, p: FibreMaxwellParams):
 
 
 def fibre_overstress(c_sf, lam_i, p: FibreMaxwellParams):
-    """(prefactor, PK2 overstress tensor) of one viscous fibre family.
+    """(prefactor, PK2 overstress tensor) of one viscous fibre family at fixed lam_i."""
+    pref, sbar = fibre_sbar(tn.unimodular(c_sf), lam_i, p)
+    return pref, isochoric_pk2(c_sf, lambda cbar: sbar)
 
-    The tensor is 2 (f_v(lam_e^2)/lam_i^2) d(lam2)/dC, the exact C-gradient of
-    the fibre energy at fixed lam_i.
-    """
-    grad, lam2 = sq_stretch_gradient(c_sf, p.a)
-    pref = fibre_overstress_scalar(np.sqrt(lam2), lam_i, p)
-    return pref, 2.0 * np.asarray(pref)[..., None, None] * grad
+
+def fibre_sbar(cbar, lam_i, p: FibreMaxwellParams):
+    """(prefactor, fictitious stress 2 (f_v(lam_e^2)/lam_i^2) a(x)a), lam^2 = a . Cbar a."""
+    pref = fibre_overstress_scalar(np.sqrt(np.einsum('...ij,i,j->...', cbar, p.a, p.a)), lam_i, p)
+    return pref, 2.0 * np.asarray(pref)[..., None, None] * tn.dyad(p.a)
 
 
 def fibre_flow_rhs(lam, lam_i, p: FibreMaxwellParams):
@@ -192,71 +189,71 @@ def fibre_flow_rhs(lam, lam_i, p: FibreMaxwellParams):
     return lam_i / p.eta_f * visc_fibre_f(lam_e2, p.k1v, p.k2v) * lam_e2
 
 
+def fibre_evolve(lam, lam_i0: float, h, p: FibreMaxwellParams):
+    """Backward-Euler history (n + 1,) of one fibre family's lambda_i from lam_i0 under
+    stretches lam (n,) and steps h (n,), with the most Newton iterations and largest final
+    |r| of a step.  Each step solves r = x - x_old - (dt/eta) f_v(lam_e^2) lam_e^2 = 0,
+    lam_e^2 = lam^2 exp(-2x), for x = ln(lambda_i) from the midpoint of [x_old, ln(lam)];
+    |r| can exceed NEWTON_TOL when the iterate stops moving before it gets there."""
+    k2v, a1, b2 = p.k2v, 2.0 * p.k1v, 2.0 * p.k2v
+    rows, its, r_max = [float(lam_i0)], 0, 0.0
+    for lam_new, dt in zip(np.asarray(lam, float).tolist(), np.asarray(h, float).tolist()):
+        lam_i_old = rows[-1]
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if lam_new <= 0.0 or lam_i_old <= 0.0:
+            raise NonPositiveStretch("stretches must be positive")
+        lam_e0 = lam_new / lam_i_old
+        if not LAM_E_RANGE[0] <= lam_e0 <= LAM_E_RANGE[1]:
+            raise NoConvergence(f"elastic fibre stretch {lam_e0:.4f} outside safe range "
+                                f"{LAM_E_RANGE}", last_iterate=lam_i_old)
+        x_old, x_star = math.log(lam_i_old), math.log(lam_new)  # x_star: the flow's fixed point
+        lo, hi = (x_old, x_star) if x_old < x_star else (x_star, x_old)
+        lam2, k, k2 = lam_new * lam_new, dt / p.eta_f, dt / p.eta_f * 2.0
+        x = 0.5 * (lo + hi)
+        for it in range(NEWTON_MAXIT + 1):
+            u = lam2 * math.exp(-2.0 * x) - 1.0     # lam_e^2 - 1
+            w, e = u + 1.0, math.exp(k2v * u * u)
+            fv = a1 * u * e                         # f_v(lam_e^2)
+            r = x - x_old - k * (fv * w)
+            if it == NEWTON_MAXIT:
+                raise NoConvergence("fibre stretch update did not converge "
+                                    f"(dt={dt}, lam={lam_new}, lam_i={lam_i_old})",
+                                    last_iterate=math.exp(x), residuals={'r': r})
+            if abs(r) < NEWTON_TOL:
+                break
+            lo, hi = (lo, x) if r > 0.0 else (x, hi)
+            dr = 1.0 + k2 * w * (a1 * e * (1.0 + b2 * u * u) * w + fv)  # du/dx = -2 w
+            x_new = x - (r / dr if dr != 0.0 else math.inf)
+            if not lo < x_new < hi:          # Newton left the bracket: bisect
+                x_new = 0.5 * (lo + hi)
+            if x_new == x:
+                break
+            x = x_new
+        rows.append(math.exp(x))
+        its, r_max = max(its, it), max(r_max, abs(r))
+    return np.array(rows), its, r_max
+
+
 def fibre_evolve_step(lam_new: float, lam_i_old: float, dt: float, p: FibreMaxwellParams):
-    """Backward-Euler update of the inelastic fibre stretch.
-
-    Solves  x = x_old + (dt/eta) f_v(u) u,  u = lam_new^2 exp(-2x),  for
-    x = ln(lambda_i) with a bracketed Newton iteration.  Returns
-    (lambda_i, iterations, |r|) with r the residual at the returned x; |r| can
-    exceed NEWTON_TOL when the iterate stops moving before it gets there.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if lam_new <= 0.0 or lam_i_old <= 0.0:
-        raise NonPositiveStretch("stretches must be positive")
-    lam_e0 = lam_new / lam_i_old
-    if not LAM_E_RANGE[0] <= lam_e0 <= LAM_E_RANGE[1]:
-        raise NoConvergence(f"elastic fibre stretch {lam_e0:.4f} outside safe range {LAM_E_RANGE}",
-                            last_iterate=lam_i_old)
-
-    x_old = math.log(lam_i_old)
-    x_star = math.log(lam_new)  # fixed point of the flow
-    lo, hi = min(x_old, x_star), max(x_old, x_star)
-    lam2 = lam_new * lam_new
-    k1v, k2v, eta = p.k1v, p.k2v, p.eta_f
-
-    def resid(x):
-        u = lam2 * math.exp(-2.0 * x) - 1.0
-        e = math.exp(k2v * u * u)
-        fv = 2.0 * k1v * u * e
-        h = fv * (u + 1.0)                      # f_v(lam_e^2) lam_e^2
-        dfv = 2.0 * k1v * e * (1.0 + 2.0 * k2v * u * u)
-        hp = dfv * (u + 1.0) + fv               # dh/du
-        r = x - x_old - dt / eta * h
-        dr = 1.0 + dt / eta * 2.0 * (u + 1.0) * hp  # du/dx = -2(u+1)
-        return r, dr
-
-    x = 0.5 * (lo + hi)
-    r, dr = resid(x)
-    for it in range(NEWTON_MAXIT):
-        if abs(r) < NEWTON_TOL:
-            return math.exp(x), it, abs(r)
-        lo, hi = (lo, x) if r > 0.0 else (x, hi)
-        step = r / dr if dr != 0.0 else math.inf
-        x_new = x - step
-        if not lo < x_new < hi:          # Newton left the bracket: bisect
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            return math.exp(x), it, abs(r)
-        x = x_new
-        r, dr = resid(x)
-    raise NoConvergence("fibre stretch update did not converge "
-                        f"(dt={dt}, lam={lam_new}, lam_i={lam_i_old})",
-                        last_iterate=math.exp(x), residuals={'r': r})
+    """One backward-Euler step of fibre_evolve; returns (lambda_i, iterations, |r|)."""
+    lam_i, its, r = fibre_evolve((lam_new,), lam_i_old, (dt,), p)
+    return float(lam_i[1]), its, r
 
 
 # ---------------------------------------------------------------------------
 # assembled overstress and initial conditions
 # ---------------------------------------------------------------------------
 
+def overstress_sbar(cbar, state: ViscousState, iso, fibres):
+    """Total fictitious overstress (isotropic branch, if any, + all fibre families)."""
+    s = iso.mu * tn.inverse(state.Ci) if iso is not None else np.zeros(np.shape(cbar))
+    return sum((fibre_sbar(cbar, state.lambda_i[..., j], fp)[1] for j, fp in enumerate(fibres)), s)
+
+
 def overstress_pk2_sf(c_sf, state: ViscousState, iso, fibres):
-    """Total viscous PK2 overstress (isotropic branch, if any, + all fibre families);
-    broadcasts over a history of C and of states."""
-    t = iso_overstress(c_sf, state.Ci, iso) if iso is not None else \
-        np.zeros(np.shape(c_sf))
-    for j, fp in enumerate(fibres):
-        t = t + fibre_overstress(c_sf, state.lambda_i[..., j], fp)[1]
-    return t
+    """Total viscous PK2 overstress; broadcasts over a history of C and of states."""
+    return isochoric_pk2(c_sf, lambda cbar: overstress_sbar(cbar, state, iso, fibres))
 
 
 def initial_state(f0: PreStressField, c_lf_initial, fibres) -> ViscousState:

@@ -20,6 +20,8 @@ from prestress_tube import (
 )
 from prestress_tube import tensor as tn
 from prestress_tube.driver import PointTrace, step_times
+from prestress_tube.errors import NoConvergence, NonPositiveStretch
+from prestress_tube.maxwell import LAM_E_RANGE, NEWTON_MAXIT, NEWTON_TOL
 
 # ---------------------------------------------------------------------------
 # reference parameter sets (kPa, kPa*s, degrees).  "media" = stiff inner
@@ -165,6 +167,52 @@ def reference_iso_step(c_sf_new, ci_old, dt, p):
     if abs(tn.det(ci_old) - 1.0) > 1e-8:
         raise ValueError(f"det Ci_old = {tn.det(ci_old):.10f}, expected 1")
     return tn.unimodular(ci_old + (dt * p.mu / p.eta) * tn.unimodular(c_sf_new))
+
+
+def reference_fibre_step(lam_new, lam_i_old, dt, p):
+    """One backward-Euler fibre update with its residual as a closure (the
+    per-step oracle of maxwell.fibre_evolve); returns (lambda_i, iterations, |r|)."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if lam_new <= 0.0 or lam_i_old <= 0.0:
+        raise NonPositiveStretch("stretches must be positive")
+    lam_e0 = lam_new / lam_i_old
+    if not LAM_E_RANGE[0] <= lam_e0 <= LAM_E_RANGE[1]:
+        raise NoConvergence("elastic fibre stretch outside safe range", last_iterate=lam_i_old)
+
+    x_old = math.log(lam_i_old)
+    x_star = math.log(lam_new)
+    lo, hi = min(x_old, x_star), max(x_old, x_star)
+    lam2 = lam_new * lam_new
+    k1v, k2v, eta = p.k1v, p.k2v, p.eta_f
+
+    def resid(x):
+        u = lam2 * math.exp(-2.0 * x) - 1.0
+        e = math.exp(k2v * u * u)
+        fv = 2.0 * k1v * u * e
+        h = fv * (u + 1.0)
+        dfv = 2.0 * k1v * e * (1.0 + 2.0 * k2v * u * u)
+        hp = dfv * (u + 1.0) + fv
+        r = x - x_old - dt / eta * h
+        dr = 1.0 + dt / eta * 2.0 * (u + 1.0) * hp
+        return r, dr
+
+    x = 0.5 * (lo + hi)
+    r, dr = resid(x)
+    for it in range(NEWTON_MAXIT):
+        if abs(r) < NEWTON_TOL:
+            return math.exp(x), it, abs(r)
+        lo, hi = (lo, x) if r > 0.0 else (x, hi)
+        step = r / dr if dr != 0.0 else math.inf
+        x_new = x - step
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if x_new == x:
+            return math.exp(x), it, abs(r)
+        x = x_new
+        r, dr = resid(x)
+    raise NoConvergence("fibre stretch update did not converge", last_iterate=math.exp(x),
+                        residuals={'r': r})
 
 
 def reference_run_point(program, layer, f0, iso_step=reference_iso_step):

@@ -4,11 +4,16 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import prestress_tube
 from prestress_tube import OpeningMap, config, driver, equilibrate_opened, maxwell
 from prestress_tube.cli import FLOAT_FMT, _parser, _write_csv, main
 from prestress_tube.errors import ConfigError
@@ -546,6 +551,55 @@ def test_cli_exit_1_non_finite_dt(tmp_path, capsys, frames, dt_s, argv):
     assert stderr.startswith("config error:")
     assert "dt must be a finite number > 0" in stderr
     assert stdout == ""
+
+
+@pytest.mark.parametrize("frames", [
+    [[0.0, IDENT], [math.inf, F_STRETCH]],                    # written as Infinity
+    [[0.0, IDENT], [0.1, F_STRETCH], [math.inf, F_STRETCH]],
+    [[0.0, IDENT], [-math.inf, F_STRETCH]],
+    [[-math.inf, IDENT], [0.1, F_STRETCH]],
+])
+def test_cli_exit_1_non_finite_keyframe_time(tmp_path, capsys, frames):
+    cfg = point_config()
+    cfg["program"]["keyframes"] = frames
+    path = write_config(tmp_path, cfg)
+    assert "Infinity" in path.read_text()
+    rc, stdout, stderr = run_cli(capsys, "point-test", "--config", str(path),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    assert stderr.startswith('config error: invalid "program":')
+    assert "finite" in stderr
+    assert stdout == ""
+
+
+def test_cli_exit_1_both_f0_fields(tmp_path, capsys):
+    cfg = point_config()
+    cfg["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
+    rc, stdout, stderr = run_cli(capsys, "point-test", "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    assert stderr.startswith("config error:")
+    assert '"f0"' in stderr and '"f0_opening_map"' in stderr
+    assert stdout == ""
+
+
+def test_cli_point_test_config_hash_without_hashlib(tmp_path):
+    # the CSV header carries the config's sha256; a fresh interpreter running
+    # point-test never loads hashlib's OpenSSL backend for it
+    cfg_path = write_config(tmp_path, point_config())
+    out = tmp_path / "trace.csv"
+    src = str(Path(prestress_tube.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "from prestress_tube.cli import main\n"
+              f"rc = main(['point-test', '--config', {str(cfg_path)!r}, '--out', {str(out)!r}])\n"
+              "print(rc, '_hashlib' in sys.modules, 'hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+    digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+    assert read_csv(out)[0] == f"# prestress-tube 0.1.0 config_sha256={digest}"
 
 
 def test_cli_exit_2_unresolvable_dt(tmp_path, capsys):

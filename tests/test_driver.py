@@ -18,6 +18,7 @@ from prestress_tube import (
     run_point,
 )
 from prestress_tube import driver
+from prestress_tube import tensor as tn
 from prestress_tube.driver import MERGE_FRACTION, step_times
 from prestress_tube.errors import DomainError, NonPositiveDeterminant, SingularTensor
 
@@ -330,3 +331,23 @@ def test_non_positive_det_step_raises_like_per_step_code(f_end, t_end, error, vi
         reference_run_point(prog, layer, f0)
     with pytest.raises(ref_err.type):
         run_point(prog, layer, f0)
+
+
+@pytest.mark.parametrize("visc, inverses", [("neither", 1), ("fibre", 1), ("iso", 2), ("both", 2)])
+def test_run_point_inverts_each_history_once(monkeypatch, visc, inverses):
+    # one isochoric projection for the equilibrium and the overstress PK2: the C
+    # history is inverted once, and the Ci history once when there is an isotropic branch
+    shapes = []
+    inverse = tn.inverse
+
+    def counting_inverse(a):
+        if np.ndim(a) == 3:
+            shapes.append(np.shape(a))
+        return inverse(a)
+
+    monkeypatch.setattr(tn, "inverse", counting_inverse)
+    prog = LoadProgram(((0.0, IDENT), (0.05, F_STRETCH), (0.1, F_STRETCH)), dt=0.002)
+    f0 = PreStressField(rand_unimodular(np.random.default_rng(61)))
+    layer = MaterialLayer.from_constants(**MEDIA_EQ, **VISC_BRANCHES[visc])
+    trace = run_point(prog, layer, f0)
+    assert shapes == [(trace.t.size, 3, 3)] * inverses

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from prestress_tube import (
     EquilibriumMaterial,
+    FibreMaxwellParams,
     HolzapfelFibreParams,
+    IsoMaxwellParams,
     MooneyRivlinParams,
     PreStressField,
     cauchy_from_pk2,
@@ -20,12 +22,15 @@ from prestress_tube import (
     fibre_directions,
     fibre_energy,
     fibre_f,
+    fibre_overstress,
     fibre_sq_stretch,
     holzapfel_pk2_sf,
+    iso_overstress,
     mooney_rivlin_energy,
     mooney_rivlin_pk2_sf,
     pull_back_pk2,
     sq_stretch_gradient,
+    visc_fibre_f,
 )
 from prestress_tube import tensor as tn
 from prestress_tube.errors import DomainError, NonPositiveDeterminant
@@ -256,3 +261,56 @@ def test_route_invariance_small():
         t_direct = cauchy_from_pk2(s_sf, f_sf)
         t_pulled = cauchy_from_pk2(pull_back_pk2(s_sf, f0), f_lf)
         assert rel_err(t_pulled, t_direct) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# every PK2 stress as one isochoric projection of its fictitious stress
+# ---------------------------------------------------------------------------
+
+def _fibre_grad(c, a):
+    """d(lam2)/dC = (det C)^{-1/3} a(x)a - (lam2/3) C^{-1}, with lam2."""
+    j23 = np.linalg.det(c) ** (-1.0 / 3.0)
+    lam2 = j23 * np.einsum('...ij,i,j->...', c, a, a)
+    return (j23[..., None, None] * np.outer(a, a)
+            - (lam2 / 3.0)[..., None, None] * np.linalg.inv(c)), lam2
+
+
+def _explicit_pk2(name, c, ci, lam_i):
+    """The per-term PK2 stresses written out as explicit gradient formulas."""
+    mr, hf = MooneyRivlinParams(c1=3.0, c2=2.0), _fibre_params()
+    iso = IsoMaxwellParams(mu=5.0, eta=0.5)
+    fib = FibreMaxwellParams(k1v=5.3, k2v=0.8393, eta_f=0.53, a=hf.a)
+    cinv, j23 = np.linalg.inv(c), np.linalg.det(c)[..., None, None] ** (-1.0 / 3.0)
+    cbar = j23 * c
+    if name == "mooney_rivlin":
+        return (mooney_rivlin_pk2_sf(c, mr),
+                cinv @ tn.deviator(mr.c1 * cbar - mr.c2 * np.linalg.inv(cbar)))
+    grad, lam2 = _fibre_grad(c, hf.a)
+    if name == "fibre":
+        return holzapfel_pk2_sf(c, hf), 2.0 * fibre_f(lam2, hf.k1, hf.k2)[..., None, None] * grad
+    if name == "sq_stretch":
+        return sq_stretch_gradient(c, hf.a)[0], grad
+    if name == "iso_maxwell":
+        ciinv = np.linalg.inv(ci)
+        tr = np.einsum('...ij,...ji->...', cbar, ciinv)
+        return iso_overstress(c, ci, iso), iso.mu * (j23 * ciinv - (tr / 3.0)[..., None, None] * cinv)
+    pref = visc_fibre_f(lam2 / lam_i ** 2, fib.k1v, fib.k2v) / lam_i ** 2
+    return fibre_overstress(c, lam_i, fib)[1], 2.0 * pref[..., None, None] * grad
+
+
+@pytest.mark.parametrize("name", ["mooney_rivlin", "fibre", "sq_stretch", "iso_maxwell",
+                                  "fibre_maxwell"])
+def test_projected_pk2_matches_explicit_formula(name):
+    rng = np.random.default_rng(62)
+    c = np.stack([rand_spd(rng, 0.3, 3.0) for _ in range(40)])
+    ci = np.stack([tn.unimodular(rand_spd(rng)) for _ in range(40)])
+    lam_i = rng.uniform(0.8, 1.25, 40)
+    got, expect = _explicit_pk2(name, c, ci, lam_i)
+    for s, s_ref, cc in zip(got, expect, c):
+        scale = np.max(np.abs(s_ref))
+        assert np.max(np.abs(s - s_ref)) <= 1e-13 * scale
+        # isochoric: S : C = 0
+        assert abs(tn.ddot(s, cc)) <= 1e-13 * scale * np.max(np.abs(cc))
+    # a single tensor gives the row of the stack
+    assert_allclose(_explicit_pk2(name, c[7], ci[7], lam_i[7])[0], got[7], rtol=0.0,
+                    atol=1e-15 * np.max(np.abs(got[7])))

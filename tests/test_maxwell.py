@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prestress_tube import (
@@ -12,6 +14,7 @@ from prestress_tube import (
     PreStressField,
     ViscousState,
     fibre_directions,
+    fibre_evolve,
     fibre_evolve_step,
     fibre_flow_rhs,
     fibre_overstress,
@@ -29,7 +32,8 @@ from prestress_tube import (
 from prestress_tube import tensor as tn
 from prestress_tube.errors import NoConvergence, NonPositiveStretch
 
-from conftest import fd_pk2, ode_reference, rand_spd, rand_unimodular, rel_err, rk4_path
+from conftest import (fd_pk2, ode_reference, rand_spd, rand_unimodular, reference_fibre_step,
+                      rel_err, rk4_path)
 
 ISO = IsoMaxwellParams(mu=5.0, eta=5.0)
 FIB = FibreMaxwellParams(k1v=5.3, k2v=0.8393, eta_f=5.3, a=np.array([0.0, 1.0, 0.0]))
@@ -234,6 +238,35 @@ def test_fibre_step_large_dt_stable():
 def test_fibre_step_rejects_out_of_range_stretch():
     with pytest.raises(NoConvergence):
         fibre_evolve_step(8.0, 1.0, 0.01, FIB)
+
+
+FIB_FAST = FibreMaxwellParams(k1v=5.3, k2v=0.8393, eta_f=0.53, a=np.array([0.0, 1.0, 0.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fib=st.sampled_from([FIB, FIB_FAST]),
+       lam_i0=st.floats(0.8, 1.3),
+       steps=st.lists(st.tuples(st.floats(0.3, 3.0), st.floats(1e-5, 0.2)),
+                      min_size=1, max_size=40))
+def test_fibre_evolve_matches_stepping(fib, lam_i0, steps):
+    # the whole-run loop against one step at a time: the closure-based per-step
+    # update, and the library's one-step call, give bit-identical histories
+    lam, h = (np.array(v) for v in zip(*steps))
+    ref, k_max, r_max = [lam_i0], 0, 0.0
+    try:
+        for lam_n, dt in steps:
+            li, k, r = reference_fibre_step(lam_n, ref[-1], dt, fib)
+            assert (li, k, r) == fibre_evolve_step(lam_n, ref[-1], dt, fib)
+            ref.append(li)
+            k_max, r_max = max(k_max, k), max(r_max, r)
+    except NoConvergence as err:  # an elastic stretch outside LAM_E_RANGE
+        with pytest.raises(NoConvergence) as got:
+            fibre_evolve(lam, lam_i0, h, fib)
+        assert got.value.last_iterate == err.last_iterate
+        return
+    hist, its, r_top = fibre_evolve(lam, lam_i0, h, fib)
+    assert hist.tolist() == ref
+    assert (its, r_top) == (k_max, r_max)
 
 
 def test_rk4_oracle_cross_check():
