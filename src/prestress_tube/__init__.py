@@ -27,10 +27,9 @@ from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState, fibre_
                       fibre_overstress_scalar, initial_state, iso_energy,
                       iso_evolve, iso_evolve_step, iso_flow_rhs, iso_overstress,
                       overstress_pk2_sf, visc_fibre_energy, visc_fibre_f)
-from .tube import (InverseSolution, LoadFreeSolution, MaterialLayer, OpeningMap,
-                   SectorGeometry, TubeGeometry, WallSegment, equilibrium_residuals,
-                   gauss_segment, newton2, sector_segments, solve_inverse_sf,
-                   solve_load_free, wall_stress_profile)
+from .tube import (MaterialLayer, OpeningMap, SectorGeometry, SolverReport, TubeGeometry,
+                   WallSegment, WallSolution, equilibrium_residuals, gauss_segment, newton2,
+                   sector_segments, solve_inverse_sf, solve_load_free, wall_stress_profile)
 from .opening import (EnergyCurve, OpenedStateCandidate, equilibrate_opened,
                       find_opening_angle, opened_energy, opened_segments)
 from .driver import LoadProgram, PointTrace, run_point

@@ -26,10 +26,10 @@ from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDetermi
                      NonPositiveStretch, QuadratureFailure, SingularTensor)
 from .opening import find_opening_angle
 from .driver import run_point
-from .maxwell import NEWTON_TOL
-from .tube import solve_inverse_sf, solve_load_free, wall_stress_profile
+from .tube import SolverReport, solve_inverse_sf, solve_load_free, wall_stress_profile
 
 FLOAT_FMT = "{:.12g}"
+PROFILE_HEADER = ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"]
 
 
 def _write_csv(path: str, header, rows, cfg_hash: str):
@@ -41,26 +41,15 @@ def _write_csv(path: str, header, rows, cfg_hash: str):
         fh.writelines(line.format(*row) for row in np.asarray(rows, dtype=float).tolist())
 
 
-def _solver_kwargs(solver: dict) -> dict:
-    names = {"tol": "tol", "max_iter": "max_iter", "quad_points": "npts"}
-    return {names[key]: v for key, v in solver.items() if v is not None}
-
-
-def _summary(workflow: str, converged: bool, iterations: int, residuals: dict, key: dict,
-             out_path: str, **extra) -> dict:
-    """The JSON summary a workflow prints."""
-    return {"workflow": workflow, "converged": converged, "iterations": iterations,
-            "residuals": residuals, "key_results": key, "csv": out_path, **extra}
-
-
-def _tube_summary(workflow: str, sol, key: dict, out_path: str, cfg_hash: str) -> dict:
-    """Write a solved wall's stress profile; its summary, with the solver's
-    quadrature-refinement check under diagnostics."""
-    _write_csv(out_path, ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"],
-               wall_stress_profile(sol.segments), cfg_hash)
-    r = sol.report
-    return _summary(workflow, r.converged, r.iterations, r.residuals, key, out_path,
-                    diagnostics={"quad_check": r.quad_check})
+def _summary(workflow: str, report: SolverReport, key: dict, out_path: str) -> dict:
+    """The JSON summary a workflow prints: its run record, key results and CSV path,
+    with the quadrature-refinement check under diagnostics when the solver made one."""
+    summary = {"workflow": workflow, "converged": report.converged,
+               "iterations": report.iterations, "residuals": report.residuals,
+               "key_results": key, "csv": out_path}
+    if report.quad_check is not None:
+        summary["diagnostics"] = {"quad_check": report.quad_check}
+    return summary
 
 
 def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -71,9 +60,10 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     if not 0.0 <= alpha_deg < 360.0:
         raise ConfigError(f'field "geometry.alpha_deg" must be in [0, 360) (got {alpha_deg})')
     alpha = math.radians(alpha_deg)
-    solver = config.parse_solver(cfg, args.tol)
+    solver = config.parse_solver(cfg, "inverse-sf", args.tol)
 
-    sol = solve_inverse_sf(tube_geom, alpha, layers, **_solver_kwargs(solver))
+    sol = solve_inverse_sf(tube_geom, alpha, layers, **solver)
+    _write_csv(out_path, PROFILE_HEADER, wall_stress_profile(sol.segments), cfg_hash)
     key = {
         "Ri_mm": sol.sectors[0].Ri,
         "Ro_mm": sol.sectors[-1].Ro,
@@ -82,35 +72,33 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     }
     if len(sol.sectors) == 2:
         key["R_interface_mm"] = sol.sectors[0].Ro
-    return _tube_summary("inverse-sf", sol, key, out_path, cfg_hash)
+    return _summary("inverse-sf", sol.report, key, out_path)
 
 
 def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg, need_sector=True)
-    solver = config.parse_solver(cfg, args.tol)
+    solver = config.parse_solver(cfg, "load-free", args.tol)
 
-    sol = solve_load_free(layers, **_solver_kwargs(solver))
+    sol = solve_load_free(layers, **solver)
+    _write_csv(out_path, PROFILE_HEADER, wall_stress_profile(sol.segments), cfg_hash)
     radii = sol.tube.radii
     key = {"r_i_mm": radii[0], "r_o_mm": radii[-1], "l_mm": sol.tube.l}
     if len(radii) == 3:
         key["r_interface_mm"] = radii[1]
-    return _tube_summary("load-free", sol, key, out_path, cfg_hash)
+    return _summary("load-free", sol.report, key, out_path)
 
 
 def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg, need_sector=True)
     grid = config.parse_grid(cfg, args.grid_start, args.grid_end, args.grid_step)
-    solver = config.parse_solver(cfg)
-    for key in ("tol", "max_iter"):
-        if solver[key] is not None:
-            raise ConfigError(f'field "solver.{key}" is not used by energy-scan')
+    solver = config.parse_solver(cfg, "energy-scan")
 
-    curve = find_opening_angle(layers, *grid, **_solver_kwargs(solver))
+    curve = find_opening_angle(layers, *grid, **solver)
     _write_csv(out_path, ["alpha_deg", "E_microJ"], curve.samples, cfg_hash)
     key = {"argmin_deg": curve.argmin_deg, "e_min_microj": curve.e_min_microj,
            "rho_interface_mm": curve.candidate.rho_interface,
            "l_open_mm": curve.candidate.l_open}
-    return _summary("energy-scan", True, curve.iterations, curve.residuals, key, out_path)
+    return _summary("energy-scan", curve.report, key, out_path)
 
 
 def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
@@ -120,13 +108,10 @@ def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
 
     trace = run_point(program, layer, f0)
     _write_csv(out_path, trace.header(), trace.rows(), cfg_hash)
-    residuals = {"det_ci_max_dev": float(np.max(np.abs(trace.det_ci - 1.0))),
-                 "fibre_r_max": trace.fibre_r_max}
     key = {"steps": int(trace.t.size - 1),
            "peak_overstress_kpa": float(trace.overstress_norm.max()),
            "final_overstress_kpa": float(trace.overstress_norm[-1])}
-    return _summary("point-test", trace.fibre_r_max < NEWTON_TOL, trace.fibre_iterations,
-                    residuals, key, out_path)
+    return _summary("point-test", trace.report, key, out_path)
 
 
 _COMMANDS = {
@@ -176,23 +161,14 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except NoConvergence as e:
-        summary = {
-            "workflow": args.workflow,
-            "converged": False,
-            "error": str(e),
-            "residuals": e.residuals if e.residuals is not None else {},
-            "last_iterate": None if e.last_iterate is None else
-                            np.atleast_1d(np.asarray(e.last_iterate, dtype=float)).tolist(),
-        }
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 2
-    except (DomainError, QuadratureFailure, SingularTensor,
+    except (NoConvergence, DomainError, QuadratureFailure, SingularTensor,
             NonPositiveDeterminant, NonPositiveStretch) as e:
         summary = {"workflow": args.workflow, "converged": False,
                    "error": f"{type(e).__name__}: {e}", "residuals": {}}
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 2
+        if isinstance(e, NoConvergence):  # a solver's failure: its message, residuals, last iterate
+            summary.update(error=str(e), residuals=e.residuals or {},
+                           last_iterate=None if e.last_iterate is None else
+                           np.atleast_1d(np.asarray(e.last_iterate, dtype=float)).tolist())
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if summary["converged"] else 2
 

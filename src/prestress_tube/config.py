@@ -129,12 +129,11 @@ def parse_layer(block: dict, ctx: str, need_sector: bool = False,
         raise ConfigError(f'invalid material "{ctx}": {e}')
 
 
-def parse_layers(cfg: dict, need_sector: bool = False, need_maxwell: bool = False):
+def parse_layers(cfg: dict, need_sector: bool = False):
     """The media layer plus, when present, the adventitia layer."""
-    layers = [parse_layer(get_block(cfg, "media"), "media", need_sector, need_maxwell)]
+    layers = [parse_layer(get_block(cfg, "media"), "media", need_sector)]
     if "adventitia" in cfg:
-        layers.append(parse_layer(get_block(cfg, "adventitia"), "adventitia",
-                                  need_sector, need_maxwell))
+        layers.append(parse_layer(get_block(cfg, "adventitia"), "adventitia", need_sector))
     return layers
 
 
@@ -206,7 +205,9 @@ def parse_grid(cfg: dict, start=None, end=None, step=None):
     return start, end, step
 
 
-def parse_solver(cfg: dict, tol_override: Optional[float] = None) -> dict:
+def parse_solver(cfg: dict, workflow: str, tol_override: Optional[float] = None) -> dict:
+    """The solver block as the solvers' keyword arguments tol, max_iter and npts
+    (from quad_points), the given ones only; energy-scan takes quad_points alone."""
     b = cfg.get("solver", {})
     if not isinstance(b, dict):
         raise ConfigError('field "solver" must be an object')
@@ -215,10 +216,14 @@ def parse_solver(cfg: dict, tol_override: Optional[float] = None) -> dict:
         tol, source = tol_override, " (from --tol)"
     if tol is not None and not 0.0 < tol < math.inf:
         raise ConfigError(f'field "solver.tol"{source} must be a finite number > 0 (got {tol})')
-    out = {"tol": tol}
-    for key, least, want in (("max_iter", 1, "a positive integer"),
-                             ("quad_points", 2, "an integer >= 2")):
-        v = out[key] = b.get(key)
+    kwargs = {"tol": tol}
+    for key, name, least, want in (("max_iter", "max_iter", 1, "a positive integer"),
+                                   ("quad_points", "npts", 2, "an integer >= 2")):
+        v = kwargs[name] = b.get(key)
         if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < least):
             raise ConfigError(f'field "solver.{key}" must be {want} (got {v!r})')
-    return out
+    if workflow == "energy-scan":
+        for key in ("tol", "max_iter"):
+            if kwargs[key] is not None:
+                raise ConfigError(f'field "solver.{key}" is not used by energy-scan')
+    return {name: v for name, v in kwargs.items() if v is not None}

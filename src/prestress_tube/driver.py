@@ -34,8 +34,9 @@ from . import tensor as tn
 from .errors import DomainError
 from .materials import (PreStressField, cauchy_from_pk2, equilibrium_sbar, isochoric_pk2,
                         pull_back_pk2)
-from .maxwell import ViscousState, fibre_evolve, initial_state, iso_evolve, overstress_sbar
-from .tube import MaterialLayer
+from .maxwell import (NEWTON_TOL, ViscousState, fibre_evolve, initial_state, iso_evolve,
+                      overstress_sbar)
+from .tube import MaterialLayer, SolverReport
 
 # a Maxwell branch's relaxation time must be resolved by at least this many steps
 MIN_STEPS_PER_TAU = 10
@@ -101,14 +102,13 @@ def step_times(program: LoadProgram) -> np.ndarray:
 
 @dataclass
 class PointTrace:
-    """Per-step records of a driver run, with the fibre local solves' statistics."""
+    """Per-step records of a driver run, with the record of its fibre local solves."""
     t: np.ndarray               # (n,)
     cauchy: np.ndarray          # (n, 3, 3)
     det_ci: np.ndarray          # (n,)
     lambda_i: np.ndarray        # (n, n_families)
     overstress_norm: np.ndarray  # (n,) Frobenius norm of the Cauchy overstress, kPa
-    fibre_iterations: int = 0   # most iterations of one fibre Newton solve
-    fibre_r_max: float = 0.0    # largest final |r| of a fibre Newton solve
+    report: SolverReport | None = None  # fibre solves and det Ci check; set by run_point
 
     CSV_STRESS_COLS = ("s11_kpa", "s22_kpa", "s33_kpa", "s12_kpa", "s13_kpa", "s23_kpa")
 
@@ -157,6 +157,11 @@ def run_point(program: LoadProgram, layer: MaterialLayer, f0: PreStressField) ->
 
     t_eq_sf, t_over_sf = isochoric_pk2(c_sf, lambda cbar: np.stack((
         equilibrium_sbar(cbar, layer.equilibrium), overstress_sbar(cbar, history, iso, fibres_v))))
+    det_ci = tn.det(history.Ci)
+    # converged: every fibre solve ended below the local Newton tolerance
+    report = SolverReport(r_max < NEWTON_TOL, its,
+                          {"det_ci_max_dev": float(np.max(np.abs(det_ci - 1.0))),
+                           "fibre_r_max": r_max})
     return PointTrace(times, cauchy_from_pk2(pull_back_pk2(t_eq_sf + t_over_sf, f0), F_lf),
-                      tn.det(history.Ci), lam_i,
-                      np.linalg.norm(cauchy_from_pk2(t_over_sf, F_sf), axis=(1, 2)), its, r_max)
+                      det_ci, lam_i,
+                      np.linalg.norm(cauchy_from_pk2(t_over_sf, F_sf), axis=(1, 2)), report)

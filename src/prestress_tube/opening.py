@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import NoConvergence
 from .materials import diagonal_energy
-from .tube import (N_QUAD, NEWTON_MAXIT, NEWTON_TOL, TWO_PI, MaterialLayer, _solve_sector,
-                   _solve_wall, equilibrium_residuals, sector_segments)
+from .tube import (N_QUAD, NEWTON_MAXIT, NEWTON_TOL, TWO_PI, MaterialLayer, SolverReport,
+                   _solve_sector, _solve_wall, equilibrium_residuals, sector_segments)
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class EnergyCurve:
     argmin_deg: float
     e_min_microj: float
     candidate: OpenedStateCandidate   # equilibrated state at the argmin
-    residuals: dict            # p_net_kpa, F_red_kpa_mm2, moment_kpa_mm2 of the candidate
-    iterations: int            # Newton iterations of the argmin's (rho, l, alpha) solve;
-                               # 0 when the argmin is a grid sample
+    report: SolverReport       # residuals p_net_kpa, F_red_kpa_mm2, moment_kpa_mm2 of the
+                               # candidate; iterations of the argmin's (rho, l, alpha)
+                               # solve, 0 when the argmin is a grid sample
 
 
 def opened_segments(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate):
@@ -138,4 +138,4 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
     a_min, e_min = ((math.degrees(y[2]), opened_energy(layers, cand, npts)) if iterations
                     else (float(angles[i]), float(energies[i])))
     residuals = dict(zip(('p_net_kpa', 'F_red_kpa_mm2', 'moment_kpa_mm2'), map(float, res)))
-    return EnergyCurve(samples, a_min, e_min, cand, residuals, iterations)
+    return EnergyCurve(samples, a_min, e_min, cand, SolverReport(True, iterations, residuals))

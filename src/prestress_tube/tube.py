@@ -289,6 +289,12 @@ def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 10
 
 @dataclass
 class SolverReport:
+    """The record of a run, one per workflow result: whether it converged, the
+    iterations of its slowest Newton solve, the returned state's residuals keyed
+    by name and unit, and their change under doubled quadrature (tube solvers
+    only).  The equilibrium solvers raise NoConvergence rather than return
+    unconverged, so their records carry converged=True by construction; the
+    point driver's is False when a fibre solve ended above its tolerance."""
     converged: bool
     iterations: int
     residuals: dict
@@ -331,8 +337,11 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
     halves its step and stops on its own: where fun evaluates each state as it
     would alone, a batch returns the x each system reaches alone.  Returns (x,
     residual, iterations of the slowest system); raises NoConvergence carrying
-    the last checked iterates and the largest residual norm.
+    the last checked iterates and the largest residual norm, and ValueError
+    for a tolerance that is not > 0, which no residual can meet.
     """
+    if not tol > 0.0:
+        raise ValueError(f"need tol > 0 (got {tol})")
     x = np.array(x0, dtype=float)
     f, jac = _value_and_jacobian(fun, x)
     for it in range(max_iter + 1):
@@ -383,22 +392,23 @@ def _solve_wall(layers, build, x0, length, npts: int, tol: float, max_iter: int)
     return x, fhat * scale[..., 0], iters
 
 
-# ---------------------------------------------------------------------------
-# inverse problem: tube -> stress-free sector(s)
-# ---------------------------------------------------------------------------
-
 @dataclass
-class InverseSolution:
-    sectors: tuple
+class WallSolution:
+    """An equilibrated load-free wall: the tube, the layers' stress-free
+    sectors, inner to outer, its segments and the solve's record."""
     tube: TubeGeometry
-    alpha: float
+    sectors: tuple
     segments: list
     report: SolverReport
 
 
+# ---------------------------------------------------------------------------
+# inverse problem: tube -> stress-free sector(s)
+# ---------------------------------------------------------------------------
+
 def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLayer],
                      npts: int = N_QUAD, tol: float = NEWTON_TOL,
-                     max_iter: int = NEWTON_MAXIT) -> InverseSolution:
+                     max_iter: int = NEWTON_MAXIT) -> WallSolution:
     """Find the stress-free sector geometry of a load-free tube.
 
     All layers share the opening angle alpha (rad) and the sector length L;
@@ -408,6 +418,8 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     identities exactly.  Residuals are the net pressure and the reduced axial
     force.
     """
+    if not 0.0 <= alpha < TWO_PI:
+        raise ValueError(f"need 0 <= alpha < 2*pi (got {alpha})")
     if len(tube.radii) != len(layers) + 1:
         raise ValueError(f"{len(layers)} layer(s) need {len(layers) + 1} tube radii "
                          f"(got {len(tube.radii)})")
@@ -424,19 +436,12 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     L = float(x[1])
     segs = segments_at(float(x[0]), L)
     sectors = tuple(SectorGeometry(*map(float, seg.R_span), L, alpha) for seg in segs)
-    return InverseSolution(sectors, tube, alpha, segs, _report(segs, f, iters, npts))
+    return WallSolution(tube, sectors, segs, _report(segs, f, iters, npts))
 
 
 # ---------------------------------------------------------------------------
 # forward problem: sector(s) -> load-free tube
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LoadFreeSolution:
-    tube: TubeGeometry
-    segments: list
-    report: SolverReport
-
 
 def _solve_sector(layers: Sequence[MaterialLayer], alpha, npts: int = N_QUAD,
                   tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
@@ -460,7 +465,7 @@ def _solve_sector(layers: Sequence[MaterialLayer], alpha, npts: int = N_QUAD,
 
 
 def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
-                    tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT) -> LoadFreeSolution:
+                    tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT) -> WallSolution:
     """Close the per-layer sectors into one equilibrated load-free tube.
 
     Unknowns are the current radius of the first layer's outer sf radius and
@@ -471,5 +476,5 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
     segs = sector_segments(layers, 0.0, float(x[0]), float(x[1]))
     radii = [segs[0].map.radius_current(segs[0].R_span[0])]
     radii += [seg.map.radius_current(seg.R_span[1]) for seg in segs]
-    return LoadFreeSolution(TubeGeometry(radii, float(x[1])), segs,
-                            _report(segs, f, iters, npts))
+    return WallSolution(TubeGeometry(radii, float(x[1])), tuple(wall_sectors(layers)), segs,
+                        _report(segs, f, iters, npts))

@@ -29,6 +29,9 @@ VISC_BLOCK = {"mu_matrix_kpa": 5.0, "eta_matrix_kpa_s": 0.5, "k1_visc_kpa": 5.3,
               "k2_visc": 0.8393, "eta_fibre_kpa_s": 0.53}
 
 IDENT = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+# the summary's keys (bench/inputs.py and bench/oracles.py read them)
+SUMMARY_KEYS = {"workflow", "converged", "iterations", "residuals", "key_results", "csv"}
+TUBE_RESIDUALS = {"p_net_kpa", "F_red_kpa_mm2"}
 S = 1.3 ** -0.5
 F_STRETCH = [[S, 0.0, 0.0], [0.0, S, 0.0], [0.0, 0.0, 1.3]]
 
@@ -174,6 +177,8 @@ def test_cli_inverse_sf(tmp_path, capsys):
                             "--out", str(out))
     assert rc == 0
     summary = json.loads(stdout)
+    assert set(summary) == SUMMARY_KEYS | {"diagnostics"}
+    assert set(summary["residuals"]) == TUBE_RESIDUALS
     assert summary["workflow"] == "inverse-sf"
     assert summary["converged"] is True
     key = summary["key_results"]
@@ -203,6 +208,8 @@ def test_cli_load_free(tmp_path, capsys):
                             "--out", str(out))
     assert rc == 0
     summary = json.loads(stdout)
+    assert set(summary) == SUMMARY_KEYS | {"diagnostics"}
+    assert set(summary["residuals"]) == TUBE_RESIDUALS
     assert 0.0 <= summary["diagnostics"]["quad_check"]["F_refine_change"] < 1e-10
     key = summary["key_results"]
     assert key["r_i_mm"] == pytest.approx(0.4740, abs=2e-4)
@@ -230,6 +237,8 @@ def test_cli_energy_scan_with_grid_flags(tmp_path, capsys):
     assert np.all(data[:, 1] >= key["e_min_microj"] - 1e-12)
     # the summary reports the returned state: Newton-converged, on the moment root
     summary = json.loads(stdout)
+    assert set(summary) == SUMMARY_KEYS
+    assert set(summary["residuals"]) == TUBE_RESIDUALS | {"moment_kpa_mm2"}
     assert summary["converged"] is True
     assert summary["iterations"] >= 1
     res, c1, ro = summary["residuals"], MEDIA_BLOCK["c1_kpa"], MEDIA_SECTOR_BLOCK["R_o_mm"]
@@ -283,6 +292,8 @@ def test_cli_point_test(tmp_path, capsys):
     assert data.shape[0] == 301
     # the summary reports the driver's own check: max |det Ci - 1| over the trace
     summary = json.loads(stdout)
+    assert set(summary) == SUMMARY_KEYS
+    assert set(summary["residuals"]) == {"det_ci_max_dev", "fibre_r_max"}
     assert 0.0 <= summary["residuals"]["det_ci_max_dev"] < 1e-10
     # and what the fibre local solves did
     assert summary["converged"] is True
@@ -533,6 +544,8 @@ def test_cli_exit_2_nonconvergence(tmp_path, capsys):
                             "--out", str(tmp_path / "x.csv"))
     assert rc == 2
     summary = json.loads(stdout)
+    assert set(summary) == {"workflow", "converged", "error", "residuals", "last_iterate"}
+    assert set(summary["residuals"]) == {"norm"}
     assert summary["converged"] is False
     assert len(summary["last_iterate"]) == 2
     assert "error" in summary
@@ -610,5 +623,7 @@ def test_cli_exit_2_unresolvable_dt(tmp_path, capsys):
                             "--out", str(tmp_path / "x.csv"))
     assert rc == 2
     summary = json.loads(stdout)
+    assert set(summary) == {"workflow", "converged", "error", "residuals"}
+    assert summary["residuals"] == {}
     assert summary["converged"] is False
     assert "DomainError" in summary["error"]

@@ -155,16 +155,16 @@ def test_scan_argmin_is_dense_energy_argmin(t3_layers):
     energies = [equilibrate_opened(t3_layers, math.radians(a))[1] for a in dense]
     assert abs(dense[int(np.argmin(energies))] - curve.argmin_deg) <= 0.1
     assert curve.e_min_microj <= min(energies) + 1e-12
-    assert curve.iterations >= 1
+    assert curve.report.iterations >= 1
 
 
 def test_scan_minimum_on_grid_end_is_the_sample(t3_layers):
     # the energy still falls past the grid end: no moment root in the cell
     curve = find_opening_angle(t3_layers, 100.0, 120.0, 4.0)
     assert curve.argmin_deg == 120.0
-    assert curve.iterations == 0
+    assert curve.report.iterations == 0
     assert curve.e_min_microj == dict(curve.samples)[120.0]
-    assert curve.residuals["moment_kpa_mm2"] > 0.0
+    assert curve.report.residuals["moment_kpa_mm2"] > 0.0
 
 
 def test_scan_raises_when_the_moment_root_leaves_its_cell(t3_layers, monkeypatch):

@@ -328,6 +328,59 @@ def test_newton2_reports_nonconvergence():
     assert e.residuals['norm'] == np.max(np.abs(fun(e.last_iterate)))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_newton2_rejects_a_tolerance_no_residual_can_meet(tol):
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return x - 1.0
+
+    with pytest.raises(ValueError, match="tol > 0"):
+        newton2(fun, np.array([2.0]), tol=tol)
+    assert not calls
+    # every solver passes its tol to newton2
+    with pytest.raises(ValueError, match="tol > 0"):
+        solve_inverse_sf(TubeGeometry((0.71, 1.1), 3.0), 1.0,
+                         [MaterialLayer.from_constants(**MEDIA_EQ)], tol=tol)
+
+
+def test_wall_solve_backs_off_an_inadmissible_trial(monkeypatch):
+    # a media sector glued to an adventitia sector at alpha = 80 deg, started
+    # at a rho just above the one that closes the media's inner radius to 0:
+    # the first trial step leaves the admissible radii, its residual reads
+    # huge and the line search halves back into the domain
+    layers = [MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR),
+              MaterialLayer.from_constants(**ADV_EQ, sector=SectorGeometry(
+                  1.5, 1.8, 1.05, math.radians(140.0)))]
+    alpha = math.radians(80.0)
+    k1 = (2.0 * math.pi - alpha) / (2.0 * math.pi - MEDIA_SECTOR.alpha)
+    rho = 1.001 * math.sqrt((MEDIA_SECTOR.Ro ** 2 - MEDIA_SECTOR.Ri ** 2) / k1)
+    domain_errors = []
+    residuals = tube.equilibrium_residuals
+
+    def counting(segments, npts):
+        try:
+            return residuals(segments, npts)
+        except DomainError:
+            domain_errors.append(npts)
+            raise
+
+    monkeypatch.setattr(tube, "equilibrium_residuals", counting)
+
+    def solve(x0):
+        return tube._solve_wall(layers, lambda r, l: tube.sector_segments(layers, alpha, r, l),
+                                np.array(x0), rho, tube.N_QUAD, tube.NEWTON_TOL,
+                                tube.NEWTON_MAXIT)
+
+    x, f, _ = solve([rho, 1.0])
+    assert domain_errors
+    ref, _, _ = solve([1.3, 1.0])
+    assert np.all(np.abs(f) < 1e-10)
+    # both solves stop inside the Newton tolerance (9.8e-13 mm apart here)
+    assert_allclose(x, ref, rtol=0.0, atol=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # inverse problem: load-free tube -> stress-free sectors
 # ---------------------------------------------------------------------------
@@ -491,6 +544,17 @@ def test_inverse_invariant_under_layer_split(j, t):
 def test_inverse_needs_one_radius_per_layer_boundary(two_layers):
     with pytest.raises(ValueError, match="tube radii"):
         solve_inverse_sf(TubeGeometry((0.71, 1.1), 3.0), 1.0, two_layers)
+
+
+@pytest.mark.parametrize("alpha", [2.0 * math.pi, 7.0, math.nan, -0.5])
+def test_inverse_rejects_an_opening_angle_outside_the_circle(monkeypatch, two_layers, alpha):
+    # checked before the Newton runs
+    def newton_never_runs(*args, **kwargs):
+        raise AssertionError("newton2 called")
+
+    monkeypatch.setattr(tube, "newton2", newton_never_runs)
+    with pytest.raises(ValueError, match="alpha"):
+        solve_inverse_sf(T1_TUBE, alpha, two_layers)
 
 
 # ---------------------------------------------------------------------------
