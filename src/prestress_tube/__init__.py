@@ -16,22 +16,16 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDeterminant,
                      NonPositiveStretch, QuadratureFailure, SingularTensor)
 from .materials import (EquilibriumMaterial, HolzapfelFibreParams, MooneyRivlinParams,
-                        PreStressField, cauchy_from_pk2, csf_from_clf, clf_from_csf,
-                        diagonal_energy, diagonal_stress_differences, equilibrium_energy_sf,
-                        equilibrium_pk2_sf, extra_cauchy_equilibrium, fibre_directions,
-                        fibre_energy, fibre_f, fibre_sq_stretch, holzapfel_pk2_sf, isochoric_pk2,
-                        mooney_rivlin_energy, mooney_rivlin_pk2_sf, pull_back_pk2,
-                        sq_stretch_gradient)
+                        PreStressField, cauchy_from_pk2, csf_from_clf, diagonal_energy,
+                        diagonal_stress_differences, fibre_directions, fibre_energy, fibre_f,
+                        isochoric_pk2, pull_back_pk2)
 from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState, fibre_evolve,
-                      fibre_evolve_step, fibre_flow_rhs, fibre_overstress,
-                      fibre_overstress_scalar, initial_state, iso_energy,
-                      iso_evolve, iso_evolve_step, iso_flow_rhs, iso_overstress,
-                      overstress_pk2_sf, visc_fibre_energy, visc_fibre_f)
+                      fibre_overstress_scalar, initial_state, iso_evolve)
 from .tube import (MaterialLayer, OpeningMap, SectorGeometry, SolverReport, TubeGeometry,
                    WallSegment, WallSolution, equilibrium_residuals, gauss_segment, newton2,
                    sector_segments, solve_inverse_sf, solve_load_free, wall_stress_profile)
-from .opening import (EnergyCurve, OpenedStateCandidate, equilibrate_opened,
-                      find_opening_angle, opened_energy, opened_segments)
+from .opening import (EnergyCurve, OpenedStateCandidate, find_opening_angle, opened_energy,
+                      opened_segments)
 from .driver import LoadProgram, PointTrace, run_point
 from . import config, tensor
 

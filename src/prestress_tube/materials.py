@@ -8,8 +8,9 @@ Conventions used throughout:
   so the deformation gradients relate by  F_sf = F_lf @ inv(F0).
 * Energies are stored per unit reference volume (units kPa), so the mass
   density never appears as a separate parameter.
-* Every PK2 stress below is the exact gradient 2 * d(energy)/dC of the stored
-  energy it accompanies; the finite-difference tests rely on that.
+* Every PK2 stress is the exact gradient 2 * d(energy)/dC of its stored energy;
+  the finite-difference tests check it against the tensor-route energies of
+  tests/reference.py.
 * Every energy acts on Cbar = J^(-2/3) C (J^2 = det C), so every PK2 stress is
   J^(-2/3) Dev Sbar, Dev(.) = (.) - 1/3 [(.) : C] C^{-1} (Holzapfel 2000, 6.4), of
   its fictitious stress Sbar = 2 dW/dCbar: each law gives Sbar to isochoric_pk2.
@@ -21,12 +22,13 @@ All stress functions broadcast over leading axes of C (shape (..., 3, 3)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tn
-from .errors import DomainError, NonPositiveDeterminant
+from .errors import NonPositiveDeterminant
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,17 @@ class MooneyRivlinParams:
     c2: float
 
     def __post_init__(self):
-        if self.c1 < 0.0 or self.c2 < 0.0 or self.c1 + self.c2 <= 0.0:
-            raise ValueError(f"need c1 >= 0, c2 >= 0, c1 + c2 > 0 (got c1={self.c1}, c2={self.c2})")
+        c1, c2 = self.c1, self.c2
+        if not (0.0 <= c1 < math.inf and 0.0 <= c2 < math.inf and c1 + c2 > 0.0):
+            raise ValueError(f"need finite c1 >= 0, c2 >= 0, c1 + c2 > 0 (got c1={c1}, c2={c2})")
+
+
+def unit_direction(a):
+    """a as a float array, checked to be a unit vector (NaN entries fail)."""
+    a = np.asarray(a, dtype=float)
+    if not abs(np.linalg.norm(a) - 1.0) <= 1e-12:
+        raise ValueError(f"fibre direction must be unit length (|a| = {np.linalg.norm(a):.3e})")
+    return a
 
 
 @dataclass(frozen=True)
@@ -49,12 +60,9 @@ class HolzapfelFibreParams:
     a: np.ndarray
 
     def __post_init__(self):
-        if self.k1 <= 0.0 or self.k2 <= 0.0:
-            raise ValueError(f"need k1 > 0, k2 > 0 (got k1={self.k1}, k2={self.k2})")
-        a = np.asarray(self.a, dtype=float)
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
-            raise ValueError(f"fibre direction must be unit length (|a| = {np.linalg.norm(a):.3e})")
-        object.__setattr__(self, 'a', a)
+        if not (0.0 < self.k1 < math.inf and 0.0 < self.k2 < math.inf):
+            raise ValueError(f"need finite k1 > 0, k2 > 0 (got k1={self.k1}, k2={self.k2})")
+        object.__setattr__(self, 'a', unit_direction(self.a))
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,8 @@ class PreStressField:
 
     def __post_init__(self):
         f0 = np.asarray(self.F0, dtype=float)
+        if f0.shape != (3, 3):
+            raise ValueError(f"F0 must be 3x3 (got shape {f0.shape})")
         d = tn.det(f0)
         if not np.all(np.abs(d - 1.0) <= 1e-10):  # also rejects NaN entries
             raise ValueError(f"F0 must be unimodular (det = {np.max(np.abs(d - 1.0)):.3e} from 1)")
@@ -72,6 +82,8 @@ class PreStressField:
 
 def fibre_directions(beta_rad: float):
     """The +/- beta pair measured from the hoop direction in the (theta, z) plane."""
+    if not abs(beta_rad) < math.inf:
+        raise ValueError(f"fibre angle must be finite (got {beta_rad})")
     cb, sb = np.cos(beta_rad), np.sin(beta_rad)
     return np.array([0.0, cb, sb]), np.array([0.0, cb, -sb])
 
@@ -84,12 +96,6 @@ def csf_from_clf(c_lf, f0: PreStressField):
     """C_sf = F0^{-T} C_lf F0^{-1}."""
     f0inv = tn.inverse(f0.F0)
     return tn.transpose(f0inv) @ np.asarray(c_lf, dtype=float) @ f0inv
-
-
-def clf_from_csf(c_sf, f0: PreStressField):
-    """Inverse transform C_lf = F0^T C_sf F0."""
-    f = np.asarray(f0.F0, dtype=float)
-    return tn.transpose(f) @ np.asarray(c_sf, dtype=float) @ f
 
 
 def pull_back_pk2(t_sf, f0: PreStressField):
@@ -120,21 +126,6 @@ def isochoric_pk2(c_sf, fictitious):
 
 
 # ---------------------------------------------------------------------------
-# Mooney-Rivlin matrix
-# ---------------------------------------------------------------------------
-
-def mooney_rivlin_energy(c_sf, p: MooneyRivlinParams):
-    """c1/2 (tr Cbar - 3) + c2/2 (tr Cbar^{-1} - 3), per unit reference volume."""
-    cbar = tn.unimodular(c_sf)
-    return 0.5 * p.c1 * (tn.trace(cbar) - 3.0) + 0.5 * p.c2 * (tn.trace(tn.inverse(cbar)) - 3.0)
-
-
-def mooney_rivlin_pk2_sf(c_sf, p: MooneyRivlinParams):
-    """PK2 stress of the matrix alone (tr Cbar^{-1} = I2(Cbar) since det Cbar = 1)."""
-    return equilibrium_pk2_sf(c_sf, EquilibriumMaterial(p))
-
-
-# ---------------------------------------------------------------------------
 # exponential fibre family
 # ---------------------------------------------------------------------------
 
@@ -150,25 +141,10 @@ def fibre_energy(lam2, k1: float, k2: float):
     return k1 / (2.0 * k2) * (np.exp(k2 * u * u) - 1.0)
 
 
-def fibre_sq_stretch(c_sf, a):
-    """Squared unimodular fibre stretch lam2 = a . Cbar a."""
-    return np.einsum('...ij,i,j->...', tn.unimodular(c_sf), a, a)
-
-
-def sq_stretch_gradient(c_sf, a):
-    """(d(lam2)/dC, lam2) with d(lam2)/dC = J^(-2/3) Dev(a(x)a)  (exact)."""
-    return isochoric_pk2(c_sf, lambda cbar: tn.dyad(a)), fibre_sq_stretch(c_sf, a)
-
-
 def holzapfel_sbar(cbar, p: HolzapfelFibreParams):
     """Fictitious stress 2 f(lam2) a(x)a of one fibre family."""
     f = fibre_f(np.einsum('...ij,i,j->...', cbar, p.a, p.a), p.k1, p.k2)
     return 2.0 * np.asarray(f)[..., None, None] * tn.dyad(p.a)
-
-
-def holzapfel_pk2_sf(c_sf, p: HolzapfelFibreParams):
-    """PK2 stress of one fibre family."""
-    return isochoric_pk2(c_sf, lambda cbar: holzapfel_sbar(cbar, p))
 
 
 # ---------------------------------------------------------------------------
@@ -195,34 +171,6 @@ def equilibrium_sbar(cbar, mat: EquilibriumMaterial):
     return sum((holzapfel_sbar(cbar, fp) for fp in mat.fibres), s)
 
 
-def equilibrium_pk2_sf(c_sf, mat: EquilibriumMaterial):
-    """Total equilibrium PK2 on the sf configuration (matrix + all fibre families)."""
-    return isochoric_pk2(c_sf, lambda cbar: equilibrium_sbar(cbar, mat))
-
-
-def equilibrium_energy_sf(c_sf, mat: EquilibriumMaterial):
-    """Total stored equilibrium energy per unit reference volume (kPa = microJ/mm^3)."""
-    w = mooney_rivlin_energy(c_sf, mat.matrix)
-    for fp in mat.fibres:
-        w = w + fibre_energy(fibre_sq_stretch(c_sf, fp.a), fp.k1, fp.k2)
-    return w
-
-
-def extra_cauchy_equilibrium(f, mat: EquilibriumMaterial):
-    """Pressure-indeterminate Cauchy stress F_sf T_pk2 F_sf^T for det F_sf = 1.
-
-    Only differences of its normal components are meaningful; they equal the
-    corresponding differences of the true Cauchy stress, the incompressibility
-    pressure having cancelled.
-    """
-    f = np.asarray(f, dtype=float)
-    d = tn.det(f)
-    if np.any(np.abs(d - 1.0) > 1e-10):
-        raise DomainError(f"extra stress assumes det F_sf = 1 (worst |det-1| = {np.max(np.abs(d - 1.0)):.3e})")
-    c = tn.transpose(f) @ f
-    return f @ equilibrium_pk2_sf(c, mat) @ tn.transpose(f)
-
-
 # ---------------------------------------------------------------------------
 # closed forms for F_sf = diag(lam_i), det = 1, in l2 = (lam_1^2, lam_2^2, lam_3^2):
 # C_sf = diag(l2) = Cbar and a fibre's lam2 = sum_i a_i^2 l2_i.  Only arithmetic
@@ -230,7 +178,9 @@ def extra_cauchy_equilibrium(f, mat: EquilibriumMaterial):
 # ---------------------------------------------------------------------------
 
 def diagonal_stress_differences(l2, mat: EquilibriumMaterial):
-    """(T_22 - T_11, T_33 - T_11) of extra_cauchy_equilibrium(diag(sqrt(l2)), mat)."""
+    """(T_22 - T_11, T_33 - T_11) of the Cauchy stress F_sf S F_sf^T, S =
+    isochoric_pk2 of equilibrium_sbar, at F_sf = diag(sqrt(l2)); the
+    incompressibility pressure cancels from these differences."""
     p = mat.matrix
     t = [p.c1 * s - p.c2 / s for s in l2]
     for fp in mat.fibres:
@@ -241,7 +191,8 @@ def diagonal_stress_differences(l2, mat: EquilibriumMaterial):
 
 
 def diagonal_energy(l2, mat: EquilibriumMaterial):
-    """equilibrium_energy_sf(diag(l2), mat) for det = l2_1 l2_2 l2_3 = 1."""
+    """Stored energy of the matrix and all fibre families at C_sf = diag(l2) for
+    det = l2_1 l2_2 l2_3 = 1, per unit reference volume (kPa = microJ/mm^3)."""
     p = mat.matrix
     w = 0.5 * p.c1 * (sum(l2) - 3.0) + 0.5 * p.c2 * (sum(1.0 / s for s in l2) - 3.0)
     for fp in mat.fibres:

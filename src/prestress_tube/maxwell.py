@@ -18,8 +18,10 @@ unconditionally stable and preserves det Ci = 1 exactly.  The fibre update is
 backward Euler on x = ln(lambda_i) with a safeguarded Newton (bisection
 fallback); the root is bracketed by [x_old, ln(lambda)] because the flow drives
 lambda_i monotonically toward lambda.  iso_evolve and fibre_evolve step whole
-histories in plain floats (the *_step functions are one-step calls).  Each
-overstress is materials.isochoric_pk2 of its fictitious stress.
+histories in plain floats; one step is a history of length one.  The viscous
+fibre energy is twice the equilibrium fibre law, 2 materials.fibre_energy, so
+its derivative is 2 materials.fibre_f.  Each overstress is
+materials.isochoric_pk2 of its fictitious stress.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import NoConvergence, NonPositiveDeterminant, NonPositiveStretch
-from .materials import PreStressField, csf_from_clf, isochoric_pk2
+from .materials import PreStressField, csf_from_clf, fibre_f, unit_direction
 
 # fibre local solve
 NEWTON_TOL = 1e-12
@@ -50,8 +52,8 @@ class IsoMaxwellParams:
     eta: float
 
     def __post_init__(self):
-        if self.mu <= 0.0 or self.eta <= 0.0:
-            raise ValueError(f"need mu > 0 and eta > 0 (got mu={self.mu}, eta={self.eta})")
+        if not (0.0 < self.mu < math.inf and 0.0 < self.eta < math.inf):
+            raise ValueError(f"need finite mu > 0 and eta > 0 (got mu={self.mu}, eta={self.eta})")
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,10 @@ class FibreMaxwellParams:
     a: np.ndarray
 
     def __post_init__(self):
-        if self.k1v <= 0.0 or self.k2v <= 0.0 or self.eta_f <= 0.0:
-            raise ValueError(f"need k1v, k2v, eta_f > 0 (got {self.k1v}, {self.k2v}, {self.eta_f})")
-        a = np.asarray(self.a, dtype=float)
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
-            raise ValueError("fibre direction must be unit length")
-        object.__setattr__(self, 'a', a)
+        if not all(0.0 < v < math.inf for v in (self.k1v, self.k2v, self.eta_f)):
+            raise ValueError(f"need finite k1v, k2v, eta_f > 0 (got {self.k1v}, {self.k2v}, "
+                             f"{self.eta_f})")
+        object.__setattr__(self, 'a', unit_direction(self.a))
 
 
 @dataclass
@@ -89,25 +89,10 @@ class ViscousState:
         if np.any(self.lambda_i <= 0.0):
             raise NonPositiveStretch("inelastic stretches must be positive")
 
-    def copy(self):
-        return ViscousState(self.Ci.copy(), self.lambda_i.copy())
-
 
 # ---------------------------------------------------------------------------
 # isotropic branch
 # ---------------------------------------------------------------------------
-
-def iso_energy(c_sf, ci, p: IsoMaxwellParams):
-    """mu/2 (tr(Cbar Ci^{-1}) - 3), the stored energy of the elastic spring."""
-    cbar = tn.unimodular(c_sf)
-    return 0.5 * p.mu * (np.einsum('...ij,...ji->...', cbar, tn.inverse(ci)) - 3.0)
-
-
-def iso_overstress(c_sf, ci, p: IsoMaxwellParams):
-    """PK2 overstress 2 d(energy)/dC at fixed Ci, of fictitious stress mu Ci^{-1}."""
-    ciinv = tn.inverse(ci)
-    return isochoric_pk2(c_sf, lambda cbar: p.mu * ciinv)
-
 
 def iso_evolve(ci0, cbar, h, p: IsoMaxwellParams):
     """Ci history [ci0, Ci_1, ..., Ci_n] (n + 1, 3, 3) of the isotropic flow with
@@ -134,59 +119,23 @@ def iso_evolve(ci0, cbar, h, p: IsoMaxwellParams):
     return np.array(rows)[:, _FULL]
 
 
-def iso_evolve_step(c_sf_new, ci_old, dt: float, p: IsoMaxwellParams):
-    """One implicit step of the isotropic flow; returns the new (unimodular) Ci."""
-    return iso_evolve(ci_old, tn.unimodular(c_sf_new)[None], (dt,), p)[1]
-
-
-def iso_flow_rhs(c_sf, ci, p: IsoMaxwellParams):
-    """Right-hand side (mu/eta) (Cbar Ci^{-1})^D Ci of the isotropic flow (for reference
-    integrators and tests)."""
-    cbar = tn.unimodular(c_sf)
-    return (p.mu / p.eta) * tn.deviator(cbar @ tn.inverse(ci)) @ np.asarray(ci, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # fibre branch
 # ---------------------------------------------------------------------------
 
-def visc_fibre_f(lam2, k1v: float, k2v: float):
-    """f_v(lam2) = 2 k1v (lam2 - 1) exp(k2v (lam2 - 1)^2) = d(energy)/d(lam2)."""
-    u = np.asarray(lam2, dtype=float) - 1.0
-    return 2.0 * k1v * u * np.exp(k2v * u * u)
-
-
-def visc_fibre_energy(lam2, k1v: float, k2v: float):
-    """k1v/k2v (exp(k2v (lam2 - 1)^2) - 1)."""
-    u = np.asarray(lam2, dtype=float) - 1.0
-    return k1v / k2v * (np.exp(k2v * u * u) - 1.0)
-
-
 def fibre_overstress_scalar(lam, lam_i, p: FibreMaxwellParams):
-    """Prefactor f_v(lam_e^2) / lam_i^2 with lam_e = lam/lam_i."""
+    """Prefactor f_v(lam_e^2) / lam_i^2 with lam_e = lam/lam_i, f_v = 2 fibre_f."""
     lam, lam_i = np.asarray(lam, dtype=float), np.asarray(lam_i, dtype=float)
     if np.any(lam <= 0.0) or np.any(lam_i <= 0.0):
         raise NonPositiveStretch("stretches must be positive")
     lam_e2 = (lam / lam_i) ** 2
-    return visc_fibre_f(lam_e2, p.k1v, p.k2v) / lam_i ** 2
-
-
-def fibre_overstress(c_sf, lam_i, p: FibreMaxwellParams):
-    """(prefactor, PK2 overstress tensor) of one viscous fibre family at fixed lam_i."""
-    pref, sbar = fibre_sbar(tn.unimodular(c_sf), lam_i, p)
-    return pref, isochoric_pk2(c_sf, lambda cbar: sbar)
+    return 2.0 * fibre_f(lam_e2, p.k1v, p.k2v) / lam_i ** 2
 
 
 def fibre_sbar(cbar, lam_i, p: FibreMaxwellParams):
     """(prefactor, fictitious stress 2 (f_v(lam_e^2)/lam_i^2) a(x)a), lam^2 = a . Cbar a."""
     pref = fibre_overstress_scalar(np.sqrt(np.einsum('...ij,i,j->...', cbar, p.a, p.a)), lam_i, p)
     return pref, 2.0 * np.asarray(pref)[..., None, None] * tn.dyad(p.a)
-
-
-def fibre_flow_rhs(lam, lam_i, p: FibreMaxwellParams):
-    """d(lambda_i)/dt = (lambda_i/eta) f_v(lam_e^2) lam_e^2 (for reference integrators)."""
-    lam_e2 = (lam / lam_i) ** 2
-    return lam_i / p.eta_f * visc_fibre_f(lam_e2, p.k1v, p.k2v) * lam_e2
 
 
 def fibre_evolve(lam, lam_i0: float, h, p: FibreMaxwellParams):
@@ -235,12 +184,6 @@ def fibre_evolve(lam, lam_i0: float, h, p: FibreMaxwellParams):
     return np.array(rows), its, r_max
 
 
-def fibre_evolve_step(lam_new: float, lam_i_old: float, dt: float, p: FibreMaxwellParams):
-    """One backward-Euler step of fibre_evolve; returns (lambda_i, iterations, |r|)."""
-    lam_i, its, r = fibre_evolve((lam_new,), lam_i_old, (dt,), p)
-    return float(lam_i[1]), its, r
-
-
 # ---------------------------------------------------------------------------
 # assembled overstress and initial conditions
 # ---------------------------------------------------------------------------
@@ -249,11 +192,6 @@ def overstress_sbar(cbar, state: ViscousState, iso, fibres):
     """Total fictitious overstress (isotropic branch, if any, + all fibre families)."""
     s = iso.mu * tn.inverse(state.Ci) if iso is not None else np.zeros(np.shape(cbar))
     return sum((fibre_sbar(cbar, state.lambda_i[..., j], fp)[1] for j, fp in enumerate(fibres)), s)
-
-
-def overstress_pk2_sf(c_sf, state: ViscousState, iso, fibres):
-    """Total viscous PK2 overstress; broadcasts over a history of C and of states."""
-    return isochoric_pk2(c_sf, lambda cbar: overstress_sbar(cbar, state, iso, fibres))
 
 
 def initial_state(f0: PreStressField, c_lf_initial, fibres) -> ViscousState:

@@ -91,15 +91,6 @@ def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
                                 cand.l_open, npts))
 
 
-def equilibrate_opened(layers: Sequence[MaterialLayer], alpha_trial: float,
-                       npts: int = N_QUAD):
-    """(OpenedStateCandidate, energy, (p_net, F_red)) equilibrated at a fixed trial
-    angle by Newton on sector equilibrium."""
-    x, f, _ = _solve_sector(layers, alpha_trial, npts)
-    cand = OpenedStateCandidate(alpha_trial, float(x[0]), float(x[1]))
-    return cand, opened_energy(layers, cand, npts), f
-
-
 def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 0.0,
                        grid_end_deg: float = 180.0, grid_step_deg: float = 2.0,
                        npts: int = N_QUAD) -> EnergyCurve:

@@ -17,13 +17,6 @@ SYM_TOL = 1e-12       # relative symmetry check
 SINGULAR_TOL = 1e-14  # |det| below this counts as singular
 
 
-def identity(shape=()):
-    """Identity tensor broadcast to leading shape `shape`."""
-    out = np.zeros(tuple(shape) + (3, 3))
-    out[..., 0, 0] = out[..., 1, 1] = out[..., 2, 2] = 1.0
-    return out
-
-
 def transpose(a):
     return np.swapaxes(a, -1, -2)
 
@@ -55,17 +48,6 @@ def unimodular(a):
     return a * d[..., None, None] ** (-1.0 / 3.0)
 
 
-def deviator(a):
-    """a - (tr a / 3) * 1."""
-    a = np.asarray(a, dtype=float)
-    out = a.copy()
-    t3 = trace(a) / 3.0
-    out[..., 0, 0] -= t3
-    out[..., 1, 1] -= t3
-    out[..., 2, 2] -= t3
-    return out
-
-
 def ddot(a, b):
     """Double contraction a : b = a_ij b_ij."""
     return np.einsum('...ij,...ij->...', a, b)
@@ -76,10 +58,6 @@ def dyad(u, v=None):
     if v is None:
         v = u
     return np.einsum('...i,...j->...ij', u, v)
-
-
-def sym(a):
-    return 0.5 * (a + transpose(a))
 
 
 def is_symmetric(a, tol: float = SYM_TOL) -> bool:

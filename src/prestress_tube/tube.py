@@ -76,20 +76,12 @@ class SectorGeometry:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.Ri < self.Ro:
-            raise ValueError(f"need 0 < Ri < Ro (got {self.Ri}, {self.Ro})")
-        if self.L <= 0.0:
-            raise ValueError("need L > 0")
+        if not 0.0 < self.Ri < self.Ro < math.inf:
+            raise ValueError(f"need 0 < Ri < Ro < inf (got {self.Ri}, {self.Ro})")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"need finite L > 0 (got {self.L})")
         if not 0.0 <= self.alpha < TWO_PI:
             raise ValueError("need 0 <= alpha < 2*pi")
-
-    @property
-    def k(self) -> float:
-        return TWO_PI / (TWO_PI - self.alpha)
-
-    @property
-    def alpha_deg(self) -> float:
-        return math.degrees(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -100,10 +92,10 @@ class TubeGeometry:
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
-        if len(radii) < 2 or not all(a < b for a, b in zip((0.0,) + radii, radii)):
-            raise ValueError(f"need two or more radii 0 < r_0 < r_1 < ... (got {radii})")
-        if not self.l > 0.0:
-            raise ValueError("need l > 0")
+        if len(radii) < 2 or not all(a < b for a, b in zip((0.0,) + radii, radii + (math.inf,))):
+            raise ValueError(f"need two or more finite radii 0 < r_0 < r_1 < ... (got {radii})")
+        if not 0.0 < self.l < math.inf:
+            raise ValueError(f"need finite l > 0 (got {self.l})")
         object.__setattr__(self, 'radii', radii)
 
 
@@ -143,10 +135,6 @@ class OpeningMap:
         lam_r^2 = 1 / (lam_theta^2 lam_z^2), so det = 1 by construction."""
         lt, lz = (self.k * r / R) ** 2, self.c ** 2
         return 1.0 / (lt * lz), lt, lz
-
-    def deformation_gradient(self, r, R):
-        """Closing gradient sf -> lf: diag(R/(k c r), k r/R, c), det = 1."""
-        return _diag(R / (self.k * self.c * r), self.k * r / R, self.c)
 
     def F0(self, r):
         """Pre-stress map lf -> sf at load-free radius r: the inverse closing gradient."""

@@ -9,19 +9,23 @@ from scipy.integrate import solve_ivp
 
 from prestress_tube import (
     MaterialLayer,
+    OpenedStateCandidate,
     SectorGeometry,
     TubeGeometry,
     cauchy_from_pk2,
-    equilibrium_pk2_sf,
-    fibre_evolve_step,
+    fibre_evolve,
     initial_state,
-    overstress_pk2_sf,
+    isochoric_pk2,
+    iso_evolve,
+    opened_energy,
     pull_back_pk2,
 )
 from prestress_tube import tensor as tn
 from prestress_tube.driver import PointTrace, step_times
 from prestress_tube.errors import NoConvergence, NonPositiveStretch
-from prestress_tube.maxwell import LAM_E_RANGE, NEWTON_MAXIT, NEWTON_TOL
+from prestress_tube.materials import equilibrium_sbar
+from prestress_tube.maxwell import LAM_E_RANGE, NEWTON_MAXIT, NEWTON_TOL, overstress_sbar
+from prestress_tube.tube import N_QUAD, _solve_sector
 
 # ---------------------------------------------------------------------------
 # reference parameter sets (kPa, kPa*s, degrees).  "media" = stiff inner
@@ -67,6 +71,14 @@ def split_sectored_layer(layers, j, t):
     halves = [replace(layers[j], sector=SectorGeometry(lo, hi, sec.L, sec.alpha))
               for lo, hi in ((sec.Ri, Rs), (Rs, sec.Ro))]
     return list(layers[:j]) + halves + list(layers[j + 1:]), Rs
+
+
+def equilibrate_opened(layers, alpha_trial, npts=N_QUAD):
+    """(OpenedStateCandidate, energy, (p_net, F_red)) equilibrated at a fixed trial
+    angle by Newton on sector equilibrium."""
+    x, f, _ = _solve_sector(layers, alpha_trial, npts)
+    cand = OpenedStateCandidate(alpha_trial, float(x[0]), float(x[1]))
+    return cand, opened_energy(layers, cand, npts), f
 
 
 @pytest.fixture
@@ -162,6 +174,18 @@ def ode_reference(rhs, y0, t_eval):
     return sol.y.T
 
 
+def constant_strain_ci(c_sf, ci0, dt, n, p):
+    """Ci after each of n implicit isotropic steps of dt from ci0 at the constant
+    strain c_sf, (n, 3, 3): one maxwell.iso_evolve history."""
+    return iso_evolve(ci0, np.broadcast_to(tn.unimodular(c_sf), (n, 3, 3)), np.full(n, dt), p)[1:]
+
+
+def constant_stretch_lambda_i(lam, li0, dt, n, p):
+    """lambda_i after each of n backward-Euler fibre steps of dt from li0 at the
+    constant stretch lam, (n,): one maxwell.fibre_evolve history."""
+    return fibre_evolve(np.full(n, lam), li0, np.full(n, dt), p)[0][1:]
+
+
 def reference_iso_step(c_sf_new, ci_old, dt, p):
     """One isotropic Maxwell update as a single numpy expression on 3x3 tensors."""
     if abs(tn.det(ci_old) - 1.0) > 1e-8:
@@ -236,9 +260,10 @@ def reference_run_point(program, layer, f0, iso_step=reference_iso_step):
                 cbar = tn.unimodular(c_sf)
                 for j, fp in enumerate(fibres_v):
                     lam = math.sqrt(float(np.einsum('ij,i,j->', cbar, fp.a, fp.a)))
-                    state.lambda_i[j] = fibre_evolve_step(lam, state.lambda_i[j], h, fp)[0]
-        t_eq_sf = equilibrium_pk2_sf(c_sf, layer.equilibrium)
-        t_over_sf = overstress_pk2_sf(c_sf, state, layer.iso_maxwell, fibres_v)
+                    state.lambda_i[j] = fibre_evolve((lam,), state.lambda_i[j], (h,), fp)[0][1]
+        t_eq_sf = isochoric_pk2(c_sf, lambda cb: equilibrium_sbar(cb, layer.equilibrium))
+        t_over_sf = isochoric_pk2(
+            c_sf, lambda cb: overstress_sbar(cb, state, layer.iso_maxwell, fibres_v))
         t_lf = pull_back_pk2(t_eq_sf + t_over_sf, f0)
         rec_cauchy.append(cauchy_from_pk2(t_lf, F_lf))
         rec_det.append(float(tn.det(state.Ci)))

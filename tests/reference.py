@@ -1,0 +1,115 @@
+"""Reference forms of the constitutive laws, for the oracles of the tests.
+
+Each function states a law on its own terms, independently of the closed-form
+and fictitious-stress kernels the workflows run: the stored energies on the
+3x3 tensor route (whose finite-difference gradients the PK2 stresses must
+match), the extra Cauchy stress, the Maxwell flow right-hand sides (integrated
+by the Runge-Kutta references) and the lf <- sf strain transform.  Where a
+law needs a stress or a fibre law, it calls the package's kernel.
+"""
+
+import numpy as np
+
+from prestress_tube import tensor as tn
+from prestress_tube.errors import DomainError
+from prestress_tube.materials import (EquilibriumMaterial, MooneyRivlinParams, PreStressField,
+                                      equilibrium_sbar, fibre_energy, fibre_f, isochoric_pk2)
+from prestress_tube.maxwell import FibreMaxwellParams, IsoMaxwellParams
+
+
+# ---------------------------------------------------------------------------
+# tensor algebra
+# ---------------------------------------------------------------------------
+
+def identity(shape=()):
+    """Identity tensor broadcast to leading shape `shape`."""
+    out = np.zeros(tuple(shape) + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = out[..., 2, 2] = 1.0
+    return out
+
+
+def deviator(a):
+    """a - (tr a / 3) * 1."""
+    a = np.asarray(a, dtype=float)
+    out = a.copy()
+    t3 = tn.trace(a) / 3.0
+    out[..., 0, 0] -= t3
+    out[..., 1, 1] -= t3
+    out[..., 2, 2] -= t3
+    return out
+
+
+def sym(a):
+    return 0.5 * (a + tn.transpose(a))
+
+
+# ---------------------------------------------------------------------------
+# configuration transform
+# ---------------------------------------------------------------------------
+
+def clf_from_csf(c_sf, f0: PreStressField):
+    """Inverse transform C_lf = F0^T C_sf F0."""
+    f = np.asarray(f0.F0, dtype=float)
+    return tn.transpose(f) @ np.asarray(c_sf, dtype=float) @ f
+
+
+# ---------------------------------------------------------------------------
+# equilibrium energies and stress on the tensor route
+# ---------------------------------------------------------------------------
+
+def mooney_rivlin_energy(c_sf, p: MooneyRivlinParams):
+    """c1/2 (tr Cbar - 3) + c2/2 (tr Cbar^{-1} - 3), per unit reference volume."""
+    cbar = tn.unimodular(c_sf)
+    return 0.5 * p.c1 * (tn.trace(cbar) - 3.0) + 0.5 * p.c2 * (tn.trace(tn.inverse(cbar)) - 3.0)
+
+
+def fibre_sq_stretch(c_sf, a):
+    """Squared unimodular fibre stretch lam2 = a . Cbar a."""
+    return np.einsum('...ij,i,j->...', tn.unimodular(c_sf), a, a)
+
+
+def equilibrium_energy_sf(c_sf, mat: EquilibriumMaterial):
+    """Total stored equilibrium energy per unit reference volume (kPa = microJ/mm^3)."""
+    w = mooney_rivlin_energy(c_sf, mat.matrix)
+    for fp in mat.fibres:
+        w = w + fibre_energy(fibre_sq_stretch(c_sf, fp.a), fp.k1, fp.k2)
+    return w
+
+
+def extra_cauchy_equilibrium(f, mat: EquilibriumMaterial):
+    """Pressure-indeterminate Cauchy stress F_sf T_pk2 F_sf^T for det F_sf = 1.
+
+    Only differences of its normal components are meaningful; they equal the
+    corresponding differences of the true Cauchy stress, the incompressibility
+    pressure having cancelled.
+    """
+    f = np.asarray(f, dtype=float)
+    d = tn.det(f)
+    if np.any(np.abs(d - 1.0) > 1e-10):
+        raise DomainError(f"extra stress assumes det F_sf = 1 (worst |det-1| = {np.max(np.abs(d - 1.0)):.3e})")
+    c = tn.transpose(f) @ f
+    return f @ isochoric_pk2(c, lambda cbar: equilibrium_sbar(cbar, mat)) @ tn.transpose(f)
+
+
+# ---------------------------------------------------------------------------
+# Maxwell branches
+# ---------------------------------------------------------------------------
+
+def iso_energy(c_sf, ci, p: IsoMaxwellParams):
+    """mu/2 (tr(Cbar Ci^{-1}) - 3), the stored energy of the elastic spring."""
+    cbar = tn.unimodular(c_sf)
+    return 0.5 * p.mu * (np.einsum('...ij,...ji->...', cbar, tn.inverse(ci)) - 3.0)
+
+
+def iso_flow_rhs(c_sf, ci, p: IsoMaxwellParams):
+    """Right-hand side (mu/eta) (Cbar Ci^{-1})^D Ci of the isotropic flow (for reference
+    integrators and tests)."""
+    cbar = tn.unimodular(c_sf)
+    return (p.mu / p.eta) * deviator(cbar @ tn.inverse(ci)) @ np.asarray(ci, dtype=float)
+
+
+def fibre_flow_rhs(lam, lam_i, p: FibreMaxwellParams):
+    """d(lambda_i)/dt = (lambda_i/eta) f_v(lam_e^2) lam_e^2, f_v = 2 fibre_f (for
+    reference integrators)."""
+    lam_e2 = (lam / lam_i) ** 2
+    return lam_i / p.eta_f * 2.0 * fibre_f(lam_e2, p.k1v, p.k2v) * lam_e2

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from prestress_tube import (
+    EquilibriumMaterial,
     FibreMaxwellParams,
     HolzapfelFibreParams,
     IsoMaxwellParams,
@@ -27,31 +28,20 @@ from prestress_tube import (
     SectorGeometry,
     ViscousState,
     cauchy_from_pk2,
-    equilibrium_pk2_sf,
     fibre_directions,
     fibre_energy,
-    fibre_evolve_step,
-    fibre_flow_rhs,
-    fibre_overstress,
-    fibre_sq_stretch,
     find_opening_angle,
-    holzapfel_pk2_sf,
-    iso_energy,
-    iso_evolve_step,
-    iso_flow_rhs,
-    iso_overstress,
-    mooney_rivlin_energy,
-    mooney_rivlin_pk2_sf,
+    isochoric_pk2,
     opened_segments,
-    overstress_pk2_sf,
     pull_back_pk2,
     run_point,
     solve_inverse_sf,
     solve_load_free,
-    visc_fibre_energy,
     wall_stress_profile,
 )
 from prestress_tube import tensor as tn
+from prestress_tube.materials import equilibrium_sbar, holzapfel_sbar
+from prestress_tube.maxwell import fibre_sbar, overstress_sbar
 
 from conftest import (
     MEDIA_EQ,
@@ -60,6 +50,8 @@ from conftest import (
     T1_TARGET,
     T1_TUBE,
     T3_TARGET,
+    constant_strain_ci,
+    constant_stretch_lambda_i,
     equilibrium_layers,
     fd_pk2,
     ode_reference,
@@ -68,6 +60,8 @@ from conftest import (
     rand_unimodular,
     sectored_layers,
 )
+from reference import (fibre_flow_rhs, fibre_sq_stretch, iso_energy, iso_flow_rhs,
+                       mooney_rivlin_energy)
 
 XFAIL_REFERENCE = pytest.mark.xfail(
     strict=True,
@@ -170,26 +164,26 @@ def test_criterion_5_gradient_oracles():
     for _ in range(100):
         c = rand_spd(rng)  # eigenvalues in [0.5, 2]
 
-        s = mooney_rivlin_pk2_sf(c, mr)
+        s = isochoric_pk2(c, lambda cb: equilibrium_sbar(cb, EquilibriumMaterial(mr)))
         s_fd = fd_pk2(lambda x: mooney_rivlin_energy(x, mr), c)
         worst["matrix"] = max(worst["matrix"],
                               np.max(np.abs(s - s_fd)) / np.max(np.abs(s_fd)))
 
-        s = holzapfel_pk2_sf(c, hf)
+        s = isochoric_pk2(c, lambda cb: holzapfel_sbar(cb, hf))
         s_fd = fd_pk2(lambda x: fibre_energy(fibre_sq_stretch(x, hf.a), hf.k1, hf.k2), c)
         worst["fibre"] = max(worst["fibre"],
                              np.max(np.abs(s - s_fd)) / np.max(np.abs(s_fd)))
 
         ci = tn.unimodular(rand_spd(rng))
-        s = iso_overstress(c, ci, iso)
+        s = isochoric_pk2(c, lambda cb: iso.mu * tn.inverse(ci))
         s_fd = fd_pk2(lambda x: iso_energy(x, ci, iso), c)
         worst["iso_maxwell"] = max(worst["iso_maxwell"],
                                    np.max(np.abs(s - s_fd)) / np.max(np.abs(s_fd)))
 
         lam_i = math.sqrt(fibre_sq_stretch(c, fib.a)) / 1.1  # 10% elastic stretch
-        s = fibre_overstress(c, lam_i, fib)[1]
-        s_fd = fd_pk2(lambda x: visc_fibre_energy(fibre_sq_stretch(x, fib.a) / lam_i ** 2,
-                                                  fib.k1v, fib.k2v), c)
+        s = isochoric_pk2(c, lambda cb: fibre_sbar(cb, lam_i, fib)[1])
+        s_fd = fd_pk2(lambda x: 2.0 * fibre_energy(fibre_sq_stretch(x, fib.a) / lam_i ** 2,
+                                                   fib.k1v, fib.k2v), c)
         worst["fibre_maxwell"] = max(worst["fibre_maxwell"],
                                      np.max(np.abs(s - s_fd)) / np.max(np.abs(s_fd)))
     elapsed = time.perf_counter() - t0
@@ -218,8 +212,8 @@ def test_criterion_6_reference_route_invariance():
         c_sf = f_sf.T @ f_sf
         state = ViscousState(tn.unimodular(rand_spd(rng)),
                              np.array([1.08, 0.93]))
-        s_sf = equilibrium_pk2_sf(c_sf, mat.equilibrium) \
-            + overstress_pk2_sf(c_sf, state, iso, fibres)
+        s_sf = isochoric_pk2(c_sf, lambda cb: equilibrium_sbar(cb, mat.equilibrium)) \
+            + isochoric_pk2(c_sf, lambda cb: overstress_sbar(cb, state, iso, fibres))
         t_sf_route = cauchy_from_pk2(s_sf, f_sf)
         t_lf_route = cauchy_from_pk2(pull_back_pk2(s_sf, f0), f_lf)
         worst = max(worst, np.max(np.abs(t_lf_route - t_sf_route))
@@ -247,27 +241,17 @@ def test_criterion_7_ode_integrator_oracle():
     # --- iso trajectory, dt = 5e-4, t in [0, 5] ---
     ref = ode_reference(lambda y: iso_flow_rhs(c_step, y.reshape(3, 3), iso).ravel(),
                         np.eye(3), t_rec)
-    ci = np.eye(3)
-    err_iso = 0.0
-    for i in range(t_rec.size):
-        for _ in range(20):
-            ci = iso_evolve_step(c_step, ci, 5e-4, iso)
-        err_iso = max(err_iso, float(np.max(np.abs(ci - ref[i].reshape(3, 3)))))
+    ci = constant_strain_ci(c_step, np.eye(3), 5e-4, 20 * t_rec.size, iso)[19::20]
+    err_iso = float(np.max(np.abs(ci - ref.reshape(-1, 3, 3))))
 
     # --- fibre trajectory, dt = 1e-5, t in [0, 5] ---
     fref = ode_reference(lambda y: np.array([fibre_flow_rhs(1.3, y[0], fib)]),
                          [1.0], t_rec)[:, 0]
-    li = 1.0
-    err_fib = 0.0
-    for i in range(t_rec.size):
-        for _ in range(1000):
-            li = fibre_evolve_step(1.3, li, 1e-5, fib)[0]
-        err_fib = max(err_fib, abs(li - fref[i]))
+    li = constant_stretch_lambda_i(1.3, 1.0, 1e-5, 1000 * t_rec.size, fib)[999::1000]
+    err_fib = float(np.max(np.abs(li - fref)))
 
     # --- det drift over 1e4 coarse steps ---
-    ci = np.eye(3)
-    for _ in range(10000):
-        ci = iso_evolve_step(c_step, ci, 0.01, iso)
+    ci = constant_strain_ci(c_step, np.eye(3), 0.01, 10000, iso)[-1]
     drift = abs(float(np.linalg.det(ci)) - 1.0)
 
     # --- first-order convergence: halving dt halves the error ---
@@ -275,19 +259,15 @@ def test_criterion_7_ode_integrator_oracle():
                               np.eye(3), np.array([1.0]))[0].reshape(3, 3)
 
     def iso_err(dt):
-        ci = np.eye(3)
-        for _ in range(int(round(1.0 / dt))):
-            ci = iso_evolve_step(c_step, ci, dt, iso)
+        ci = constant_strain_ci(c_step, np.eye(3), dt, int(round(1.0 / dt)), iso)[-1]
         return float(np.max(np.abs(ci - exact_iso)))
 
     exact_fib = ode_reference(lambda y: np.array([fibre_flow_rhs(1.3, y[0], fib)]),
                               [1.0], np.array([1.0]))[0, 0]
 
     def fib_err(dt):
-        li = 1.0
-        for _ in range(int(round(1.0 / dt))):
-            li = fibre_evolve_step(1.3, li, dt, fib)[0]
-        return abs(li - exact_fib)
+        return abs(constant_stretch_lambda_i(1.3, 1.0, dt, int(round(1.0 / dt)), fib)[-1]
+                   - exact_fib)
 
     ratio_iso = iso_err(0.01) / iso_err(0.005)
     ratio_fib = fib_err(0.01) / fib_err(0.005)

@@ -1,5 +1,6 @@
 """JSON config parsing and the four CLI workflows (exit codes, CSV, JSON)."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -14,10 +15,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import prestress_tube
-from prestress_tube import OpeningMap, config, driver, equilibrate_opened, maxwell
+from prestress_tube import OpeningMap, config, driver, maxwell
 from prestress_tube.cli import FLOAT_FMT, _parser, _write_csv, main
 from prestress_tube.errors import ConfigError
 from prestress_tube.tube import NEWTON_TOL
+
+from conftest import equilibrate_opened
 
 MEDIA_BLOCK = {"c1_kpa": 3.0, "c2_kpa": 2.0, "k1_kpa": 2.3632, "k2": 0.8393,
                "beta_deg": 29.0}
@@ -313,7 +316,7 @@ def test_cli_point_test_exit_2_when_not_converged(tmp_path, capsys, monkeypatch)
     lam = 1.5
     f = [[lam ** -0.5, 0.0, 0.0], [0.0, lam, 0.0], [0.0, 0.0, lam ** -0.5]]
     fib = maxwell.FibreMaxwellParams(5.3, 0.8393, 0.53, np.array([0.0, 1.0, 0.0]))
-    assert maxwell.fibre_evolve_step(lam, 1.0, 1e4, fib)[2] > maxwell.NEWTON_TOL
+    assert maxwell.fibre_evolve((lam,), 1.0, (1e4,), fib)[2] > maxwell.NEWTON_TOL
     cfg = point_config()
     cfg["material"]["beta_deg"] = 0.0
     cfg["program"] = {"dt_s": 1e4, "keyframes": [[0.0, IDENT], [1e4, f]]}
@@ -585,6 +588,31 @@ def test_cli_exit_1_non_finite_keyframe_time(tmp_path, capsys, frames):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])      # written as NaN, Infinity
+@pytest.mark.parametrize("workflow, field", [
+    ("point-test", "material.c1_kpa"),
+    ("point-test", "material.k2"),
+    ("point-test", "material.eta_fibre_kpa_s"),
+    ("point-test", "material.mu_matrix_kpa"),
+    ("inverse-sf", "media.c1_kpa"),
+    ("inverse-sf", "media.beta_deg"),
+    ("energy-scan", "media.sector.L_mm"),
+])
+def test_cli_exit_1_non_finite_constant(tmp_path, capsys, workflow, field, value):
+    cfg = {"point-test": point_config, "inverse-sf": inverse_config,
+           "energy-scan": scan_config}[workflow]()
+    *blocks, key = field.split(".")
+    block = cfg
+    for name in blocks:
+        block = block[name]
+    block[key] = value
+    rc, stdout, stderr = run_cli(capsys, workflow, "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    assert stderr.startswith("config error:")
+    assert stdout == ""
+
+
 def test_cli_exit_1_both_f0_fields(tmp_path, capsys):
     cfg = point_config()
     cfg["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
@@ -627,3 +655,57 @@ def test_cli_exit_2_unresolvable_dt(tmp_path, capsys):
     assert summary["residuals"] == {}
     assert summary["converged"] is False
     assert "DomainError" in summary["error"]
+
+
+# ---------------------------------------------------------------------------
+# the package holds only code its workflows run
+# ---------------------------------------------------------------------------
+
+def _package_definitions():
+    """{(source path, first line): name} of every top-level function and class method
+    of the package; the first line is that of the first decorator, as in the code
+    object."""
+    defs = {}
+    for path in Path(prestress_tube.__file__).resolve().parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, ast.FunctionDef):
+                    line = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                    owner = "" if fn is node else f"{node.name}."
+                    defs[(str(path), line)] = f"{path.stem}.{owner}{fn.name}"
+    return defs
+
+
+def test_every_definition_is_reached_by_a_workflow(tmp_path, capsys):
+    # one run of each workflow, point-test with its F0 from an opening map, and
+    # an inverse-sf stopped by its iteration limit enter every function and
+    # method the package defines: none is there for the tests alone
+    point = point_config()
+    del point["f0"]
+    point["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
+    stopped = dict(inverse_config(), solver={"max_iter": 1})
+    runs = [("inverse-sf", inverse_config()), ("load-free", load_free_config()),
+            ("energy-scan", scan_config()), ("point-test", point), ("inverse-sf", stopped)]
+    for name in [n for n in sys.modules if n.split(".")[0] == "prestress_tube"]:
+        for obj in vars(sys.modules[name]).values():   # functools.cache'd helpers
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    codes = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for i, (workflow, cfg) in enumerate(runs):
+            codes.append(main([workflow, "--config", str(write_config(tmp_path, cfg, f"{i}.json")),
+                               "--out", str(tmp_path / f"{i}.csv")]))
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0, 2]
+    entered = {(str(Path(f).resolve()), line) for f, line in entered if "prestress_tube" in f}
+    assert sorted(name for key, name in _package_definitions().items() if key not in entered) == []

@@ -13,7 +13,6 @@ from prestress_tube import (
     LoadProgram,
     MaterialLayer,
     PreStressField,
-    extra_cauchy_equilibrium,
     initial_state,
     run_point,
 )
@@ -31,6 +30,7 @@ from conftest import (
     reference_iso_step,
     reference_run_point,
 )
+from reference import extra_cauchy_equilibrium
 
 F_STRETCH = np.diag([1.0 / math.sqrt(1.3), 1.0 / math.sqrt(1.3), 1.3])
 IDENT = np.eye(3)

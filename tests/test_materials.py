@@ -14,26 +14,27 @@ from prestress_tube import (
     MooneyRivlinParams,
     PreStressField,
     cauchy_from_pk2,
-    clf_from_csf,
     csf_from_clf,
-    equilibrium_energy_sf,
-    equilibrium_pk2_sf,
-    extra_cauchy_equilibrium,
     fibre_directions,
     fibre_energy,
     fibre_f,
-    fibre_overstress,
-    fibre_sq_stretch,
-    holzapfel_pk2_sf,
-    iso_overstress,
-    mooney_rivlin_energy,
-    mooney_rivlin_pk2_sf,
+    isochoric_pk2,
     pull_back_pk2,
-    sq_stretch_gradient,
-    visc_fibre_f,
 )
 from prestress_tube import tensor as tn
 from prestress_tube.errors import DomainError, NonPositiveDeterminant
+from prestress_tube.materials import equilibrium_sbar, holzapfel_sbar
+from prestress_tube.maxwell import fibre_sbar
+
+from reference import (
+    clf_from_csf,
+    deviator,
+    equilibrium_energy_sf,
+    extra_cauchy_equilibrium,
+    fibre_sq_stretch,
+    mooney_rivlin_energy,
+    sym,
+)
 
 from conftest import (
     MEDIA_EQ,
@@ -47,6 +48,7 @@ from conftest import (
 )
 
 MR = MooneyRivlinParams(c1=3.0, c2=2.0)
+MR_ONLY = EquilibriumMaterial(MR)
 
 
 def _fibre_params(rng=None, beta_deg=29.0):
@@ -81,6 +83,18 @@ def test_param_validation():
         HolzapfelFibreParams(k1=1.0, k2=1.0, a=np.array([0.0, 2.0, 0.0]))
     with pytest.raises(ValueError):
         PreStressField(2.0 * np.eye(3))  # det != 1
+    # non-finite constants and directions, and an F0 that is not 3x3
+    for c1 in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MooneyRivlinParams(c1=c1, c2=1.0)
+    with pytest.raises(ValueError):
+        HolzapfelFibreParams(k1=math.nan, k2=1.0, a=np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(ValueError):
+        HolzapfelFibreParams(k1=1.0, k2=1.0, a=np.array([0.0, math.nan, 0.0]))
+    with pytest.raises(ValueError):
+        fibre_directions(math.inf)
+    with pytest.raises(ValueError):
+        PreStressField(np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +131,7 @@ def test_pure_lf_state_csf():
 def test_cauchy_from_pk2_pushforward():
     rng = np.random.default_rng(13)
     f = rand_motion(rng)
-    s = tn.sym(rng.standard_normal((3, 3)))
+    s = sym(rng.standard_normal((3, 3)))
     t = cauchy_from_pk2(s, f)
     assert_allclose(t, f @ s @ f.T / np.linalg.det(f), rtol=1e-13)
     with pytest.raises(NonPositiveDeterminant):
@@ -144,7 +158,7 @@ def test_mooney_rivlin_pk2_matches_fd_gradient():
     rng = np.random.default_rng(15)
     for _ in range(10):
         c = rand_spd(rng)
-        s = mooney_rivlin_pk2_sf(c, MR)
+        s = isochoric_pk2(c, lambda cb: equilibrium_sbar(cb, MR_ONLY))
         s_fd = fd_pk2(lambda x: mooney_rivlin_energy(x, MR), c)
         assert rel_err(s, s_fd) < 1e-7
 
@@ -153,7 +167,7 @@ def test_mooney_rivlin_pk2_orthogonal_to_c():
     # isochoric energy => S : C = 0 identically
     rng = np.random.default_rng(16)
     c = rand_spd(rng)
-    assert abs(tn.ddot(mooney_rivlin_pk2_sf(c, MR), c)) < 1e-12
+    assert abs(tn.ddot(isochoric_pk2(c, lambda cb: equilibrium_sbar(cb, MR_ONLY)), c)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +197,9 @@ def test_sq_stretch_gradient_matches_fd():
     for _ in range(10):
         c = rand_spd(rng)
         a = rand_unit(rng)
-        grad, lam2 = sq_stretch_gradient(c, a)
-        assert_allclose(lam2, fibre_sq_stretch(c, a), rtol=1e-14)
+        grad = isochoric_pk2(c, lambda cb: tn.dyad(a))
+        assert_allclose(fibre_sq_stretch(c, a), np.linalg.det(c) ** (-1.0 / 3.0) * a @ c @ a,
+                        rtol=1e-14)
         g_fd = fd_pk2(lambda x: fibre_sq_stretch(x, a), c) / 2.0
         assert rel_err(grad, g_fd) < 1e-7
 
@@ -194,7 +209,7 @@ def test_holzapfel_pk2_matches_fd_gradient():
     p = _fibre_params()
     for _ in range(10):
         c = rand_spd(rng)
-        s = holzapfel_pk2_sf(c, p)
+        s = isochoric_pk2(c, lambda cb: holzapfel_sbar(cb, p))
         s_fd = fd_pk2(lambda x: fibre_energy(fibre_sq_stretch(x, p.a), p.k1, p.k2), c)
         assert rel_err(s, s_fd) < 1e-6
 
@@ -208,17 +223,18 @@ def test_equilibrium_material_assembly():
     mat = EquilibriumMaterial.from_constants(**MEDIA_EQ)
     assert len(mat.fibres) == 2
     c = rand_spd(rng)
-    s = equilibrium_pk2_sf(c, mat)
-    expect = mooney_rivlin_pk2_sf(c, mat.matrix)
+    s = isochoric_pk2(c, lambda cb: equilibrium_sbar(cb, mat))
+    expect = isochoric_pk2(c, lambda cb: equilibrium_sbar(cb, EquilibriumMaterial(mat.matrix)))
     for fp in mat.fibres:
-        expect = expect + holzapfel_pk2_sf(c, fp)
+        expect = expect + isochoric_pk2(c, lambda cb: holzapfel_sbar(cb, fp))
     assert_allclose(s, expect, rtol=1e-14)
     assert tn.is_symmetric(s, tol=1e-10)
 
 
 def test_equilibrium_stress_free_reference():
     mat = EquilibriumMaterial.from_constants(**MEDIA_EQ)
-    assert_allclose(equilibrium_pk2_sf(np.eye(3), mat), 0.0, atol=1e-14)
+    assert_allclose(isochoric_pk2(np.eye(3), lambda cb: equilibrium_sbar(cb, mat)), 0.0,
+                    atol=1e-14)
     assert equilibrium_energy_sf(np.eye(3), mat) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -227,7 +243,7 @@ def test_equilibrium_energy_gradient():
     mat = EquilibriumMaterial.from_constants(**MEDIA_EQ)
     for _ in range(5):
         c = rand_spd(rng)
-        s = equilibrium_pk2_sf(c, mat)
+        s = isochoric_pk2(c, lambda cb: equilibrium_sbar(cb, mat))
         s_fd = fd_pk2(lambda x: equilibrium_energy_sf(x, mat), c)
         assert rel_err(s, s_fd) < 1e-6
         assert abs(tn.ddot(s, c)) < 1e-10 * np.max(np.abs(s))
@@ -257,7 +273,7 @@ def test_route_invariance_small():
         f_lf = rand_motion(rng)
         f_sf = f_lf @ np.linalg.inv(f0.F0)
         c_sf = tn.transpose(f_sf) @ f_sf
-        s_sf = equilibrium_pk2_sf(c_sf, mat)
+        s_sf = isochoric_pk2(c_sf, lambda cb: equilibrium_sbar(cb, mat))
         t_direct = cauchy_from_pk2(s_sf, f_sf)
         t_pulled = cauchy_from_pk2(pull_back_pk2(s_sf, f0), f_lf)
         assert rel_err(t_pulled, t_direct) < 1e-12
@@ -283,19 +299,22 @@ def _explicit_pk2(name, c, ci, lam_i):
     cinv, j23 = np.linalg.inv(c), np.linalg.det(c)[..., None, None] ** (-1.0 / 3.0)
     cbar = j23 * c
     if name == "mooney_rivlin":
-        return (mooney_rivlin_pk2_sf(c, mr),
-                cinv @ tn.deviator(mr.c1 * cbar - mr.c2 * np.linalg.inv(cbar)))
+        return (isochoric_pk2(c, lambda cb: equilibrium_sbar(cb, EquilibriumMaterial(mr))),
+                cinv @ deviator(mr.c1 * cbar - mr.c2 * np.linalg.inv(cbar)))
     grad, lam2 = _fibre_grad(c, hf.a)
     if name == "fibre":
-        return holzapfel_pk2_sf(c, hf), 2.0 * fibre_f(lam2, hf.k1, hf.k2)[..., None, None] * grad
+        return (isochoric_pk2(c, lambda cb: holzapfel_sbar(cb, hf)),
+                2.0 * fibre_f(lam2, hf.k1, hf.k2)[..., None, None] * grad)
     if name == "sq_stretch":
-        return sq_stretch_gradient(c, hf.a)[0], grad
+        return isochoric_pk2(c, lambda cb: tn.dyad(hf.a)), grad
     if name == "iso_maxwell":
         ciinv = np.linalg.inv(ci)
         tr = np.einsum('...ij,...ji->...', cbar, ciinv)
-        return iso_overstress(c, ci, iso), iso.mu * (j23 * ciinv - (tr / 3.0)[..., None, None] * cinv)
-    pref = visc_fibre_f(lam2 / lam_i ** 2, fib.k1v, fib.k2v) / lam_i ** 2
-    return fibre_overstress(c, lam_i, fib)[1], 2.0 * pref[..., None, None] * grad
+        return (isochoric_pk2(c, lambda cb: iso.mu * tn.inverse(ci)),
+                iso.mu * (j23 * ciinv - (tr / 3.0)[..., None, None] * cinv))
+    pref = 2.0 * fibre_f(lam2 / lam_i ** 2, fib.k1v, fib.k2v) / lam_i ** 2
+    return (isochoric_pk2(c, lambda cb: fibre_sbar(cb, lam_i, fib)[1]),
+            2.0 * pref[..., None, None] * grad)
 
 
 @pytest.mark.parametrize("name", ["mooney_rivlin", "fibre", "sq_stretch", "iso_maxwell",

