@@ -24,8 +24,7 @@ from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState, fibre_
 from .tube import (MaterialLayer, OpeningMap, SectorGeometry, SolverReport, TubeGeometry,
                    WallSegment, WallSolution, equilibrium_residuals, gauss_segment, newton2,
                    sector_segments, solve_inverse_sf, solve_load_free, wall_stress_profile)
-from .opening import (EnergyCurve, OpenedStateCandidate, find_opening_angle, opened_energy,
-                      opened_segments)
+from .opening import EnergyCurve, OpenedStateCandidate, find_opening_angle, opened_energy
 from .driver import LoadProgram, PointTrace, run_point
 from . import config, tensor
 

@@ -157,11 +157,11 @@ def parse_f0(cfg: dict) -> PreStressField:
         b = get_block(cfg, ctx)
         k, c = get_number(b, "k", ctx), get_number(b, "c", ctx)
         ri, Ri, r = (get_number(b, key, ctx) for key in ("ri_mm", "Ri_mm", "r_mm"))
-        if not k >= 1.0:
-            raise ConfigError(f'field "{ctx}.k" must be >= 1 (got {k})')
+        if not 1.0 <= k < math.inf:
+            raise ConfigError(f'field "{ctx}.k" must be finite and >= 1 (got {k})')
         for key, v in (("c", c), ("ri_mm", ri), ("Ri_mm", Ri), ("r_mm", r)):
-            if not v > 0.0:
-                raise ConfigError(f'field "{ctx}.{key}" must be > 0 (got {v})')
+            if not 0.0 < v < math.inf:
+                raise ConfigError(f'field "{ctx}.{key}" must be finite and > 0 (got {v})')
         try:
             return PreStressField(OpeningMap(k, c, ri, Ri).F0(r))
         except DomainError:

@@ -64,8 +64,8 @@ class LoadProgram:
         for t, F in frames:
             if F.shape != (3, 3):
                 raise ValueError("keyframe deformation gradients must be 3x3")
-            if not tn.det(F) > 0.0:  # also rejects NaN entries
-                raise ValueError(f"keyframe at t = {t} has det F <= 0")
+            if not (np.isfinite(F).all() and tn.det(F) > 0.0):
+                raise ValueError(f"keyframe at t = {t} needs finite F with det F > 0")
         object.__setattr__(self, 'keyframes', frames)
 
     @property

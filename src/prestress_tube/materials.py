@@ -175,6 +175,8 @@ def equilibrium_sbar(cbar, mat: EquilibriumMaterial):
 # closed forms for F_sf = diag(lam_i), det = 1, in l2 = (lam_1^2, lam_2^2, lam_3^2):
 # C_sf = diag(l2) = Cbar and a fibre's lam2 = sum_i a_i^2 l2_i.  Only arithmetic
 # and exp appear, so complex arguments pass through (complex-step derivatives).
+# A family with the (k1, k2, a^2) of the one before it (the -beta family of a
+# +/- beta pair) reuses its fibre term: one exp per pair, the same sums.
 # ---------------------------------------------------------------------------
 
 def diagonal_stress_differences(l2, mat: EquilibriumMaterial):
@@ -182,10 +184,11 @@ def diagonal_stress_differences(l2, mat: EquilibriumMaterial):
     isochoric_pk2 of equilibrium_sbar, at F_sf = diag(sqrt(l2)); the
     incompressibility pressure cancels from these differences."""
     p = mat.matrix
-    t = [p.c1 * s - p.c2 / s for s in l2]
+    t, last = [p.c1 * s - p.c2 / s for s in l2], None
     for fp in mat.fibres:
         a2 = fp.a ** 2
-        f2 = 2.0 * fibre_f(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], fp.k1, fp.k2)
+        if last != (last := (fp.k1, fp.k2, *a2.tolist())):
+            f2 = 2.0 * fibre_f(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], fp.k1, fp.k2)
         t = [ti + f2 * (ai * si) for ti, ai, si in zip(t, a2, l2)]
     return t[1] - t[0], t[2] - t[0]
 
@@ -195,7 +198,10 @@ def diagonal_energy(l2, mat: EquilibriumMaterial):
     det = l2_1 l2_2 l2_3 = 1, per unit reference volume (kPa = microJ/mm^3)."""
     p = mat.matrix
     w = 0.5 * p.c1 * (sum(l2) - 3.0) + 0.5 * p.c2 * (sum(1.0 / s for s in l2) - 3.0)
+    last = None
     for fp in mat.fibres:
         a2 = fp.a ** 2
-        w = w + fibre_energy(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], fp.k1, fp.k2)
+        if last != (last := (fp.k1, fp.k2, *a2.tolist())):
+            we = fibre_energy(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], fp.k1, fp.k2)
+        w = w + we
     return w

@@ -3,7 +3,7 @@
 When a layered tube with incompatible stress-free sectors is cut open, it
 springs to an opened sector whose angle minimizes the total stored energy.
 For a trial angle alpha_t the opened sector is assumed circular: the layers'
-sectors glued into one sector of that angle (tube.sector_segments).  Its
+sectors glued into one sector of that angle (tube.glued_maps).  Its
 anchor radius rho_interface and length l_open minimize the energy at that
 angle, that is, they satisfy sector equilibrium, which the tube solvers'
 Newton (complex-step Jacobian) solves.
@@ -12,7 +12,8 @@ At an equilibrated state dE/dalpha = -l_open * M, where M = 1/2 int (T_theta -
 T_rr) r dr is the bending moment on the cut face.  The argmin is therefore the
 angle at which the cut face carries no moment (Chuong & Fung 1986).  The scan
 equilibrates its whole angle grid in one batched Newton, each angle from the
-same cold start, and evaluates every energy and moment in one broadcast call.
+same cold start, and evaluates every energy and moment in one broadcast call;
+the argmin solve reuses that solve's node table (tube.sector_residuals).
 When M changes sign next to the lowest sample, the argmin is the Newton root
 of (p_net, F_red, M) in (rho_interface, l_open, alpha) inside that grid cell.
 
@@ -30,9 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoConvergence
-from .materials import diagonal_energy
 from .tube import (N_QUAD, NEWTON_MAXIT, NEWTON_TOL, TWO_PI, MaterialLayer, SolverReport,
-                   _solve_sector, _solve_wall, equilibrium_residuals, sector_segments)
+                   _solve_sector, _solve_wall, sector_residuals)
 
 
 @dataclass(frozen=True)
@@ -66,29 +66,14 @@ class EnergyCurve:
                                # solve, 0 when the argmin is a grid sample
 
 
-def opened_segments(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate):
-    """Wall segments of the opened sector: the glued wall at the trial angle."""
-    return sector_segments(layers, cand.alpha_trial, cand.rho_interface, cand.l_open)
-
-
-def _stored_energy(segments, alpha, l_open, npts: int):
-    """E = (2*pi - alpha) * l_open * int W(C_sf) r dr over opened wall segments
-    (microJ); an array over the states when the maps' constants have a trailing
-    axis of length 1.  The maps are isochoric, so each layer's part equals its
-    sf-volume integral (2*pi - alpha_j) * L_j * int W R dR."""
-    e = 0.0
-    for seg in segments:
-        r, R, w = seg.nodes(npts)
-        wdens = diagonal_energy(seg.map.sq_stretches(r, R), seg.layer.equilibrium)
-        e = e + (w * wdens * r).sum(axis=-1)
-    return (TWO_PI - alpha) * l_open * e
-
-
 def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
                   npts: int = N_QUAD) -> float:
-    """Total stored equilibrium energy of the opened composite (microJ)."""
-    return float(_stored_energy(opened_segments(layers, cand), cand.alpha_trial,
-                                cand.l_open, npts))
+    """Total stored equilibrium energy of the opened composite (microJ), E = (2*pi -
+    alpha) * l_open * int W(C_sf) r dr; the maps are isochoric, so each layer's part
+    equals its sf-volume integral (2*pi - alpha_j) * L_j * int W R dR."""
+    e = sector_residuals(layers, npts)(cand.rho_interface, cand.l_open, cand.alpha_trial,
+                                       energy=True)[3]
+    return float((TWO_PI - cand.alpha_trial) * cand.l_open * e)
 
 
 def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 0.0,
@@ -108,19 +93,17 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
         raise ValueError("angle grid leaves [0, 360) deg")
 
     alpha = np.radians(angles)
-    x, f, _ = _solve_sector(layers, alpha, npts)
-    segs = sector_segments(layers, alpha[:, None], x[0, :, None], x[1, :, None])
-    energies = _stored_energy(segs, alpha, x[1], npts)
-    moments = equilibrium_residuals(segs, npts)[2]
+    wall = sector_residuals(layers, npts)
+    x, f, _ = _solve_sector(layers, wall, alpha)
+    *_, moments, e = wall(x[0, :, None], x[1, :, None], alpha[:, None], energy=True)
+    energies = (TWO_PI - alpha) * x[1] * e
     samples = list(zip(angles.tolist(), energies.tolist()))
 
     i = int(np.argmin(energies))
     j = i + 1 if moments[i] > 0.0 else i - 1   # M > 0 below the argmin, < 0 above
     y, res, iterations = np.array([x[0, i], x[1, i], alpha[i]]), (*f[:, i], moments[i]), 0
     if moments[i] != 0.0 and 0 <= j < len(angles) and (moments[j] > 0.0) != (moments[i] > 0.0):
-        y, res, iterations = _solve_wall(
-            layers, lambda rho, l, a: sector_segments(layers, a, rho, l), y, y[0], npts,
-            NEWTON_TOL, NEWTON_MAXIT)
+        y, res, iterations = _solve_wall(layers, wall, y, y[0], NEWTON_TOL, NEWTON_MAXIT)
         if (y[2] - alpha[i]) * (y[2] - alpha[j]) > 0.0:
             raise NoConvergence(f"cut-moment root left the grid cell {angles[min(i, j)]:g}.."
                                 f"{angles[max(i, j)]:g} deg", y,

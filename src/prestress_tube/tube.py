@@ -12,12 +12,14 @@ R^2 - R_a^2 = k c (r^2 - r_a^2) pointwise and the deformation gradient in the
 cylindrical triad is diag(R/(k c r), k r / R, c) with det = 1 exactly.
 OpeningMap is that map; its inverse gradient is the pre-stress map F0.
 
-A wall is a list of layers, inner to outer, each a WallSegment: the layer, its
-map and its span in the stress-free radius R.  Integrals run over Gauss nodes
-in R (fixed when the sectors are given).  The load-free equilibrium of the
-wall is characterised by two integrals over its thickness (inner/outer
-tractions and resultant axial force both zero), and an opened sector at rest
-also carries no moment on its cut face:
+A wall is a list of layers, inner to outer.  Its integrals run over Gauss
+nodes in the stress-free radius R, tabulated once per solve with R^2 and the
+weights w R (layer_nodes); one kernel, equilibrium_residuals, evaluates the
+table at each layer's map constants (k, c, r_a, R_a) per Newton call.  A
+solved wall keeps a WallSegment (map, span in R) per layer for its profile.
+Load-free equilibrium of the wall is characterised by two integrals over its
+thickness (inner/outer tractions and resultant axial force both zero), and an
+opened sector at rest also carries no moment on its cut face:
 
     p_net   = int (T_theta - T_rr) / r dr        = 0 ,
     F_red   = pi * int (2 T_zz - T_theta - T_rr) r dr = 0 ,
@@ -35,9 +37,10 @@ Both use a damped Newton iteration on the first n nondimensionalized
 residuals with a complex-step Jacobian: one residual call at the columns
 x + i h e_j gives the residual and the exact Jacobian.  The Newton takes one
 system or a batch of independent ones.  The load-free solve is the
-glued-sector Newton at alpha = 0; the energy scan runs the same solve at every
-angle of its grid as one batch, and its argmin solves all three residuals for
-(rho, l, alpha).
+glued-sector Newton at alpha = 0, its nodes fixed by the sectors
+(sector_residuals); the energy scan runs the same solve at every angle of its
+grid as one batch, and its argmin solves all three residuals for (rho, l,
+alpha).  The inverse solve's spans move with (Ri, L); its Gauss rule does not.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence, QuadratureFailure
-from .materials import EquilibriumMaterial, diagonal_stress_differences
+from .materials import EquilibriumMaterial, diagonal_energy, diagonal_stress_differences
 from .maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 TWO_PI = 2.0 * math.pi
@@ -119,16 +122,11 @@ class OpeningMap:
             raise DomainError(f"need k > 0 and c > 0 (got k={self.k}, c={self.c})")
 
     def radius_sf(self, r):
-        rad = self.Ri ** 2 + self.k * self.c * (np.asarray(r) ** 2 - self.ri ** 2)
-        if np.any(np.real(rad) <= 0.0):
-            raise DomainError("sf radius radicand not positive")
-        return np.sqrt(rad)
+        return _sqrt_positive(self.Ri ** 2 + self.k * self.c * (np.asarray(r) ** 2 - self.ri ** 2),
+                              "sf")
 
     def radius_current(self, R):
-        rad = self.ri ** 2 + (np.asarray(R) ** 2 - self.Ri ** 2) / (self.k * self.c)
-        if np.any(np.real(rad) <= 0.0):
-            raise DomainError("current radius radicand not positive")
-        return np.sqrt(rad)
+        return _sqrt_positive(self.ri ** 2 + (np.asarray(R) ** 2 - self.Ri ** 2) / (self.k * self.c))
 
     def sq_stretches(self, r, R):
         """Squared stretches (lam_r^2, lam_theta^2, lam_z^2) of the closing gradient;
@@ -139,12 +137,15 @@ class OpeningMap:
     def F0(self, r):
         """Pre-stress map lf -> sf at load-free radius r: the inverse closing gradient."""
         f = self.k * np.asarray(r, float) / self.radius_sf(r)
-        return _diag(self.c * f, 1.0 / f, 1.0 / self.c)
+        d = np.broadcast_arrays(self.c * f, 1.0 / f, 1.0 / self.c)
+        return np.stack(d, axis=-1)[..., None] * np.eye(3)
 
 
-def _diag(*d):
-    """Diagonal 3x3 tensors from three broadcastable diagonals."""
-    return np.stack(np.broadcast_arrays(*d), axis=-1)[..., None] * np.eye(3)
+def _sqrt_positive(rad, frame: str = "current"):
+    """The radius sqrt(rad), for a radicand positive in its real part."""
+    if (np.real(rad) <= 0.0).any():
+        raise DomainError(f"{frame} radius radicand not positive")
+    return np.sqrt(rad)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +171,7 @@ class MaterialLayer:
 
 
 # ---------------------------------------------------------------------------
-# wall segments and equilibrium integrals
+# wall segments, node tables and equilibrium integrals
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -187,23 +188,11 @@ def gauss_segment(a: float, b: float, n: int = N_QUAD):
 
 @dataclass(frozen=True)
 class WallSegment:
-    """One layer of the wall: its sector<->tube map and its span (R_inner,
+    """One layer of a solved wall: its sector<->tube map and its span (R_inner,
     R_outer) in the stress-free radius."""
     layer: MaterialLayer
     map: OpeningMap
     R_span: tuple
-
-    def nodes(self, n: int = N_QUAD):
-        """(r, R, w): Gauss nodes in R, their current radii r, and the weights
-        for integration in r."""
-        m = self.map
-        R, w = gauss_segment(*self.R_span, n)
-        r = m.radius_current(R)
-        return r, R, w * R / (m.k * m.c * r)   # dr/dR = R/(k c r)
-
-    def stress_differences(self, r, R):
-        """(T_theta - T_rr, T_zz - T_rr) of the equilibrium extra Cauchy stress."""
-        return diagonal_stress_differences(self.map.sq_stretches(r, R), self.layer.equilibrium)
 
 
 def wall_sectors(layers: Sequence[MaterialLayer]):
@@ -213,42 +202,72 @@ def wall_sectors(layers: Sequence[MaterialLayer]):
     return [layer.sector for layer in layers]
 
 
-def sector_segments(layers: Sequence[MaterialLayer], alpha: float, rho: float, l: float):
-    """Segments of the per-layer sectors glued into one sector of angle alpha.
-
-    alpha = 0 closes the wall into a tube.  Layer j maps its sf sector (span
-    2*pi - alpha_j) onto the common span 2*pi - alpha, so k_j = (2*pi - alpha)
-    / (2*pi - alpha_j) and c_j = l / L_j.  The first layer is anchored at the
-    current radius rho by its outer sf radius; each later layer is anchored by
-    its inner sf radius at the outer current radius of the layer inside it.
-    """
-    secs = wall_sectors(layers)
+def glued_maps(secs, alpha, rho, l):
+    """(k, c, r_a, R_a) per layer of the sectors secs glued into one sector of angle
+    alpha (0: the tube): layer j maps its sf span 2*pi - alpha_j onto 2*pi - alpha,
+    so k_j = (2*pi - alpha) / (2*pi - alpha_j) and c_j = l / L_j.  The first layer
+    is anchored at the current radius rho by its outer sf radius, each later one by
+    its inner sf radius at the outer current radius of the layer inside it."""
     span = TWO_PI - alpha
-    segs = []
-    r = rho
-    for layer, sec, R_anchor in zip(layers, secs, [secs[0].Ro] + [s.Ri for s in secs[1:]]):
-        m = OpeningMap(span / (TWO_PI - sec.alpha), l / sec.L, r, R_anchor)
-        segs.append(WallSegment(layer, m, (sec.Ri, sec.Ro)))
-        r = m.radius_current(sec.Ro)
-    return segs
+    if np.less_equal(np.real(span), 0.0).any():
+        raise DomainError(f"need alpha < 2*pi (got {alpha})")
+    maps, ra = [], rho
+    for j, sec in enumerate(secs):
+        k, c, Ra = span / (TWO_PI - sec.alpha), l / sec.L, sec.Ri if j else sec.Ro
+        maps.append((k, c, ra, Ra))
+        if j + 1 < len(secs):   # the next layer's anchor; nothing reads the last one's
+            ra = _sqrt_positive(ra ** 2 + (np.asarray(sec.Ro) ** 2 - Ra ** 2) / (k * c))
+    return maps
 
 
-def equilibrium_residuals(segments: Sequence[WallSegment], npts: int = N_QUAD):
+def sector_segments(layers: Sequence[MaterialLayer], alpha: float, rho: float, l: float):
+    """Segments of the per-layer sectors glued into one sector of angle alpha."""
+    secs = wall_sectors(layers)
+    return [WallSegment(layer, OpeningMap(*mp), (sec.Ri, sec.Ro))
+            for layer, sec, mp in zip(layers, secs, glued_maps(secs, alpha, rho, l))]
+
+
+def layer_nodes(mat: EquilibriumMaterial, Ra, Rb, npts: int):
+    """A node-table row (material, R, R^2, w R): the Gauss nodes R over one layer's
+    stress-free span (Ra, Rb) and their weights w."""
+    R, w = gauss_segment(Ra, Rb, npts)
+    return mat, R, R ** 2, w * R
+
+
+def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
+    """The glued wall's (rho, l, alpha=0, energy=False) -> equilibrium_residuals at
+    glued_maps, over a node table built here once: the nodes stay fixed in R."""
+    secs = wall_sectors(layers)
+    nodes = [layer_nodes(layer.equilibrium, s.Ri, s.Ro, npts) for layer, s in zip(layers, secs)]
+    return lambda rho, l, alpha=0.0, energy=False: equilibrium_residuals(
+        nodes, glued_maps(secs, alpha, rho, l), energy)
+
+
+def equilibrium_residuals(nodes, maps, energy: bool = False):
     """(net pressure kPa, reduced axial force kPa mm^2, cut-face moment kPa mm^2)
-    of a candidate wall state; arrays over the states when the maps' constants
-    have a trailing axis of length 1.  At equilibrium T_rr vanishes on both
-    faces, so M = int T_theta r dr."""
-    p = fz = m = 0.0
-    for seg in segments:
-        r, R, w = seg.nodes(npts)
-        dth, dzz = seg.stress_differences(r, R)
+    of a candidate wall state, and with energy the integral of W r dr (kPa mm^2):
+    nodes holds one row (material, R, R^2, w R) per layer (layer_nodes), maps
+    its map's (k, c, r_a, R_a) (glued_maps); the values are arrays over the
+    states when the constants have a trailing axis of length 1.  At
+    equilibrium T_rr vanishes on both faces, so M = int T_theta r dr.
+    """
+    p = fz = m = e = 0.0
+    for (mat, R, R2, wR), (k, c, ra, Ra) in zip(nodes, maps):
+        kc = k * c
+        r = _sqrt_positive(ra ** 2 + (R2 - Ra ** 2) / kc)
+        w = wR / (kc * r)   # dr/dR = R/(k c r)
+        lt, lz = (k * r / R) ** 2, c ** 2
+        l2 = (1.0 / (lt * lz), lt, lz)   # OpeningMap.sq_stretches
+        dth, dzz = diagonal_stress_differences(l2, mat)
         wdth = w * dth
         p = p + (wdth / r).sum(axis=-1)
         fz = fz + math.pi * (w * (2.0 * dzz - dth) * r).sum(axis=-1)
         m = m + 0.5 * (wdth * r).sum(axis=-1)
+        if energy:
+            e = e + (w * diagonal_energy(l2, mat) * r).sum(axis=-1)
     if not np.isfinite((p, fz, m)).all():
         raise QuadratureFailure(f"non-finite wall integrals (p={p}, F={fz}, M={m})")
-    return p, fz, m
+    return (p, fz, m, e) if energy else (p, fz, m)
 
 
 def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 101):
@@ -263,7 +282,7 @@ def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 10
     for seg in segments:
         r = np.linspace(*seg.map.radius_current(seg.R_span), n_per_segment)
         R = seg.map.radius_sf(r)
-        dth, dzz = seg.stress_differences(r, R)
+        dth, dzz = diagonal_stress_differences(seg.map.sq_stretches(r, R), seg.layer.equilibrium)
         y = dth / r
         t_rr = t_rr_carry + np.concatenate(([0.0], np.cumsum(np.diff(r) * (y[1:] + y[:-1]) / 2.0)))
         rows.append(np.column_stack([r, t_rr, t_rr + dth, t_rr + dzz]))
@@ -289,10 +308,10 @@ class SolverReport:
     quad_check: Optional[dict] = None
 
 
-def _report(segments, residual, iterations: int, npts: int) -> SolverReport:
-    """A converged solve's residual (kPa, kPa mm^2) and its change under 2*npts quadrature."""
+def _report(residual, refined, iterations: int) -> SolverReport:
+    """A converged solve's residual (kPa, kPa mm^2) and its change at 2*npts nodes."""
     p, fz = float(residual[0]), float(residual[1])
-    p2, fz2 = map(float, equilibrium_residuals(segments, 2 * npts)[:2])
+    p2, fz2 = map(float, refined[:2])
     return SolverReport(True, iterations, {'p_net_kpa': p, 'F_red_kpa_mm2': fz},
                         {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
 
@@ -357,9 +376,9 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
         x, f, jac = x + step, fn, jn
 
 
-def _solve_wall(layers, build, x0, length, npts: int, tol: float, max_iter: int):
-    """newton2 on the n = 2 or 3 unknowns x of the wall build(*x), x0 of shape (n,)
-    or (n, B): the first n of (p_net, F_red, M) over (c1, c1 length^2, c1
+def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
+    """newton2 on the n = 2 or 3 unknowns x of the wall, x0 of shape (n,) or (n, B):
+    the first n of residuals(*x) = (p_net, F_red, M) over (c1, c1 length^2, c1
     length^2), c1 of the stiffest matrix, length a scalar or one per system.
     Inadmissible candidates (a length x[0] or x[1] <= 0, a DomainError) make
     every state of the call huge, so the line search backs off.  Returns (x,
@@ -371,7 +390,7 @@ def _solve_wall(layers, build, x0, length, npts: int, tol: float, max_iter: int)
     def resid(x):
         try:
             if (x[:2].real > 0.0).all():
-                return np.asarray(equilibrium_residuals(build(*x[..., None]), npts)[:n]) / scale
+                return np.asarray(residuals(*x[..., None])[:n]) / scale
         except DomainError:
             pass
         return np.full(x.shape, 1e30)
@@ -413,43 +432,48 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
                          f"(got {len(tube.radii)})")
     ri = tube.radii[0]
     k = TWO_PI / (TWO_PI - alpha)
+    dr2 = np.array(tube.radii) ** 2 - ri ** 2
 
-    def segments_at(Ri, L):
-        m = OpeningMap(k, tube.l / L, ri, Ri)
-        R = [m.radius_sf(r) for r in tube.radii]
-        return [WallSegment(layer, m, span) for layer, span in zip(layers, zip(R, R[1:]))]
+    def residuals(Ri, L, n=npts):
+        # the sf radii of the tube radii (OpeningMap.radius_sf) bound the layers' nodes
+        c = tube.l / L
+        R = _sqrt_positive(Ri ** 2 + k * c * dr2, "sf")
+        nodes = [layer_nodes(layer.equilibrium, R[..., j, None], R[..., j + 1, None], n)
+                 for j, layer in enumerate(layers)]
+        return equilibrium_residuals(nodes, [(k, c, ri, Ri)] * len(layers))
 
-    x, f, iters = _solve_wall(layers, segments_at, np.array([k * ri, tube.l]), ri,
-                              npts, tol, max_iter)
-    L = float(x[1])
-    segs = segments_at(float(x[0]), L)
+    x, f, iters = _solve_wall(layers, residuals, np.array([k * ri, tube.l]), ri, tol, max_iter)
+    Ri, L = float(x[0]), float(x[1])
+    m = OpeningMap(k, tube.l / L, ri, Ri)
+    R = [m.radius_sf(r) for r in tube.radii]
+    segs = [WallSegment(layer, m, span) for layer, span in zip(layers, zip(R, R[1:]))]
     sectors = tuple(SectorGeometry(*map(float, seg.R_span), L, alpha) for seg in segs)
-    return WallSolution(tube, sectors, segs, _report(segs, f, iters, npts))
+    return WallSolution(tube, sectors, segs, _report(f, residuals(Ri, L, 2 * npts), iters))
 
 
 # ---------------------------------------------------------------------------
 # forward problem: sector(s) -> load-free tube
 # ---------------------------------------------------------------------------
 
-def _solve_sector(layers: Sequence[MaterialLayer], alpha, npts: int = N_QUAD,
-                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
+def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float = NEWTON_TOL,
+                  max_iter: int = NEWTON_MAXIT):
     """Newton on (rho, l) of the glued sector of angle alpha (alpha = 0: the tube),
-    or on one (rho, l) per angle of an array alpha, in one batch.
+    or on one (rho, l) per angle of an array alpha, in one batch, on the layers'
+    sector_residuals.
 
     Every angle starts from the mean L and the larger of rho = Ro_1 / k_1 (the
     first layer's outer arc keeps its length) and Ro_1 / sqrt(k_1) (its sector
     keeps its area), the latter for k_1 >= 1.  Returns (x, residual in kPa and
     kPa mm^2, iterations), of shape (2,) or (2, B).
     """
-    sec = wall_sectors(layers)
+    sec = [layer.sector for layer in layers]
     alphas = np.asarray(alpha)
     k1 = (TWO_PI - alphas) / (TWO_PI - sec[0].alpha)
     rho0 = sec[0].Ro * np.maximum(1.0 / k1, np.sqrt(1.0 / k1))
     x0 = np.array([rho0, np.full_like(rho0, sum(s.L for s in sec) / len(sec))])
     # a batch's states have shape (B, m): the angles vary along the first axis
     a = alphas[:, None, None] if alphas.ndim else alpha
-    return _solve_wall(layers, functools.partial(sector_segments, layers, a), x0, rho0,
-                       npts, tol, max_iter)
+    return _solve_wall(layers, lambda rho, l: residuals(rho, l, a), x0, rho0, tol, max_iter)
 
 
 def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
@@ -457,12 +481,14 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
     """Close the per-layer sectors into one equilibrated load-free tube.
 
     Unknowns are the current radius of the first layer's outer sf radius and
-    the tube length l (see sector_segments); the tube radii follow in closed
-    form from the maps.
+    the tube length l (see glued_maps); the tube radii follow in closed form
+    from the maps.
     """
-    x, f, iters = _solve_sector(layers, 0.0, npts, tol, max_iter)
-    segs = sector_segments(layers, 0.0, float(x[0]), float(x[1]))
+    x, f, iters = _solve_sector(layers, sector_residuals(layers, npts), 0.0, tol, max_iter)
+    rho, l = float(x[0]), float(x[1])
+    segs = sector_segments(layers, 0.0, rho, l)
     radii = [segs[0].map.radius_current(segs[0].R_span[0])]
     radii += [seg.map.radius_current(seg.R_span[1]) for seg in segs]
-    return WallSolution(TubeGeometry(radii, float(x[1])), tuple(wall_sectors(layers)), segs,
-                        _report(segs, f, iters, npts))
+    refined = sector_residuals(layers, 2 * npts)(rho, l)
+    return WallSolution(TubeGeometry(radii, l), tuple(wall_sectors(layers)), segs,
+                        _report(f, refined, iters))

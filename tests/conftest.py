@@ -25,7 +25,7 @@ from prestress_tube.driver import PointTrace, step_times
 from prestress_tube.errors import NoConvergence, NonPositiveStretch
 from prestress_tube.materials import equilibrium_sbar
 from prestress_tube.maxwell import LAM_E_RANGE, NEWTON_MAXIT, NEWTON_TOL, overstress_sbar
-from prestress_tube.tube import N_QUAD, _solve_sector
+from prestress_tube.tube import N_QUAD, _solve_sector, sector_residuals, sector_segments
 
 # ---------------------------------------------------------------------------
 # reference parameter sets (kPa, kPa*s, degrees).  "media" = stiff inner
@@ -76,9 +76,19 @@ def split_sectored_layer(layers, j, t):
 def equilibrate_opened(layers, alpha_trial, npts=N_QUAD):
     """(OpenedStateCandidate, energy, (p_net, F_red)) equilibrated at a fixed trial
     angle by Newton on sector equilibrium."""
-    x, f, _ = _solve_sector(layers, alpha_trial, npts)
+    x, f, _ = _solve_sector(layers, sector_residuals(layers, npts), alpha_trial)
     cand = OpenedStateCandidate(alpha_trial, float(x[0]), float(x[1]))
     return cand, opened_energy(layers, cand, npts), f
+
+
+def opened_segments(layers, cand):
+    """Wall segments of the opened sector: the glued wall at the trial angle."""
+    return sector_segments(layers, cand.alpha_trial, cand.rho_interface, cand.l_open)
+
+
+def opened_residuals(layers, cand, npts=N_QUAD):
+    """(p_net, F_red, M) of the opened sector at a candidate state."""
+    return sector_residuals(layers, npts)(cand.rho_interface, cand.l_open, cand.alpha_trial)
 
 
 @pytest.fixture

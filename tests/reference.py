@@ -4,16 +4,21 @@ Each function states a law on its own terms, independently of the closed-form
 and fictitious-stress kernels the workflows run: the stored energies on the
 3x3 tensor route (whose finite-difference gradients the PK2 stresses must
 match), the extra Cauchy stress, the Maxwell flow right-hand sides (integrated
-by the Runge-Kutta references) and the lf <- sf strain transform.  Where a
-law needs a stress or a fibre law, it calls the package's kernel.
+by the Runge-Kutta references), the lf <- sf strain transform and the wall
+integrals built segment by segment from OpeningMaps.  Where a law needs a
+stress or a fibre law, it calls the package's kernel.
 """
+
+import math
 
 import numpy as np
 
 from prestress_tube import tensor as tn
 from prestress_tube.errors import DomainError
 from prestress_tube.materials import (EquilibriumMaterial, MooneyRivlinParams, PreStressField,
+                                      diagonal_energy, diagonal_stress_differences,
                                       equilibrium_sbar, fibre_energy, fibre_f, isochoric_pk2)
+from prestress_tube.tube import OpeningMap, gauss_segment
 from prestress_tube.maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 
@@ -89,6 +94,41 @@ def extra_cauchy_equilibrium(f, mat: EquilibriumMaterial):
         raise DomainError(f"extra stress assumes det F_sf = 1 (worst |det-1| = {np.max(np.abs(d - 1.0)):.3e})")
     c = tn.transpose(f) @ f
     return f @ isochoric_pk2(c, lambda cbar: equilibrium_sbar(cbar, mat)) @ tn.transpose(f)
+
+
+# ---------------------------------------------------------------------------
+# wall integrals, segment by segment
+# ---------------------------------------------------------------------------
+
+def glued_opening_maps(sectors, alpha, rho, l):
+    """One OpeningMap per sector of the sectors glued into one sector of angle
+    alpha: the first anchored at the current radius rho by its outer sf radius,
+    each later one by its inner sf radius at the outer current radius of the
+    one inside it."""
+    span, r, maps = 2.0 * math.pi - alpha, rho, []
+    for j, sec in enumerate(sectors):
+        m = OpeningMap(span / (2.0 * math.pi - sec.alpha), l / sec.L, r, sec.Ri if j else sec.Ro)
+        maps.append(m)
+        r = m.radius_current(sec.Ro)
+    return maps
+
+
+def segment_wall_integrals(materials, maps, spans, npts):
+    """(p_net, F_red, M, int W r dr) of a wall, one layer at a time: Gauss nodes
+    over each span in the sf radius R, their current radii, weights dr/dR and
+    squared stretches from the layer's OpeningMap."""
+    p = fz = mo = e = 0.0
+    for mat, m, span in zip(materials, maps, spans):
+        R, w = gauss_segment(*span, npts)
+        r = m.radius_current(R)
+        w = w * R / (m.k * m.c * r)
+        l2 = m.sq_stretches(r, R)
+        dth, dzz = diagonal_stress_differences(l2, mat)
+        p = p + (w * dth / r).sum(axis=-1)
+        fz = fz + math.pi * (w * (2.0 * dzz - dth) * r).sum(axis=-1)
+        mo = mo + 0.5 * (w * dth * r).sum(axis=-1)
+        e = e + (w * diagonal_energy(l2, mat) * r).sum(axis=-1)
+    return p, fz, mo, e
 
 
 # ---------------------------------------------------------------------------

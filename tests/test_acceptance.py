@@ -32,7 +32,6 @@ from prestress_tube import (
     fibre_energy,
     find_opening_angle,
     isochoric_pk2,
-    opened_segments,
     pull_back_pk2,
     run_point,
     solve_inverse_sf,
@@ -58,6 +57,7 @@ from conftest import (
     rand_motion,
     rand_spd,
     rand_unimodular,
+    opened_segments,
     sectored_layers,
 )
 from reference import (fibre_flow_rhs, fibre_sq_stretch, iso_energy, iso_flow_rhs,

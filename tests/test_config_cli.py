@@ -613,6 +613,28 @@ def test_cli_exit_1_non_finite_constant(tmp_path, capsys, workflow, field, value
     assert stdout == ""
 
 
+@pytest.mark.parametrize("field", ["f0_opening_map.k", "f0_opening_map.c",
+                                   "f0_opening_map.r_mm", "F[0][0]", "F[2][2]"])
+def test_cli_exit_1_non_finite_point_input(tmp_path, capsys, field):
+    # an opening-map constant or a keyframe entry of Infinity (det F = inf > 0)
+    cfg = point_config()
+    if field.startswith("F"):
+        F = [row[:] for row in F_STRETCH]
+        F[int(field[2])][int(field[5])] = math.inf
+        cfg["program"]["keyframes"][1][1] = F
+    else:
+        del cfg["f0"]
+        cfg["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
+        cfg["f0_opening_map"][field.split(".")[1]] = math.inf
+    path = write_config(tmp_path, cfg)
+    assert "Infinity" in path.read_text()
+    rc, stdout, stderr = run_cli(capsys, "point-test", "--config", str(path),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    assert stderr.startswith("config error:")
+    assert stdout == ""
+
+
 def test_cli_exit_1_both_f0_fields(tmp_path, capsys):
     cfg = point_config()
     cfg["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}

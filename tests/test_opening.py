@@ -13,10 +13,8 @@ from prestress_tube import (
     MaterialLayer,
     OpenedStateCandidate,
     SectorGeometry,
-    equilibrium_residuals,
     find_opening_angle,
     opened_energy,
-    opened_segments,
     solve_load_free,
     wall_stress_profile,
 )
@@ -25,7 +23,7 @@ from prestress_tube import tensor as tn
 from prestress_tube.errors import NoConvergence
 
 from conftest import (ADV_EQ, ADV_SECTOR, MEDIA_EQ, MEDIA_SECTOR, equilibrate_opened,
-                      sectored_layers, split_sectored_layer)
+                      opened_residuals, opened_segments, sectored_layers, split_sectored_layer)
 from reference import equilibrium_energy_sf
 
 TWO_PI = 2.0 * math.pi
@@ -97,8 +95,7 @@ def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
         slope = (opened_energy(t3_layers, up) - opened_energy(t3_layers, dn)) / (2e-5)
         assert abs(slope) < 1e-6
     # stationarity coincides with sector equilibrium (net traction balance)
-    segs = opened_segments(t3_layers, cand)
-    p_net, f_red, _ = equilibrium_residuals(segs)
+    p_net, f_red, _ = opened_residuals(t3_layers, cand)
     assert abs(p_net) < 1e-7
     assert abs(f_red) < 1e-7
 
@@ -112,7 +109,7 @@ def test_energy_slope_is_minus_length_times_cut_moment(t3_layers, npts):
         cand = equilibrate_opened(t3_layers, alpha, npts)[0]
         slope = (equilibrate_opened(t3_layers, alpha + h, npts)[1]
                  - equilibrate_opened(t3_layers, alpha - h, npts)[1]) / (2.0 * h)
-        m = equilibrium_residuals(opened_segments(t3_layers, cand), npts)[2]
+        m = opened_residuals(t3_layers, cand, npts)[2]
         assert slope == pytest.approx(-cand.l_open * m, rel=1e-4)
 
 
@@ -253,6 +250,43 @@ def test_opening_angle_does_not_determine_the_residual_stress(t3_layers):
     # integration of T_rr does not enter.  A cutting test that also records the
     # tube's radii tells these two walls apart (r_i 0.474 against 0.410 mm)
     hoop = [wall_stress_profile(solve_load_free(w).segments)[0, 2] for w in (t3_layers, wall(a1))]
+    assert hoop[0] - hoop[1] > 0.5
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(Ri=st.floats(0.9, 1.1), h_m=st.floats(0.35, 0.45), gap=st.floats(0.08, 0.15),
+       h_a=st.floats(0.25, 0.35), L=st.floats(0.8, 1.2), L_ratio=st.floats(1.0, 1.1),
+       alpha_a=st.floats(110.0, 150.0), wider=st.floats(5.0, 20.0))
+def test_cutting_test_lacks_information(Ri, h_m, gap, h_a, L, L_ratio, alpha_a, wider):
+    # T3-like walls from the bench opening-scan ranges: open the media 20 deg
+    # wider, and a secant on the adventitia angle finds a second wall that
+    # locks at the same composite angle
+    Ri_a = Ri + h_m + gap
+
+    def wall(alpha_m_deg, alpha_a_deg):
+        return [MaterialLayer.from_constants(**MEDIA_EQ, sector=SectorGeometry(
+                    Ri, Ri + h_m, L, math.radians(alpha_m_deg))),
+                MaterialLayer.from_constants(**ADV_EQ, sector=SectorGeometry(
+                    Ri_a, Ri_a + h_a, L * L_ratio, math.radians(alpha_a_deg)))]
+
+    def locks_at(*angles):
+        return find_opening_angle(wall(*angles), 0.0, 180.0, 4.0).argmin_deg
+
+    target = locks_at(alpha_a + wider, alpha_a)
+    a0, a1 = alpha_a, alpha_a + 1.0
+    m0, m1 = (locks_at(alpha_a + wider + 20.0, a) - target for a in (a0, a1))
+    for _ in range(10):
+        if abs(m1) < 1e-9:
+            break
+        a0, a1, m0 = a1, a1 - m1 * (a1 - a0) / (m1 - m0), m1
+        m1 = locks_at(alpha_a + wider + 20.0, a1) - target
+    assert abs(m1) < 1e-6
+    # the load-free hoop stress at the inner surface, where T_rr = 0 exactly,
+    # differs by more than 0.5 kPa (0.56 to 0.97 kPa over these draws).  The
+    # tube's inner radii differ too (about 0.06 mm), so a cutting test that
+    # also records them tells the two walls apart
+    hoop = [wall_stress_profile(solve_load_free(wall(*angles)).segments)[0, 2]
+            for angles in ((alpha_a + wider, alpha_a), (alpha_a + wider + 20.0, a1))]
     assert hoop[0] - hoop[1] > 0.5
 
 

@@ -21,6 +21,7 @@ from prestress_tube import (
     diagonal_energy,
     diagonal_stress_differences,
     equilibrium_residuals,
+    find_opening_angle,
     gauss_segment,
     newton2,
     solve_inverse_sf,
@@ -41,7 +42,8 @@ from conftest import (
     sectored_layers,
     split_sectored_layer,
 )
-from reference import equilibrium_energy_sf, extra_cauchy_equilibrium
+from reference import (equilibrium_energy_sf, extra_cauchy_equilibrium, glued_opening_maps,
+                       segment_wall_integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,8 @@ def test_wall_segment_radius_round_trip():
     r = np.linspace(0.71, 0.97, 11)
     R = seg.map.radius_sf(r)
     assert_allclose(seg.map.radius_current(R), r, rtol=1e-13)
-    rr, RR, w = seg.nodes(16)
+    RR, _ = gauss_segment(*seg.R_span, 16)
+    rr = seg.map.radius_current(RR)
     assert_allclose(seg.map.radius_sf(rr), RR, rtol=1e-13)
     F = np.linalg.inv(seg.map.F0(rr))
     assert_allclose(tn.det(F), 1.0, rtol=1e-12)
@@ -180,7 +183,8 @@ def test_wall_segment_r_span_R_span_equivalence():
     dth, dzz = t[:, 1, 1] - t[:, 0, 0], t[:, 2, 2] - t[:, 0, 0]
     p_r = np.sum(w * dth / r)
     f_r = math.pi * np.sum(w * (2.0 * dzz - dth) * r)
-    p_R, f_R, _ = equilibrium_residuals([seg_R], 24)
+    nodes = tube.layer_nodes(layer.equilibrium, *seg_R.R_span, 24)
+    p_R, f_R, _ = equilibrium_residuals([nodes], [(m.k, m.c, m.ri, m.Ri)])
     assert p_r == pytest.approx(p_R, rel=1e-12, abs=1e-12)
     assert f_r == pytest.approx(f_R, rel=1e-12, abs=1e-12)
 
@@ -195,8 +199,8 @@ def test_closed_form_kernel_matches_tensor_route(c1, c2, k1, k2, beta_deg, k, c,
     # Gauss point, relative to the segment's largest stress component or energy
     mat = EquilibriumMaterial.from_constants(c1 if c1 + c2 > 0.0 else 1.0, c2, k1, k2, beta_deg)
     m = OpeningMap(k=k, c=c, ri=ri, Ri=k * ri / lam)   # hoop stretch lam at ri
-    seg = WallSegment(MaterialLayer(mat), m, tuple(m.radius_sf([ri, ri * (1.0 + t)])))
-    r, R, _ = seg.nodes()
+    R, _ = gauss_segment(*m.radius_sf([ri, ri * (1.0 + t)]), tube.N_QUAD)
+    r = m.radius_current(R)
     F = np.linalg.inv(m.F0(r))
     T = extra_cauchy_equilibrium(F, mat)
     l2 = m.sq_stretches(r, R)
@@ -223,6 +227,60 @@ def test_closed_form_kernel_takes_any_fibre_direction():
     assert_allclose(dzz, T[:, 2, 2] - T[:, 0, 0], rtol=1e-13)
     assert_allclose(diagonal_energy(l2, mat), equilibrium_energy_sf(tn.transpose(F) @ F, mat),
                     rtol=1e-13)
+
+
+# the +/- beta pairs share their fibre term; the radial pair shares nothing
+KERNEL_MATERIALS = [
+    EquilibriumMaterial.from_constants(**MEDIA_EQ),
+    EquilibriumMaterial.from_constants(**ADV_EQ),
+    EquilibriumMaterial(MooneyRivlinParams(2.0, 1.0), (
+        HolzapfelFibreParams(3.0, 0.7, np.array([0.6, 0.0, 0.8])),
+        HolzapfelFibreParams(3.0, 0.7, np.array([0.0, 0.8, -0.6])))),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), npts=st.sampled_from([2, 5, 16, 32]),
+       form=st.sampled_from(["real", "complex", "batched"]), seed=st.integers(0, 2 ** 32 - 1),
+       mats=st.lists(st.sampled_from(range(len(KERNEL_MATERIALS))), min_size=3, max_size=3))
+def test_wall_kernel_matches_segment_route_bitwise(n, npts, form, seed, mats):
+    # the node-table kernel against the wall built layer by layer from
+    # OpeningMaps (tests/reference.py): the same floats, not merely close ones
+    rng = np.random.default_rng(seed)
+    layers, Ri = [], rng.uniform(0.5, 1.2)
+    for j in range(n):
+        Ro = Ri + rng.uniform(0.1, 0.5)
+        sec = SectorGeometry(Ri, Ro, rng.uniform(0.8, 1.2), math.radians(rng.uniform(0.0, 200.0)))
+        layers.append(MaterialLayer(KERNEL_MATERIALS[mats[j]], sector=sec))
+        Ri = Ro + rng.uniform(0.0, 0.2)
+    secs = [layer.sector for layer in layers]
+    alpha = math.radians(rng.uniform(0.0, 200.0))
+    k1 = (2.0 * math.pi - alpha) / (2.0 * math.pi - secs[0].alpha)
+    x = np.array([secs[0].Ro * max(1.0 / k1, math.sqrt(1.0 / k1)) * rng.uniform(1.0, 1.2),
+                  np.mean([s.L for s in secs]) * rng.uniform(0.9, 1.1)])
+    if form == "real":
+        rho, l = x
+    else:   # complex-step columns for m = 2 states, shape (2, m) or (2, B, m)
+        B = 3 if form == "batched" else 1
+        xs = x[:, None, None] * rng.uniform(0.95, 1.05, (2, B, 1)) + 1e-20j * np.eye(2)[:, None]
+        rho, l = (xs if form == "batched" else xs[:, 0])[..., None]
+        if form == "batched":
+            alpha = alpha + np.radians(rng.uniform(-5.0, 5.0, (B, 1, 1)))
+    mat_list = [layer.equilibrium for layer in layers]
+    maps = glued_opening_maps(secs, alpha, rho, l)
+    ref = segment_wall_integrals(mat_list, maps, [(s.Ri, s.Ro) for s in secs], npts)
+    got = tube.sector_residuals(layers, npts)(rho, l, alpha, energy=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert all(np.array_equal(a, b) for a, b in zip(tube.sector_residuals(layers, npts)(
+        rho, l, alpha), ref[:3]))
+    # one map for the whole wall, the spans images of tube radii (the inverse solve)
+    m = maps[0]
+    R = m.radius_sf(m.ri * np.cumprod([1.0] + [1.2] * n))
+    spans = [(R[..., j, None], R[..., j + 1, None]) for j in range(n)]
+    nodes = [tube.layer_nodes(mat, *span, npts) for mat, span in zip(mat_list, spans)]
+    got = equilibrium_residuals(nodes, [(m.k, m.c, m.ri, m.Ri)] * n, energy=True)
+    ref = segment_wall_integrals(mat_list, [m] * n, spans, npts)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +418,19 @@ def test_wall_solve_backs_off_an_inadmissible_trial(monkeypatch):
     domain_errors = []
     residuals = tube.equilibrium_residuals
 
-    def counting(segments, npts):
+    def counting(*args):
         try:
-            return residuals(segments, npts)
+            return residuals(*args)
         except DomainError:
-            domain_errors.append(npts)
+            domain_errors.append(args)
             raise
 
     monkeypatch.setattr(tube, "equilibrium_residuals", counting)
+    wall = tube.sector_residuals(layers)
 
     def solve(x0):
-        return tube._solve_wall(layers, lambda r, l: tube.sector_segments(layers, alpha, r, l),
-                                np.array(x0), rho, tube.N_QUAD, tube.NEWTON_TOL,
-                                tube.NEWTON_MAXIT)
+        return tube._solve_wall(layers, lambda r, l: wall(r, l, alpha), np.array(x0), rho,
+                                tube.NEWTON_TOL, tube.NEWTON_MAXIT)
 
     x, f, _ = solve([rho, 1.0])
     assert domain_errors
@@ -380,6 +438,47 @@ def test_wall_solve_backs_off_an_inadmissible_trial(monkeypatch):
     assert np.all(np.abs(f) < 1e-10)
     # both solves stop inside the Newton tolerance (9.8e-13 mm apart here)
     assert_allclose(x, ref, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("workflow", ["load-free", "energy-scan"])
+def test_node_table_is_built_once_per_solve(monkeypatch, t3_layers, workflow):
+    # maps, Gauss nodes and Legendre rules are built per solve, never per
+    # Newton call: their counts do not grow with the iterations a tighter
+    # tolerance takes
+    counts = {}
+
+    def counting(name, fun):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fun(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(OpeningMap, "__post_init__",
+                        counting("OpeningMap", OpeningMap.__post_init__))
+    monkeypatch.setattr(tube, "gauss_segment", counting("gauss_segment", tube.gauss_segment))
+    monkeypatch.setattr(tube, "_leggauss", counting("_leggauss", tube._leggauss))
+    newton = tube.newton2
+    runs = []
+    for tol in (1e-4, 1e-11):
+        counts.clear()
+        iterations = []
+
+        def at_tol(fun, x0, tol=None, max_iter=tube.NEWTON_MAXIT, forced=tol):
+            x, f, it = newton(fun, x0, tol=forced, max_iter=max_iter)
+            iterations.append(it)
+            return x, f, it
+
+        monkeypatch.setattr(tube, "newton2", at_tol)
+        if workflow == "load-free":
+            solve_load_free(t3_layers)
+        else:
+            find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
+        runs.append((sum(iterations), dict(counts)))
+    (loose, built), (tight, built_tight) = runs
+    assert tight > loose
+    assert built_tight == built
+    assert built["gauss_segment"] == built["_leggauss"] <= 2 * len(t3_layers)
+    assert built.get("OpeningMap", 0) <= len(t3_layers)
 
 
 # ---------------------------------------------------------------------------
