@@ -36,10 +36,13 @@ def _write_csv(path: str, header, rows, cfg_hash: str):
     """A comment line, then the header and FLOAT_FMT rows as csv.writer writes them: one
     "%.12g" %-format for all rows (one str.format grew peak RSS 0.75 MB, CPython 3.11/glibc)."""
     line = ",".join(["%.12g"] * len(header)) + "\r\n"
-    with open(path, 'w', newline='') as fh:
-        fh.write(f"# prestress-tube {__version__} config_sha256={cfg_hash}\n")
-        fh.write(",".join(header) + "\r\n")
-        fh.write((line * len(rows)) % tuple(np.asarray(rows, dtype=float).ravel().tolist()))
+    try:
+        with open(path, 'w', newline='') as fh:
+            fh.write(f"# prestress-tube {__version__} config_sha256={cfg_hash}\n")
+            fh.write(",".join(header) + "\r\n")
+            fh.write((line * len(rows)) % tuple(np.asarray(rows, dtype=float).ravel().tolist()))
+    except OSError as e:
+        raise ConfigError(f"cannot write output file {path}: {e}")
 
 
 def _summary(workflow: str, report: SolverReport, key: dict, out_path: str) -> dict:

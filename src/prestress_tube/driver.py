@@ -7,13 +7,13 @@ advanced implicitly, and the total PK2 stress (equilibrium + overstresses) is
 pulled back to the lf-configuration and pushed forward to a Cauchy stress.
 
 A run is batched over its rows: F_lf, C_sf, Cbar, the fibre stretches, the
-stresses (one isochoric projection for equilibrium and overstress, so one C_sf
-inverse per run) and their transforms, det Ci and the overstress norms come
-from whole-run tensor calls.  Only the recurrences step, each in one
-plain-float loop over the run: the isotropic Ci update and each fibre family's
-scalar Newton.  Per-step checks apply to the whole history: det C > 0 before
-the recurrences, a valid ViscousState history (unimodular symmetric Ci,
-positive lambda_i) before the stresses.
+stresses (one isochoric projection for equilibrium and overstress) and their
+transforms come from whole-run calls, with one det per history and one inverse
+each of F0, C_sf and Ci.  Only the recurrences step, in plain-float loops: the
+isotropic Ci update and one fibre Newton per group of equivalent families (equal
+constants, lambda_i(0) and stretch history: the +/- beta pair at zero torsion),
+which share their fibre terms too.  Checks cover whole histories: det C > 0
+before the recurrences, a valid ViscousState history before the stresses.
 
 The model carries no volumetric energy: the reported stress is the
 constitutively determinate ("extra") part, to which an arbitrary hydrostatic
@@ -32,10 +32,10 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import DomainError
-from .materials import (PreStressField, cauchy_from_pk2, equilibrium_sbar, isochoric_pk2,
-                        pull_back_pk2)
-from .maxwell import (NEWTON_TOL, ViscousState, fibre_evolve, initial_state, iso_evolve,
-                      overstress_sbar)
+from .materials import (PreStressField, cauchy_from_pk2, equilibrium_sbar, fibre_f,
+                        isochoric_pk2, pull_back_pk2)
+from .maxwell import (NEWTON_TOL, ViscousState, fibre_evolve, fibre_overstress_scalar,
+                      initial_state, iso_evolve, overstress_sbar)
 from .tube import MaterialLayer, SolverReport
 
 # a Maxwell branch's relaxation time must be resolved by at least this many steps
@@ -60,13 +60,14 @@ class LoadProgram:
             raise ValueError("keyframe times must be finite numbers, the first one 0")
         if not all(t2 - t1 >= MERGE_FRACTION * self.dt for t1, t2 in zip(times, times[1:])):
             raise ValueError(f"keyframe times must increase by at least {MERGE_FRACTION:g} dt")
-        frames = tuple((float(t), np.asarray(F, dtype=float)) for t, F in self.keyframes)
-        for t, F in frames:
-            if F.shape != (3, 3):
-                raise ValueError("keyframe deformation gradients must be 3x3")
-            if not (np.isfinite(F).all() and tn.det(F) > 0.0):
-                raise ValueError(f"keyframe at t = {t} needs finite F with det F > 0")
-        object.__setattr__(self, 'keyframes', frames)
+        frames = [np.asarray(F, dtype=float) for _, F in self.keyframes]
+        if any(F.shape != (3, 3) for F in frames):
+            raise ValueError("keyframe deformation gradients must be 3x3")
+        ok = np.isfinite(stack := np.array(frames)).all(axis=(1, 2))
+        ok[ok] = tn.det(stack[ok]) > 0.0   # one det for all finite keyframes
+        if not ok.all():
+            raise ValueError(f"keyframe at t = {times[ok.argmin()]} needs finite F with det F > 0")
+        object.__setattr__(self, 'keyframes', tuple(zip(times, frames)))
 
     @property
     def t_end(self) -> float:
@@ -122,46 +123,58 @@ class PointTrace:
 
 
 def _check_dt_resolves(layer: MaterialLayer, dt: float):
-    taus = []
+    taus = [fp.eta_f / (4.0 * fp.k1v) for fp in layer.fibre_maxwell]  # linearized at lam_e = 1
     if layer.iso_maxwell is not None:
         taus.append(layer.iso_maxwell.eta / layer.iso_maxwell.mu)
-    for fp in layer.fibre_maxwell:
-        taus.append(fp.eta_f / (4.0 * fp.k1v))  # linearized relaxation rate near lam_e = 1
     if taus and dt > min(taus) / MIN_STEPS_PER_TAU:
         raise DomainError(f"dt = {dt} does not resolve the fastest relaxation time "
                           f"{min(taus):.4g} s by {MIN_STEPS_PER_TAU} steps")
 
 
+def _shared(fn, keys):
+    """[fn(j) for each family j], computed once per distinct key (constants, history bytes)."""
+    done = {}
+    return [done[k] if k in done else done.setdefault(k, fn(j)) for j, k in enumerate(keys)]
+
+
 def run_point(program: LoadProgram, layer: MaterialLayer, f0: PreStressField) -> PointTrace:
     """Integrate the full constitutive response along a load program."""
     _check_dt_resolves(layer, program.dt)
-    iso, fibres_v = layer.iso_maxwell, layer.fibre_maxwell
+    iso, fibres_v, eq = layer.iso_maxwell, layer.fibre_maxwell, layer.equilibrium.fibres
     times = step_times(program)
     h = np.diff(times)
 
     F_lf = program.F_at(times)
-    F_sf = F_lf @ tn.inverse(f0.F0)
+    F_sf = F_lf @ f0._inv
     c_sf = tn.transpose(F_sf) @ F_sf
-    cbar = tn.unimodular(c_sf) if iso is not None or fibres_v else None
+    d_sf = tn.det(c_sf)
+    cbar = tn.unimodular(c_sf, d_sf) if iso is not None or fibres_v else None
     state = initial_state(f0, tn.transpose(F_lf[0]) @ F_lf[0], fibres_v)
 
     ci = iso_evolve(state.Ci, cbar[1:], h, iso) if iso is not None else \
         np.broadcast_to(state.Ci, c_sf.shape)
-    lam_i = np.empty((times.size, len(fibres_v)))
-    its, r_max = 0, 0.0
-    for j, fp in enumerate(fibres_v):
-        lam = np.sqrt(np.einsum('nij,i,j->n', cbar, fp.a, fp.a))[1:]
-        lam_i[:, j], k, r = fibre_evolve(lam, state.lambda_i[j], h, fp)
-        its, r_max = max(its, k), max(r_max, r)
+    # one a . Cbar a history per direction, one fibre term per group of equivalent families
+    a = [fp.a for fp in eq + fibres_v]
+    lam2 = [] if cbar is None else _shared(lambda j: np.einsum('nij,i,j->n', cbar, a[j], a[j]),
+                                           [x.tobytes() for x in a])
+    f_eq = _shared(lambda j: fibre_f(lam2[j], eq[j].k1, eq[j].k2),
+                   [(fp.k1, fp.k2, x.tobytes()) for fp, x in zip(eq, lam2)])
+    lam = [np.sqrt(x) for x in lam2[len(eq):]]
+    keys = [(fp.k1v, fp.k2v, fp.eta_f, state.lambda_i[j], lam[j].tobytes())
+            for j, fp in enumerate(fibres_v)]
+    fams = _shared(lambda j: fibre_evolve(lam[j][1:], state.lambda_i[j], h, fibres_v[j]), keys)
+    lam_i = np.column_stack([s[0] for s in fams] or [np.empty((times.size, 0))])
+    its, r_max = max([0] + [s[1] for s in fams]), max([0.0] + [s[2] for s in fams])
     history = ViscousState(ci, lam_i)
+    pref = _shared(lambda j: fibre_overstress_scalar(lam[j], lam_i[:, j], fibres_v[j]), keys)
 
     t_eq_sf, t_over_sf = isochoric_pk2(c_sf, lambda cbar: np.stack((
-        equilibrium_sbar(cbar, layer.equilibrium), overstress_sbar(cbar, history, iso, fibres_v))))
-    det_ci = tn.det(history.Ci)
+        equilibrium_sbar(cbar, layer.equilibrium, f_eq),
+        overstress_sbar(cbar, history, iso, fibres_v, pref))), d_sf)
     # converged: every fibre solve ended below the local Newton tolerance
     report = SolverReport(r_max < NEWTON_TOL, its,
-                          {"det_ci_max_dev": float(np.max(np.abs(det_ci - 1.0))),
+                          {"det_ci_max_dev": float(np.max(np.abs(history._det - 1.0))),
                            "fibre_r_max": r_max})
     return PointTrace(times, cauchy_from_pk2(pull_back_pk2(t_eq_sf + t_over_sf, f0), F_lf),
-                      det_ci, lam_i,
+                      history._det, lam_i,
                       np.linalg.norm(cauchy_from_pk2(t_over_sf, F_sf), axis=(1, 2)), report)

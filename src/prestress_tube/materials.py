@@ -67,7 +67,7 @@ class HolzapfelFibreParams:
 
 @dataclass(frozen=True)
 class PreStressField:
-    """The unimodular map F0 from the load-free to the stress-free configuration."""
+    """The unimodular map F0 from the load-free to the stress-free configuration; _inv = F0^{-1}."""
     F0: np.ndarray
 
     def __post_init__(self):
@@ -78,6 +78,7 @@ class PreStressField:
         if not np.all(np.abs(d - 1.0) <= 1e-10):  # also rejects NaN entries
             raise ValueError(f"F0 must be unimodular (det = {np.max(np.abs(d - 1.0)):.3e} from 1)")
         object.__setattr__(self, 'F0', f0)
+        object.__setattr__(self, '_inv', tn.inverse(f0, d))
 
 
 def fibre_directions(beta_rad: float):
@@ -94,14 +95,12 @@ def fibre_directions(beta_rad: float):
 
 def csf_from_clf(c_lf, f0: PreStressField):
     """C_sf = F0^{-T} C_lf F0^{-1}."""
-    f0inv = tn.inverse(f0.F0)
-    return tn.transpose(f0inv) @ np.asarray(c_lf, dtype=float) @ f0inv
+    return tn.transpose(f0._inv) @ np.asarray(c_lf, dtype=float) @ f0._inv
 
 
 def pull_back_pk2(t_sf, f0: PreStressField):
     """PK2 re-referencing sf -> lf: T_lf = F0^{-1} T_sf F0^{-T}."""
-    f0inv = tn.inverse(f0.F0)
-    return f0inv @ np.asarray(t_sf, dtype=float) @ tn.transpose(f0inv)
+    return f0._inv @ np.asarray(t_sf, dtype=float) @ tn.transpose(f0._inv)
 
 
 def cauchy_from_pk2(t_pk2, f):
@@ -113,11 +112,12 @@ def cauchy_from_pk2(t_pk2, f):
     return (f @ np.asarray(t_pk2, dtype=float) @ tn.transpose(f)) / d[..., None, None]
 
 
-def isochoric_pk2(c_sf, fictitious):
+def isochoric_pk2(c_sf, fictitious, d=None):
     """J^(-2/3) Dev Sbar for Sbar = fictitious(Cbar) of shape (..., 3, 3), or (k, ..., 3, 3)
-    for k stresses at once; det C and C^{-1} are formed once for all of them."""
+    for k stresses at once; det C (d, if known) and C^{-1} are formed once for all of them."""
     c = np.asarray(c_sf, dtype=float)
-    cinv, d = tn.inverse(c), tn.det(c)
+    d = tn.det(c) if d is None else d
+    cinv = tn.inverse(c, d)
     if np.any(d <= 0.0):
         raise NonPositiveDeterminant(f"unimodular part needs det > 0 (min det = {np.min(d):.3e})")
     j23 = d[..., None, None] ** (-1.0 / 3.0)
@@ -141,9 +141,9 @@ def fibre_energy(lam2, k1: float, k2: float):
     return k1 / (2.0 * k2) * (np.exp(k2 * u * u) - 1.0)
 
 
-def holzapfel_sbar(cbar, p: HolzapfelFibreParams):
-    """Fictitious stress 2 f(lam2) a(x)a of one fibre family."""
-    f = fibre_f(np.einsum('...ij,i,j->...', cbar, p.a, p.a), p.k1, p.k2)
+def holzapfel_sbar(cbar, p: HolzapfelFibreParams, f=None):
+    """Fictitious stress 2 f(lam2) a(x)a of one fibre family (f: its f(lam2), if known)."""
+    f = fibre_f(np.einsum('...ij,i,j->...', cbar, p.a, p.a), p.k1, p.k2) if f is None else f
     return 2.0 * np.asarray(f)[..., None, None] * tn.dyad(p.a)
 
 
@@ -164,11 +164,12 @@ class EquilibriumMaterial:
                    (HolzapfelFibreParams(k1, k2, ap), HolzapfelFibreParams(k1, k2, am)))
 
 
-def equilibrium_sbar(cbar, mat: EquilibriumMaterial):
-    """Fictitious stress of the matrix, (c1 + c2 tr Cbar) 1 - c2 Cbar, plus each fibre family's."""
+def equilibrium_sbar(cbar, mat: EquilibriumMaterial, f=None):
+    """Matrix fictitious stress (c1 + c2 tr Cbar) 1 - c2 Cbar plus each fibre's, from f if given."""
     p = mat.matrix
     s = (p.c1 + p.c2 * tn.trace(cbar))[..., None, None] * np.eye(3) - p.c2 * cbar
-    return sum((holzapfel_sbar(cbar, fp) for fp in mat.fibres), s)
+    f = f or [None] * len(mat.fibres)
+    return sum((holzapfel_sbar(cbar, fp, fj) for fp, fj in zip(mat.fibres, f)), s)
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,10 @@ class EnergyCurve:
                                # solve, 0 when the argmin is a grid sample
 
 
-def opened_energy(layers: Sequence[MaterialLayer], cand: OpenedStateCandidate,
-                  npts: int = N_QUAD) -> float:
-    """Total stored equilibrium energy of the opened composite (microJ), E = (2*pi -
-    alpha) * l_open * int W(C_sf) r dr; the maps are isochoric, so each layer's part
-    equals its sf-volume integral (2*pi - alpha_j) * L_j * int W R dR."""
-    e = sector_residuals(layers, npts)(cand.rho_interface, cand.l_open, cand.alpha_trial,
-                                       energy=True)[3]
+def opened_energy(wall, cand: OpenedStateCandidate) -> float:
+    """Stored equilibrium energy (microJ) of the opened composite on a tube.sector_residuals
+    wall: E = (2*pi - alpha) l_open int W r dr = sum_j (2*pi - alpha_j) L_j int W R dR."""
+    e = wall(cand.rho_interface, cand.l_open, cand.alpha_trial, energy=True)[3]
     return float((TWO_PI - cand.alpha_trial) * cand.l_open * e)
 
 
@@ -109,7 +106,7 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
                                 f"{angles[max(i, j)]:g} deg", y,
                                 {'moment_kpa_mm2': float(res[2])}, iterations)
     cand = OpenedStateCandidate(float(y[2]), float(y[0]), float(y[1]))
-    a_min, e_min = ((math.degrees(y[2]), opened_energy(layers, cand, npts)) if iterations
+    a_min, e_min = ((math.degrees(y[2]), opened_energy(wall, cand)) if iterations
                     else (float(angles[i]), float(energies[i])))
     residuals = dict(zip(('p_net_kpa', 'F_red_kpa_mm2', 'moment_kpa_mm2'), map(float, res)))
     return EnergyCurve(samples, a_min, e_min, cand, SolverReport(True, iterations, residuals))

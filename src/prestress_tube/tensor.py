@@ -29,20 +29,20 @@ def det(a):
     return np.linalg.det(np.asarray(a, dtype=float))
 
 
-def inverse(a):
-    """Matrix inverse; raises SingularTensor if any |det| <= SINGULAR_TOL."""
+def inverse(a, d=None):
+    """Matrix inverse; raises SingularTensor if any |det| <= SINGULAR_TOL (d: det a, if known)."""
     a = np.asarray(a, dtype=float)
-    d = np.linalg.det(a)
+    d = np.linalg.det(a) if d is None else d
     if np.any(np.abs(d) <= SINGULAR_TOL):
         raise SingularTensor(f"tensor is singular to tolerance {SINGULAR_TOL:g} "
                              f"(min |det| = {np.min(np.abs(d)):.3e})")
     return np.linalg.inv(a)
 
 
-def unimodular(a):
-    """(det a)^(-1/3) * a.  Requires det > 0."""
+def unimodular(a, d=None):
+    """(det a)^(-1/3) * a.  Requires det > 0 (d: det a, if known)."""
     a = np.asarray(a, dtype=float)
-    d = np.linalg.det(a)
+    d = np.linalg.det(a) if d is None else d
     if np.any(d <= 0.0):
         raise NonPositiveDeterminant(f"unimodular part needs det > 0 (min det = {np.min(d):.3e})")
     return a * d[..., None, None] ** (-1.0 / 3.0)

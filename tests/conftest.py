@@ -76,9 +76,10 @@ def split_sectored_layer(layers, j, t):
 def equilibrate_opened(layers, alpha_trial, npts=N_QUAD):
     """(OpenedStateCandidate, energy, (p_net, F_red)) equilibrated at a fixed trial
     angle by Newton on sector equilibrium."""
-    x, f, _ = _solve_sector(layers, sector_residuals(layers, npts), alpha_trial)
+    wall = sector_residuals(layers, npts)
+    x, f, _ = _solve_sector(layers, wall, alpha_trial)
     cand = OpenedStateCandidate(alpha_trial, float(x[0]), float(x[1]))
-    return cand, opened_energy(layers, cand, npts), f
+    return cand, opened_energy(wall, cand), f
 
 
 def opened_segments(layers, cand):

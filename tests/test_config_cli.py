@@ -425,6 +425,23 @@ def test_cli_exit_1_unreadable_config(tmp_path, capsys):
     assert "cannot read config" in stderr
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+@pytest.mark.parametrize("workflow, make_config", [
+    ("inverse-sf", inverse_config), ("load-free", load_free_config),
+    ("energy-scan", scan_config), ("point-test", point_config)])
+def test_cli_exit_1_unwritable_output(tmp_path, capsys, workflow, make_config, target):
+    # the output path, from --out or from the config's "output" field, cannot be opened for
+    # writing: one "config error:" line, exit 1 and nothing on stdout, not a traceback
+    out = tmp_path / "nowhere" / "x.csv" if target == "missing-directory" else tmp_path
+    for argv, cfg in ((["--out", str(out)], make_config()),
+                      ([], dict(make_config(), output=str(out)))):
+        rc, stdout, stderr = run_cli(capsys, workflow, "--config",
+                                     str(write_config(tmp_path, cfg)), *argv)
+        assert (rc, stdout) == (1, "")
+        assert stderr.startswith(f"config error: cannot write output file {out}: ")
+        assert stderr.count("\n") == 1
+
+
 def test_cli_exit_1_bad_json(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{"workflow": "inverse-sf",')

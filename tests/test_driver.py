@@ -1,7 +1,6 @@
 """Material-point viscoelastic driver: programs, traces, relaxation behavior."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +11,11 @@ from numpy.testing import assert_allclose
 from prestress_tube import (
     LoadProgram,
     MaterialLayer,
+    OpeningMap,
     PreStressField,
+    fibre_evolve,
     initial_state,
+    iso_evolve,
     run_point,
 )
 from prestress_tube import driver
@@ -65,6 +67,18 @@ def test_program_validation():
         LoadProgram(((0.0, IDENT), (1.0, -IDENT)), dt=0.01)  # det <= 0
     with pytest.raises(ValueError):
         LoadProgram(((0.0, IDENT), (1.0, F_STRETCH)), dt=0.0)
+
+
+@pytest.mark.parametrize("bad, first", [((2, 3), 2.0), ((3, 2), 2.0), ((1, 3), 1.0)])
+def test_program_names_its_first_bad_keyframe(bad, first):
+    # one stacked det check over all keyframes still reports the earliest bad one,
+    # whether it has det F <= 0 or a non-finite entry
+    inf_frame = F_STRETCH.copy()
+    inf_frame[2, 2] = math.inf
+    frames = [IDENT, F_STRETCH, F_STRETCH, F_STRETCH]
+    frames[bad[0]], frames[bad[1]] = -IDENT, inf_frame
+    with pytest.raises(ValueError, match=f"keyframe at t = {first} needs finite F"):
+        LoadProgram(tuple((float(t), F) for t, F in enumerate(frames)), dt=0.01)
 
 
 def test_program_interpolation_and_hold():
@@ -281,10 +295,11 @@ def test_batched_driver_matches_per_step_reference(kind, branches, seed, dt, n_s
 
 
 def test_corrupted_ci_history_raises_like_per_step_code(monkeypatch):
-    # a starting Ci off the unimodular manifold by 1e-3 (the state check itself is bypassed)
+    # a starting Ci off the unimodular manifold by 1e-3 (scaled after the state's own check)
     def corrupted(f0, c_lf, fibres):
-        good = initial_state(f0, c_lf, fibres)
-        return SimpleNamespace(Ci=good.Ci * 1.001, lambda_i=good.lambda_i)
+        state = initial_state(f0, c_lf, fibres)
+        state.Ci = state.Ci * 1.001
+        return state
 
     prog = LoadProgram(((0.0, IDENT), (0.1, F_STRETCH)), dt=0.002)
     layer, f0 = iso_only_layer(), PreStressField(IDENT)
@@ -336,18 +351,99 @@ def test_non_positive_det_step_raises_like_per_step_code(f_end, t_end, error, vi
 @pytest.mark.parametrize("visc, inverses", [("neither", 1), ("fibre", 1), ("iso", 2), ("both", 2)])
 def test_run_point_inverts_each_history_once(monkeypatch, visc, inverses):
     # one isochoric projection for the equilibrium and the overstress PK2: the C
-    # history is inverted once, and the Ci history once when there is an isotropic branch
-    shapes = []
-    inverse = tn.inverse
+    # history is inverted once, and the Ci history once when there is an isotropic branch.
+    # F0 is inverted once, and each history (F_lf, F_sf, C_sf, Ci) has its det taken once
+    prog = LoadProgram(((0.0, IDENT), (0.05, F_STRETCH), (0.1, F_STRETCH)), dt=0.002)
+    f0_matrix = rand_unimodular(np.random.default_rng(61))
+    layer = MaterialLayer.from_constants(**MEDIA_EQ, **VISC_BRANCHES[visc])
+    times = step_times(prog)
+    F_lf = prog.F_at(times)
+    F_sf = F_lf @ np.linalg.inv(f0_matrix)
+    c_sf = tn.transpose(F_sf) @ F_sf
+    ci0 = initial_state(PreStressField(f0_matrix), tn.transpose(F_lf[0]) @ F_lf[0], ()).Ci
+    ci = np.broadcast_to(ci0, c_sf.shape) if layer.iso_maxwell is None else \
+        iso_evolve(ci0, tn.unimodular(c_sf)[1:], np.diff(times), layer.iso_maxwell)
+    histories = {"F_lf": F_lf, "F_sf": F_sf, "C_sf": c_sf, "Ci": ci}
 
-    def counting_inverse(a):
+    shapes, dets, single_inverses = [], [], []
+    inverse, det, inv = tn.inverse, np.linalg.det, np.linalg.inv
+
+    def counting_inverse(a, d=None):
         if np.ndim(a) == 3:
             shapes.append(np.shape(a))
-        return inverse(a)
+        return inverse(a, d)
+
+    def counting_det(a):
+        if np.ndim(a) == 3:
+            dets.append([k for k, v in histories.items() if np.array_equal(v, a)] or ["other"])
+        return det(a)
+
+    def counting_inv(a):
+        if np.ndim(a) == 2:
+            single_inverses.append(np.array(a))
+        return inv(a)
 
     monkeypatch.setattr(tn, "inverse", counting_inverse)
-    prog = LoadProgram(((0.0, IDENT), (0.05, F_STRETCH), (0.1, F_STRETCH)), dt=0.002)
-    f0 = PreStressField(rand_unimodular(np.random.default_rng(61)))
-    layer = MaterialLayer.from_constants(**MEDIA_EQ, **VISC_BRANCHES[visc])
-    trace = run_point(prog, layer, f0)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    trace = run_point(prog, layer, PreStressField(f0_matrix))
+    monkeypatch.undo()
     assert shapes == [(trace.t.size, 3, 3)] * inverses
+    assert sorted(dets) == [["C_sf"], ["Ci"], ["F_lf"], ["F_sf"]]
+    assert len(single_inverses) == 1 and np.array_equal(single_inverses[0], f0_matrix)
+
+
+def _theta_z_shear(g):
+    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, g], [0.0, 0.0, 1.0]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(["torsion-free", "theta-z-shear", "mixing-f0"]),
+       beta=st.floats(0.0, 90.0),
+       k1v=st.floats(1.0, 10.0), k2v=st.floats(0.1, 1.5), eta_fibre=st.floats(0.2, 5.0),
+       k=st.floats(1.0, 2.0), c=st.floats(0.9, 1.1), r_frac=st.floats(0.0, 0.5),
+       stretch=st.floats(0.85, 1.15), shear=st.floats(-0.2, 0.2), g=st.floats(0.05, 0.3),
+       ramp=st.floats(0.1, 0.9))
+def test_equivalent_fibre_families_share_one_solve(case, beta, k1v, k2v, eta_fibre, k, c,
+                                                    r_frac, stretch, shear, g, ramp):
+    # the +/- beta families have equal constants; at zero torsion (diagonal stretch and
+    # 1-2 shear on an opening-map F0) their stretch histories are equal and they share
+    # one fibre solve.  theta-z shear in the program, or an F0 mixing theta and z, makes
+    # them differ (beta kept off 0 and 90 deg, where the pair collapses), and each
+    # family is solved.  Either way each lambda_i column is its family's own history.
+    if case != "torsion-free":
+        beta = 5.0 + beta * 80.0 / 90.0
+    visc = dict(MEDIA_VISC_FAST, k1v=k1v, k2v=k2v, eta_fibre=eta_fibre)
+    layer = MaterialLayer.from_constants(**dict(MEDIA_EQ, beta_deg=beta), **visc)
+    f0_matrix = OpeningMap(k, c, 0.8, 1.0).F0(0.8 * (1.0 + r_frac))
+    if case == "mixing-f0":
+        f0_matrix = f0_matrix @ _theta_z_shear(g)
+    F = np.diag([1.0 / math.sqrt(stretch), 1.0 / math.sqrt(stretch), stretch])
+    F[0, 1] = shear
+    if case == "theta-z-shear":
+        F = F @ _theta_z_shear(g)
+    dt = 0.5 * min(visc["eta_matrix"] / visc["mu"], eta_fibre / (4.0 * k1v)) / 10.0
+    prog = LoadProgram(((0.0, IDENT), (10.0 * ramp * dt, F), (30.0 * dt, F)), dt=dt)
+    f0 = PreStressField(f0_matrix)
+
+    calls = []
+    evolve = driver.fibre_evolve
+
+    def counting_evolve(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "fibre_evolve", counting_evolve)
+        trace = run_point(prog, layer, f0)
+    assert len(calls) == (1 if case == "torsion-free" else 2)
+
+    times = step_times(prog)
+    F_lf = prog.F_at(times)
+    F_sf = F_lf @ np.linalg.inv(f0_matrix)
+    cbar = tn.unimodular(tn.transpose(F_sf) @ F_sf)
+    state = initial_state(f0, tn.transpose(F_lf[0]) @ F_lf[0], layer.fibre_maxwell)
+    for j, fp in enumerate(layer.fibre_maxwell):
+        lam = np.sqrt(np.einsum('nij,i,j->n', cbar, fp.a, fp.a))
+        direct = fibre_evolve(lam[1:], state.lambda_i[j], np.diff(times), fp)[0]
+        assert np.array_equal(trace.lambda_i[:, j], direct)

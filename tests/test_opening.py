@@ -21,6 +21,7 @@ from prestress_tube import (
 from prestress_tube import opening
 from prestress_tube import tensor as tn
 from prestress_tube.errors import NoConvergence
+from prestress_tube.tube import sector_residuals
 
 from conftest import (ADV_EQ, ADV_SECTOR, MEDIA_EQ, MEDIA_SECTOR, equilibrate_opened,
                       opened_residuals, opened_segments, sectored_layers, split_sectored_layer)
@@ -35,7 +36,7 @@ TWO_PI = 2.0 * math.pi
 
 def test_opened_energy_matches_fine_trapezoid(t3_layers):
     cand = OpenedStateCandidate(math.radians(40.0), 1.05, 1.1)
-    e_gauss = opened_energy(t3_layers, cand)
+    e_gauss = opened_energy(sector_residuals(t3_layers), cand)
     e_trap = 0.0
     for seg in opened_segments(t3_layers, cand):
         sec = seg.layer.sector
@@ -51,7 +52,7 @@ def test_opened_energy_zero_at_own_sector():
     # a single layer opened to its own angle at its own geometry is unstrained
     layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR)
     cand = OpenedStateCandidate(MEDIA_SECTOR.alpha, MEDIA_SECTOR.Ro, MEDIA_SECTOR.L)
-    assert opened_energy([layer], cand) == pytest.approx(0.0, abs=1e-14)
+    assert opened_energy(sector_residuals([layer]), cand) == pytest.approx(0.0, abs=1e-14)
     segs = opened_segments([layer], cand)
     R = np.linspace(MEDIA_SECTOR.Ri, MEDIA_SECTOR.Ro, 5)
     F = np.linalg.inv(segs[0].map.F0(segs[0].map.radius_current(R)))
@@ -60,7 +61,7 @@ def test_opened_energy_zero_at_own_sector():
 
 def test_opened_energy_positive_off_equilibrium(t3_layers):
     cand = OpenedStateCandidate(math.radians(40.0), 1.05, 1.1)
-    assert opened_energy(t3_layers, cand) > 0.0
+    assert opened_energy(sector_residuals(t3_layers), cand) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,8 @@ def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
     for dx in ((1e-5, 0.0), (0.0, 1e-5)):
         up = OpenedStateCandidate(alpha, cand.rho_interface + dx[0], cand.l_open + dx[1])
         dn = OpenedStateCandidate(alpha, cand.rho_interface - dx[0], cand.l_open - dx[1])
-        slope = (opened_energy(t3_layers, up) - opened_energy(t3_layers, dn)) / (2e-5)
+        wall = sector_residuals(t3_layers)
+        slope = (opened_energy(wall, up) - opened_energy(wall, dn)) / (2e-5)
         assert abs(slope) < 1e-6
     # stationarity coincides with sector equilibrium (net traction balance)
     p_net, f_red, _ = opened_residuals(t3_layers, cand)
