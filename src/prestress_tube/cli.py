@@ -153,7 +153,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as e:   # argparse's usage error (exit 2) is invalid input: exit 1
+        raise SystemExit(1 if e.code == 2 else e.code) from None
     try:
         cfg, raw = config.load_config(args.config)
         config.parse_workflow(cfg, args.workflow)

@@ -174,35 +174,47 @@ def equilibrium_sbar(cbar, mat: EquilibriumMaterial, f=None):
 
 # ---------------------------------------------------------------------------
 # closed forms for F_sf = diag(lam_i), det = 1, in l2 = (lam_1^2, lam_2^2, lam_3^2):
-# C_sf = diag(l2) = Cbar and a fibre's lam2 = sum_i a_i^2 l2_i.  Only arithmetic
-# and exp appear, so complex arguments pass through (complex-step derivatives).
-# A family with the (k1, k2, a^2) of the one before it (the -beta family of a
-# +/- beta pair) reuses its fibre term: one exp per pair, the same sums.
+# C_sf = diag(l2) = Cbar, 1/l2_i the product of the other two, and a fibre's lam2 =
+# sum_i a_i^2 l2_i.  Only arithmetic and exp appear, so complex arguments pass
+# through (complex-step derivatives).  Fibre families with equal per-node columns
+# (material_columns; a +/- beta pair) share one group: one exp, counted n times.
 # ---------------------------------------------------------------------------
 
-def diagonal_stress_differences(l2, mat: EquilibriumMaterial):
+def material_columns(mats, n: int = 1):
+    """Per-node constants of the materials mats[j], each over n consecutive nodes: (c1,
+    c2, groups), a group (count, k1, k2, a_r^2, a_theta^2, a_z^2) per set of fibre families
+    equal on every node; a material short of families holds k1 = 0 (adds nothing) there."""
+    width = max(len(m.fibres) for m in mats)
+    rows = [[m.matrix.c1, m.matrix.c2] + [v for fp in m.fibres for v in (fp.k1, fp.k2, *fp.a ** 2)]
+            + [0.0, 1.0, 0.0, 0.0, 0.0] * (width - len(m.fibres)) for m in mats]
+    cols = np.repeat(rows, n, axis=0).T.copy()   # c1, c2, then (k1, k2, a^2) per family
+    groups = {}
+    for f in cols[2:].reshape(width, 5, len(cols[0])):
+        groups[f.tobytes()] = (groups.get(f.tobytes(), (0,))[0] + 1, *f)
+    return cols[0], cols[1], tuple(groups.values())
+
+
+def diagonal_stress_differences(l2, mat):
     """(T_22 - T_11, T_33 - T_11) of the Cauchy stress F_sf S F_sf^T, S =
     isochoric_pk2 of equilibrium_sbar, at F_sf = diag(sqrt(l2)); the
-    incompressibility pressure cancels from these differences."""
-    p = mat.matrix
-    t, last = [p.c1 * s - p.c2 / s for s in l2], None
-    for fp in mat.fibres:
-        a2 = fp.a ** 2
-        if last != (last := (fp.k1, fp.k2, *a2.tolist())):
-            f2 = 2.0 * fibre_f(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], fp.k1, fp.k2)
-        t = [ti + f2 * (ai * si) for ti, ai, si in zip(t, a2, l2)]
+    incompressibility pressure cancels from these differences.  mat is an
+    EquilibriumMaterial or per-node columns (material_columns)."""
+    c1, c2, groups = material_columns([mat]) if isinstance(mat, EquilibriumMaterial) else mat
+    inv = (l2[1] * l2[2], l2[2] * l2[0], l2[0] * l2[1])   # 1/l2_i
+    t = [c1 * s - c2 * v for s, v in zip(l2, inv)]
+    for n, k1, k2, *a2 in groups:
+        al = [ai * si for ai, si in zip(a2, l2)]
+        f2 = 2.0 * n * fibre_f(al[0] + al[1] + al[2], k1, k2)
+        t = [ti + f2 * x for ti, x in zip(t, al)]
     return t[1] - t[0], t[2] - t[0]
 
 
-def diagonal_energy(l2, mat: EquilibriumMaterial):
+def diagonal_energy(l2, mat):
     """Stored energy of the matrix and all fibre families at C_sf = diag(l2) for
     det = l2_1 l2_2 l2_3 = 1, per unit reference volume (kPa = microJ/mm^3)."""
-    p = mat.matrix
-    w = 0.5 * p.c1 * (sum(l2) - 3.0) + 0.5 * p.c2 * (sum(1.0 / s for s in l2) - 3.0)
-    last = None
-    for fp in mat.fibres:
-        a2 = fp.a ** 2
-        if last != (last := (fp.k1, fp.k2, *a2.tolist())):
-            we = fibre_energy(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], fp.k1, fp.k2)
-        w = w + we
+    c1, c2, groups = material_columns([mat]) if isinstance(mat, EquilibriumMaterial) else mat
+    inv = l2[0] * l2[1] + l2[1] * l2[2] + l2[2] * l2[0]   # sum of 1/l2_i
+    w = 0.5 * c1 * (sum(l2) - 3.0) + 0.5 * c2 * (inv - 3.0)
+    for n, k1, k2, *a2 in groups:
+        w = w + n * fibre_energy(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], k1, k2)
     return w

@@ -3,7 +3,7 @@
 When a layered tube with incompatible stress-free sectors is cut open, it
 springs to an opened sector whose angle minimizes the total stored energy.
 For a trial angle alpha_t the opened sector is assumed circular: the layers'
-sectors glued into one sector of that angle (tube.glued_maps).  Its
+sectors glued into one sector of that angle (tube.sector_segments).  Its
 anchor radius rho_interface and length l_open minimize the energy at that
 angle, that is, they satisfy sector equilibrium, which the tube solvers'
 Newton (complex-step Jacobian) solves.

@@ -13,10 +13,13 @@ cylindrical triad is diag(R/(k c r), k r / R, c) with det = 1 exactly.
 OpeningMap is that map; its inverse gradient is the pre-stress map F0.
 
 A wall is a list of layers, inner to outer.  Its integrals run over Gauss
-nodes in the stress-free radius R, tabulated once per solve with R^2 and the
-weights w R (layer_nodes); one kernel, equilibrium_residuals, evaluates the
-table at each layer's map constants (k, c, r_a, R_a) per Newton call.  A
-solved wall keeps a WallSegment (map, span in R) per layer for its profile.
+nodes in the stress-free radius R, in one per-node table of the whole wall
+built once per solve (sector_residuals, tube_residuals).  A node has r^2 =
+r_a^2 + (R^2 - R_a^2)/(k c), and dr = R dR/(k c r) leaves only r^2 in the
+integrands: the kernel equilibrium_residuals sweeps every layer in one pass,
+with no square root.  Glued sectors, with s = 2*pi - alpha and g_j = (2*pi -
+alpha_j) L_j, have 1/(k_j c_j) = g_j/(s l) and r^2 = rho^2 + Q/(s l), Q fixed.
+A solved wall keeps a WallSegment (map, span in R) per layer for its profile.
 Load-free equilibrium of the wall is characterised by two integrals over its
 thickness (inner/outer tractions and resultant axial force both zero), and an
 opened sector at rest also carries no moment on its cut face:
@@ -37,10 +40,10 @@ Both use a damped Newton iteration on the first n nondimensionalized
 residuals with a complex-step Jacobian: one residual call at the columns
 x + i h e_j gives the residual and the exact Jacobian.  The Newton takes one
 system or a batch of independent ones.  The load-free solve is the
-glued-sector Newton at alpha = 0, its nodes fixed by the sectors
-(sector_residuals); the energy scan runs the same solve at every angle of its
-grid as one batch, and its argmin solves all three residuals for (rho, l,
-alpha).  The inverse solve's spans move with (Ri, L); its Gauss rule does not.
+glued-sector Newton at alpha = 0; the energy scan runs the same solve at
+every angle of its grid as one batch, and its argmin solves all three
+residuals for (rho, l, alpha).  The inverse solve's spans move with (Ri, L);
+its Legendre rule and each node's layer do not.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence, QuadratureFailure
-from .materials import EquilibriumMaterial, diagonal_energy, diagonal_stress_differences
+from .materials import (EquilibriumMaterial, diagonal_energy, diagonal_stress_differences,
+                        material_columns)
 from .maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 TWO_PI = 2.0 * math.pi
@@ -202,72 +206,87 @@ def wall_sectors(layers: Sequence[MaterialLayer]):
     return [layer.sector for layer in layers]
 
 
-def glued_maps(secs, alpha, rho, l):
-    """(k, c, r_a, R_a) per layer of the sectors secs glued into one sector of angle
-    alpha (0: the tube): layer j maps its sf span 2*pi - alpha_j onto 2*pi - alpha,
-    so k_j = (2*pi - alpha) / (2*pi - alpha_j) and c_j = l / L_j.  The first layer
-    is anchored at the current radius rho by its outer sf radius, each later one by
-    its inner sf radius at the outer current radius of the layer inside it."""
-    span = TWO_PI - alpha
-    if np.less_equal(np.real(span), 0.0).any():
-        raise DomainError(f"need alpha < 2*pi (got {alpha})")
-    maps, ra = [], rho
-    for j, sec in enumerate(secs):
-        k, c, Ra = span / (TWO_PI - sec.alpha), l / sec.L, sec.Ri if j else sec.Ro
-        maps.append((k, c, ra, Ra))
-        if j + 1 < len(secs):   # the next layer's anchor; nothing reads the last one's
-            ra = _sqrt_positive(ra ** 2 + (np.asarray(sec.Ro) ** 2 - Ra ** 2) / (k * c))
-    return maps
-
-
 def sector_segments(layers: Sequence[MaterialLayer], alpha: float, rho: float, l: float):
-    """Segments of the per-layer sectors glued into one sector of angle alpha."""
-    secs = wall_sectors(layers)
-    return [WallSegment(layer, OpeningMap(*mp), (sec.Ri, sec.Ro))
-            for layer, sec, mp in zip(layers, secs, glued_maps(secs, alpha, rho, l))]
-
-
-def layer_nodes(mat: EquilibriumMaterial, Ra, Rb, npts: int):
-    """A node-table row (material, R, R^2, w R): the Gauss nodes R over one layer's
-    stress-free span (Ra, Rb) and their weights w."""
-    R, w = gauss_segment(Ra, Rb, npts)
-    return mat, R, R ** 2, w * R
+    """Segments of the sectors glued into one sector of angle alpha (0: the tube): k_j =
+    (2*pi - alpha) / (2*pi - alpha_j), c_j = l / L_j, the first layer's outer sf radius at
+    the current radius rho, each later one's inner at the outer of the one inside it."""
+    segs, ra = [], rho
+    for j, (layer, sec) in enumerate(zip(layers, wall_sectors(layers))):
+        m = OpeningMap((TWO_PI - alpha) / (TWO_PI - sec.alpha), l / sec.L, ra,
+                       sec.Ri if j else sec.Ro)
+        segs.append(WallSegment(layer, m, (sec.Ri, sec.Ro)))
+        ra = m.radius_current(sec.Ro)
+    return segs
 
 
 def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
-    """The glued wall's (rho, l, alpha=0, energy=False) -> equilibrium_residuals at
-    glued_maps, over a node table built here once: the nodes stay fixed in R."""
-    secs = wall_sectors(layers)
-    nodes = [layer_nodes(layer.equilibrium, s.Ri, s.Ro, npts) for layer, s in zip(layers, secs)]
-    return lambda rho, l, alpha=0.0, energy=False: equilibrium_residuals(
-        nodes, glued_maps(secs, alpha, rho, l), energy)
+    """The glued wall's (rho, l, alpha=0, energy=False) -> equilibrium_residuals over
+    its node table, whose nodes stay fixed in R: sector_segments' anchoring gives
+    Q = g_j (R^2 - R_a,j^2) + sum_{1<i<j} g_i (Ro_i^2 - Ri_i^2), R_a,j the anchor,
+    A = ((2*pi - alpha_j) R)^-2, B = L_j^-2 and V = w R g_j."""
+    cols, q0 = [], 0.0
+    for j, sec in enumerate(wall_sectors(layers)):
+        R, w = gauss_segment(sec.Ri, sec.Ro, npts)
+        g, Ra = (TWO_PI - sec.alpha) * sec.L, sec.Ri if j else sec.Ro
+        cols.append((q0 + g * (R ** 2 - Ra ** 2), ((TWO_PI - sec.alpha) * R) ** -2,
+                     np.full(npts, sec.L ** -2), g * w * R))
+        q0 += g * (sec.Ro ** 2 - sec.Ri ** 2) if j else 0.0
+    table = (material_columns([layer.equilibrium for layer in layers], npts),
+             *np.concatenate(cols, axis=1))
+
+    def residuals(rho, l, alpha=0.0, energy=False):
+        s = TWO_PI - alpha
+        if np.less_equal(np.real(s), 0.0).any():
+            raise DomainError(f"need alpha < 2*pi (got {alpha})")
+        return equilibrium_residuals(table, rho ** 2, 1.0 / (s * l), s * s, l * l, energy)
+    return residuals
 
 
-def equilibrium_residuals(nodes, maps, energy: bool = False):
+def tube_residuals(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLayer],
+                   npts: int = N_QUAD):
+    """The inverse solve's (Ri, L) -> equilibrium_residuals of the one map
+    (k, c, ri, Ri), c = l/L, of the wall: a node at Legendre abscissa x of its layer's
+    sf span (R_lo, R_hi), the images of tube radii, sits at R_lo (1-x)/2 + R_hi (1+x)/2."""
+    x, w = _leggauss(npts)
+    j = np.repeat(np.arange(len(layers)), npts)
+    u, v, wh = np.tile([0.5 - 0.5 * x, 0.5 + 0.5 * x, 0.5 * w], len(layers))
+    cols = material_columns([layer.equilibrium for layer in layers], npts)
+    ri, k = tube.radii[0], TWO_PI / (TWO_PI - alpha)
+    dr2 = np.array(tube.radii) ** 2 - ri ** 2
+
+    def residuals(Ri, L):
+        c = tube.l / L
+        Rb = _sqrt_positive(Ri ** 2 + k * c * dr2, "sf")
+        lo, hi = Rb[..., j], Rb[..., j + 1]
+        R = lo * u + hi * v
+        R2 = R * R
+        return equilibrium_residuals((cols, R2 - Ri ** 2, 1.0 / R2, 1.0, wh * (hi - lo) * R),
+                                     ri ** 2, 1.0 / (k * c), k * k, c * c)
+    return residuals
+
+
+def equilibrium_residuals(table, r2a, h, k2, c2, energy: bool = False):
     """(net pressure kPa, reduced axial force kPa mm^2, cut-face moment kPa mm^2)
-    of a candidate wall state, and with energy the integral of W r dr (kPa mm^2):
-    nodes holds one row (material, R, R^2, w R) per layer (layer_nodes), maps
-    its map's (k, c, r_a, R_a) (glued_maps); the values are arrays over the
-    states when the constants have a trailing axis of length 1.  At
-    equilibrium T_rr vanishes on both faces, so M = int T_theta r dr.
+    of a candidate wall state, and with energy the integral of W r dr (kPa mm^2),
+    over a node table (material columns, Q, A, B, V): r^2 = r2a + Q h, lam_theta^2
+    = k2 r^2 A, lam_z^2 = c2 B, and the weight w dr/dR = w R/(k c r) = V h / r.  Values
+    are arrays over the states when the constants have a trailing axis of length
+    1.  At equilibrium T_rr vanishes on both faces, so M = int T_theta r dr.
     """
-    p = fz = m = e = 0.0
-    for (mat, R, R2, wR), (k, c, ra, Ra) in zip(nodes, maps):
-        kc = k * c
-        r = _sqrt_positive(ra ** 2 + (R2 - Ra ** 2) / kc)
-        w = wR / (kc * r)   # dr/dR = R/(k c r)
-        lt, lz = (k * r / R) ** 2, c ** 2
-        l2 = (1.0 / (lt * lz), lt, lz)   # OpeningMap.sq_stretches
-        dth, dzz = diagonal_stress_differences(l2, mat)
-        wdth = w * dth
-        p = p + (wdth / r).sum(axis=-1)
-        fz = fz + math.pi * (w * (2.0 * dzz - dth) * r).sum(axis=-1)
-        m = m + 0.5 * (wdth * r).sum(axis=-1)
-        if energy:
-            e = e + (w * diagonal_energy(l2, mat) * r).sum(axis=-1)
+    cols, Q, A, B, V = table
+    r2 = r2a + Q * h
+    if (np.real(r2) <= 0.0).any():
+        raise DomainError("current radius radicand not positive")
+    lt, lz = k2 * r2 * A, c2 * B
+    l2 = (1.0 / (lt * lz), lt, lz)
+    dth, dzz = diagonal_stress_differences(l2, cols)
+    wt = V * h
+    wdth = wt * dth
+    p, m = (wdth / r2).sum(axis=-1), 0.5 * wdth.sum(axis=-1)
+    fz = math.pi * (wt * (2.0 * dzz - dth)).sum(axis=-1)
     if not np.isfinite((p, fz, m)).all():
         raise QuadratureFailure(f"non-finite wall integrals (p={p}, F={fz}, M={m})")
-    return (p, fz, m, e) if energy else (p, fz, m)
+    return (p, fz, m, (wt * diagonal_energy(l2, cols)).sum(axis=-1)) if energy else (p, fz, m)
 
 
 def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 101):
@@ -430,25 +449,16 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     if len(tube.radii) != len(layers) + 1:
         raise ValueError(f"{len(layers)} layer(s) need {len(layers) + 1} tube radii "
                          f"(got {len(tube.radii)})")
-    ri = tube.radii[0]
-    k = TWO_PI / (TWO_PI - alpha)
-    dr2 = np.array(tube.radii) ** 2 - ri ** 2
-
-    def residuals(Ri, L, n=npts):
-        # the sf radii of the tube radii (OpeningMap.radius_sf) bound the layers' nodes
-        c = tube.l / L
-        R = _sqrt_positive(Ri ** 2 + k * c * dr2, "sf")
-        nodes = [layer_nodes(layer.equilibrium, R[..., j, None], R[..., j + 1, None], n)
-                 for j, layer in enumerate(layers)]
-        return equilibrium_residuals(nodes, [(k, c, ri, Ri)] * len(layers))
-
-    x, f, iters = _solve_wall(layers, residuals, np.array([k * ri, tube.l]), ri, tol, max_iter)
+    ri, k = tube.radii[0], TWO_PI / (TWO_PI - alpha)
+    x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts),
+                              np.array([k * ri, tube.l]), ri, tol, max_iter)
     Ri, L = float(x[0]), float(x[1])
     m = OpeningMap(k, tube.l / L, ri, Ri)
     R = [m.radius_sf(r) for r in tube.radii]
     segs = [WallSegment(layer, m, span) for layer, span in zip(layers, zip(R, R[1:]))]
     sectors = tuple(SectorGeometry(*map(float, seg.R_span), L, alpha) for seg in segs)
-    return WallSolution(tube, sectors, segs, _report(f, residuals(Ri, L, 2 * npts), iters))
+    return WallSolution(tube, sectors, segs,
+                        _report(f, tube_residuals(tube, alpha, layers, 2 * npts)(Ri, L), iters))
 
 
 # ---------------------------------------------------------------------------

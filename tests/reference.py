@@ -113,10 +113,12 @@ def glued_opening_maps(sectors, alpha, rho, l):
     return maps
 
 
-def segment_wall_integrals(materials, maps, spans, npts):
+def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False):
     """(p_net, F_red, M, int W r dr) of a wall, one layer at a time: Gauss nodes
     over each span in the sf radius R, their current radii, weights dr/dR and
-    squared stretches from the layer's OpeningMap."""
+    squared stretches from the layer's OpeningMap.  With magnitudes, each is
+    instead the sum of its terms' real parts' magnitudes: the scale of its roundoff."""
+    part = (lambda v: abs(np.real(v))) if magnitudes else (lambda v: v)
     p = fz = mo = e = 0.0
     for mat, m, span in zip(materials, maps, spans):
         R, w = gauss_segment(*span, npts)
@@ -124,11 +126,23 @@ def segment_wall_integrals(materials, maps, spans, npts):
         w = w * R / (m.k * m.c * r)
         l2 = m.sq_stretches(r, R)
         dth, dzz = diagonal_stress_differences(l2, mat)
-        p = p + (w * dth / r).sum(axis=-1)
-        fz = fz + math.pi * (w * (2.0 * dzz - dth) * r).sum(axis=-1)
-        mo = mo + 0.5 * (w * dth * r).sum(axis=-1)
-        e = e + (w * diagonal_energy(l2, mat) * r).sum(axis=-1)
+        p = p + part(w * dth / r).sum(axis=-1)
+        fz = fz + math.pi * part(w * (2.0 * dzz - dth) * r).sum(axis=-1)
+        mo = mo + 0.5 * part(w * dth * r).sum(axis=-1)
+        e = e + part(w * diagonal_energy(l2, mat) * r).sum(axis=-1)
     return p, fz, mo, e
+
+
+def segment_sector_residuals(layers, npts):
+    """tube.sector_residuals on the segment route: the glued wall's (rho, l,
+    alpha=0, energy=False) -> segment_wall_integrals at glued_opening_maps."""
+    secs = [layer.sector for layer in layers]
+    mats, spans = [layer.equilibrium for layer in layers], [(s.Ri, s.Ro) for s in secs]
+
+    def wall(rho, l, alpha=0.0, energy=False):
+        out = segment_wall_integrals(mats, glued_opening_maps(secs, alpha, rho, l), spans, npts)
+        return out if energy else out[:3]
+    return wall
 
 
 # ---------------------------------------------------------------------------

@@ -490,8 +490,28 @@ def test_cli_tol_only_on_tube_solvers(tmp_path, capsys):
         cfg_path = write_config(tmp_path, cfg)
         with pytest.raises(SystemExit) as exc:
             main([workflow, "--config", str(cfg_path), "--tol", "1e-99"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["inverse-sf", "--config", "{cfg}", "--tol", "abc"], "invalid float value: 'abc'"),
+    (["no-such-workflow", "--config", "{cfg}"], "invalid choice: 'no-such-workflow'"),
+    (["inverse-sf"], "the following arguments are required: --config"),
+    (["point-test", "--config", "{cfg}", "--tol", "1e-9"], "unrecognized arguments: --tol"),
+])
+def test_cli_usage_error_exits_1(tmp_path, capsys, argv, message):
+    # a usage error is invalid input, exit 1; 2 means a numerical failure
+    cfg_path = write_config(tmp_path, point_config())
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == "" and err.startswith("usage: prestress-tube") and message in err
+    # help is no error
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "-h"] if argv[0] != "no-such-workflow" else ["-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: prestress-tube")
 
 
 def test_cli_energy_scan_solver_block(tmp_path, capsys):

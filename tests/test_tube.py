@@ -20,7 +20,6 @@ from prestress_tube import (
     WallSegment,
     diagonal_energy,
     diagonal_stress_differences,
-    equilibrium_residuals,
     find_opening_angle,
     gauss_segment,
     newton2,
@@ -28,8 +27,9 @@ from prestress_tube import (
     solve_load_free,
     wall_stress_profile,
 )
+from prestress_tube import opening, tube
 from prestress_tube import tensor as tn
-from prestress_tube import tube
+from prestress_tube.materials import material_columns
 from prestress_tube.errors import DomainError, NoConvergence
 
 from conftest import (
@@ -43,7 +43,7 @@ from conftest import (
     split_sectored_layer,
 )
 from reference import (equilibrium_energy_sf, extra_cauchy_equilibrium, glued_opening_maps,
-                       segment_wall_integrals)
+                       segment_sector_residuals, segment_wall_integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,10 @@ def test_wall_segment_r_span_R_span_equivalence():
     dth, dzz = t[:, 1, 1] - t[:, 0, 0], t[:, 2, 2] - t[:, 0, 0]
     p_r = np.sum(w * dth / r)
     f_r = math.pi * np.sum(w * (2.0 * dzz - dth) * r)
-    nodes = tube.layer_nodes(layer.equilibrium, *seg_R.R_span, 24)
-    p_R, f_R, _ = equilibrium_residuals([nodes], [(m.k, m.c, m.ri, m.Ri)])
+    # the inverse solve's wall of the tube (0.71, 0.97) at Ri = 1.39 and c = 1.05 / 1.0 = m.c
+    wall = tube.tube_residuals(TubeGeometry((0.71, 0.97), 1.05), 2.0 * math.pi * (1.0 - 1.0 / m.k),
+                               [layer], 24)
+    p_R, f_R, _ = wall(m.Ri, 1.0)
     assert p_r == pytest.approx(p_R, rel=1e-12, abs=1e-12)
     assert f_r == pytest.approx(f_R, rel=1e-12, abs=1e-12)
 
@@ -239,13 +241,32 @@ KERNEL_MATERIALS = [
 ]
 
 
+def _complex_columns(x, form, rng):
+    """x as given ("real"), or as the complex-step columns of m = 2 states, shape
+    (2, m, 1), or (2, B, m, 1) for B = 3 systems ("batched")."""
+    if form == "real":
+        return x
+    B = 3 if form == "batched" else 1
+    xs = x[:, None, None] * rng.uniform(0.95, 1.05, (2, B, 1)) + 1e-20j * np.eye(2)[:, None]
+    return (xs if form == "batched" else xs[:, 0])[..., None]
+
+
+def _assert_roundoff_close(got, ref, terms):
+    # real parts to 1e-13 of the sum of their terms' magnitudes, imaginary parts
+    # (the complex-step Jacobian) to 1e-13 of their largest magnitude
+    for a, b, scale in zip(got, ref, terms):
+        assert np.all(np.abs(np.real(a) - np.real(b)) <= 1e-13 * scale)
+        assert np.all(np.abs(np.imag(a) - np.imag(b)) <= 1e-13 * np.max(np.abs(np.imag(b))))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 3), npts=st.sampled_from([2, 5, 16, 32]),
        form=st.sampled_from(["real", "complex", "batched"]), seed=st.integers(0, 2 ** 32 - 1),
        mats=st.lists(st.sampled_from(range(len(KERNEL_MATERIALS))), min_size=3, max_size=3))
-def test_wall_kernel_matches_segment_route_bitwise(n, npts, form, seed, mats):
-    # the node-table kernel against the wall built layer by layer from
-    # OpeningMaps (tests/reference.py): the same floats, not merely close ones
+def test_wall_kernel_matches_segment_route(n, npts, form, seed, mats):
+    # the per-node table kernel against the wall built layer by layer from
+    # OpeningMaps (tests/reference.py): r^2 = rho^2 + Q/(s l) and the fused sums
+    # round differently from the segment route's square roots and per-layer sums
     rng = np.random.default_rng(seed)
     layers, Ri = [], rng.uniform(0.5, 1.2)
     for j in range(n):
@@ -256,31 +277,83 @@ def test_wall_kernel_matches_segment_route_bitwise(n, npts, form, seed, mats):
     secs = [layer.sector for layer in layers]
     alpha = math.radians(rng.uniform(0.0, 200.0))
     k1 = (2.0 * math.pi - alpha) / (2.0 * math.pi - secs[0].alpha)
-    x = np.array([secs[0].Ro * max(1.0 / k1, math.sqrt(1.0 / k1)) * rng.uniform(1.0, 1.2),
-                  np.mean([s.L for s in secs]) * rng.uniform(0.9, 1.1)])
-    if form == "real":
-        rho, l = x
-    else:   # complex-step columns for m = 2 states, shape (2, m) or (2, B, m)
-        B = 3 if form == "batched" else 1
-        xs = x[:, None, None] * rng.uniform(0.95, 1.05, (2, B, 1)) + 1e-20j * np.eye(2)[:, None]
-        rho, l = (xs if form == "batched" else xs[:, 0])[..., None]
-        if form == "batched":
-            alpha = alpha + np.radians(rng.uniform(-5.0, 5.0, (B, 1, 1)))
+    rho, l = _complex_columns(
+        np.array([secs[0].Ro * max(1.0 / k1, math.sqrt(1.0 / k1)) * rng.uniform(1.0, 1.2),
+                  np.mean([s.L for s in secs]) * rng.uniform(0.9, 1.1)]), form, rng)
+    if form == "batched":
+        alpha = alpha + np.radians(rng.uniform(-5.0, 5.0, (3, 1, 1)))
     mat_list = [layer.equilibrium for layer in layers]
-    maps = glued_opening_maps(secs, alpha, rho, l)
-    ref = segment_wall_integrals(mat_list, maps, [(s.Ri, s.Ro) for s in secs], npts)
-    got = tube.sector_residuals(layers, npts)(rho, l, alpha, energy=True)
-    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-    assert all(np.array_equal(a, b) for a, b in zip(tube.sector_residuals(layers, npts)(
-        rho, l, alpha), ref[:3]))
+    args = (mat_list, glued_opening_maps(secs, alpha, rho, l), [(s.Ri, s.Ro) for s in secs], npts)
+    ref, terms = segment_wall_integrals(*args), segment_wall_integrals(*args, magnitudes=True)
+    _assert_roundoff_close(tube.sector_residuals(layers, npts)(rho, l, alpha, energy=True),
+                           ref, terms)
+    _assert_roundoff_close(tube.sector_residuals(layers, npts)(rho, l, alpha), ref[:3], terms)
     # one map for the whole wall, the spans images of tube radii (the inverse solve)
-    m = maps[0]
-    R = m.radius_sf(m.ri * np.cumprod([1.0] + [1.2] * n))
-    spans = [(R[..., j, None], R[..., j + 1, None]) for j in range(n)]
-    nodes = [tube.layer_nodes(mat, *span, npts) for mat, span in zip(mat_list, spans)]
-    got = equilibrium_residuals(nodes, [(m.k, m.c, m.ri, m.Ri)] * n, energy=True)
-    ref = segment_wall_integrals(mat_list, [m] * n, spans, npts)
-    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    tube_geom = TubeGeometry(rng.uniform(0.4, 1.0) * np.cumprod([1.0] + [1.2] * n),
+                             rng.uniform(0.8, 1.2))
+    alpha = math.radians(rng.uniform(0.0, 200.0))
+    k, ri = 2.0 * math.pi / (2.0 * math.pi - alpha), tube_geom.radii[0]
+    Ri, L = _complex_columns(np.array([k * ri * rng.uniform(0.8, 1.2),
+                                       tube_geom.l * rng.uniform(0.8, 1.2)]), form, rng)
+    m = OpeningMap(k, tube_geom.l / L, ri, Ri)
+    R = m.radius_sf(np.array(tube_geom.radii))
+    args = (mat_list, [m] * n, [(R[..., j, None], R[..., j + 1, None]) for j in range(n)], npts)
+    _assert_roundoff_close(tube.tube_residuals(tube_geom, alpha, layers, npts)(Ri, L),
+                           segment_wall_integrals(*args)[:3],
+                           segment_wall_integrals(*args, magnitudes=True))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(mats=st.permutations(range(len(KERNEL_MATERIALS))), Ri=st.floats(0.9, 1.1),
+       h=st.lists(st.floats(0.2, 0.4), min_size=3, max_size=3),
+       gap=st.lists(st.floats(0.0, 0.15), min_size=2, max_size=2),
+       alpha_deg=st.lists(st.floats(100.0, 170.0), min_size=3, max_size=3),
+       L=st.lists(st.floats(0.9, 1.1), min_size=3, max_size=3))
+def test_three_layer_mixed_material_wall_matches_segment_route(mats, Ri, h, gap, alpha_deg, L):
+    # three glued sectors, +/- beta pairs beside a material whose two families
+    # differ: the load-free solve and the scan on the fused node table agree
+    # with the same solves on the segment route (tests/reference.py)
+    layers = []
+    for j in range(3):
+        sec = SectorGeometry(Ri, Ri + h[j], L[j], math.radians(alpha_deg[j]))
+        layers.append(MaterialLayer(KERNEL_MATERIALS[mats[j]], sector=sec))
+        Ri = sec.Ro + (gap[j] if j < 2 else 0.0)
+    # fibre families share a group, one exp, only where every node's columns agree
+    eqs = [layer.equilibrium for layer in layers]
+    fams = [np.repeat([(m.fibres[i].k1, m.fibres[i].k2, *m.fibres[i].a ** 2) for m in eqs], 5,
+                      axis=0).T for i in range(2)]
+    cols = material_columns(eqs, 5)
+    assert len(cols[2]) == 2   # the material whose families differ splits every pair
+    for count, *f in cols[2]:
+        assert count == sum(np.array_equal(f, fam) for fam in fams)
+    # and the grouped columns give the tensor route's stresses on every node
+    lt, lz = np.linspace(0.8, 1.3, 15), np.linspace(1.2, 0.9, 15)
+    l2 = (1.0 / (lt * lz), lt, lz)
+    F = np.zeros((15, 3, 3))
+    for i in range(3):
+        F[:, i, i] = np.sqrt(l2[i])
+    T = np.concatenate([extra_cauchy_equilibrium(F[5 * j:5 * j + 5], m) for j, m in enumerate(eqs)])
+    dth, dzz = diagonal_stress_differences(l2, cols)
+    assert_allclose(dth, T[:, 1, 1] - T[:, 0, 0], rtol=0.0, atol=1e-13 * np.max(np.abs(T)))
+    assert_allclose(dzz, T[:, 2, 2] - T[:, 0, 0], rtol=0.0, atol=1e-13 * np.max(np.abs(T)))
+    got = solve_load_free(layers)
+    curve = find_opening_angle(layers, 0.0, 180.0, 6.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tube, "sector_residuals", segment_sector_residuals)
+        mp.setattr(opening, "sector_residuals", segment_sector_residuals)
+        ref = solve_load_free(layers)
+        ref_curve = find_opening_angle(layers, 0.0, 180.0, 6.0)
+    assert_allclose(got.tube.radii + (got.tube.l,), ref.tube.radii + (ref.tube.l,), rtol=1e-12)
+    assert curve.report.iterations == ref_curve.report.iterations
+    # energies near zero to 1e-12 of the largest sample
+    e_max = max(e for _, e in ref_curve.samples)
+    assert_allclose(np.array(curve.samples), np.array(ref_curve.samples), rtol=1e-12,
+                    atol=1e-12 * e_max)
+    assert curve.e_min_microj == pytest.approx(ref_curve.e_min_microj, rel=1e-12,
+                                               abs=1e-12 * e_max)
+    assert_allclose([curve.argmin_deg, curve.candidate.rho_interface, curve.candidate.l_open],
+                    [ref_curve.argmin_deg, ref_curve.candidate.rho_interface,
+                     ref_curve.candidate.l_open], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +494,8 @@ def test_wall_solve_backs_off_an_inadmissible_trial(monkeypatch):
     def counting(*args):
         try:
             return residuals(*args)
-        except DomainError:
-            domain_errors.append(args)
+        except DomainError as e:
+            domain_errors.append(str(e))
             raise
 
     monkeypatch.setattr(tube, "equilibrium_residuals", counting)
@@ -433,15 +506,15 @@ def test_wall_solve_backs_off_an_inadmissible_trial(monkeypatch):
                                 tube.NEWTON_TOL, tube.NEWTON_MAXIT)
 
     x, f, _ = solve([rho, 1.0])
-    assert domain_errors
+    assert domain_errors and all("current radius" in e for e in domain_errors)   # r^2 <= 0
     ref, _, _ = solve([1.3, 1.0])
     assert np.all(np.abs(f) < 1e-10)
     # both solves stop inside the Newton tolerance (9.8e-13 mm apart here)
     assert_allclose(x, ref, rtol=0.0, atol=1e-11)
 
 
-@pytest.mark.parametrize("workflow", ["load-free", "energy-scan"])
-def test_node_table_is_built_once_per_solve(monkeypatch, t3_layers, workflow):
+@pytest.mark.parametrize("workflow", ["inverse-sf", "load-free", "energy-scan"])
+def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, workflow):
     # maps, Gauss nodes and Legendre rules are built per solve, never per
     # Newton call: their counts do not grow with the iterations a tighter
     # tolerance takes
@@ -469,7 +542,9 @@ def test_node_table_is_built_once_per_solve(monkeypatch, t3_layers, workflow):
             return x, f, it
 
         monkeypatch.setattr(tube, "newton2", at_tol)
-        if workflow == "load-free":
+        if workflow == "inverse-sf":
+            solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
+        elif workflow == "load-free":
             solve_load_free(t3_layers)
         else:
             find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
@@ -477,9 +552,12 @@ def test_node_table_is_built_once_per_solve(monkeypatch, t3_layers, workflow):
     (loose, built), (tight, built_tight) = runs
     assert tight > loose
     assert built_tight == built
-    # one table per layer; load-free adds one at 2 * npts for its quadrature check
-    tables = 2 if workflow == "load-free" else 1
-    assert built["gauss_segment"] == built["_leggauss"] == tables * len(t3_layers)
+    # the tube solvers add a table at 2 * npts for their quadrature check
+    tables = 1 if workflow == "energy-scan" else 2
+    if workflow == "inverse-sf":   # one Legendre rule per table; the spans move with (Ri, L)
+        assert built["_leggauss"] == tables and "gauss_segment" not in built
+    else:   # one Gauss segment per sector per table
+        assert built["gauss_segment"] == built["_leggauss"] == tables * len(t3_layers)
     assert built.get("OpeningMap", 0) <= len(t3_layers)
 
 
