@@ -22,8 +22,8 @@ from .materials import (EquilibriumMaterial, HolzapfelFibreParams, MooneyRivlinP
 from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState, fibre_evolve,
                       fibre_overstress_scalar, initial_state, iso_evolve)
 from .tube import (MaterialLayer, OpeningMap, SectorGeometry, SolverReport, TubeGeometry,
-                   WallSegment, WallSolution, equilibrium_residuals, gauss_segment, newton2,
-                   sector_segments, solve_inverse_sf, solve_load_free, wall_stress_profile)
+                   WallSolution, equilibrium_residuals, gauss_segment, glued_radii, newton2,
+                   solve_inverse_sf, solve_load_free, wall_stress_profile)
 from .opening import EnergyCurve, OpenedStateCandidate, find_opening_angle, opened_energy
 from .driver import LoadProgram, PointTrace, run_point
 from . import config, tensor

@@ -67,7 +67,8 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     solver = config.parse_solver(cfg, "inverse-sf", args.tol)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **solver)
-    _write_csv(out_path, PROFILE_HEADER, wall_stress_profile(sol.segments), cfg_hash)
+    _write_csv(out_path, PROFILE_HEADER,
+               wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l), cfg_hash)
     key = {
         "Ri_mm": sol.sectors[0].Ri,
         "Ro_mm": sol.sectors[-1].Ro,
@@ -84,7 +85,8 @@ def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     solver = config.parse_solver(cfg, "load-free", args.tol)
 
     sol = solve_load_free(layers, **solver)
-    _write_csv(out_path, PROFILE_HEADER, wall_stress_profile(sol.segments), cfg_hash)
+    _write_csv(out_path, PROFILE_HEADER,
+               wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l), cfg_hash)
     radii = sol.tube.radii
     key = {"r_i_mm": radii[0], "r_o_mm": radii[-1], "l_mm": sol.tube.l}
     if len(radii) == 3:

@@ -22,6 +22,10 @@ from .materials import PreStressField
 from .tube import MaterialLayer, OpeningMap, SectorGeometry, TubeGeometry
 
 WORKFLOWS = ("inverse-sf", "load-free", "energy-scan", "point-test")
+# largest sizes a config may set, checked before anything is allocated
+MAX_QUAD_POINTS = 512      # Gauss points per layer; the quadrature check doubles them
+MAX_GRID_ANGLES = 3600     # energy-scan angles: a 0.1 deg grid over the circle
+MAX_STEPS = 100_000        # point-test steps, t_end / dt
 
 
 def load_config(path: str):
@@ -46,20 +50,29 @@ def _require(block: dict, key: str, ctx: str):
     return block[key]
 
 
-def get_number(block: dict, key: str, ctx: str) -> float:
-    v = _require(block, key, ctx)
+def _number(v, field: str) -> float:
+    """v as a float, for a JSON number: no string, no boolean."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f'field "{ctx}.{key}" must be a number (got {v!r})')
+        raise ConfigError(f'field "{field}" must be a number (got {v!r})')
     return float(v)
+
+
+def _matrix(v, field: str) -> np.ndarray:
+    """v as a 3x3 float array, for three lists of three JSON numbers."""
+    if not (isinstance(v, list) and len(v) == 3
+            and all(isinstance(row, list) and len(row) == 3 for row in v)):
+        raise ConfigError(f'field "{field}" must be a 3x3 array of numbers')
+    return np.array([[_number(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)]
+                     for i, row in enumerate(v)])
+
+
+def get_number(block: dict, key: str, ctx: str) -> float:
+    return _number(_require(block, key, ctx), f"{ctx}.{key}")
 
 
 def _optional_number(block: dict, key: str, default: Optional[float], ctx: str) -> Optional[float]:
     v = block.get(key, default)
-    if v is None:
-        return None
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f'field "{ctx}.{key}" must be a number (got {v!r})')
-    return float(v)
+    return None if v is None else _number(v, f"{ctx}.{key}")
 
 
 def get_block(cfg: dict, key: str, ctx: str = "config") -> dict:
@@ -142,12 +155,7 @@ def parse_f0(cfg: dict) -> PreStressField:
     if "f0" in cfg and "f0_opening_map" in cfg:
         raise ConfigError('fields "f0" and "f0_opening_map" exclude each other: give one')
     if "f0" in cfg:
-        try:
-            arr = np.asarray(cfg["f0"], dtype=float)
-            if arr.shape != (3, 3):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ConfigError('field "f0" must be a 3x3 array of numbers')
+        arr = _matrix(cfg["f0"], "f0")
         try:
             return PreStressField(arr)
         except ValueError as e:
@@ -177,15 +185,19 @@ def parse_program(cfg: dict, dt_override: Optional[float] = None) -> LoadProgram
         raise ConfigError('field "program.keyframes" must be a non-empty list of [t_s, F] pairs')
     keyframes = []
     for i, item in enumerate(frames):
-        try:
-            t, F = item
-            keyframes.append((float(t), np.asarray(F, dtype=float)))
-        except (TypeError, ValueError):
-            raise ConfigError(f'field "program.keyframes[{i}]" must be [t_s, 3x3 matrix]')
+        field = f"program.keyframes[{i}]"
+        if not isinstance(item, list) or len(item) != 2:
+            raise ConfigError(f'field "{field}" must be [t_s, 3x3 matrix]')
+        keyframes.append((_number(item[0], f"{field}[0]"), _matrix(item[1], f"{field}[1]")))
     try:
-        return LoadProgram(tuple(keyframes), dt)
+        program = LoadProgram(tuple(keyframes), dt)
     except ValueError as e:
         raise ConfigError(f'invalid "program": {e}')
+    if program.t_end / program.dt > MAX_STEPS:
+        source = "" if dt_override is None else " (from --dt)"
+        raise ConfigError(f'field "program.dt_s"{source} makes {program.t_end / program.dt:.4g} '
+                          f'> {MAX_STEPS} steps')
+    return program
 
 
 def parse_grid(cfg: dict, start=None, end=None, step=None):
@@ -202,6 +214,9 @@ def parse_grid(cfg: dict, start=None, end=None, step=None):
         if not ok:
             raise ConfigError(f'field "grid.{key}" must be {want} '
                               f'(grid {start}..{end} step {step})')
+    if math.ceil((end - start) / step + 0.5) > MAX_GRID_ANGLES:
+        raise ConfigError(f'field "grid.step_deg" gives more than {MAX_GRID_ANGLES} angles '
+                          f'(grid {start}..{end} step {step})')
     return start, end, step
 
 
@@ -217,10 +232,11 @@ def parse_solver(cfg: dict, workflow: str, tol_override: Optional[float] = None)
     if tol is not None and not 0.0 < tol < math.inf:
         raise ConfigError(f'field "solver.tol"{source} must be a finite number > 0 (got {tol})')
     kwargs = {"tol": tol}
-    for key, name, least, want in (("max_iter", "max_iter", 1, "a positive integer"),
-                                   ("quad_points", "npts", 2, "an integer >= 2")):
+    for key, name, least, most, want in (
+            ("max_iter", "max_iter", 1, math.inf, "a positive integer"),
+            ("quad_points", "npts", 2, MAX_QUAD_POINTS, f"an integer in [2, {MAX_QUAD_POINTS}]")):
         v = kwargs[name] = b.get(key)
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < least):
+        if v is not None and (type(v) is not int or not least <= v <= most):   # no bool either
             raise ConfigError(f'field "solver.{key}" must be {want} (got {v!r})')
     if workflow == "energy-scan":
         for key in ("tol", "max_iter"):

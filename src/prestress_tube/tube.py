@@ -19,7 +19,7 @@ r_a^2 + (R^2 - R_a^2)/(k c), and dr = R dR/(k c r) leaves only r^2 in the
 integrands: the kernel equilibrium_residuals sweeps every layer in one pass,
 with no square root.  Glued sectors, with s = 2*pi - alpha and g_j = (2*pi -
 alpha_j) L_j, have 1/(k_j c_j) = g_j/(s l) and r^2 = rho^2 + Q/(s l), Q fixed.
-A solved wall keeps a WallSegment (map, span in R) per layer for its profile.
+A solved wall's radii and its stress profile come from the same glued form.
 Load-free equilibrium of the wall is characterised by two integrals over its
 thickness (inner/outer tractions and resultant axial force both zero), and an
 opened sector at rest also carries no moment on its cut face:
@@ -30,8 +30,8 @@ opened sector at rest also carries no moment on its cut face:
 
 evaluated with the pressure-free "extra" Cauchy stress, the hydrostatic part
 having cancelled from the differences; they are closed forms in the squared
-stretches, with det F_sf = 1 by construction (OpeningMap.sq_stretches).  Two
-solvers are provided:
+stretches, with lam_r^2 = 1/(lam_theta^2 lam_z^2), so det F_sf = 1 by
+construction.  Two solvers are provided:
 
 * solve_inverse_sf: tube geometry known, find the stress-free sector(s);
 * solve_load_free:  per-layer sectors known, find the composite tube.
@@ -68,6 +68,7 @@ NEWTON_TOL = 1e-10     # infinity-norm of the nondimensional residual
 NEWTON_MAXIT = 25
 CS_STEP = 1e-20        # relative complex step for the Jacobian
 MAX_HALVINGS = 8
+PROFILE_POINTS = 101   # stress profile samples per layer
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +127,7 @@ class OpeningMap:
             raise DomainError(f"need k > 0 and c > 0 (got k={self.k}, c={self.c})")
 
     def radius_sf(self, r):
-        return _sqrt_positive(self.Ri ** 2 + self.k * self.c * (np.asarray(r) ** 2 - self.ri ** 2),
-                              "sf")
-
-    def radius_current(self, R):
-        return _sqrt_positive(self.ri ** 2 + (np.asarray(R) ** 2 - self.Ri ** 2) / (self.k * self.c))
-
-    def sq_stretches(self, r, R):
-        """Squared stretches (lam_r^2, lam_theta^2, lam_z^2) of the closing gradient;
-        lam_r^2 = 1 / (lam_theta^2 lam_z^2), so det = 1 by construction."""
-        lt, lz = (self.k * r / R) ** 2, self.c ** 2
-        return 1.0 / (lt * lz), lt, lz
+        return _sqrt_positive(self.Ri ** 2 + self.k * self.c * (np.asarray(r) ** 2 - self.ri ** 2))
 
     def F0(self, r):
         """Pre-stress map lf -> sf at load-free radius r: the inverse closing gradient."""
@@ -145,10 +136,10 @@ class OpeningMap:
         return np.stack(d, axis=-1)[..., None] * np.eye(3)
 
 
-def _sqrt_positive(rad, frame: str = "current"):
-    """The radius sqrt(rad), for a radicand positive in its real part."""
+def _sqrt_positive(rad):
+    """The sf radius sqrt(rad), for a radicand positive in its real part."""
     if (np.real(rad) <= 0.0).any():
-        raise DomainError(f"{frame} radius radicand not positive")
+        raise DomainError("sf radius radicand not positive")
     return np.sqrt(rad)
 
 
@@ -175,7 +166,7 @@ class MaterialLayer:
 
 
 # ---------------------------------------------------------------------------
-# wall segments, node tables and equilibrium integrals
+# node tables, equilibrium integrals and the stress profile
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -190,15 +181,6 @@ def gauss_segment(a: float, b: float, n: int = N_QUAD):
     return mid + half * x, half * w
 
 
-@dataclass(frozen=True)
-class WallSegment:
-    """One layer of a solved wall: its sector<->tube map and its span (R_inner,
-    R_outer) in the stress-free radius."""
-    layer: MaterialLayer
-    map: OpeningMap
-    R_span: tuple
-
-
 def wall_sectors(layers: Sequence[MaterialLayer]):
     """The stress-free sectors of a glued wall of sectored layers, inner to outer."""
     if not layers or any(layer.sector is None for layer in layers):
@@ -206,23 +188,19 @@ def wall_sectors(layers: Sequence[MaterialLayer]):
     return [layer.sector for layer in layers]
 
 
-def sector_segments(layers: Sequence[MaterialLayer], alpha: float, rho: float, l: float):
-    """Segments of the sectors glued into one sector of angle alpha (0: the tube): k_j =
-    (2*pi - alpha) / (2*pi - alpha_j), c_j = l / L_j, the first layer's outer sf radius at
-    the current radius rho, each later one's inner at the outer of the one inside it."""
-    segs, ra = [], rho
-    for j, (layer, sec) in enumerate(zip(layers, wall_sectors(layers))):
-        m = OpeningMap((TWO_PI - alpha) / (TWO_PI - sec.alpha), l / sec.L, ra,
-                       sec.Ri if j else sec.Ro)
-        segs.append(WallSegment(layer, m, (sec.Ri, sec.Ro)))
-        ra = m.radius_current(sec.Ro)
-    return segs
+def glued_radii(sectors, rho, l, alpha=0.0):
+    """Boundary radii, inner to outer, of the sectors glued into one sector of angle
+    alpha (0: the tube) and length l whose first sector's outer sf radius sits at the
+    current radius rho: r^2 = rho^2 + Q/(s l) at the sectors' boundaries."""
+    g = [(TWO_PI - sec.alpha) * sec.L * (sec.Ro ** 2 - sec.Ri ** 2) for sec in sectors]
+    return np.sqrt(rho ** 2 + (np.cumsum([0.0] + g) - g[0]) / ((TWO_PI - alpha) * l))
 
 
 def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
     """The glued wall's (rho, l, alpha=0, energy=False) -> equilibrium_residuals over
-    its node table, whose nodes stay fixed in R: sector_segments' anchoring gives
-    Q = g_j (R^2 - R_a,j^2) + sum_{1<i<j} g_i (Ro_i^2 - Ri_i^2), R_a,j the anchor,
+    its node table, whose nodes stay fixed in R: the first sector's outer sf radius
+    at the current radius rho, each later one's inner at the outer of the one inside
+    it, gives Q = g_j (R^2 - R_a,j^2) + sum_{1<i<j} g_i (Ro_i^2 - Ri_i^2), R_a,j the anchor,
     A = ((2*pi - alpha_j) R)^-2, B = L_j^-2 and V = w R g_j."""
     cols, q0 = [], 0.0
     for j, sec in enumerate(wall_sectors(layers)):
@@ -256,7 +234,7 @@ def tube_residuals(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLa
 
     def residuals(Ri, L):
         c = tube.l / L
-        Rb = _sqrt_positive(Ri ** 2 + k * c * dr2, "sf")
+        Rb = _sqrt_positive(Ri ** 2 + k * c * dr2)
         lo, hi = Rb[..., j], Rb[..., j + 1]
         R = lo * u + hi * v
         R2 = R * R
@@ -289,24 +267,31 @@ def equilibrium_residuals(table, r2a, h, k2, c2, energy: bool = False):
     return (p, fz, m, (wt * diagonal_energy(l2, cols)).sum(axis=-1)) if energy else (p, fz, m)
 
 
-def wall_stress_profile(segments: Sequence[WallSegment], n_per_segment: int = 101):
-    """Radial Cauchy stress profile (r, T_rr, T_theta, T_zz) across the wall.
+def wall_stress_profile(layers: Sequence[MaterialLayer], sectors, radii, l, alpha=0.0):
+    """Radial Cauchy stress profile (r, T_rr, T_theta, T_zz) across a glued wall of
+    angle alpha (0: the tube) and length l, given its layers' sectors and boundary
+    radii r_j, inner to outer: layer j maps by R^2 = Ri_j^2 + (s l/g_j)(r^2 - r_j^2),
+    s = 2*pi - alpha and g_j = (2*pi - alpha_j) L_j.
 
-    T_rr is integrated from the traction-free inner surface:
-    T_rr(r) = int_{ri}^{r} (T_theta - T_rr)/rho d(rho).  Segments must be
-    ordered inner to outer; each is sampled uniformly in r.
+    Each layer is sampled at PROFILE_POINTS radii uniform in r.  T_rr(r) =
+    int_{r_0}^{r} (T_theta - T_rr)/rho d(rho) from the traction-free inner surface,
+    summed over a 3-point Gauss rule on every sample interval.
     """
-    rows = []
-    t_rr_carry = 0.0
-    for seg in segments:
-        r = np.linspace(*seg.map.radius_current(seg.R_span), n_per_segment)
-        R = seg.map.radius_sf(r)
-        dth, dzz = diagonal_stress_differences(seg.map.sq_stretches(r, R), seg.layer.equilibrium)
-        y = dth / r
-        t_rr = t_rr_carry + np.concatenate(([0.0], np.cumsum(np.diff(r) * (y[1:] + y[:-1]) / 2.0)))
-        rows.append(np.column_stack([r, t_rr, t_rr + dth, t_rr + dzz]))
-        t_rr_carry = t_rr[-1]
-    return np.vstack(rows)
+    n, (x, w) = PROFILE_POINTS, _leggauss(3)
+    rb = np.asarray(radii, dtype=float)
+    rs = np.linspace(rb[:-1], rb[1:], n)   # (sample, layer); the layers on the last axis
+    mid, half = 0.5 * (rs[1:] + rs[:-1]), 0.5 * np.diff(rs, axis=0)
+    nodes = mid[:, None] + half[:, None] * x[:, None]
+    r = np.concatenate((rs, nodes.reshape(-1, len(rb) - 1)))
+    a, L, Ri = np.array([[TWO_PI - sec.alpha, sec.L, sec.Ri] for sec in sectors]).T
+    s = TWO_PI - alpha
+    R = _sqrt_positive(Ri ** 2 + s * l / (a * L) * (r ** 2 - rb[:-1] ** 2))
+    lt, lz = (s * r / (a * R)) ** 2, (l / L) ** 2
+    dth, dzz = diagonal_stress_differences((1.0 / (lt * lz), lt, lz),
+                                           material_columns([layer.equilibrium for layer in layers]))
+    c = np.cumsum((half * (w @ (dth / r)[n:].reshape(nodes.shape))).T).reshape(half.T.shape)
+    t_rr = np.column_stack((np.r_[0.0, c[:-1, -1]], c))
+    return np.column_stack([v.ravel() for v in (rs.T, t_rr, t_rr + dth[:n].T, t_rr + dzz[:n].T)])
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +406,9 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
 @dataclass
 class WallSolution:
     """An equilibrated load-free wall: the tube, the layers' stress-free
-    sectors, inner to outer, its segments and the solve's record."""
+    sectors, inner to outer, and the solve's record."""
     tube: TubeGeometry
     sectors: tuple
-    segments: list
     report: SolverReport
 
 
@@ -453,11 +437,9 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts),
                               np.array([k * ri, tube.l]), ri, tol, max_iter)
     Ri, L = float(x[0]), float(x[1])
-    m = OpeningMap(k, tube.l / L, ri, Ri)
-    R = [m.radius_sf(r) for r in tube.radii]
-    segs = [WallSegment(layer, m, span) for layer, span in zip(layers, zip(R, R[1:]))]
-    sectors = tuple(SectorGeometry(*map(float, seg.R_span), L, alpha) for seg in segs)
-    return WallSolution(tube, sectors, segs,
+    R = OpeningMap(k, tube.l / L, ri, Ri).radius_sf(np.array(tube.radii)).tolist()
+    sectors = tuple(SectorGeometry(lo, hi, L, alpha) for lo, hi in zip(R, R[1:]))
+    return WallSolution(tube, sectors,
                         _report(f, tube_residuals(tube, alpha, layers, 2 * npts)(Ri, L), iters))
 
 
@@ -491,14 +473,12 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
     """Close the per-layer sectors into one equilibrated load-free tube.
 
     Unknowns are the current radius of the first layer's outer sf radius and
-    the tube length l (see glued_maps); the tube radii follow in closed form
-    from the maps.
+    the tube length l (see sector_residuals); the tube radii follow in closed
+    form (glued_radii).
     """
     x, f, iters = _solve_sector(layers, sector_residuals(layers, npts), 0.0, tol, max_iter)
     rho, l = float(x[0]), float(x[1])
-    segs = sector_segments(layers, 0.0, rho, l)
-    radii = [segs[0].map.radius_current(segs[0].R_span[0])]
-    radii += [seg.map.radius_current(seg.R_span[1]) for seg in segs]
+    sectors = tuple(wall_sectors(layers))
     refined = sector_residuals(layers, 2 * npts)(rho, l)
-    return WallSolution(TubeGeometry(radii, l), tuple(wall_sectors(layers)), segs,
+    return WallSolution(TubeGeometry(glued_radii(sectors, rho, l), l), sectors,
                         _report(f, refined, iters))

@@ -25,7 +25,8 @@ from prestress_tube.driver import PointTrace, step_times
 from prestress_tube.errors import NoConvergence, NonPositiveStretch
 from prestress_tube.materials import equilibrium_sbar
 from prestress_tube.maxwell import LAM_E_RANGE, NEWTON_MAXIT, NEWTON_TOL, overstress_sbar
-from prestress_tube.tube import N_QUAD, _solve_sector, sector_residuals, sector_segments
+from prestress_tube.tube import (N_QUAD, _solve_sector, glued_radii, sector_residuals,
+                                 wall_stress_profile)
 
 # ---------------------------------------------------------------------------
 # reference parameter sets (kPa, kPa*s, degrees).  "media" = stiff inner
@@ -82,9 +83,11 @@ def equilibrate_opened(layers, alpha_trial, npts=N_QUAD):
     return cand, opened_energy(wall, cand), f
 
 
-def opened_segments(layers, cand):
-    """Wall segments of the opened sector: the glued wall at the trial angle."""
-    return sector_segments(layers, cand.alpha_trial, cand.rho_interface, cand.l_open)
+def opened_profile(layers, cand):
+    """Stress profile of the opened sector: the glued wall at the trial angle."""
+    secs = [layer.sector for layer in layers]
+    radii = glued_radii(secs, cand.rho_interface, cand.l_open, cand.alpha_trial)
+    return wall_stress_profile(layers, secs, radii, cand.l_open, cand.alpha_trial)
 
 
 def opened_residuals(layers, cand, npts=N_QUAD):

@@ -5,8 +5,9 @@ and fictitious-stress kernels the workflows run: the stored energies on the
 3x3 tensor route (whose finite-difference gradients the PK2 stresses must
 match), the extra Cauchy stress, the Maxwell flow right-hand sides (integrated
 by the Runge-Kutta references), the lf <- sf strain transform and the wall
-integrals built segment by segment from OpeningMaps.  Where a law needs a
-stress or a fibre law, it calls the package's kernel.
+integrals built segment by segment from OpeningMaps.  The tensor-route laws
+call the package's fictitious-stress kernels and fibre law; the wall integrals
+use their own closed forms, written family by family.
 """
 
 import math
@@ -16,9 +17,9 @@ import numpy as np
 from prestress_tube import tensor as tn
 from prestress_tube.errors import DomainError
 from prestress_tube.materials import (EquilibriumMaterial, MooneyRivlinParams, PreStressField,
-                                      diagonal_energy, diagonal_stress_differences,
                                       equilibrium_sbar, fibre_energy, fibre_f, isochoric_pk2)
-from prestress_tube.tube import OpeningMap, gauss_segment
+from prestress_tube import tube
+from prestress_tube.tube import gauss_segment
 from prestress_tube.maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 
@@ -100,6 +101,40 @@ def extra_cauchy_equilibrium(f, mat: EquilibriumMaterial):
 # wall integrals, segment by segment
 # ---------------------------------------------------------------------------
 
+class OpeningMap(tube.OpeningMap):
+    """The package's sector<->tube map with the segment route's inverse and stretches."""
+
+    def radius_current(self, R):
+        """The load-free radius r of the stress-free radius R."""
+        rad = self.ri ** 2 + (np.asarray(R) ** 2 - self.Ri ** 2) / (self.k * self.c)
+        if (np.real(rad) <= 0.0).any():
+            raise DomainError("current radius radicand not positive")
+        return np.sqrt(rad)
+
+    def sq_stretches(self, r, R):
+        """Squared stretches (lam_r^2, lam_theta^2, lam_z^2) of the closing gradient;
+        lam_r^2 = 1 / (lam_theta^2 lam_z^2), so det = 1 by construction."""
+        lt, lz = (self.k * r / R) ** 2, self.c ** 2
+        return 1.0 / (lt * lz), lt, lz
+
+
+def diagonal_stress_and_energy(l2, mat: EquilibriumMaterial):
+    """(T_theta - T_rr, T_zz - T_rr, W) at C_sf = diag(l2), det = 1, family by family:
+    the Mooney-Rivlin extra stress c1 l2_i - c2 / l2_i and energy c1/2 (I1 - 3) + c2/2
+    (I2 - 3), plus per fibre family, lam2 = sum_i a_i^2 l2_i and u = lam2 - 1, the
+    stress 2 k1 u exp(k2 u^2) a_i^2 l2_i and energy k1/(2 k2) (exp(k2 u^2) - 1).
+    Only arithmetic and exp, so complex-step inputs pass through."""
+    c1, c2 = mat.matrix.c1, mat.matrix.c2
+    t = [c1 * li - c2 / li for li in l2]
+    w = 0.5 * c1 * (sum(l2) - 3.0) + 0.5 * c2 * (sum(1.0 / li for li in l2) - 3.0)
+    for fp in mat.fibres:
+        u = sum(ai * ai * li for ai, li in zip(fp.a, l2)) - 1.0
+        e = np.exp(fp.k2 * u * u)
+        t = [ti + 2.0 * fp.k1 * u * e * ai * ai * li for ti, ai, li in zip(t, fp.a, l2)]
+        w = w + fp.k1 / (2.0 * fp.k2) * (e - 1.0)
+    return t[1] - t[0], t[2] - t[0], w
+
+
 def glued_opening_maps(sectors, alpha, rho, l):
     """One OpeningMap per sector of the sectors glued into one sector of angle
     alpha: the first anchored at the current radius rho by its outer sf radius,
@@ -124,12 +159,11 @@ def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False):
         R, w = gauss_segment(*span, npts)
         r = m.radius_current(R)
         w = w * R / (m.k * m.c * r)
-        l2 = m.sq_stretches(r, R)
-        dth, dzz = diagonal_stress_differences(l2, mat)
+        dth, dzz, energy = diagonal_stress_and_energy(m.sq_stretches(r, R), mat)
         p = p + part(w * dth / r).sum(axis=-1)
         fz = fz + math.pi * part(w * (2.0 * dzz - dth) * r).sum(axis=-1)
         mo = mo + 0.5 * part(w * dth * r).sum(axis=-1)
-        e = e + part(w * diagonal_energy(l2, mat) * r).sum(axis=-1)
+        e = e + part(w * energy * r).sum(axis=-1)
     return p, fz, mo, e
 
 

@@ -36,7 +36,6 @@ from prestress_tube import (
     run_point,
     solve_inverse_sf,
     solve_load_free,
-    wall_stress_profile,
 )
 from prestress_tube import tensor as tn
 from prestress_tube.materials import equilibrium_sbar, holzapfel_sbar
@@ -57,7 +56,7 @@ from conftest import (
     rand_motion,
     rand_spd,
     rand_unimodular,
-    opened_segments,
+    opened_profile,
     sectored_layers,
 )
 from reference import (fibre_flow_rhs, fibre_sq_stretch, iso_energy, iso_flow_rhs,
@@ -138,13 +137,18 @@ def test_criterion_3_locking_angle():
 def test_criterion_4_residual_stress_after_cut():
     layers = sectored_layers()
     curve = find_opening_angle(layers, 118.0, 130.0, 2.0)
-    segs = opened_segments(layers, curve.candidate)
-    prof = wall_stress_profile(segs, n_per_segment=401)
+    prof = opened_profile(layers, curve.candidate)
     hoop_max = float(np.max(np.abs(prof[:, 2])))
     ok = hoop_max > 0.1
     assert report(4, ok, f"max |T_theta| = {hoop_max:.4f} kPa at "
                          f"argmin = {curve.argmin_deg:.2f} deg (want > 0.1)")
     assert ok
+    # the profile closes on the argmin's equilibrium: T_rr is 0 on the inner face
+    # and the net pressure on the outer one
+    assert prof[0, 1] == 0.0
+    assert abs(prof[-1, 1] - curve.report.residuals["p_net_kpa"]) <= \
+        1e-12 * np.max(np.abs(prof[:, 1:]))
+    assert np.all(np.diff(prof[:, 0]) >= 0.0)
 
 
 # ---------------------------------------------------------------------------

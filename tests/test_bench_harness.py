@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness: one short point-drive run on a copy of the tree."""
+"""Smoke test of the benchmark harness: one short run per workload on a copy of the tree."""
 
 import json
 import math
@@ -7,16 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_point_drive_runs_clean(tmp_path):
+@pytest.mark.parametrize("workload", ["point-drive", "tube-solve"])
+def test_bench_point_drive_runs_clean(tmp_path, workload):
     # the harness writes its configs and reports under its own checkout, so it runs on
     # a copy; a failed or wrong unit, or a missing or non-finite end-to-end metric, fails
     ignore = shutil.ignore_patterns("__pycache__", ".bench_work")
     for part in ("bench", "src"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "point-drive",
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", "3", "--seconds", "0.5", "--trace", "0"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -625,6 +625,60 @@ def test_cli_exit_1_non_finite_keyframe_time(tmp_path, capsys, frames):
     assert stdout == ""
 
 
+TRUE_IDENT = [[True, False, False], [False, True, False], [False, False, True]]
+STR_IDENT = [["1", "0", "0"], ["0", "1.0", "0"], ["0", "0", "1e0"]]
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("f0",), STR_IDENT, "f0[0][0]"),
+    (("f0",), TRUE_IDENT, "f0[0][0]"),
+    (("program", "keyframes", 1, 0), "0.1", "program.keyframes[1][0]"),
+    (("program", "keyframes", 0, 0), False, "program.keyframes[0][0]"),
+    (("program", "keyframes", 1, 1), STR_IDENT, "program.keyframes[1][1][0][0]"),
+    (("program", "keyframes", 1, 1), TRUE_IDENT, "program.keyframes[1][1][0][0]"),
+])
+def test_cli_exit_1_matrix_entry_not_a_number(tmp_path, capsys, path, value, field):
+    # numeric strings and booleans would convert to floats (the identity, 0.1, 0.0);
+    # they are rejected as every scalar field rejects them
+    cfg = point_config()
+    *keys, last = path
+    target = cfg
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    rc, stdout, stderr = run_cli(capsys, "point-test", "--config",
+                                 str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    assert stderr.startswith(f'config error: field "{field}" must be a number')
+    assert stdout == ""
+
+
+def test_config_bounds_the_sizes_it_sets():
+    # the Gauss rule, the angle grid and the point-test steps are bounded by the parser,
+    # before a solver allocates them; each bound admits the bench's largest configs
+    # (64 points, 12 angles, 160 steps)
+    most = config.MAX_QUAD_POINTS
+    assert config.parse_solver({"solver": {"quad_points": most}}, "load-free") == {"npts": most}
+    for workflow in ("inverse-sf", "load-free", "energy-scan"):
+        with pytest.raises(ConfigError, match=r"solver\.quad_points"):
+            config.parse_solver({"solver": {"quad_points": most + 1}}, workflow)
+    # a 0.1 deg grid over the circle holds MAX_GRID_ANGLES angles, a finer one more
+    grid = config.parse_grid({"grid": {"start_deg": 0.0, "end_deg": 359.9, "step_deg": 0.1}})
+    assert np.arange(grid[0], grid[1] + 0.5 * grid[2], grid[2]).size == config.MAX_GRID_ANGLES
+    with pytest.raises(ConfigError, match=r"grid\.step_deg"):
+        config.parse_grid({"grid": {"start_deg": 0.0, "end_deg": 359.9, "step_deg": 0.09}})
+    with pytest.raises(ConfigError, match=r"grid\.step_deg"):
+        config.parse_grid({}, 0.0, 180.0, 1e-6)
+    # t_end / dt steps, from program.dt_s or --dt
+    cfg = {"program": {"dt_s": 1.0 / config.MAX_STEPS, "keyframes": [[0.0, IDENT], [1.0, IDENT]]}}
+    assert config.parse_program(cfg).dt == 1.0 / config.MAX_STEPS
+    with pytest.raises(ConfigError, match=r'"program\.dt_s" \(from --dt\)'):
+        config.parse_program(cfg, dt_override=0.5 / config.MAX_STEPS)
+    cfg["program"]["dt_s"] = 1e-9
+    with pytest.raises(ConfigError, match=r'"program\.dt_s" makes'):
+        config.parse_program(cfg)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])      # written as NaN, Infinity
 @pytest.mark.parametrize("workflow, field", [
     ("point-test", "material.c1_kpa"),

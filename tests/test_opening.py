@@ -24,10 +24,16 @@ from prestress_tube.errors import NoConvergence
 from prestress_tube.tube import sector_residuals
 
 from conftest import (ADV_EQ, ADV_SECTOR, MEDIA_EQ, MEDIA_SECTOR, equilibrate_opened,
-                      opened_residuals, opened_segments, sectored_layers, split_sectored_layer)
-from reference import equilibrium_energy_sf
+                      opened_residuals, sectored_layers, split_sectored_layer)
+from reference import equilibrium_energy_sf, glued_opening_maps
 
 TWO_PI = 2.0 * math.pi
+
+
+def load_free_profile(layers):
+    """The stress profile of the layers' load-free tube."""
+    sol = solve_load_free(layers)
+    return wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l)
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +44,13 @@ def test_opened_energy_matches_fine_trapezoid(t3_layers):
     cand = OpenedStateCandidate(math.radians(40.0), 1.05, 1.1)
     e_gauss = opened_energy(sector_residuals(t3_layers), cand)
     e_trap = 0.0
-    for seg in opened_segments(t3_layers, cand):
-        sec = seg.layer.sector
+    secs = [layer.sector for layer in t3_layers]
+    maps = glued_opening_maps(secs, cand.alpha_trial, cand.rho_interface, cand.l_open)
+    for layer, sec, m in zip(t3_layers, secs, maps):
         R = np.linspace(sec.Ri, sec.Ro, 20001)
-        rho = seg.map.radius_current(R)
-        F = np.linalg.inv(seg.map.F0(rho))
-        w = equilibrium_energy_sf(tn.transpose(F) @ F, seg.layer.equilibrium)
+        rho = m.radius_current(R)
+        F = np.linalg.inv(m.F0(rho))
+        w = equilibrium_energy_sf(tn.transpose(F) @ F, layer.equilibrium)
         e_trap += (TWO_PI - sec.alpha) * sec.L * np.trapezoid(w * R, R)
     assert e_gauss == pytest.approx(e_trap, rel=1e-6)
 
@@ -53,9 +60,9 @@ def test_opened_energy_zero_at_own_sector():
     layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR)
     cand = OpenedStateCandidate(MEDIA_SECTOR.alpha, MEDIA_SECTOR.Ro, MEDIA_SECTOR.L)
     assert opened_energy(sector_residuals([layer]), cand) == pytest.approx(0.0, abs=1e-14)
-    segs = opened_segments([layer], cand)
+    m, = glued_opening_maps([MEDIA_SECTOR], cand.alpha_trial, cand.rho_interface, cand.l_open)
     R = np.linspace(MEDIA_SECTOR.Ri, MEDIA_SECTOR.Ro, 5)
-    F = np.linalg.inv(segs[0].map.F0(segs[0].map.radius_current(R)))
+    F = np.linalg.inv(m.F0(m.radius_current(R)))
     assert_allclose(F, np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-12)
 
 
@@ -248,10 +255,10 @@ def test_opening_angle_does_not_determine_the_residual_stress(t3_layers):
     assert abs(m1) < 1e-6
     assert a1 == pytest.approx(140.782, abs=1e-3)
     # yet their load-free residual hoop stresses differ: -4.28 against -5.19 kPa
-    # at the inner surface, where T_rr = 0 exactly, so the profile's trapezoid
-    # integration of T_rr does not enter.  A cutting test that also records the
-    # tube's radii tells these two walls apart (r_i 0.474 against 0.410 mm)
-    hoop = [wall_stress_profile(solve_load_free(w).segments)[0, 2] for w in (t3_layers, wall(a1))]
+    # at the inner surface, where T_rr = 0 exactly, so the profile's integration
+    # of T_rr does not enter.  A cutting test that also records the tube's radii
+    # tells these two walls apart (r_i 0.474 against 0.410 mm)
+    hoop = [load_free_profile(w)[0, 2] for w in (t3_layers, wall(a1))]
     assert hoop[0] - hoop[1] > 0.5
 
 
@@ -287,7 +294,7 @@ def test_cutting_test_lacks_information(Ri, h_m, gap, h_a, L, L_ratio, alpha_a, 
     # differs by more than 0.5 kPa (0.56 to 0.97 kPa over these draws).  The
     # tube's inner radii differ too (about 0.06 mm), so a cutting test that
     # also records them tells the two walls apart
-    hoop = [wall_stress_profile(solve_load_free(wall(*angles)).segments)[0, 2]
+    hoop = [load_free_profile(wall(*angles))[0, 2]
             for angles in ((alpha_a + wider, alpha_a), (alpha_a + wider + 20.0, a1))]
     assert hoop[0] - hoop[1] > 0.5
 

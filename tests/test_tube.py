@@ -14,14 +14,13 @@ from prestress_tube import (
     HolzapfelFibreParams,
     MaterialLayer,
     MooneyRivlinParams,
-    OpeningMap,
     SectorGeometry,
     TubeGeometry,
-    WallSegment,
     diagonal_energy,
     diagonal_stress_differences,
     find_opening_angle,
     gauss_segment,
+    glued_radii,
     newton2,
     solve_inverse_sf,
     solve_load_free,
@@ -38,12 +37,15 @@ from conftest import (
     MEDIA_SECTOR,
     T1_ALPHA_DEG,
     T1_TUBE,
+    equilibrate_opened,
     equilibrium_layers,
     sectored_layers,
     split_sectored_layer,
 )
-from reference import (equilibrium_energy_sf, extra_cauchy_equilibrium, glued_opening_maps,
-                       segment_sector_residuals, segment_wall_integrals)
+# the package's map plus the segment route's radius_current and sq_stretches
+from reference import (OpeningMap, diagonal_stress_and_energy, equilibrium_energy_sf,
+                       extra_cauchy_equilibrium, glued_opening_maps, segment_sector_residuals,
+                       segment_wall_integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +146,11 @@ def test_sector_at_a_full_turn_is_a_domain_error():
     # alpha >= 2 pi leaves k <= 0: a DomainError, from which a Newton trial
     # on the opening angle backs off
     with pytest.raises(DomainError):
-        tube.sector_segments(sectored_layers(), 2.0 * math.pi, 1.0, 1.0)
+        tube.sector_residuals(sectored_layers())(1.0, 1.0, 2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# quadrature and wall segments
+# quadrature and the layers' maps
 # ---------------------------------------------------------------------------
 
 def test_gauss_segment_exact_for_polynomials():
@@ -158,26 +160,23 @@ def test_gauss_segment_exact_for_polynomials():
     assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_wall_segment_radius_round_trip():
-    layer = MaterialLayer.from_constants(**MEDIA_EQ)
+def test_opening_map_radius_round_trip_on_gauss_nodes():
     m = OpeningMap(k=1.8, c=1.05, ri=0.71, Ri=1.39)
-    seg = WallSegment(layer, m, tuple(m.radius_sf([0.71, 0.97])))
     r = np.linspace(0.71, 0.97, 11)
-    R = seg.map.radius_sf(r)
-    assert_allclose(seg.map.radius_current(R), r, rtol=1e-13)
-    RR, _ = gauss_segment(*seg.R_span, 16)
-    rr = seg.map.radius_current(RR)
-    assert_allclose(seg.map.radius_sf(rr), RR, rtol=1e-13)
-    F = np.linalg.inv(seg.map.F0(rr))
+    R = m.radius_sf(r)
+    assert_allclose(m.radius_current(R), r, rtol=1e-13)
+    RR, _ = gauss_segment(*m.radius_sf([0.71, 0.97]), 16)
+    rr = m.radius_current(RR)
+    assert_allclose(m.radius_sf(rr), RR, rtol=1e-13)
+    F = np.linalg.inv(m.F0(rr))
     assert_allclose(tn.det(F), 1.0, rtol=1e-12)
 
 
-def test_wall_segment_r_span_R_span_equivalence():
+def test_wall_r_span_R_span_equivalence():
     # the sf-frame nodes with dr/dR weights integrate the same wall as a
     # Gauss rule over the current-frame span
     layer = MaterialLayer.from_constants(**MEDIA_EQ)
     m = OpeningMap(k=1.8, c=1.05, ri=0.71, Ri=1.39)
-    seg_R = WallSegment(layer, m, tuple(m.radius_sf([0.71, 0.97])))
     r, w = gauss_segment(0.71, 0.97, 24)
     t = extra_cauchy_equilibrium(np.linalg.inv(m.F0(r)), layer.equilibrium)
     dth, dzz = t[:, 1, 1] - t[:, 0, 0], t[:, 2, 2] - t[:, 0, 0]
@@ -239,6 +238,23 @@ KERNEL_MATERIALS = [
         HolzapfelFibreParams(3.0, 0.7, np.array([0.6, 0.0, 0.8])),
         HolzapfelFibreParams(3.0, 0.7, np.array([0.0, 0.8, -0.6])))),
 ]
+
+
+def test_reference_wall_forms_match_tensor_route():
+    # the segment route's own closed forms, written family by family, against the
+    # 3x3 tensor route on real stretches, for every kernel material
+    lt, lz = np.linspace(0.8, 1.3, 15), np.linspace(1.2, 0.9, 15)
+    l2 = (1.0 / (lt * lz), lt, lz)
+    F = np.zeros((15, 3, 3))
+    for i in range(3):
+        F[:, i, i] = np.sqrt(l2[i])
+    for mat in KERNEL_MATERIALS:
+        T = extra_cauchy_equilibrium(F, mat)
+        dth, dzz, w = diagonal_stress_and_energy(l2, mat)
+        assert_allclose(dth, T[:, 1, 1] - T[:, 0, 0], rtol=0.0, atol=1e-13 * np.max(np.abs(T)))
+        assert_allclose(dzz, T[:, 2, 2] - T[:, 0, 0], rtol=0.0, atol=1e-13 * np.max(np.abs(T)))
+        w_ref = equilibrium_energy_sf(tn.transpose(F) @ F, mat)
+        assert_allclose(w, w_ref, rtol=0.0, atol=1e-13 * np.max(np.abs(w_ref)))
 
 
 def _complex_columns(x, form, rng):
@@ -526,8 +542,8 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
             return fun(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(OpeningMap, "__post_init__",
-                        counting("OpeningMap", OpeningMap.__post_init__))
+    monkeypatch.setattr(tube.OpeningMap, "__post_init__",
+                        counting("OpeningMap", tube.OpeningMap.__post_init__))
     monkeypatch.setattr(tube, "gauss_segment", counting("gauss_segment", tube.gauss_segment))
     monkeypatch.setattr(tube, "_leggauss", counting("_leggauss", tube._leggauss))
     newton = tube.newton2
@@ -604,7 +620,7 @@ def test_inverse_trivial_when_no_opening():
     assert sec.Ri == pytest.approx(0.8, abs=1e-9)
     assert sec.Ro == pytest.approx(1.2, abs=1e-9)
     assert sec.L == pytest.approx(2.0, abs=1e-9)
-    prof = wall_stress_profile(sol.segments)
+    prof = wall_stress_profile([layer], sol.sectors, sol.tube.radii, sol.tube.l)
     assert np.max(np.abs(prof[:, 1:])) < 1e-9  # stress-free everywhere
 
 
@@ -695,12 +711,16 @@ def test_load_free_invariant_under_layer_split(j, t):
     base = solve_load_free(sectored_layers())
     layers, Rs = split_sectored_layer(sectored_layers(), j, t)
     split = solve_load_free(layers)
-    assert len(split.segments) == 3
+    assert len(split.sectors) == 3
     radii = list(split.tube.radii)
     r_split = radii.pop(j + 1)
     assert radii == pytest.approx(base.tube.radii, abs=1e-9)
     assert split.tube.l == pytest.approx(base.tube.l, abs=1e-9)
-    assert r_split == pytest.approx(float(base.segments[j].map.radius_current(Rs)), abs=1e-9)
+    # the split radius is the image of Rs under base layer j's map
+    sec = base.sectors[j]
+    m = OpeningMap(2.0 * math.pi / (2.0 * math.pi - sec.alpha), base.tube.l / sec.L,
+                   base.tube.radii[j], sec.Ri)
+    assert r_split == pytest.approx(float(m.radius_current(Rs)), abs=1e-9)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -743,19 +763,59 @@ def test_inverse_rejects_an_opening_angle_outside_the_circle(monkeypatch, two_la
 
 def test_wall_profile_boundary_conditions(two_layers):
     sol = solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
-    prof = wall_stress_profile(sol.segments, n_per_segment=2001)
+    prof = wall_stress_profile(two_layers, sol.sectors, sol.tube.radii, sol.tube.l)
     r, t_rr = prof[:, 0], prof[:, 1]
     assert r[0] == pytest.approx(T1_TUBE.radii[0])
     assert r[-1] == pytest.approx(T1_TUBE.radii[-1])
-    # traction-free inner and outer surfaces (fine trapezoid residual only)
-    assert abs(t_rr[0]) < 1e-12
-    assert abs(t_rr[-1]) < 1e-6
+    # traction-free inner and outer surfaces: T_rr(r_o) is the solve's net pressure
+    assert t_rr[0] == 0.0
+    assert abs(t_rr[-1] - sol.report.residuals['p_net_kpa']) <= 1e-12 * np.max(np.abs(prof[:, 1:]))
     # hoop stress must change sign across the wall for a self-equilibrated state
     t_hoop = prof[:, 2]
     assert t_hoop.min() < 0.0 < t_hoop.max()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), route=st.sampled_from(["inverse-sf", "load-free", "opened"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_wall_profile_closes_on_the_solve(n, route, seed):
+    # the profile's T_rr starts at 0 on the inner surface and ends at the solve's net
+    # pressure on the outer one, whichever solve gave the wall: the inverse solve,
+    # the load-free solve or an opened sector's equilibrium at alpha != 0
+    rng = np.random.default_rng(seed)
+    mats = [KERNEL_MATERIALS[i] for i in rng.integers(0, len(KERNEL_MATERIALS), n)]
+    if route == "inverse-sf":
+        geom = TubeGeometry(rng.uniform(0.6, 0.9) * np.cumprod([1.0, *rng.uniform(1.1, 1.3, n)]),
+                            rng.uniform(0.8, 1.2))
+        layers = [MaterialLayer(mat) for mat in mats]
+        sol = solve_inverse_sf(geom, math.radians(rng.uniform(0.0, 200.0)), layers)
+        sectors, radii, l, alpha = sol.sectors, geom.radii, geom.l, 0.0
+        p_net = sol.report.residuals['p_net_kpa']
+    else:
+        layers, Ri = [], rng.uniform(0.9, 1.1)
+        for mat in mats:
+            sec = SectorGeometry(Ri, Ri + rng.uniform(0.2, 0.4), rng.uniform(0.9, 1.1),
+                                 math.radians(rng.uniform(100.0, 170.0)))
+            layers.append(MaterialLayer(mat, sector=sec))
+            Ri = sec.Ro + rng.uniform(0.0, 0.15)
+        sectors = [layer.sector for layer in layers]
+        if route == "load-free":
+            sol = solve_load_free(layers)
+            radii, l, alpha = sol.tube.radii, sol.tube.l, 0.0
+            p_net = sol.report.residuals['p_net_kpa']
+        else:
+            alpha = math.radians(rng.uniform(20.0, 160.0))
+            cand, _, f = equilibrate_opened(layers, alpha)
+            radii, l, p_net = glued_radii(sectors, cand.rho_interface, cand.l_open, alpha), \
+                cand.l_open, float(f[0])
+    prof = wall_stress_profile(layers, sectors, radii, l, alpha)
+    assert prof[0, 1] == 0.0
+    assert abs(prof[-1, 1] - p_net) <= 1e-12 * np.max(np.abs(prof[:, 1:]))
+    assert prof[0, 0] == radii[0] and prof[-1, 0] == radii[-1]
+    assert np.all(np.diff(prof[:, 0]) >= 0.0)
+
+
 def test_wall_profile_monotone_radius(two_layers):
     sol = solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
-    prof = wall_stress_profile(sol.segments)
+    prof = wall_stress_profile(two_layers, sol.sectors, sol.tube.radii, sol.tube.l)
     assert np.all(np.diff(prof[:, 0]) >= 0.0)
