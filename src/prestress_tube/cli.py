@@ -10,6 +10,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 try:  # the builtin module first, as random.py does: hashlib loads OpenSSL (~3.5 MB peak RSS)
     from _sha2 import sha256  # CPython 3.12+
@@ -34,13 +36,27 @@ PROFILE_HEADER = ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"]
 
 def _write_csv(path: str, header, rows, cfg_hash: str):
     """A comment line, then the header and FLOAT_FMT rows as csv.writer writes them: one
-    "%.12g" %-format for all rows (one str.format grew peak RSS 0.75 MB, CPython 3.11/glibc)."""
+    "%.12g" %-format for all rows, written as one buffer.  An existing file is overwritten
+    in place, then trimmed to the new length if it is a regular file (/dev/null and other
+    non-regular targets take no trim).  Opening with truncation freed and discarded every
+    block of the old file first: 0.1-0.5 ms per ~16 KB rewrite on ext4 mounted with
+    discard, against 9-15 us to overwrite and trim.  Not atomic, as truncate-on-open was
+    not: a kill during the write leaves a broken file.  A new file gets mode
+    0o666 & ~umask, as open(path, 'w') gives it."""
     line = ",".join(["%.12g"] * len(header)) + "\r\n"
+    data = (f"# prestress-tube {__version__} config_sha256={cfg_hash}\n" + ",".join(header)
+            + "\r\n" + (line * len(rows)) % tuple(np.asarray(rows, dtype=float).ravel().tolist())
+            ).encode()
     try:
-        with open(path, 'w', newline='') as fh:
-            fh.write(f"# prestress-tube {__version__} config_sha256={cfg_hash}\n")
-            fh.write(",".join(header) + "\r\n")
-            fh.write((line * len(rows)) % tuple(np.asarray(rows, dtype=float).ravel().tolist()))
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:   # os.write may write less than it is given
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as e:
         raise ConfigError(f"cannot write output file {path}: {e}")
 
@@ -162,9 +178,13 @@ def main(argv=None) -> int:
     try:
         cfg, raw = config.load_config(args.config)
         config.parse_workflow(cfg, args.workflow)
-        out_path = args.out or cfg.get("output") or f"{args.workflow.replace('-', '_')}.csv"
-        if not isinstance(out_path, str):
-            raise ConfigError('field "output" must be a string path')
+        out_path = cfg.get("output", f"{args.workflow.replace('-', '_')}.csv")
+        if not isinstance(out_path, str) or not out_path:   # checked under --out too
+            raise ConfigError(f'field "output" must be a non-empty string path (got {out_path!r})')
+        if args.out is not None:
+            if not args.out:
+                raise ConfigError("--out must be a non-empty path")
+            out_path = args.out
         cfg_hash = sha256(raw).hexdigest()
         summary = _COMMANDS[args.workflow](cfg, args, out_path, cfg_hash)
     except ConfigError as e:

@@ -70,9 +70,12 @@ def get_number(block: dict, key: str, ctx: str) -> float:
     return _number(_require(block, key, ctx), f"{ctx}.{key}")
 
 
-def _optional_number(block: dict, key: str, default: Optional[float], ctx: str) -> Optional[float]:
-    v = block.get(key, default)
-    return None if v is None else _number(v, f"{ctx}.{key}")
+def _overridable_number(block: dict, key: str, ctx: str, override: Optional[float],
+                        default: Optional[float] = None) -> Optional[float]:
+    """override (a CLI flag) if given, else block[key] or default when it is absent;
+    a present field must be a JSON number even when the flag overrides it."""
+    v = _number(block[key], f"{ctx}.{key}") if key in block else default
+    return v if override is None else override
 
 
 def get_block(cfg: dict, key: str, ctx: str = "config") -> dict:
@@ -179,7 +182,9 @@ def parse_f0(cfg: dict) -> PreStressField:
 
 def parse_program(cfg: dict, dt_override: Optional[float] = None) -> LoadProgram:
     b = get_block(cfg, "program")
-    dt = dt_override if dt_override is not None else get_number(b, "dt_s", "program")
+    dt = _overridable_number(b, "dt_s", "program", dt_override)
+    if dt is None:
+        raise ConfigError('missing field "program.dt_s"')
     frames = _require(b, "keyframes", "program")
     if not isinstance(frames, list) or not frames:
         raise ConfigError('field "program.keyframes" must be a non-empty list of [t_s, F] pairs')
@@ -203,7 +208,7 @@ def parse_program(cfg: dict, dt_override: Optional[float] = None) -> LoadProgram
 def parse_grid(cfg: dict, start=None, end=None, step=None):
     """Energy-scan angle grid (start_deg, end_deg, step_deg); CLI flags override fields."""
     b = get_block(cfg, "grid") if "grid" in cfg else {}
-    start, end, step = (v if v is not None else _optional_number(b, key, default, "grid")
+    start, end, step = (_overridable_number(b, key, "grid", v, default)
                         for v, key, default in ((start, "start_deg", 0.0), (end, "end_deg", 180.0),
                                                 (step, "step_deg", 2.0)))
     # the scan samples start, start + step, ... below end + step/2
@@ -226,9 +231,8 @@ def parse_solver(cfg: dict, workflow: str, tol_override: Optional[float] = None)
     b = cfg.get("solver", {})
     if not isinstance(b, dict):
         raise ConfigError('field "solver" must be an object')
-    tol, source = _optional_number(b, "tol", None, "solver"), ""
-    if tol_override is not None:
-        tol, source = tol_override, " (from --tol)"
+    tol = _overridable_number(b, "tol", "solver", tol_override)
+    source = "" if tol_override is None else " (from --tol)"
     if tol is not None and not 0.0 < tol < math.inf:
         raise ConfigError(f'field "solver.tol"{source} must be a finite number > 0 (got {tol})')
     kwargs = {"tol": tol}

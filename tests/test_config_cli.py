@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,10 @@ def point_config():
         "program": {"dt_s": 0.002,
                     "keyframes": [[0.0, IDENT], [0.1, F_STRETCH], [0.6, F_STRETCH]]},
     }
+
+
+WORKFLOW_CONFIGS = [("inverse-sf", inverse_config), ("load-free", load_free_config),
+                    ("energy-scan", scan_config), ("point-test", point_config)]
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -154,6 +159,9 @@ def test_parse_program_and_override():
     assert prog.t_end == pytest.approx(0.6)
     prog2 = config.parse_program(cfg, dt_override=0.001)
     assert prog2.dt == pytest.approx(0.001)
+    cfg["program"]["dt_s"] = "bogus"      # overridden, but still a number when present
+    with pytest.raises(ConfigError, match=r'field "program\.dt_s" must be a number'):
+        config.parse_program(cfg, dt_override=0.001)
     with pytest.raises(ConfigError, match=r"keyframes\[0\]"):
         config.parse_program({"program": {"dt_s": 0.01, "keyframes": [[0.0]]}})
     nan_frame = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -266,6 +274,10 @@ def test_cli_energy_scan_to_the_last_admissible_angles(tmp_path, capsys):
     ({}, ["--grid-start", "130", "--grid-end", "120"], "grid.end_deg"),
     ({"start_deg": 300.0, "end_deg": 359.6, "step_deg": 1.0}, [], "grid.end_deg"),
     ({"start_deg": 300.0, "end_deg": 359.0, "step_deg": 100.0}, [], "grid.end_deg"),
+    # a field a flag overrides must still be a number
+    ({"start_deg": "bogus"}, ["--grid-start", "80"], 'field "grid.start_deg" must be a number'),
+    ({"end_deg": "bogus"}, ["--grid-end", "200"], 'field "grid.end_deg" must be a number'),
+    ({"step_deg": "bogus"}, ["--grid-step", "5"], 'field "grid.step_deg" must be a number'),
 ])
 def test_cli_exit_1_bad_grid(tmp_path, capsys, grid, argv, field):
     cfg = scan_config()
@@ -352,6 +364,44 @@ def test_csv_writer_matches_csv_module(tmp_path):
     assert (tmp_path / "empty.csv").read_text().splitlines()[1:] == [",".join(header)]
 
 
+def test_csv_writer_overwrites_and_trims(tmp_path):
+    # a write over an existing longer or shorter file leaves the bytes a write into
+    # a new path leaves: the old file's tail beyond the new length is cut
+    header, rows = ["a", "b_kpa"], np.arange(60.0).reshape(30, 2) / 7.0
+    _write_csv(str(tmp_path / "new.csv"), header, rows, "abc")
+    want = (tmp_path / "new.csv").read_bytes()
+    for old in (b"x" * (3 * len(want)), b"y" * (len(want) // 3), b""):
+        (tmp_path / "old.csv").write_bytes(old)
+        _write_csv(str(tmp_path / "old.csv"), header, rows, "abc")
+        assert (tmp_path / "old.csv").read_bytes() == want
+
+
+def test_csv_writer_file_modes(tmp_path):
+    # a new file gets 0o666 & ~umask, as open(path, "w") gives it; an existing file keeps its mode
+    def mode(name):
+        return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+    previous = os.umask(0o027)
+    try:
+        _write_csv(str(tmp_path / "new.csv"), ["a"], [[1.0]], "abc")
+        with open(tmp_path / "ref.csv", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    assert mode("new.csv") == mode("ref.csv") == 0o640
+    (tmp_path / "new.csv").chmod(0o604)
+    _write_csv(str(tmp_path / "new.csv"), ["a"], [[1.0], [2.0]], "abc")
+    assert mode("new.csv") == 0o604
+
+
+@pytest.mark.parametrize("workflow, make_config", WORKFLOW_CONFIGS)
+def test_cli_writes_to_dev_null(tmp_path, capsys, workflow, make_config):
+    # a character device takes the CSV without the trim a regular file gets
+    rc, stdout, stderr = run_cli(capsys, workflow, "--config",
+                                 str(write_config(tmp_path, make_config())), "--out", os.devnull)
+    assert (rc, stderr) == (0, "")
+    assert json.loads(stdout)["csv"] == os.devnull
+
+
 def test_cli_parser_is_built_once():
     assert _parser() is _parser()
 
@@ -426,9 +476,7 @@ def test_cli_exit_1_unreadable_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
-@pytest.mark.parametrize("workflow, make_config", [
-    ("inverse-sf", inverse_config), ("load-free", load_free_config),
-    ("energy-scan", scan_config), ("point-test", point_config)])
+@pytest.mark.parametrize("workflow, make_config", WORKFLOW_CONFIGS)
 def test_cli_exit_1_unwritable_output(tmp_path, capsys, workflow, make_config, target):
     # the output path, from --out or from the config's "output" field, cannot be opened for
     # writing: one "config error:" line, exit 1 and nothing on stdout, not a traceback
@@ -440,6 +488,23 @@ def test_cli_exit_1_unwritable_output(tmp_path, capsys, workflow, make_config, t
         assert (rc, stdout) == (1, "")
         assert stderr.startswith(f"config error: cannot write output file {out}: ")
         assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, output, message", [
+    (["--out", ""], None, "config error: --out must be a non-empty path"),
+    ([], "", 'config error: field "output" must be a non-empty string path'),
+    (["--out", "x.csv"], "", 'config error: field "output" must be a non-empty string path'),
+    (["--out", "x.csv"], 3, 'config error: field "output" must be a non-empty string path'),
+], ids=["empty-out", "empty-output", "empty-output-under-out", "number-output"])
+def test_cli_exit_1_empty_output_path(tmp_path, capsys, monkeypatch, argv, output, message):
+    # an empty path, given or in the config, is an error, not the default path
+    monkeypatch.chdir(tmp_path)
+    cfg = point_config() if output is None else dict(point_config(), output=output)
+    rc, stdout, stderr = run_cli(capsys, "point-test", "--config",
+                                 str(write_config(tmp_path, cfg)), *argv)
+    assert (rc, stdout) == (1, "")
+    assert stderr.startswith(message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_cli_exit_1_bad_json(tmp_path, capsys):
@@ -550,6 +615,7 @@ def test_cli_energy_scan_solver_block(tmp_path, capsys):
     ({"tol": math.inf}, [], "solver.tol"),
     ({"max_iter": True}, [], "solver.max_iter"),
     ({"quad_points": True}, [], "solver.quad_points"),
+    ({"tol": "bogus"}, ["--tol", "1e-9"], 'field "solver.tol" must be a number'),
 ])
 def test_cli_exit_1_bad_solver_block(tmp_path, capsys, solver, argv, field):
     cfg = load_free_config()
