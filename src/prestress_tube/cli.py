@@ -80,7 +80,8 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     if not 0.0 <= alpha_deg < 360.0:
         raise ConfigError(f'field "geometry.alpha_deg" must be in [0, 360) (got {alpha_deg})')
     alpha = math.radians(alpha_deg)
-    solver = config.parse_solver(cfg, "inverse-sf", args.tol)
+    solver = config.parse_solver(cfg, args.tol)
+    config.reject_unread(cfg)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **solver)
     _write_csv(out_path, PROFILE_HEADER,
@@ -98,7 +99,8 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
 
 def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg, need_sector=True)
-    solver = config.parse_solver(cfg, "load-free", args.tol)
+    solver = config.parse_solver(cfg, args.tol)
+    config.reject_unread(cfg)
 
     sol = solve_load_free(layers, **solver)
     _write_csv(out_path, PROFILE_HEADER,
@@ -113,7 +115,8 @@ def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
 def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg, need_sector=True)
     grid = config.parse_grid(cfg, args.grid_start, args.grid_end, args.grid_step)
-    solver = config.parse_solver(cfg, "energy-scan")
+    solver = config.parse_solver(cfg, keys=("quad_points",))
+    config.reject_unread(cfg)
 
     curve = find_opening_angle(layers, *grid, **solver)
     _write_csv(out_path, ["alpha_deg", "E_microJ"], curve.samples, cfg_hash)
@@ -127,6 +130,7 @@ def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layer = config.parse_layer(config.get_block(cfg, "material"), "material", need_maxwell=True)
     f0 = config.parse_f0(cfg)
     program = config.parse_program(cfg, args.dt)
+    config.reject_unread(cfg)
 
     trace = run_point(program, layer, f0)
     _write_csv(out_path, trace.header(), trace.rows(), cfg_hash)
@@ -186,12 +190,13 @@ def main(argv=None) -> int:
                 raise ConfigError("--out must be a non-empty path")
             out_path = args.out
         cfg_hash = sha256(raw).hexdigest()
-        summary = _COMMANDS[args.workflow](cfg, args, out_path, cfg_hash)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # exit 2, not a warning
+            summary = _COMMANDS[args.workflow](cfg, args, out_path, cfg_hash)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (NoConvergence, DomainError, QuadratureFailure, SingularTensor,
-            NonPositiveDeterminant, NonPositiveStretch) as e:
+            NonPositiveDeterminant, NonPositiveStretch, ArithmeticError) as e:
         summary = {"workflow": args.workflow, "converged": False,
                    "error": f"{type(e).__name__}: {e}", "residuals": {}}
         if isinstance(e, NoConvergence):  # a solver's failure: its message, residuals, last iterate

@@ -1,11 +1,15 @@
 """JSON run-configuration parsing with field-level diagnostics.
 
 Keys are snake_case with unit suffixes so that a config is a literal
-transcription of a parameter table: geometry r_i_mm / r_interface_mm (with
-an adventitia only) / r_o_mm / l_mm / alpha_deg (sectors R_i_mm / R_o_mm /
-L_mm / alpha_deg), materials c1_kpa / c2_kpa / k1_kpa / k2 / beta_deg and
-Maxwell constants mu_matrix_kpa / eta_matrix_kpa_s / k1_visc_kpa / k2_visc /
-eta_fibre_kpa_s.
+transcription of a parameter table: geometry r_i_mm / r_interface_mm (two
+layers) / r_o_mm / l_mm / alpha_deg (sectors R_i_mm / R_o_mm / L_mm /
+alpha_deg), materials EQUILIBRIUM_KEYS and MAXWELL_KEYS.  A wall workflow reads
+the Maxwell constants of a material that has them and uses its relaxed
+equilibrium response, so one material block serves all four workflows.
+
+One rule for every field: a key that no parser of the workflow reads, at the
+top level or inside a block it reads, is a config error (reject_unread), and
+so is a key repeated within one object.
 """
 
 from __future__ import annotations
@@ -21,11 +25,45 @@ from .errors import ConfigError, DomainError
 from .materials import PreStressField
 from .tube import MaterialLayer, OpeningMap, SectorGeometry, TubeGeometry
 
-WORKFLOWS = ("inverse-sf", "load-free", "energy-scan", "point-test")
 # largest sizes a config may set, checked before anything is allocated
 MAX_QUAD_POINTS = 512      # Gauss points per layer; the quadrature check doubles them
 MAX_GRID_ANGLES = 3600     # energy-scan angles: a 0.1 deg grid over the circle
 MAX_STEPS = 100_000        # point-test steps, t_end / dt
+# a material block's keys by MaterialLayer.from_constants argument
+EQUILIBRIUM_KEYS = dict(c1="c1_kpa", c2="c2_kpa", k1="k1_kpa", k2="k2", beta_deg="beta_deg")
+MAXWELL_KEYS = dict(mu="mu_matrix_kpa", eta_matrix="eta_matrix_kpa_s", k1v="k1_visc_kpa",
+                    k2v="k2_visc", eta_fibre="eta_fibre_kpa_s")
+
+
+class _Fields(dict):
+    """A JSON object that records the keys a parser reads through [] or get (a
+    membership test reads nothing); a repeated key is a config error."""
+    __slots__ = ("read",)
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        if len(self) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise ConfigError(f'repeated field "{next(k for k in keys if keys.count(k) > 1)}"')
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def reject_unread(block: _Fields, ctx: str = ""):
+    """Config error for a key no parser read, at the top level or inside a read block:
+    a workflow calls it once its parsers are done, before it solves or writes."""
+    for key, v in block.items():
+        if key not in block.read:
+            raise ConfigError(f'unknown field "{ctx}{key}"')
+        if isinstance(v, _Fields):
+            reject_unread(v, f"{ctx}{key}.")
 
 
 def load_config(path: str):
@@ -36,7 +74,7 @@ def load_config(path: str):
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}")
     try:
-        cfg = json.loads(raw.decode('utf-8'))
+        cfg = json.loads(raw.decode('utf-8'), object_pairs_hook=_Fields)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}")
     if not isinstance(cfg, dict):
@@ -85,13 +123,10 @@ def get_block(cfg: dict, key: str, ctx: str = "config") -> dict:
     return v
 
 
-def parse_workflow(cfg: dict, expected: Optional[str] = None) -> str:
+def parse_workflow(cfg: dict, expected: str):
     wf = cfg.get("workflow", expected)
-    if wf not in WORKFLOWS:
-        raise ConfigError(f'field "workflow" must be one of {WORKFLOWS} (got {wf!r})')
-    if expected is not None and wf != expected:
+    if wf != expected:
         raise ConfigError(f'config workflow "{wf}" does not match the requested command "{expected}"')
-    return wf
 
 
 def parse_sector(block: dict, ctx: str) -> SectorGeometry:
@@ -106,9 +141,6 @@ def parse_sector(block: dict, ctx: str) -> SectorGeometry:
 def parse_tube(block: dict, ctx: str, need_interface: bool) -> TubeGeometry:
     """Tube radii r_i_mm, r_interface_mm (two-layer walls only), r_o_mm and l_mm."""
     keys = ("r_i_mm", "r_interface_mm", "r_o_mm") if need_interface else ("r_i_mm", "r_o_mm")
-    if not need_interface and "r_interface_mm" in block:
-        raise ConfigError(f'field "{ctx}.r_interface_mm" is not used by a one-layer wall '
-                          '(no "adventitia")')
     try:
         return TubeGeometry([get_number(block, key, ctx) for key in keys],
                             get_number(block, "l_mm", ctx))
@@ -118,27 +150,11 @@ def parse_tube(block: dict, ctx: str, need_interface: bool) -> TubeGeometry:
 
 def parse_layer(block: dict, ctx: str, need_sector: bool = False,
                 need_maxwell: bool = False) -> MaterialLayer:
-    kwargs = dict(
-        c1=get_number(block, "c1_kpa", ctx),
-        c2=get_number(block, "c2_kpa", ctx),
-        k1=get_number(block, "k1_kpa", ctx),
-        k2=get_number(block, "k2", ctx),
-        beta_deg=get_number(block, "beta_deg", ctx),
-    )
-    has_maxwell = need_maxwell or "mu_matrix_kpa" in block
-    if has_maxwell:
-        kwargs.update(
-            mu=get_number(block, "mu_matrix_kpa", ctx),
-            eta_matrix=get_number(block, "eta_matrix_kpa_s", ctx),
-            k1v=get_number(block, "k1_visc_kpa", ctx),
-            k2v=get_number(block, "k2_visc", ctx),
-            eta_fibre=get_number(block, "eta_fibre_kpa_s", ctx),
-        )
-    if need_sector or "sector" in block:
-        sector_block = _require(block, "sector", ctx)
-        if not isinstance(sector_block, dict):
-            raise ConfigError(f'field "{ctx}.sector" must be an object')
-        kwargs["sector"] = parse_sector(sector_block, f"{ctx}.sector")
+    """A material: its Maxwell constants too when need_maxwell or it has mu_matrix_kpa."""
+    keys = EQUILIBRIUM_KEYS | (MAXWELL_KEYS if need_maxwell or "mu_matrix_kpa" in block else {})
+    kwargs = {name: get_number(block, key, ctx) for name, key in keys.items()}
+    if need_sector:
+        kwargs["sector"] = parse_sector(get_block(block, "sector", ctx), f"{ctx}.sector")
     try:
         return MaterialLayer.from_constants(**kwargs)
     except ValueError as e:
@@ -154,9 +170,7 @@ def parse_layers(cfg: dict, need_sector: bool = False):
 
 
 def parse_f0(cfg: dict) -> PreStressField:
-    """F0 either as an explicit 3x3 matrix or from an opening map at one radius."""
-    if "f0" in cfg and "f0_opening_map" in cfg:
-        raise ConfigError('fields "f0" and "f0_opening_map" exclude each other: give one')
+    """F0 either as an explicit 3x3 matrix or, without one, from an opening map at one radius."""
     if "f0" in cfg:
         arr = _matrix(cfg["f0"], "f0")
         try:
@@ -225,25 +239,21 @@ def parse_grid(cfg: dict, start=None, end=None, step=None):
     return start, end, step
 
 
-def parse_solver(cfg: dict, workflow: str, tol_override: Optional[float] = None) -> dict:
-    """The solver block as the solvers' keyword arguments tol, max_iter and npts
-    (from quad_points), the given ones only; energy-scan takes quad_points alone."""
-    b = cfg.get("solver", {})
-    if not isinstance(b, dict):
-        raise ConfigError('field "solver" must be an object')
-    tol = _overridable_number(b, "tol", "solver", tol_override)
-    source = "" if tol_override is None else " (from --tol)"
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise ConfigError(f'field "solver.tol"{source} must be a finite number > 0 (got {tol})')
-    kwargs = {"tol": tol}
+def parse_solver(cfg: dict, tol_override: Optional[float] = None,
+                 keys=("tol", "max_iter", "quad_points")) -> dict:
+    """The solver block's fields among keys (a solver's own) as its keyword arguments
+    tol, max_iter and npts (from quad_points), the given ones only."""
+    b = get_block(cfg, "solver") if "solver" in cfg else {}
+    kwargs = {}
+    if "tol" in keys:
+        tol = kwargs["tol"] = _overridable_number(b, "tol", "solver", tol_override)
+        source = "" if tol_override is None else " (from --tol)"
+        if tol is not None and not 0.0 < tol < math.inf:
+            raise ConfigError(f'field "solver.tol"{source} must be a finite number > 0 (got {tol})')
     for key, name, least, most, want in (
             ("max_iter", "max_iter", 1, math.inf, "a positive integer"),
             ("quad_points", "npts", 2, MAX_QUAD_POINTS, f"an integer in [2, {MAX_QUAD_POINTS}]")):
-        v = kwargs[name] = b.get(key)
+        v = kwargs[name] = b.get(key) if key in keys else None
         if v is not None and (type(v) is not int or not least <= v <= most):   # no bool either
             raise ConfigError(f'field "solver.{key}" must be {want} (got {v!r})')
-    if workflow == "energy-scan":
-        for key in ("tol", "max_iter"):
-            if kwargs[key] is not None:
-                raise ConfigError(f'field "solver.{key}" is not used by energy-scan')
     return {name: v for name, v in kwargs.items() if v is not None}

@@ -74,8 +74,8 @@ class PreStressField:
         f0 = np.asarray(self.F0, dtype=float)
         if f0.shape != (3, 3):
             raise ValueError(f"F0 must be 3x3 (got shape {f0.shape})")
-        d = tn.det(f0)
-        if not np.all(np.abs(d - 1.0) <= 1e-10):  # also rejects NaN entries
+        d = tn.det(f0) if np.isfinite(f0).all() else math.nan
+        if not np.all(np.abs(d - 1.0) <= 1e-10):  # also rejects NaN and infinite entries
             raise ValueError(f"F0 must be unimodular (det = {np.max(np.abs(d - 1.0)):.3e} from 1)")
         object.__setattr__(self, 'F0', f0)
         object.__setattr__(self, '_inv', tn.inverse(f0, d))

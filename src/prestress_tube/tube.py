@@ -382,20 +382,20 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
 
 def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
     """newton2 on the n = 2 or 3 unknowns x of the wall, x0 of shape (n,) or (n, B):
-    the first n of residuals(*x) = (p_net, F_red, M) over (c1, c1 length^2, c1
-    length^2), c1 of the stiffest matrix, length a scalar or one per system.
-    Inadmissible candidates (a length x[0] or x[1] <= 0, a DomainError) make
-    every state of the call huge, so the line search backs off.  Returns (x,
-    residual in kPa and kPa mm^2, iterations)."""
+    the first n of residuals(*x) = (p_net, F_red, M) over (c, c length^2, c
+    length^2), c the largest matrix modulus c1 or c2 (c1 may be 0), length a scalar
+    or one per system.  Inadmissible candidates (a length x[0] or x[1] <= 0, a
+    DomainError or an overflow) make every state of the call huge, so the line
+    search backs off.  Returns (x, residual in kPa and kPa mm^2, iterations)."""
     n = len(x0)
-    c1s = max(layer.equilibrium.matrix.c1 for layer in layers)
-    scale = c1s * np.array([np.ones_like(length), length ** 2, length ** 2])[:n, ..., None]
+    c = max(max(layer.equilibrium.matrix.c1, layer.equilibrium.matrix.c2) for layer in layers)
+    scale = c * np.array([np.ones_like(length), length ** 2, length ** 2])[:n, ..., None]
 
     def resid(x):
         try:
             if (x[:2].real > 0.0).all():
                 return np.asarray(residuals(*x[..., None])[:n]) / scale
-        except DomainError:
+        except (DomainError, ArithmeticError):
             pass
         return np.full(x.shape, 1e30)
 

@@ -173,8 +173,8 @@ def test_parse_program_and_override():
 def test_parse_workflow_mismatch():
     with pytest.raises(ConfigError, match="does not match"):
         config.parse_workflow({"workflow": "load-free"}, "inverse-sf")
-    with pytest.raises(ConfigError, match="must be one of"):
-        config.parse_workflow({"workflow": "banana"})
+    with pytest.raises(ConfigError, match="does not match"):
+        config.parse_workflow({"workflow": "banana"}, "inverse-sf")
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +724,10 @@ def test_config_bounds_the_sizes_it_sets():
     # before a solver allocates them; each bound admits the bench's largest configs
     # (64 points, 12 angles, 160 steps)
     most = config.MAX_QUAD_POINTS
-    assert config.parse_solver({"solver": {"quad_points": most}}, "load-free") == {"npts": most}
-    for workflow in ("inverse-sf", "load-free", "energy-scan"):
+    assert config.parse_solver({"solver": {"quad_points": most}}) == {"npts": most}
+    for keys in (("tol", "max_iter", "quad_points"), ("quad_points",)):
         with pytest.raises(ConfigError, match=r"solver\.quad_points"):
-            config.parse_solver({"solver": {"quad_points": most + 1}}, workflow)
+            config.parse_solver({"solver": {"quad_points": most + 1}}, keys=keys)
     # a 0.1 deg grid over the circle holds MAX_GRID_ANGLES angles, a finer one more
     grid = config.parse_grid({"grid": {"start_deg": 0.0, "end_deg": 359.9, "step_deg": 0.1}})
     assert np.arange(grid[0], grid[1] + 0.5 * grid[2], grid[2]).size == config.MAX_GRID_ANGLES
@@ -771,14 +771,18 @@ def test_cli_exit_1_non_finite_constant(tmp_path, capsys, workflow, field, value
 
 
 @pytest.mark.parametrize("field", ["f0_opening_map.k", "f0_opening_map.c",
-                                   "f0_opening_map.r_mm", "F[0][0]", "F[2][2]"])
+                                   "f0_opening_map.r_mm", "F[0][0]", "F[2][2]", "f0[0][0]",
+                                   "f0[1][2]"])
 def test_cli_exit_1_non_finite_point_input(tmp_path, capsys, field):
-    # an opening-map constant or a keyframe entry of Infinity (det F = inf > 0)
+    # an opening-map constant, a keyframe entry of Infinity (det F = inf > 0) or an F0 entry
     cfg = point_config()
     if field.startswith("F"):
         F = [row[:] for row in F_STRETCH]
         F[int(field[2])][int(field[5])] = math.inf
         cfg["program"]["keyframes"][1][1] = F
+    elif field.startswith("f0["):
+        cfg["f0"] = [row[:] for row in IDENT]
+        cfg["f0"][int(field[3])][int(field[6])] = math.inf
     else:
         del cfg["f0"]
         cfg["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
@@ -799,8 +803,119 @@ def test_cli_exit_1_both_f0_fields(tmp_path, capsys):
                                  "--out", str(tmp_path / "x.csv"))
     assert rc == 1
     assert stderr.startswith("config error:")
-    assert '"f0"' in stderr and '"f0_opening_map"' in stderr
+    assert stderr == 'config error: unknown field "f0_opening_map"\n'
     assert stdout == ""
+
+
+UNKNOWN_FIELD_CASES = [
+    ("solver", {"tolerance": 1e-12, "max_iterations": 40}, "solver.tolerance"),
+    ("bogus_field", 1, "bogus_field"),
+    ("geometry", dict(inverse_config()["geometry"], typo_kpa=1.0), "geometry.typo_kpa"),
+    ("media", dict(MEDIA_BLOCK, sector=dict(MEDIA_SECTOR_BLOCK)), "media.sector"),
+    ("program", point_config()["program"], "program"),
+    ("grid", {"step_deg": "x"}, "grid"),
+    ("media", dict(MEDIA_BLOCK, k1_visc_kpa=5.3), "media.k1_visc_kpa"),
+]
+
+
+@pytest.mark.parametrize("key, value, field", UNKNOWN_FIELD_CASES,
+                         ids=[case[2] for case in UNKNOWN_FIELD_CASES])
+def test_cli_exit_1_unknown_field(tmp_path, capsys, key, value, field):
+    # a field no parser of the workflow reads is an error, found before the solve and
+    # before the CSV is opened: an existing output file keeps its bytes
+    cfg = dict(inverse_config(), **{key: value})
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"previous run\n")
+    rc, stdout, stderr = run_cli(capsys, "inverse-sf", "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(out))
+    assert (rc, stdout) == (1, "")
+    assert stderr == f'config error: unknown field "{field}"\n'
+    assert out.read_bytes() == b"previous run\n"
+
+
+@pytest.mark.parametrize("workflow, make_config", WORKFLOW_CONFIGS)
+def test_cli_exit_1_unknown_field_in_every_workflow(tmp_path, capsys, workflow, make_config):
+    # at the top level and inside each block the workflow reads
+    cfg = make_config()
+    blocks = [()] + [(key,) for key, v in cfg.items() if isinstance(v, dict)] + \
+        [(key, "sector") for key, v in cfg.items() if isinstance(v, dict) and "sector" in v]
+    for path in blocks:
+        cfg = make_config()
+        block = cfg
+        for key in path:
+            block = block[key]
+        block["extra"] = 1.0
+        rc, stdout, stderr = run_cli(capsys, workflow, "--config", str(write_config(tmp_path, cfg)),
+                                     "--out", str(tmp_path / "x.csv"))
+        assert (rc, stdout) == (1, "")
+        assert stderr == f'config error: unknown field "{".".join(path + ("extra",))}"\n'
+
+
+@pytest.mark.parametrize("text, key", [
+    ('"solver": {"quad_points": 512, "quad_points": 16}', "quad_points"),
+    ('"output": "a.csv", "output": "b.csv"', "output"),
+])
+def test_cli_exit_1_repeated_field(tmp_path, capsys, text, key):
+    # JSON keeps the last of two equal keys; the parser names the key instead
+    cfg_text = json.dumps(inverse_config())[:-1] + ", " + text + "}"
+    path = tmp_path / "run.json"
+    path.write_text(cfg_text)
+    rc, stdout, stderr = run_cli(capsys, "inverse-sf", "--config", str(path),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert (rc, stdout) == (1, "")
+    assert stderr == f'config error: repeated field "{key}"\n'
+
+
+@pytest.mark.parametrize("workflow, block, key", [
+    ("point-test", "material", "c1_kpa"),
+    ("point-test", "material", "c2_kpa"),
+    ("point-test", "material", "k2_visc"),
+    ("point-test", "f0_opening_map", "ri_mm"),
+    ("inverse-sf", "geometry", "r_o_mm"),
+    ("load-free", "media", "k2"),
+    ("energy-scan", "adventitia", "c1_kpa"),
+])
+def test_cli_exit_2_on_overflow(tmp_path, capsys, workflow, block, key):
+    # a finite input that overflows a float is a numerical failure with its error
+    # named, not a traceback, a warning or a converged run with a non-finite CSV
+    cfg = dict(WORKFLOW_CONFIGS)[workflow]()
+    if block == "f0_opening_map":
+        del cfg["f0"]
+        cfg[block] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
+    cfg[block][key] = 1e308
+    rc, stdout, stderr = run_cli(capsys, workflow, "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(tmp_path / "x.csv"))
+    summary = json.loads(stdout)
+    assert (rc, stderr, summary["converged"]) == (2, "", False)
+    # an overflow inside a wall solve's residual makes the line search back off
+    assert summary["error"].startswith(("FloatingPointError:", "OverflowError:",
+                                        "singular Jacobian"))
+
+
+def test_cli_c1_zero_round_trip(tmp_path, capsys):
+    # a matrix with c1 = 0 < c2 (Mooney-Rivlin admits it): inverse-sf, then load-free on
+    # its sectors, solved to 1e-14, gives the tube back to 1e-13
+    cfg = inverse_config()
+    for name in ("media", "adventitia"):
+        cfg[name]["c1_kpa"] = 0.0
+    cfg["solver"] = {"tol": 1e-14}
+    rc, stdout, _ = run_cli(capsys, "inverse-sf", "--config", str(write_config(tmp_path, cfg)),
+                            "--out", str(tmp_path / "inverse.csv"))
+    assert rc == 0
+    key = json.loads(stdout)["key_results"]
+    split = key["R_interface_mm"]
+    sectors = {"media": (key["Ri_mm"], split), "adventitia": (split, key["Ro_mm"])}
+    lf = {"workflow": "load-free", "solver": {"tol": 1e-14}}
+    for name, (lo, hi) in sectors.items():
+        lf[name] = dict(cfg[name], sector={"R_i_mm": lo, "R_o_mm": hi, "L_mm": key["L_mm"],
+                                           "alpha_deg": key["alpha_deg"]})
+    rc, stdout, _ = run_cli(capsys, "load-free", "--config", str(write_config(tmp_path, lf)),
+                            "--out", str(tmp_path / "load_free.csv"))
+    assert rc == 0
+    back = json.loads(stdout)["key_results"]
+    geom = cfg["geometry"]
+    for name in ("r_i_mm", "r_interface_mm", "r_o_mm", "l_mm"):
+        assert back[name] == pytest.approx(geom[name], rel=1e-13)
 
 
 def test_cli_point_test_config_hash_without_hashlib(tmp_path):

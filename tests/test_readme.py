@@ -1,7 +1,10 @@
-"""README's library example runs as written."""
+"""README's library example and its JSON config run as written."""
 
+import json
 import re
 from pathlib import Path
+
+from prestress_tube.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +16,14 @@ def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "__readme__"})
     assert capsys.readouterr().out
+
+
+def test_readme_json_config_runs(tmp_path, capsys):
+    # the one fenced JSON block, a config whose every field its workflow reads
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "run.json"
+    path.write_text(blocks[0])
+    workflow = json.loads(blocks[0])["workflow"]
+    assert main([workflow, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True

@@ -195,12 +195,17 @@ def test_wall_r_span_R_span_equivalence():
        k2=st.floats(0.01, 2.0), beta_deg=st.floats(0.0, 90.0), k=st.floats(0.3, 4.0),
        c=st.floats(0.5, 2.0), ri=st.floats(0.2, 2.0), lam=st.floats(0.6, 1.6),
        t=st.floats(0.05, 1.0))
-# at small strains W is a difference of O(c1) terms: here 2.3e-13 of max |W| apart
+# at small strains W and the stress differences are differences of O(c1) terms:
+# W here 2.3e-13 of max |W| apart, and T_tt - T_rr 3.76e-15 apart, 1.2e-13 of max |T|
 @example(c1=0.0, c2=0.0, k1=1.0, k2=1.0, beta_deg=0.0, k=1.0, c=1.03125, ri=1.1, lam=1.0, t=0.7)
+@example(c1=0.0, c2=0.0, k1=1.0, k2=1.0, beta_deg=0.0, k=1.015625, c=1.0, ri=1.0, lam=1.0, t=0.5)
 def test_closed_form_kernel_matches_tensor_route(c1, c2, k1, k2, beta_deg, k, c, ri, lam, t):
     # the wall kernel's scalar closed forms against the 3x3 tensor route, per
-    # Gauss point, relative to the segment's largest stress component or, for the
-    # energy, to the sum of its terms' magnitudes (the scale of its roundoff)
+    # Gauss point, relative to the sum of their terms' magnitudes (the scale of
+    # their roundoff): for the stresses c1 l2_i and c2 / l2_i, and per fibre
+    # 2 f a_i^2 l2_i, f = k1 u e^(k2 u^2), summed over i (sum a_i^2 l2_i = u + 1);
+    # u = sum a_i^2 l2_i - 1 is itself a difference of terms of magnitude u + 2,
+    # so f counts as df/du (u + 2).  For W, the magnitudes of its own terms
     mat = EquilibriumMaterial.from_constants(c1 if c1 + c2 > 0.0 else 1.0, c2, k1, k2, beta_deg)
     m = OpeningMap(k=k, c=c, ri=ri, Ri=k * ri / lam)   # hoop stretch lam at ri
     R, _ = gauss_segment(*m.radius_sf([ri, ri * (1.0 + t)]), tube.N_QUAD)
@@ -208,17 +213,18 @@ def test_closed_form_kernel_matches_tensor_route(c1, c2, k1, k2, beta_deg, k, c,
     F = np.linalg.inv(m.F0(r))
     T = extra_cauchy_equilibrium(F, mat)
     l2 = m.sq_stretches(r, R)
-    dth, dzz = diagonal_stress_differences(l2, mat)
-    t_max = np.max(np.abs(T))
-    assert_allclose(dth, T[:, 1, 1] - T[:, 0, 0], rtol=0.0, atol=1e-13 * t_max)
-    assert_allclose(dzz, T[:, 2, 2] - T[:, 0, 0], rtol=0.0, atol=1e-13 * t_max)
     w = equilibrium_energy_sf(tn.transpose(F) @ F, mat)
     mr = mat.matrix
-    terms = 0.5 * mr.c1 * (sum(l2) + 3.0) + 0.5 * mr.c2 * (sum(1.0 / li for li in l2) + 3.0)
+    t_terms = sum(mr.c1 * li + mr.c2 / li for li in l2)
+    w_terms = 0.5 * mr.c1 * (sum(l2) + 3.0) + 0.5 * mr.c2 * (sum(1.0 / li for li in l2) + 3.0)
     for fp in mat.fibres:
         u = sum(ai * ai * li for ai, li in zip(fp.a, l2)) - 1.0
-        terms = terms + fp.k1 / (2.0 * fp.k2) * (np.exp(fp.k2 * u * u) + 1.0)
-    _assert_roundoff_close([diagonal_energy(l2, mat)], [w], [terms])
+        t_terms = t_terms + (2.0 * fp.k1 * np.exp(fp.k2 * u * u) * (1.0 + 2.0 * fp.k2 * u * u)
+                             * (u + 2.0) * (u + 1.0))
+        w_terms = w_terms + fp.k1 / (2.0 * fp.k2) * (np.exp(fp.k2 * u * u) + 1.0)
+    _assert_roundoff_close([*diagonal_stress_differences(l2, mat), diagonal_energy(l2, mat)],
+                           [T[:, 1, 1] - T[:, 0, 0], T[:, 2, 2] - T[:, 0, 0], w],
+                           [t_terms, t_terms, w_terms])
 
 
 def test_closed_form_kernel_takes_any_fibre_direction():
