@@ -23,7 +23,7 @@ except ImportError:
 
 import numpy as np
 
-from . import __version__, config
+from . import __version__, config, maxwell
 from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDeterminant,
                      NonPositiveStretch, QuadratureFailure, SingularTensor)
 from .opening import find_opening_angle
@@ -137,7 +137,12 @@ def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     key = {"steps": int(trace.t.size - 1),
            "peak_overstress_kpa": float(trace.overstress_norm.max()),
            "final_overstress_kpa": float(trace.overstress_norm[-1])}
-    return _summary("point-test", trace.report, key, out_path)
+    summary = _summary("point-test", trace.report, key, out_path)
+    if not trace.report.converged:
+        summary["error"] = (f"fibre stretch update ended at |r| = "
+                            f"{trace.report.residuals['fibre_r_max']:.3e} > "
+                            f"maxwell.NEWTON_TOL = {maxwell.NEWTON_TOL:g}")
+    return summary
 
 
 _COMMANDS = {

@@ -11,11 +11,13 @@ Newton (complex-step Jacobian) solves.
 At an equilibrated state dE/dalpha = -l_open * M, where M = 1/2 int (T_theta -
 T_rr) r dr is the bending moment on the cut face.  The argmin is therefore the
 angle at which the cut face carries no moment (Chuong & Fung 1986).  The scan
-equilibrates its whole angle grid in one batched Newton, each angle from the
-same cold start, and evaluates every energy and moment in one broadcast call;
-the argmin solve reuses that solve's node table (tube.sector_residuals).
-When M changes sign next to the lowest sample, the argmin is the Newton root
-of (p_net, F_red, M) in (rho_interface, l_open, alpha) inside that grid cell.
+equilibrates its whole angle grid in one batched Newton, each angle from its
+own closed-form start (tube._solve_sector), and evaluates every energy and
+moment in one broadcast call; the argmin solve reuses that solve's node table
+(tube.sector_residuals).  When M changes sign next to the lowest sample, the
+argmin is the Newton root of (p_net, F_red, M) in (rho_interface, l_open,
+alpha) inside that grid cell, started where the two samples' moments
+interpolate linearly to zero.
 
 The argmin exhibits the mutual locking of the layers: the composite's opening
 angle is smaller than each layer's own angle.  All energies are
@@ -80,7 +82,8 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
 
     The grid is equilibrated in one batch.  The argmin is the cut-face
     moment's root in the grid cell next to the lowest sample, solved together
-    with sector equilibrium for (rho, l, alpha); without a sign change there
+    with sector equilibrium for (rho, l, alpha) from the linear interpolation of
+    the cell's two samples to zero moment; without a sign change there
     (minimum on a grid end) it is the lowest sample.
     """
     if grid_step_deg <= 0.0 or grid_end_deg <= grid_start_deg:
@@ -100,6 +103,9 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
     j = i + 1 if moments[i] > 0.0 else i - 1   # M > 0 below the argmin, < 0 above
     y, res, iterations = np.array([x[0, i], x[1, i], alpha[i]]), (*f[:, i], moments[i]), 0
     if moments[i] != 0.0 and 0 <= j < len(angles) and (moments[j] > 0.0) != (moments[i] > 0.0):
+        # start where the moments of samples i and j interpolate to zero
+        y = y + moments[i] / (moments[i] - moments[j]) * (
+            np.array([x[0, j], x[1, j], alpha[j]]) - y)
         y, res, iterations = _solve_wall(layers, wall, y, y[0], NEWTON_TOL, NEWTON_MAXIT)
         if (y[2] - alpha[i]) * (y[2] - alpha[j]) > 0.0:
             raise NoConvergence(f"cut-moment root left the grid cell {angles[min(i, j)]:g}.."

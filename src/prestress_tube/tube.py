@@ -39,7 +39,10 @@ construction.  Two solvers are provided:
 Both use a damped Newton iteration on the first n nondimensionalized
 residuals with a complex-step Jacobian: one residual call at the columns
 x + i h e_j gives the residual and the exact Jacobian.  The Newton takes one
-system or a batch of independent ones.  The load-free solve is the
+system or a batch of independent ones.  Both solvers start next to the
+root, at the map that keeps the length and leaves the middle of the first
+layer without hoop strain, and every solve stops at NEWTON_TOL, near
+roundoff, so its result does not depend on its start.  The load-free solve is the
 glued-sector Newton at alpha = 0; the energy scan runs the same solve at
 every angle of its grid as one batch, and its argmin solves all three
 residuals for (rho, l, alpha).  The inverse solve's spans move with (Ri, L);
@@ -64,7 +67,7 @@ TWO_PI = 2.0 * math.pi
 
 # solver defaults
 N_QUAD = 32            # Gauss-Legendre points per layer
-NEWTON_TOL = 1e-10     # infinity-norm of the nondimensional residual
+NEWTON_TOL = 1e-13     # infinity-norm of the nondimensional residual: near roundoff
 NEWTON_MAXIT = 25
 CS_STEP = 1e-20        # relative complex step for the Jacobian
 MAX_HALVINGS = 8
@@ -426,7 +429,8 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     are (Ri, L); one incompressible map of the whole wall carries the tube
     radii to the sectors' sf radii, which also enforces the per-layer volume
     identities exactly.  Residuals are the net pressure and the reduced axial
-    force.
+    force.  The start is c = 1 (L = l) with unit hoop stretch k r_m / R at the
+    middle r_m of the first layer: Ri^2 = k^2 r_m^2 - k (r_m^2 - r_0^2).
     """
     if not 0.0 <= alpha < TWO_PI:
         raise ValueError(f"need 0 <= alpha < 2*pi (got {alpha})")
@@ -434,8 +438,10 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
         raise ValueError(f"{len(layers)} layer(s) need {len(layers) + 1} tube radii "
                          f"(got {len(tube.radii)})")
     ri, k = tube.radii[0], TWO_PI / (TWO_PI - alpha)
-    x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts),
-                              np.array([k * ri, tube.l]), ri, tol, max_iter)
+    rm = 0.5 * (ri + tube.radii[1])
+    x0 = np.array([math.sqrt(k * k * rm * rm - k * (rm * rm - ri * ri)), tube.l])
+    x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts), x0, ri,
+                              tol, max_iter)
     Ri, L = float(x[0]), float(x[1])
     R = OpeningMap(k, tube.l / L, ri, Ri).radius_sf(np.array(tube.radii)).tolist()
     sectors = tuple(SectorGeometry(lo, hi, L, alpha) for lo, hi in zip(R, R[1:]))
@@ -453,16 +459,17 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
     or on one (rho, l) per angle of an array alpha, in one batch, on the layers'
     sector_residuals.
 
-    Every angle starts from the mean L and the larger of rho = Ro_1 / k_1 (the
-    first layer's outer arc keeps its length) and Ro_1 / sqrt(k_1) (its sector
-    keeps its area), the latter for k_1 >= 1.  Returns (x, residual in kPa and
-    kPa mm^2, iterations), of shape (2,) or (2, B).
+    Every angle starts from its own closed form: l = L_1 and unit hoop stretch
+    at the middle R_n of the first sector, so with a1 = (2*pi - alpha_1) / (2*pi
+    - alpha), r_n = a1 R_n and rho^2 = r_n^2 - a1 (R_n^2 - Ro_1^2).  Returns (x,
+    residual in kPa and kPa mm^2, iterations), of shape (2,) or (2, B).
     """
-    sec = [layer.sector for layer in layers]
+    sec = layers[0].sector
     alphas = np.asarray(alpha)
-    k1 = (TWO_PI - alphas) / (TWO_PI - sec[0].alpha)
-    rho0 = sec[0].Ro * np.maximum(1.0 / k1, np.sqrt(1.0 / k1))
-    x0 = np.array([rho0, np.full_like(rho0, sum(s.L for s in sec) / len(sec))])
+    a1 = (TWO_PI - sec.alpha) / (TWO_PI - alphas)
+    Rn = 0.5 * (sec.Ri + sec.Ro)
+    rho0 = np.sqrt(a1 * a1 * Rn * Rn - a1 * (Rn * Rn - sec.Ro ** 2))
+    x0 = np.array([rho0, np.full_like(rho0, sec.L)])
     # a batch's states have shape (B, m): the angles vary along the first axis
     a = alphas[:, None, None] if alphas.ndim else alpha
     return _solve_wall(layers, lambda rho, l: residuals(rho, l, a), x0, rho0, tol, max_iter)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -338,6 +339,9 @@ def test_cli_point_test_exit_2_when_not_converged(tmp_path, capsys, monkeypatch)
     summary = json.loads(stdout)
     assert summary["converged"] is False
     assert summary["residuals"]["fibre_r_max"] == pytest.approx(2.35e-11, rel=0.01)
+    # the summary names the local solve that ended above its tolerance, and its |r|
+    assert re.fullmatch(r"fibre stretch update ended at \|r\| = 2\.3[45]\de-11 > "
+                        r"maxwell\.NEWTON_TOL = 1e-12", summary["error"])
     assert rc == 2
 
 

@@ -187,9 +187,30 @@ def test_scan_raises_when_the_moment_root_leaves_its_cell(t3_layers, monkeypatch
         find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
 
 
+@pytest.mark.parametrize("grid", [(100.0, 150.0, 2.0), (0.0, 180.0, 4.0), (116.0, 132.0, 8.0)])
+def test_scan_argmin_is_independent_of_its_start(t3_layers, monkeypatch, grid):
+    # the argmin solve starts where the moments of its cell's samples interpolate
+    # to zero; from the lowest grid sample instead, it reaches the same root
+    calls, solve_wall = [], opening._solve_wall
+
+    def recording(*args):
+        calls.append(args)
+        return solve_wall(*args)
+
+    monkeypatch.setattr(opening, "_solve_wall", recording)
+    curve = find_opening_angle(t3_layers, *grid)
+    (layers, wall, y0, _, tol, max_iter), = calls
+    a_deg = min(curve.samples, key=lambda s: s[1])[0]
+    cand = equilibrate_opened(t3_layers, math.radians(a_deg))[0]
+    y = np.array([cand.rho_interface, cand.l_open, cand.alpha_trial])
+    assert abs(math.degrees(y0[2]) - a_deg) > 0.05 * grid[2]
+    x, _, _ = solve_wall(layers, wall, y, y[0], tol, max_iter)
+    assert abs(math.degrees(x[2]) - curve.argmin_deg) < 1e-10
+
+
 def test_scan_starts_every_angle_cold(t3_layers):
-    # no angle depends on its neighbours: a grid up to 359 deg converges, and
-    # its samples are the per-angle equilibria
+    # every angle starts from its own closed form, not from its neighbours: a
+    # grid up to 359 deg converges, and its samples are the per-angle equilibria
     curve = find_opening_angle(t3_layers, 0.0, 359.0, 1.0)
     ref = find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
     assert curve.argmin_deg == pytest.approx(ref.argmin_deg, abs=1e-9)
