@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .driver import LoadProgram
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .materials import PreStressField
-from .tube import MaterialLayer, OpeningMap, SectorGeometry, TubeGeometry
+from .tube import MaterialLayer, SectorGeometry, TubeGeometry
 
 # largest sizes a config may set, checked before anything is allocated
 MAX_QUAD_POINTS = 512      # Gauss points per layer; the quadrature check doubles them
@@ -187,10 +187,17 @@ def parse_f0(cfg: dict) -> PreStressField:
         for key, v in (("c", c), ("ri_mm", ri), ("Ri_mm", Ri), ("r_mm", r)):
             if not 0.0 < v < math.inf:
                 raise ConfigError(f'field "{ctx}.{key}" must be finite and > 0 (got {v})')
-        try:
-            return PreStressField(OpeningMap(k, c, ri, Ri).F0(r))
-        except DomainError:
+        # F0 = diag(c f, 1/f, 1/c), f = k r / R, R^2 = Ri^2 + k c (r^2 - ri^2) (tube.py); on
+        # floats an overflow gives inf or nan, not an error
+        R2 = Ri * Ri + k * c * (r * r - ri * ri)
+        if -math.inf < R2 <= 0.0:
             raise ConfigError(f'field "{ctx}.r_mm" = {r} lies outside the layer the map covers')
+        f = k * r / math.sqrt(R2) if 0.0 < R2 < math.inf else math.nan
+        d = (c * f, 1.0 / f if f else math.inf, 1.0 / c)
+        if not all(0.0 < v < math.inf for v in d):
+            raise ConfigError(f'field "{ctx}" gives an F0 outside the float range '
+                              f'(R^2 = {R2:g} mm^2, diagonal {d[0]:g}, {d[1]:g}, {d[2]:g})')
+        return PreStressField(np.diag(d))
     raise ConfigError('missing field "f0" (or "f0_opening_map")')
 
 

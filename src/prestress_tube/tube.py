@@ -9,15 +9,17 @@ constants,
 
 together with one anchored radius pair (r_a, R_a); incompressibility then gives
 R^2 - R_a^2 = k c (r^2 - r_a^2) pointwise and the deformation gradient in the
-cylindrical triad is diag(R/(k c r), k r / R, c) with det = 1 exactly.
-OpeningMap is that map; its inverse gradient is the pre-stress map F0.
+cylindrical triad is diag(R/(k c r), k r / R, c) with det = 1 exactly; its
+inverse is the pre-stress map F0 = diag(c f, 1/f, 1/c), f = k r / R.
 
-A wall is a list of layers, inner to outer.  Its integrals run over Gauss
-nodes in the stress-free radius R, in one per-node table of the whole wall
-built once per solve (sector_residuals, tube_residuals).  A node has r^2 =
-r_a^2 + (R^2 - R_a^2)/(k c), and dr = R dR/(k c r) leaves only r^2 in the
-integrands: the kernel equilibrium_residuals sweeps every layer in one pass,
-with no square root.  Glued sectors, with s = 2*pi - alpha and g_j = (2*pi -
+A wall is a list of layers, inner to outer.  Its integrals run over one
+per-node table of the whole wall built once per solve, with Gauss nodes fixed
+in the radius the solve knows: the stress-free R for the sectors
+(sector_residuals), the load-free r for the tube (tube_residuals).  A node in
+R has r^2 = r_a^2 + (R^2 - R_a^2)/(k c), a node in r has R^2 = R_a^2 + k c (r^2
+- r_a^2), and dr = R dR/(k c r) leaves only squared radii in the integrands:
+the kernel equilibrium_residuals sweeps every layer in one pass, with no
+square root.  Glued sectors, with s = 2*pi - alpha and g_j = (2*pi -
 alpha_j) L_j, have 1/(k_j c_j) = g_j/(s l) and r^2 = rho^2 + Q/(s l), Q fixed.
 A solved wall's radii and its stress profile come from the same glued form.
 Load-free equilibrium of the wall is characterised by two integrals over its
@@ -45,8 +47,8 @@ layer without hoop strain, and every solve stops at NEWTON_TOL, near
 roundoff, so its result does not depend on its start.  The load-free solve is the
 glued-sector Newton at alpha = 0; the energy scan runs the same solve at
 every angle of its grid as one batch, and its argmin solves all three
-residuals for (rho, l, alpha).  The inverse solve's spans move with (Ri, L);
-its Legendre rule and each node's layer do not.
+residuals for (rho, l, alpha).  The inverse solve's nodes, weights and
+layers stay fixed in r; only each node's R^2 moves with (Ri, L).
 """
 
 from __future__ import annotations
@@ -108,35 +110,6 @@ class TubeGeometry:
         if not 0.0 < self.l < math.inf:
             raise ValueError(f"need finite l > 0 (got {self.l})")
         object.__setattr__(self, 'radii', radii)
-
-
-@dataclass(frozen=True)
-class OpeningMap:
-    """One layer's sector<->tube map, anchored at the radius pair (ri, Ri).
-
-    R^2 - Ri^2 = k c (r^2 - ri^2) links the load-free radius r to the
-    stress-free radius R.  k < 1 is admissible: an opened sector whose angle
-    exceeds the layer's own stretches the layer circumferentially.  Constants
-    of shape (m, 1), complex in a Jacobian, map m states at once (radii get a
-    leading state axis); admissibility is checked on real parts.
-    """
-    k: float
-    c: float
-    ri: float
-    Ri: float
-
-    def __post_init__(self):
-        if np.any(np.real(self.k) <= 0.0) or np.any(np.real(self.c) <= 0.0):
-            raise DomainError(f"need k > 0 and c > 0 (got k={self.k}, c={self.c})")
-
-    def radius_sf(self, r):
-        return _sqrt_positive(self.Ri ** 2 + self.k * self.c * (np.asarray(r) ** 2 - self.ri ** 2))
-
-    def F0(self, r):
-        """Pre-stress map lf -> sf at load-free radius r: the inverse closing gradient."""
-        f = self.k * np.asarray(r, float) / self.radius_sf(r)
-        d = np.broadcast_arrays(self.c * f, 1.0 / f, 1.0 / self.c)
-        return np.stack(d, axis=-1)[..., None] * np.eye(3)
 
 
 def _sqrt_positive(rad):
@@ -226,23 +199,23 @@ def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
 def tube_residuals(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLayer],
                    npts: int = N_QUAD):
     """The inverse solve's (Ri, L) -> equilibrium_residuals of the one map
-    (k, c, ri, Ri), c = l/L, of the wall: a node at Legendre abscissa x of its layer's
-    sf span (R_lo, R_hi), the images of tube radii, sits at R_lo (1-x)/2 + R_hi (1+x)/2."""
+    (k, c, ri, Ri), c = l/L, of the wall over its node table, whose nodes stay fixed
+    in r: a node at Legendre abscissa x of its layer's tube span sits at r = mid +
+    half x, with V = half w r, and each call gives it R^2 = Ri^2 + k c (r^2 - ri^2),
+    A = 1/R^2 and B = 1 (the kernel at r2a = 0 and h = 1): for Ri, L > 0, R^2 >= Ri^2
+    > 0, so a call takes no square root."""
     x, w = _leggauss(npts)
-    j = np.repeat(np.arange(len(layers)), npts)
-    u, v, wh = np.tile([0.5 - 0.5 * x, 0.5 + 0.5 * x, 0.5 * w], len(layers))
+    rb = np.array(tube.radii)
+    mid, half = 0.5 * (rb[1:, None] + rb[:-1, None]), 0.5 * np.diff(rb)[:, None]
+    r = (mid + half * x).ravel()
+    r2, V = r * r, (half * w).ravel() * r
     cols = material_columns([layer.equilibrium for layer in layers], npts)
-    ri, k = tube.radii[0], TWO_PI / (TWO_PI - alpha)
-    dr2 = np.array(tube.radii) ** 2 - ri ** 2
+    dr2, k = r2 - rb[0] ** 2, TWO_PI / (TWO_PI - alpha)
 
     def residuals(Ri, L):
         c = tube.l / L
-        Rb = _sqrt_positive(Ri ** 2 + k * c * dr2)
-        lo, hi = Rb[..., j], Rb[..., j + 1]
-        R = lo * u + hi * v
-        R2 = R * R
-        return equilibrium_residuals((cols, R2 - Ri ** 2, 1.0 / R2, 1.0, wh * (hi - lo) * R),
-                                     ri ** 2, 1.0 / (k * c), k * k, c * c)
+        return equilibrium_residuals((cols, r2, 1.0 / (Ri * Ri + k * c * dr2), 1.0, V),
+                                     0.0, 1.0, k * k, c * c)
     return residuals
 
 
@@ -333,7 +306,7 @@ def _value_and_jacobian(fun, x):
     or (n, B, n) with system b's at [:, b, :], and the Jacobian comes back as
     (n, n) or (B, n, n).
     """
-    h = CS_STEP * np.maximum(1.0, abs(x))
+    h = CS_STEP * np.where(x == 0.0, 1.0, abs(x))   # relative: any length scale
     eye = _eye(len(x))[:, None] if x.ndim > 1 else _eye(len(x))
     out = np.asarray(fun(x[..., None] + 1j * (h[..., None] * eye)))
     return out.real[..., 0], (out.imag / h.T).swapaxes(0, -2)
@@ -443,7 +416,7 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts), x0, ri,
                               tol, max_iter)
     Ri, L = float(x[0]), float(x[1])
-    R = OpeningMap(k, tube.l / L, ri, Ri).radius_sf(np.array(tube.radii)).tolist()
+    R = np.sqrt(Ri * Ri + k * (tube.l / L) * (np.square(tube.radii) - ri * ri)).tolist()
     sectors = tuple(SectorGeometry(lo, hi, L, alpha) for lo, hi in zip(R, R[1:]))
     return WallSolution(tube, sectors,
                         _report(f, tube_residuals(tube, alpha, layers, 2 * npts)(Ri, L), iters))

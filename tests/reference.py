@@ -4,13 +4,15 @@ Each function states a law on its own terms, independently of the closed-form
 and fictitious-stress kernels the workflows run: the stored energies on the
 3x3 tensor route (whose finite-difference gradients the PK2 stresses must
 match), the extra Cauchy stress, the Maxwell flow right-hand sides (integrated
-by the Runge-Kutta references), the lf <- sf strain transform and the wall
-integrals built segment by segment from OpeningMaps.  The tensor-route laws
+by the Runge-Kutta references), the lf <- sf strain transform, one layer's
+sector<->tube map (OpeningMap) and the wall integrals built segment by segment
+from OpeningMaps.  The tensor-route laws
 call the package's fictitious-stress kernels and fibre law; the wall integrals
 use their own closed forms, written family by family.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from prestress_tube import tensor as tn
 from prestress_tube.errors import DomainError
 from prestress_tube.materials import (EquilibriumMaterial, MooneyRivlinParams, PreStressField,
                                       equilibrium_sbar, fibre_energy, fibre_f, isochoric_pk2)
-from prestress_tube import tube
 from prestress_tube.tube import gauss_segment
 from prestress_tube.maxwell import FibreMaxwellParams, IsoMaxwellParams
 
@@ -101,8 +102,32 @@ def extra_cauchy_equilibrium(f, mat: EquilibriumMaterial):
 # wall integrals, segment by segment
 # ---------------------------------------------------------------------------
 
-class OpeningMap(tube.OpeningMap):
-    """The package's sector<->tube map with the segment route's inverse and stretches."""
+@dataclass(frozen=True)
+class OpeningMap:
+    """One layer's sector<->tube map, anchored at the radius pair (ri, Ri).
+
+    R^2 - Ri^2 = k c (r^2 - ri^2) links the load-free radius r to the stress-free
+    radius R.  k < 1 is admissible: an opened sector whose angle exceeds the
+    layer's own stretches the layer circumferentially.  Constants of shape (m, 1),
+    complex in a Jacobian, map m states at once (radii get a leading state axis);
+    admissibility is checked on real parts.
+    """
+
+    k: float
+    c: float
+    ri: float
+    Ri: float
+
+    def __post_init__(self):
+        if np.any(np.real(self.k) <= 0.0) or np.any(np.real(self.c) <= 0.0):
+            raise DomainError(f"need k > 0 and c > 0 (got k={self.k}, c={self.c})")
+
+    def radius_sf(self, r):
+        """The stress-free radius R of the load-free radius r."""
+        rad = self.Ri ** 2 + self.k * self.c * (np.asarray(r) ** 2 - self.ri ** 2)
+        if (np.real(rad) <= 0.0).any():
+            raise DomainError("sf radius radicand not positive")
+        return np.sqrt(rad)
 
     def radius_current(self, R):
         """The load-free radius r of the stress-free radius R."""
@@ -110,6 +135,13 @@ class OpeningMap(tube.OpeningMap):
         if (np.real(rad) <= 0.0).any():
             raise DomainError("current radius radicand not positive")
         return np.sqrt(rad)
+
+    def F0(self, r):
+        """Pre-stress map lf -> sf at load-free radius r: the inverse closing gradient
+        diag(c f, 1/f, 1/c), f = k r / R."""
+        f = self.k * np.asarray(r, float) / self.radius_sf(r)
+        d = np.broadcast_arrays(self.c * f, 1.0 / f, 1.0 / self.c)
+        return np.stack(d, axis=-1)[..., None] * np.eye(3)
 
     def sq_stretches(self, r, R):
         """Squared stretches (lam_r^2, lam_theta^2, lam_z^2) of the closing gradient;
@@ -148,17 +180,23 @@ def glued_opening_maps(sectors, alpha, rho, l):
     return maps
 
 
-def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False):
+def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False, load_free=False):
     """(p_net, F_red, M, int W r dr) of a wall, one layer at a time: Gauss nodes
     over each span in the sf radius R, their current radii, weights dr/dR and
-    squared stretches from the layer's OpeningMap.  With magnitudes, each is
-    instead the sum of its terms' real parts' magnitudes: the scale of its roundoff."""
+    squared stretches from the layer's OpeningMap; with load_free, Gauss nodes
+    over each span in the load-free radius r and their sf radii.  With magnitudes,
+    each is instead the sum of its terms' real parts' magnitudes: the scale of its
+    roundoff."""
     part = (lambda v: abs(np.real(v))) if magnitudes else (lambda v: v)
     p = fz = mo = e = 0.0
     for mat, m, span in zip(materials, maps, spans):
-        R, w = gauss_segment(*span, npts)
-        r = m.radius_current(R)
-        w = w * R / (m.k * m.c * r)
+        if load_free:
+            r, w = gauss_segment(*span, npts)
+            R = m.radius_sf(r)
+        else:
+            R, w = gauss_segment(*span, npts)
+            r = m.radius_current(R)
+            w = w * R / (m.k * m.c * r)
         dth, dzz, energy = diagonal_stress_and_energy(m.sq_stretches(r, R), mat)
         p = p + part(w * dth / r).sum(axis=-1)
         fz = fz + math.pi * part(w * (2.0 * dzz - dth) * r).sum(axis=-1)

@@ -23,7 +23,6 @@ from prestress_tube import (
     LoadProgram,
     MaterialLayer,
     MooneyRivlinParams,
-    OpeningMap,
     PreStressField,
     SectorGeometry,
     ViscousState,
@@ -59,7 +58,7 @@ from conftest import (
     opened_profile,
     sectored_layers,
 )
-from reference import (fibre_flow_rhs, fibre_sq_stretch, iso_energy, iso_flow_rhs,
+from reference import (OpeningMap, fibre_flow_rhs, fibre_sq_stretch, iso_energy, iso_flow_rhs,
                        mooney_rivlin_energy)
 
 XFAIL_REFERENCE = pytest.mark.xfail(

@@ -17,12 +17,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import prestress_tube
-from prestress_tube import OpeningMap, config, driver, maxwell
+from prestress_tube import config, driver, maxwell
 from prestress_tube.cli import FLOAT_FMT, _parser, _write_csv, main
 from prestress_tube.errors import ConfigError
 from prestress_tube.tube import NEWTON_TOL
 
 from conftest import equilibrate_opened
+from reference import OpeningMap
 
 MEDIA_BLOCK = {"c1_kpa": 3.0, "c2_kpa": 2.0, "k1_kpa": 2.3632, "k2": 0.8393,
                "beta_deg": 29.0}
@@ -870,11 +871,26 @@ def test_cli_exit_1_repeated_field(tmp_path, capsys, text, key):
     assert stderr == f'config error: repeated field "{key}"\n'
 
 
+@pytest.mark.parametrize("key", ["ri_mm", "Ri_mm"])
+def test_cli_exit_1_on_opening_map_overflow(tmp_path, capsys, key):
+    # an opening map whose F0 overflows a float is invalid input naming the block, and
+    # not a radius "outside the layer": 1e308 squared is inf
+    cfg = point_config()
+    del cfg["f0"]
+    cfg["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
+    cfg["f0_opening_map"][key] = 1e308
+    rc, stdout, stderr = run_cli(capsys, "point-test", "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert (rc, stdout) == (1, "")
+    assert stderr.startswith('config error: field "f0_opening_map" gives an F0 outside')
+    assert "outside the layer" not in stderr
+
+
 @pytest.mark.parametrize("workflow, block, key", [
     ("point-test", "material", "c1_kpa"),
     ("point-test", "material", "c2_kpa"),
     ("point-test", "material", "k2_visc"),
-    ("point-test", "f0_opening_map", "ri_mm"),
+    ("point-test", "f0_opening_map", "k"),   # a finite F0 that overflows in the driver
     ("inverse-sf", "geometry", "r_o_mm"),
     ("load-free", "media", "k2"),
     ("energy-scan", "adventitia", "c1_kpa"),

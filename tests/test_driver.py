@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from prestress_tube import (
     LoadProgram,
     MaterialLayer,
-    OpeningMap,
     PreStressField,
     fibre_evolve,
     initial_state,
@@ -32,7 +31,7 @@ from conftest import (
     reference_iso_step,
     reference_run_point,
 )
-from reference import extra_cauchy_equilibrium
+from reference import OpeningMap, extra_cauchy_equilibrium
 
 F_STRETCH = np.diag([1.0 / math.sqrt(1.3), 1.0 / math.sqrt(1.3), 1.3])
 IDENT = np.eye(3)

@@ -42,7 +42,7 @@ from conftest import (
     sectored_layers,
     split_sectored_layer,
 )
-# the package's map plus the segment route's radius_current and sq_stretches
+# one layer's sector<->tube map and the segment route
 from reference import (OpeningMap, diagonal_stress_and_energy, equilibrium_energy_sf,
                        extra_cauchy_equilibrium, glued_opening_maps, segment_sector_residuals,
                        segment_wall_integrals)
@@ -173,8 +173,8 @@ def test_opening_map_radius_round_trip_on_gauss_nodes():
 
 
 def test_wall_r_span_R_span_equivalence():
-    # the sf-frame nodes with dr/dR weights integrate the same wall as a
-    # Gauss rule over the current-frame span
+    # the inverse solve's table, Gauss nodes fixed in the load-free r, integrates the
+    # wall as the tensor route's extra stress does at the same nodes
     layer = MaterialLayer.from_constants(**MEDIA_EQ)
     m = OpeningMap(k=1.8, c=1.05, ri=0.71, Ri=1.39)
     r, w = gauss_segment(0.71, 0.97, 24)
@@ -294,9 +294,10 @@ def _assert_roundoff_close(got, ref, terms):
        form=st.sampled_from(["real", "complex", "batched"]), seed=st.integers(0, 2 ** 32 - 1),
        mats=st.lists(st.sampled_from(range(len(KERNEL_MATERIALS))), min_size=3, max_size=3))
 def test_wall_kernel_matches_segment_route(n, npts, form, seed, mats):
-    # the per-node table kernel against the wall built layer by layer from
-    # OpeningMaps (tests/reference.py): r^2 = rho^2 + Q/(s l) and the fused sums
-    # round differently from the segment route's square roots and per-layer sums
+    # the per-node table kernels against the wall built layer by layer from
+    # OpeningMaps (tests/reference.py): r^2 = rho^2 + Q/(s l), R^2 = Ri^2 + k c (r^2 -
+    # ri^2) and the fused sums round differently from the segment route's square
+    # roots and per-layer sums
     rng = np.random.default_rng(seed)
     layers, Ri = [], rng.uniform(0.5, 1.2)
     for j in range(n):
@@ -318,7 +319,7 @@ def test_wall_kernel_matches_segment_route(n, npts, form, seed, mats):
     _assert_roundoff_close(tube.sector_residuals(layers, npts)(rho, l, alpha, energy=True),
                            ref, terms)
     _assert_roundoff_close(tube.sector_residuals(layers, npts)(rho, l, alpha), ref[:3], terms)
-    # one map for the whole wall, the spans images of tube radii (the inverse solve)
+    # one map for the whole wall, Gauss nodes over each layer's tube span (the inverse solve)
     tube_geom = TubeGeometry(rng.uniform(0.4, 1.0) * np.cumprod([1.0] + [1.2] * n),
                              rng.uniform(0.8, 1.2))
     alpha = math.radians(rng.uniform(0.0, 200.0))
@@ -326,11 +327,10 @@ def test_wall_kernel_matches_segment_route(n, npts, form, seed, mats):
     Ri, L = _complex_columns(np.array([k * ri * rng.uniform(0.8, 1.2),
                                        tube_geom.l * rng.uniform(0.8, 1.2)]), form, rng)
     m = OpeningMap(k, tube_geom.l / L, ri, Ri)
-    R = m.radius_sf(np.array(tube_geom.radii))
-    args = (mat_list, [m] * n, [(R[..., j, None], R[..., j + 1, None]) for j in range(n)], npts)
+    args = (mat_list, [m] * n, list(zip(tube_geom.radii, tube_geom.radii[1:])), npts)
     _assert_roundoff_close(tube.tube_residuals(tube_geom, alpha, layers, npts)(Ri, L),
-                           segment_wall_integrals(*args)[:3],
-                           segment_wall_integrals(*args, magnitudes=True))
+                           segment_wall_integrals(*args, load_free=True)[:3],
+                           segment_wall_integrals(*args, magnitudes=True, load_free=True))
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -546,9 +546,9 @@ def test_wall_solve_backs_off_an_inadmissible_trial(monkeypatch):
 
 @pytest.mark.parametrize("workflow", ["inverse-sf", "load-free", "energy-scan"])
 def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, workflow):
-    # maps, Gauss nodes and Legendre rules are built per solve, never per
-    # Newton call: their counts do not grow with the iterations a tighter
-    # tolerance takes
+    # Gauss nodes and Legendre rules are built per solve, never per Newton
+    # call: their counts do not grow with the iterations a tighter tolerance
+    # takes
     counts = {}
 
     def counting(name, fun):
@@ -557,8 +557,6 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
             return fun(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(tube.OpeningMap, "__post_init__",
-                        counting("OpeningMap", tube.OpeningMap.__post_init__))
     monkeypatch.setattr(tube, "gauss_segment", counting("gauss_segment", tube.gauss_segment))
     monkeypatch.setattr(tube, "_leggauss", counting("_leggauss", tube._leggauss))
     newton = tube.newton2
@@ -585,11 +583,10 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
     assert built_tight == built
     # the tube solvers add a table at 2 * npts for their quadrature check
     tables = 1 if workflow == "energy-scan" else 2
-    if workflow == "inverse-sf":   # one Legendre rule per table; the spans move with (Ri, L)
+    if workflow == "inverse-sf":   # one Legendre rule per table, for every layer at once
         assert built["_leggauss"] == tables and "gauss_segment" not in built
     else:   # one Gauss segment per sector per table
         assert built["gauss_segment"] == built["_leggauss"] == tables * len(t3_layers)
-    assert built.get("OpeningMap", 0) <= len(t3_layers)
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +814,43 @@ def test_inverse_rejects_an_opening_angle_outside_the_circle(monkeypatch, two_la
     monkeypatch.setattr(tube, "newton2", newton_never_runs)
     with pytest.raises(ValueError, match="alpha"):
         solve_inverse_sf(T1_TUBE, alpha, two_layers)
+
+
+# ---------------------------------------------------------------------------
+# dimensional oracle: every length times s scales the walls' radii by s
+# ---------------------------------------------------------------------------
+
+def _walls_at_scale(s):
+    """The inverse solve of T1, the load-free solve of T3 and the scan of T3's
+    sectors, with every length times s: (inverse-sf sectors (Ri, Ro, L), load-free
+    tube radii and l, scan argmin (deg), the argmin's (rho, l), the scan's angles)."""
+    alpha = math.radians(T1_ALPHA_DEG)
+    inv = solve_inverse_sf(TubeGeometry(np.array(T1_TUBE.radii) * s, T1_TUBE.l * s), alpha,
+                           equilibrium_layers())
+    assert all(sec.alpha == alpha for sec in inv.sectors)
+    layers = [replace(layer, sector=SectorGeometry(layer.sector.Ri * s, layer.sector.Ro * s,
+                                                   layer.sector.L * s, layer.sector.alpha))
+              for layer in sectored_layers()]
+    lf = solve_load_free(layers)
+    curve = find_opening_angle(layers, 100.0, 150.0, 5.0)
+    return ([(sec.Ri, sec.Ro, sec.L) for sec in inv.sectors], lf.tube.radii + (lf.tube.l,),
+            curve.argmin_deg, (curve.candidate.rho_interface, curve.candidate.l_open),
+            [a for a, _ in curve.samples])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(s=st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e))
+# a complex step of 1e-20 mm, not 1e-20 x, is a converged wrong answer at 1e-18
+# and a singular Jacobian at 1e-30
+@example(s=1e-18)
+@example(s=1e-30)
+def test_walls_scale_with_their_lengths(s):
+    inv, lf, argmin, cand, angles = _walls_at_scale(s)
+    inv0, lf0, argmin0, cand0, angles0 = _walls_at_scale(1.0)
+    assert_allclose(np.array(inv) / s, inv0, rtol=1e-12, atol=0.0)
+    assert_allclose(np.array(lf) / s, lf0, rtol=1e-12, atol=0.0)
+    assert_allclose(np.array(cand) / s, cand0, rtol=1e-12, atol=0.0)
+    assert abs(argmin - argmin0) <= 1e-10 and angles == angles0
 
 
 # ---------------------------------------------------------------------------
