@@ -68,7 +68,8 @@ from .maxwell import FibreMaxwellParams, IsoMaxwellParams
 TWO_PI = 2.0 * math.pi
 
 # solver defaults
-N_QUAD = 32            # Gauss-Legendre points per layer
+N_QUAD = 24            # Gauss-Legendre points per layer: the fewest with which every accuracy
+                       # oracle of the tests holds on sweeps of its input ranges (README)
 NEWTON_TOL = 1e-13     # infinity-norm of the nondimensional residual: near roundoff
 NEWTON_MAXIT = 25
 CS_STEP = 1e-20        # relative complex step for the Jacobian
@@ -434,13 +435,18 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
 
     Every angle starts from its own closed form: l = L_1 and unit hoop stretch
     at the middle R_n of the first sector, so with a1 = (2*pi - alpha_1) / (2*pi
-    - alpha), r_n = a1 R_n and rho^2 = r_n^2 - a1 (R_n^2 - Ro_1^2).  Returns (x,
-    residual in kPa and kPa mm^2, iterations), of shape (2,) or (2, B).
+    - alpha), r_n = a1 R_n and rho^2 = r_n^2 - a1 (R_n^2 - Ro_1^2).  Where that
+    start would close the inner surface, r_i^2 = a1 (Ri_1^2 - (1 - a1) R_n^2) <= 0
+    (a thick first sector closed far past its own angle), R_n = Ri_1 / sqrt(2 (1 -
+    a1)) instead, so r_i^2 = a1 Ri_1^2 / 2.  Returns (x, residual in kPa and kPa
+    mm^2, iterations), of shape (2,) or (2, B).
     """
     sec = layers[0].sector
     alphas = np.asarray(alpha)
     a1 = (TWO_PI - sec.alpha) / (TWO_PI - alphas)
     Rn = 0.5 * (sec.Ri + sec.Ro)
+    closes = (1.0 - a1) * Rn * Rn >= sec.Ri ** 2
+    Rn = np.where(closes, sec.Ri / np.sqrt(2.0 * np.where(closes, 1.0 - a1, 1.0)), Rn)
     rho0 = np.sqrt(a1 * a1 * Rn * Rn - a1 * (Rn * Rn - sec.Ro ** 2))
     x0 = np.array([rho0, np.full_like(rho0, sec.L)])
     # a batch's states have shape (B, m): the angles vary along the first axis

@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["point-drive", "tube-solve"])
+@pytest.mark.parametrize("workload", ["point-drive", "tube-solve", "opening-scan"])
 def test_bench_point_drive_runs_clean(tmp_path, workload):
     # the harness writes its configs and reports under its own checkout, so it runs on
     # a copy; a failed or wrong unit, or a missing or non-finite end-to-end metric, fails

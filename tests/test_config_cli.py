@@ -1,8 +1,10 @@
 """JSON config parsing and the four CLI workflows (exit codes, CSV, JSON)."""
 
 import ast
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import prestress_tube
@@ -74,6 +78,14 @@ def point_config():
         "program": {"dt_s": 0.002,
                     "keyframes": [[0.0, IDENT], [0.1, F_STRETCH], [0.6, F_STRETCH]]},
     }
+
+
+def opening_map_point_config():
+    """point_config with its F0 from an opening map instead of a matrix."""
+    cfg = point_config()
+    del cfg["f0"]
+    cfg["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
+    return cfg
 
 
 WORKFLOW_CONFIGS = [("inverse-sf", inverse_config), ("load-free", load_free_config),
@@ -972,6 +984,80 @@ def test_cli_exit_2_unresolvable_dt(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# dimensional oracles: every workflow through main, its inputs in scaled units
+# ---------------------------------------------------------------------------
+
+def _unit_factor(name: str, s: float, m: float, tau: float) -> float:
+    """How a config field or an output of this name scales with lengths x s, moduli
+    x m and times x tau, read off its unit suffix; a viscosity (kPa s) is a modulus
+    times a time, an energy (microJ = kPa mm^3) a modulus times a volume."""
+    name = name.lower()
+    for suffix, factor in (("_kpa_s", m * tau), ("_kpa", m), ("_mm", s),
+                           ("_microj", m * s ** 3), ("_s", tau)):
+        if name.endswith(suffix):
+            return factor
+    return 1.0
+
+
+def _scaled_config(cfg: dict, s: float, m: float, tau: float) -> dict:
+    """cfg with every length, modulus, viscosity and time (dt and keyframe times) scaled."""
+    out = {}
+    for key, v in cfg.items():
+        if isinstance(v, dict):
+            out[key] = _scaled_config(v, s, m, tau)
+        elif key == "keyframes":
+            out[key] = [[t * tau, f] for t, f in v]
+        elif isinstance(v, float):
+            out[key] = v * _unit_factor(key, s, m, tau)
+        else:
+            out[key] = v
+    return out
+
+
+def _run_in(tmp, workflow, cfg):
+    """main on cfg in tmp: (key_results, CSV header, CSV rows)."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main([workflow, "--config", str(write_config(tmp, cfg)),
+                   "--out", str(tmp / "out.csv")])
+    assert rc == 0, out.getvalue()
+    _, header, data = read_csv(tmp / "out.csv")
+    return json.loads(out.getvalue())["key_results"], header, data
+
+
+@pytest.fixture(scope="module")
+def scale_tmp(tmp_path_factory):
+    return tmp_path_factory.mktemp("scale")
+
+
+@pytest.mark.parametrize("workflow, make_config",
+                         WORKFLOW_CONFIGS[:3] + [("point-test", opening_map_point_config)])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(s=st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e),
+       m=st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e),
+       tau=st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e))
+def test_cli_results_scale_with_their_units(scale_tmp, workflow, make_config, s, m, tau):
+    # lengths x s, moduli and viscosities x m, times, dt and viscosities x tau:
+    # every result scales by its unit (radii by s, stresses by m, energies by
+    # m s^3, point-test times by tau), and angles, stretches and det Ci stay.
+    # The CSV holds 12 significant digits, so its columns are compared to
+    # 1e-11 of their unit's largest value
+    key0, header0, data0 = _run_in(scale_tmp, workflow, make_config())
+    key, header, data = _run_in(scale_tmp, workflow, _scaled_config(make_config(), s, m, tau))
+    assert set(key) == set(key0) and header == header0 and data.shape == data0.shape
+    for name, v in key.items():
+        if name.endswith("_deg"):
+            assert abs(v - key0[name]) <= 1e-10
+        else:
+            assert v / _unit_factor(name, s, m, tau) == pytest.approx(key0[name], rel=1e-12)
+    factors = np.array([_unit_factor(name, s, m, tau) for name in header])
+    got = data / factors
+    for f in set(factors.tolist()):
+        cols = factors == f
+        assert np.max(np.abs(got[:, cols] - data0[:, cols])) <= \
+            1e-11 * np.max(np.abs(data0[:, cols]))
+
+
+# ---------------------------------------------------------------------------
 # the package holds only code its workflows run
 # ---------------------------------------------------------------------------
 
@@ -994,12 +1080,10 @@ def test_every_definition_is_reached_by_a_workflow(tmp_path, capsys):
     # one run of each workflow, point-test with its F0 from an opening map, and
     # an inverse-sf stopped by its iteration limit enter every function and
     # method the package defines: none is there for the tests alone
-    point = point_config()
-    del point["f0"]
-    point["f0_opening_map"] = {"k": 1.8, "c": 1.1, "ri_mm": 0.71, "Ri_mm": 1.39, "r_mm": 0.9}
     stopped = dict(inverse_config(), solver={"max_iter": 1})
     runs = [("inverse-sf", inverse_config()), ("load-free", load_free_config()),
-            ("energy-scan", scan_config()), ("point-test", point), ("inverse-sf", stopped)]
+            ("energy-scan", scan_config()), ("point-test", opening_map_point_config()),
+            ("inverse-sf", stopped)]
     for name in [n for n in sys.modules if n.split(".")[0] == "prestress_tube"]:
         for obj in vars(sys.modules[name]).values():   # functools.cache'd helpers
             if hasattr(obj, "cache_clear"):

@@ -243,6 +243,26 @@ def test_incompatible_layers_lock_below_both_angles(Ri, h_m, gap, h_a, L, L_rati
     assert curve.e_min_microj <= min(e for _, e in curve.samples) + 1e-12
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(Ri=st.floats(0.9, 1.1), h_m=st.floats(0.35, 0.5), thin=st.floats(0.2, 0.45),
+       L=st.floats(0.8, 1.2), alpha_a=st.floats(90.0, 150.0), wider=st.floats(1.0, 25.0))
+def test_layers_without_a_radial_gap_open_between_their_angles(Ri, h_m, thin, L, alpha_a,
+                                                               wider):
+    # under a thin adventitia (h_a / h_m = thin) what locks the layers is the
+    # radial misfit: with the media's outer sf radius at the adventitia's inner
+    # one, a media opening wider makes the composite open between the two
+    # angles (0.19 to 0.78 of the way up from alpha_a at the corners of these
+    # ranges).  A thick adventitia locks without a gap: h_a = h_m = 0.3 mm on
+    # Ri = 1 mm opens about 0.64 (alpha_m - alpha_a) below alpha_a
+    Ro_m = Ri + h_m
+    media = MaterialLayer.from_constants(
+        **MEDIA_EQ, sector=SectorGeometry(Ri, Ro_m, L, math.radians(alpha_a + wider)))
+    adventitia = MaterialLayer.from_constants(
+        **ADV_EQ, sector=SectorGeometry(Ro_m, Ro_m + thin * h_m, L, math.radians(alpha_a)))
+    curve = find_opening_angle([media, adventitia], 0.0, 180.0, 4.0)
+    assert alpha_a < curve.argmin_deg < alpha_a + wider
+
+
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(j=st.sampled_from([0, 1]), t=st.floats(0.05, 0.95))
 def test_scan_invariant_under_layer_split(j, t):

@@ -517,7 +517,7 @@ def test_wall_solve_backs_off_an_inadmissible_trial(monkeypatch):
                   1.5, 1.8, 1.05, math.radians(140.0)))]
     alpha = math.radians(80.0)
     k1 = (2.0 * math.pi - alpha) / (2.0 * math.pi - MEDIA_SECTOR.alpha)
-    rho = 1.001 * math.sqrt((MEDIA_SECTOR.Ro ** 2 - MEDIA_SECTOR.Ri ** 2) / k1)
+    rho = 1.0001 * math.sqrt((MEDIA_SECTOR.Ro ** 2 - MEDIA_SECTOR.Ri ** 2) / k1)
     domain_errors = []
     residuals = tube.equilibrium_residuals
 
@@ -735,6 +735,51 @@ def test_round_trip_to_roundoff(r_i, thick, split, l, alpha_deg, two, npts):
     fwd = solve_load_free([replace(m, sector=s) for m, s in zip(layers, inv.sectors)],
                           npts=npts)
     assert_allclose(fwd.tube.radii + (fwd.tube.l,), radii + (l,), rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_default_quadrature_resolves_every_workflow(n, seed):
+    # N_QUAD Gauss points per layer already give what 2 N_QUAD give: the scan's
+    # argmin and energies, and both tube solves' quadrature checks, on walls of
+    # 1-3 kernel materials as thick as the round trips' (Ro/Ri up to 2.1 in
+    # one layer).  It fails at N_QUAD = 12, 16, 20 and 22
+    rng = np.random.default_rng(seed)
+    mats = [KERNEL_MATERIALS[i] for i in rng.integers(0, len(KERNEL_MATERIALS), n)]
+    Ri, Ro = rng.uniform(0.8, 1.2), rng.uniform(1.3, 1.7)
+    bounds = Ri + (Ro - Ri) * np.r_[0.0, np.sort(rng.uniform(0.0, 1.0, n - 1)), 1.0]
+    gaps = np.r_[0.0, np.cumsum(rng.uniform(0.0, 0.1, n - 1))]
+    L = rng.uniform(0.8, 2.0)
+    layers = [MaterialLayer(mat, sector=SectorGeometry(
+                  bounds[j] + gaps[j], bounds[j + 1] + gaps[j], L * rng.uniform(0.95, 1.05),
+                  math.radians(rng.uniform(100.0, 170.0))))
+              for j, mat in enumerate(mats)]
+    curve = find_opening_angle(layers, 0.0, 180.0, 4.0)
+    fine = find_opening_angle(layers, 0.0, 180.0, 4.0, npts=2 * tube.N_QUAD)
+    assert abs(curve.argmin_deg - fine.argmin_deg) <= 1e-9
+    e, e_fine = np.array(curve.samples).T[1], np.array(fine.samples).T[1]
+    assert np.max(np.abs(e - e_fine)) <= 1e-12 * np.max(np.abs(e_fine))
+    # each check is |residual at 2 N_QUAD - at N_QUAD| at the converged state,
+    # over the scales (c, c r_o^2) of (p_net, F_red), c the largest matrix modulus
+    lf = solve_load_free(layers)
+    inv = solve_inverse_sf(lf.tube, layers[0].sector.alpha,
+                           [MaterialLayer(mat) for mat in mats])
+    c = max(max(mat.matrix.c1, mat.matrix.c2) for mat in mats)
+    for sol in (lf, inv):
+        check = sol.report.quad_check
+        assert check["p_refine_change"] <= 1e-12 * c
+        assert check["F_refine_change"] <= 1e-12 * c * lf.tube.radii[-1] ** 2
+
+
+def test_load_free_closes_a_thick_sector_opened_wide():
+    # Ro/Ri = 2 opened to 170 deg closes to r_i = 0.28, r_o = 1.03: unit hoop
+    # stretch at the sector's middle would put its inner surface at r_i^2 <= 0,
+    # an inadmissible start whose Jacobian is singular, so the start moves inward
+    sec = SectorGeometry(0.8, 1.6, 1.0, math.radians(170.0))
+    layer = MaterialLayer.from_constants(**MEDIA_EQ)
+    fwd = solve_load_free([replace(layer, sector=sec)])
+    got = solve_inverse_sf(fwd.tube, sec.alpha, [layer]).sectors[0]
+    assert_allclose((got.Ri, got.Ro, got.L), (sec.Ri, sec.Ro, sec.L), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha_deg", [0.0, 80.0, 124.6, 200.0, 340.0])
