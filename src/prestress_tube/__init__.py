@@ -24,7 +24,7 @@ from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState, fibre_
 from .tube import (MaterialLayer, SectorGeometry, SolverReport, TubeGeometry, WallSolution,
                    equilibrium_residuals, gauss_segment, glued_radii, newton2, solve_inverse_sf,
                    solve_load_free, wall_stress_profile)
-from .opening import EnergyCurve, OpenedStateCandidate, find_opening_angle, opened_energy
+from .opening import EnergyCurve, find_opening_angle, opened_energy
 from .driver import LoadProgram, PointTrace, run_point
 from . import config, tensor
 

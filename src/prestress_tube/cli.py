@@ -121,8 +121,7 @@ def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     curve = find_opening_angle(layers, *grid, **solver)
     _write_csv(out_path, ["alpha_deg", "E_microJ"], curve.samples, cfg_hash)
     key = {"argmin_deg": curve.argmin_deg, "e_min_microj": curve.e_min_microj,
-           "rho_interface_mm": curve.candidate.rho_interface,
-           "l_open_mm": curve.candidate.l_open}
+           "rho_interface_mm": curve.rho_interface, "l_open_mm": curve.l_open}
     return _summary("energy-scan", curve.report, key, out_path)
 
 

@@ -77,6 +77,8 @@ def load_config(path: str):
         cfg = json.loads(raw.decode('utf-8'), object_pairs_hook=_Fields)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}")
+    except ValueError as e:   # not UTF-8, or an integer of more digits than int() reads
+        raise e if isinstance(e, ConfigError) else ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg, raw
@@ -92,7 +94,10 @@ def _number(v, field: str) -> float:
     """v as a float, for a JSON number: no string, no boolean."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f'field "{field}" must be a number (got {v!r})')
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:   # an integer beyond the float range
+        raise ConfigError(f'field "{field}" must be a finite number (got {len(str(abs(v)))} digits)')
 
 
 def _matrix(v, field: str) -> np.ndarray:

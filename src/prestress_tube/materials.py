@@ -194,12 +194,11 @@ def material_columns(mats, n: int = 1):
     return cols[0], cols[1], tuple(groups.values())
 
 
-def diagonal_stress_differences(l2, mat):
+def diagonal_stress_differences(l2, cols):
     """(T_22 - T_11, T_33 - T_11) of the Cauchy stress F_sf S F_sf^T, S =
-    isochoric_pk2 of equilibrium_sbar, at F_sf = diag(sqrt(l2)); the
-    incompressibility pressure cancels from these differences.  mat is an
-    EquilibriumMaterial or per-node columns (material_columns)."""
-    c1, c2, groups = material_columns([mat]) if isinstance(mat, EquilibriumMaterial) else mat
+    isochoric_pk2 of equilibrium_sbar, at F_sf = diag(sqrt(l2)) on the per-node columns
+    cols (material_columns); the incompressibility pressure cancels from them."""
+    c1, c2, groups = cols
     inv = (l2[1] * l2[2], l2[2] * l2[0], l2[0] * l2[1])   # 1/l2_i
     t = [c1 * s - c2 * v for s, v in zip(l2, inv)]
     for n, k1, k2, *a2 in groups:
@@ -209,10 +208,10 @@ def diagonal_stress_differences(l2, mat):
     return t[1] - t[0], t[2] - t[0]
 
 
-def diagonal_energy(l2, mat):
-    """Stored energy of the matrix and all fibre families at C_sf = diag(l2) for
-    det = l2_1 l2_2 l2_3 = 1, per unit reference volume (kPa = microJ/mm^3)."""
-    c1, c2, groups = material_columns([mat]) if isinstance(mat, EquilibriumMaterial) else mat
+def diagonal_energy(l2, cols):
+    """Stored energy of the matrix and all fibre families at C_sf = diag(l2), det = 1,
+    per unit reference volume (kPa = microJ/mm^3), on the per-node columns cols."""
+    c1, c2, groups = cols
     inv = l2[0] * l2[1] + l2[1] * l2[2] + l2[2] * l2[0]   # sum of 1/l2_i
     w = 0.5 * c1 * (sum(l2) - 3.0) + 0.5 * c2 * (inv - 3.0)
     for n, k1, k2, *a2 in groups:

@@ -37,42 +37,23 @@ from .tube import (N_QUAD, NEWTON_MAXIT, NEWTON_TOL, TWO_PI, MaterialLayer, Solv
                    _solve_sector, _solve_wall, sector_residuals)
 
 
-@dataclass(frozen=True)
-class OpenedStateCandidate:
-    """Trial opened configuration: angle (rad), anchor radius and length (mm).
-
-    rho_interface is the current radius at which the innermost layer's outer
-    sf radius sits: its interface with the next layer, or the outer radius of
-    a one-layer wall.
-    """
-    alpha_trial: float
-    rho_interface: float
-    l_open: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha_trial < TWO_PI:
-            raise ValueError("need 0 <= alpha_trial < 2*pi")
-        if self.rho_interface <= 0.0 or self.l_open <= 0.0:
-            raise ValueError("need positive rho_interface and l_open")
-
-
 @dataclass
 class EnergyCurve:
     """Energy samples over the angle grid plus the argmin."""
     samples: list              # (alpha_deg, E_microJ), sorted by angle
     argmin_deg: float
     e_min_microj: float
-    candidate: OpenedStateCandidate   # equilibrated state at the argmin
-    report: SolverReport       # residuals p_net_kpa, F_red_kpa_mm2, moment_kpa_mm2 of the
-                               # candidate; iterations of the argmin's (rho, l, alpha)
-                               # solve, 0 when the argmin is a grid sample
+    rho_interface: float       # the argmin's state (mm): the current radius of the first
+    l_open: float              # layer's outer sf radius, and the length
+    report: SolverReport       # residuals p_net_kpa, F_red_kpa_mm2, moment_kpa_mm2 there;
+                               # iterations of its (rho, l, alpha) solve, 0 at a grid sample
 
 
-def opened_energy(wall, cand: OpenedStateCandidate) -> float:
+def opened_energy(wall, rho, l, alpha) -> float:
     """Stored equilibrium energy (microJ) of the opened composite on a tube.sector_residuals
-    wall: E = (2*pi - alpha) l_open int W r dr = sum_j (2*pi - alpha_j) L_j int W R dR."""
-    e = wall(cand.rho_interface, cand.l_open, cand.alpha_trial, energy=True)[3]
-    return float((TWO_PI - cand.alpha_trial) * cand.l_open * e)
+    wall at its unknowns (rho, l, alpha): E = (2*pi - alpha) l int W r dr = sum_j (2*pi -
+    alpha_j) L_j int W R dR."""
+    return float((TWO_PI - alpha) * l * wall(rho, l, alpha, energy=True)[3])
 
 
 def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 0.0,
@@ -111,8 +92,8 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
             raise NoConvergence(f"cut-moment root left the grid cell {angles[min(i, j)]:g}.."
                                 f"{angles[max(i, j)]:g} deg", y,
                                 {'moment_kpa_mm2': float(res[2])}, iterations)
-    cand = OpenedStateCandidate(float(y[2]), float(y[0]), float(y[1]))
-    a_min, e_min = ((math.degrees(y[2]), opened_energy(wall, cand)) if iterations
+    rho, l, alpha_min = map(float, y)
+    a_min, e_min = ((math.degrees(alpha_min), opened_energy(wall, rho, l, alpha_min)) if iterations
                     else (float(angles[i]), float(energies[i])))
     residuals = dict(zip(('p_net_kpa', 'F_red_kpa_mm2', 'moment_kpa_mm2'), map(float, res)))
-    return EnergyCurve(samples, a_min, e_min, cand, SolverReport(True, iterations, residuals))
+    return EnergyCurve(samples, a_min, e_min, rho, l, SolverReport(True, iterations, residuals))

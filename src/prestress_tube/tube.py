@@ -113,13 +113,6 @@ class TubeGeometry:
         object.__setattr__(self, 'radii', radii)
 
 
-def _sqrt_positive(rad):
-    """The sf radius sqrt(rad), for a radicand positive in its real part."""
-    if (np.real(rad) <= 0.0).any():
-        raise DomainError("sf radius radicand not positive")
-    return np.sqrt(rad)
-
-
 # ---------------------------------------------------------------------------
 # material layer bundle
 # ---------------------------------------------------------------------------
@@ -262,8 +255,10 @@ def wall_stress_profile(layers: Sequence[MaterialLayer], sectors, radii, l, alph
     r = np.concatenate((rs, nodes.reshape(-1, len(rb) - 1)))
     a, L, Ri = np.array([[TWO_PI - sec.alpha, sec.L, sec.Ri] for sec in sectors]).T
     s = TWO_PI - alpha
-    R = _sqrt_positive(Ri ** 2 + s * l / (a * L) * (r ** 2 - rb[:-1] ** 2))
-    lt, lz = (s * r / (a * R)) ** 2, (l / L) ** 2
+    R2 = Ri ** 2 + s * l / (a * L) * (r ** 2 - rb[:-1] ** 2)
+    if (R2 <= 0.0).any():
+        raise DomainError("sf radius radicand not positive")
+    lt, lz = (s * r / a) ** 2 / R2, (l / L) ** 2
     dth, dzz = diagonal_stress_differences((1.0 / (lt * lz), lt, lz),
                                            material_columns([layer.equilibrium for layer in layers]))
     c = np.cumsum((half * (w @ (dth / r)[n:].reshape(nodes.shape))).T).reshape(half.T.shape)

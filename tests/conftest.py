@@ -1,6 +1,7 @@
 """Shared fixtures: reference parameter sets, random-tensor factories, oracles."""
 
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.integrate import solve_ivp
 
 from prestress_tube import (
     MaterialLayer,
-    OpenedStateCandidate,
     SectorGeometry,
     TubeGeometry,
     cauchy_from_pk2,
@@ -74,25 +74,29 @@ def split_sectored_layer(layers, j, t):
     return list(layers[:j]) + halves + list(layers[j + 1:]), Rs
 
 
+# an opened sector's state: the glued wall's unknowns (mm, mm, rad) in its kernel's order
+OpenedState = namedtuple("OpenedState", "rho_interface l_open alpha_trial")
+
+
 def equilibrate_opened(layers, alpha_trial, npts=N_QUAD):
-    """(OpenedStateCandidate, energy, (p_net, F_red)) equilibrated at a fixed trial
-    angle by Newton on sector equilibrium."""
+    """(OpenedState, energy, (p_net, F_red)) equilibrated at a fixed trial angle
+    by Newton on sector equilibrium."""
     wall = sector_residuals(layers, npts)
     x, f, _ = _solve_sector(layers, wall, alpha_trial)
-    cand = OpenedStateCandidate(alpha_trial, float(x[0]), float(x[1]))
-    return cand, opened_energy(wall, cand), f
+    state = OpenedState(float(x[0]), float(x[1]), alpha_trial)
+    return state, opened_energy(wall, *state), f
 
 
-def opened_profile(layers, cand):
+def opened_profile(layers, state):
     """Stress profile of the opened sector: the glued wall at the trial angle."""
     secs = [layer.sector for layer in layers]
-    radii = glued_radii(secs, cand.rho_interface, cand.l_open, cand.alpha_trial)
-    return wall_stress_profile(layers, secs, radii, cand.l_open, cand.alpha_trial)
+    radii = glued_radii(secs, *state)
+    return wall_stress_profile(layers, secs, radii, state.l_open, state.alpha_trial)
 
 
-def opened_residuals(layers, cand, npts=N_QUAD):
-    """(p_net, F_red, M) of the opened sector at a candidate state."""
-    return sector_residuals(layers, npts)(cand.rho_interface, cand.l_open, cand.alpha_trial)
+def opened_residuals(layers, state, npts=N_QUAD):
+    """(p_net, F_red, M) of the opened sector at an OpenedState."""
+    return sector_residuals(layers, npts)(*state)
 
 
 @pytest.fixture

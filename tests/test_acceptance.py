@@ -55,6 +55,7 @@ from conftest import (
     rand_motion,
     rand_spd,
     rand_unimodular,
+    OpenedState,
     opened_profile,
     sectored_layers,
 )
@@ -136,7 +137,8 @@ def test_criterion_3_locking_angle():
 def test_criterion_4_residual_stress_after_cut():
     layers = sectored_layers()
     curve = find_opening_angle(layers, 118.0, 130.0, 2.0)
-    prof = opened_profile(layers, curve.candidate)
+    prof = opened_profile(layers, OpenedState(curve.rho_interface, curve.l_open,
+                                              math.radians(curve.argmin_deg)))
     hoop_max = float(np.max(np.abs(prof[:, 2])))
     ok = hoop_max > 0.1
     assert report(4, ok, f"max |T_theta| = {hoop_max:.4f} kPa at "

@@ -104,6 +104,12 @@ def run_cli(capsys, *argv):
     return rc, cap.out, cap.err
 
 
+def fresh_process_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(prestress_tube.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     comment, header = lines[0], lines[1].split(",")
@@ -924,6 +930,50 @@ def test_cli_exit_2_on_overflow(tmp_path, capsys, workflow, block, key):
                                         "singular Jacobian"))
 
 
+@pytest.mark.parametrize("text", [
+    b'{"workflow": "inverse-sf", "output": "\xff.csv"}',             # not UTF-8
+    b'{"workflow": "inverse-sf", "l_mm": 1' + b"0" * 5000 + b"}",   # past int()'s digit limit
+], ids=["non-utf8-byte", "over-long-integer"])
+def test_cli_exit_1_on_undecodable_config(tmp_path, text):
+    # a config that json cannot turn into values is a config error, in a fresh
+    # process as from the shell: one "config error:" line, not a traceback
+    path = tmp_path / "run.json"
+    path.write_bytes(text)
+    proc = subprocess.run([sys.executable, "-m", "prestress_tube.cli", "inverse-sf", "--config",
+                           str(path), "--out", str(tmp_path / "x.csv")],
+                          capture_output=True, text=True, env=fresh_process_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("config error: config is not valid JSON: ")
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("workflow, field", [
+    ("inverse-sf", "media.c1_kpa"),
+    ("inverse-sf", "geometry.r_o_mm"),
+    ("point-test", "f0[0][0]"),
+    ("point-test", "program.keyframes[1][0]"),
+    ("energy-scan", "grid.step_deg"),
+    ("load-free", "solver.tol"),
+])
+def test_cli_exit_1_on_integer_beyond_float_range(tmp_path, capsys, workflow, field):
+    # an integer literal past the float range, 10^400, is invalid input naming its
+    # field, as 1e400 is; not an OverflowError exit 2
+    cfg = dict(WORKFLOW_CONFIGS)[workflow]()
+    big = 10 ** 400
+    if field == "f0[0][0]":
+        cfg["f0"] = [[big, 0.0, 0.0], IDENT[1], IDENT[2]]
+    elif field.startswith("program"):
+        cfg["program"]["keyframes"][1][0] = big
+    else:
+        block, key = field.split(".")
+        cfg.setdefault(block, {})[key] = big
+    rc, stdout, stderr = run_cli(capsys, workflow, "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert (rc, stdout) == (1, "")
+    assert stderr.startswith("config error:") and stderr.count("\n") == 1
+    assert f'field "{field}" must be a finite number (got 401 digits)' in stderr
+
+
 def test_cli_c1_zero_round_trip(tmp_path, capsys):
     # a matrix with c1 = 0 < c2 (Mooney-Rivlin admits it): inverse-sf, then load-free on
     # its sectors, solved to 1e-14, gives the tube back to 1e-13
@@ -955,14 +1005,12 @@ def test_cli_point_test_config_hash_without_hashlib(tmp_path):
     # point-test never loads hashlib's OpenSSL backend for it
     cfg_path = write_config(tmp_path, point_config())
     out = tmp_path / "trace.csv"
-    src = str(Path(prestress_tube.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = ("import sys\n"
               "from prestress_tube.cli import main\n"
               f"rc = main(['point-test', '--config', {str(cfg_path)!r}, '--out', {str(out)!r}])\n"
               "print(rc, '_hashlib' in sys.modules, 'hashlib' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=fresh_process_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False False"
     digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()

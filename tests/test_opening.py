@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from prestress_tube import (
     MaterialLayer,
-    OpenedStateCandidate,
     SectorGeometry,
     find_opening_angle,
     opened_energy,
@@ -23,7 +22,7 @@ from prestress_tube import tensor as tn
 from prestress_tube.errors import NoConvergence
 from prestress_tube.tube import sector_residuals
 
-from conftest import (ADV_EQ, ADV_SECTOR, MEDIA_EQ, MEDIA_SECTOR, equilibrate_opened,
+from conftest import (ADV_EQ, ADV_SECTOR, MEDIA_EQ, MEDIA_SECTOR, OpenedState, equilibrate_opened,
                       opened_residuals, sectored_layers, split_sectored_layer)
 from reference import equilibrium_energy_sf, glued_opening_maps
 
@@ -41,8 +40,8 @@ def load_free_profile(layers):
 # ---------------------------------------------------------------------------
 
 def test_opened_energy_matches_fine_trapezoid(t3_layers):
-    cand = OpenedStateCandidate(math.radians(40.0), 1.05, 1.1)
-    e_gauss = opened_energy(sector_residuals(t3_layers), cand)
+    cand = OpenedState(1.05, 1.1, math.radians(40.0))
+    e_gauss = opened_energy(sector_residuals(t3_layers), *cand)
     e_trap = 0.0
     secs = [layer.sector for layer in t3_layers]
     maps = glued_opening_maps(secs, cand.alpha_trial, cand.rho_interface, cand.l_open)
@@ -58,8 +57,8 @@ def test_opened_energy_matches_fine_trapezoid(t3_layers):
 def test_opened_energy_zero_at_own_sector():
     # a single layer opened to its own angle at its own geometry is unstrained
     layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR)
-    cand = OpenedStateCandidate(MEDIA_SECTOR.alpha, MEDIA_SECTOR.Ro, MEDIA_SECTOR.L)
-    assert opened_energy(sector_residuals([layer]), cand) == pytest.approx(0.0, abs=1e-14)
+    cand = OpenedState(MEDIA_SECTOR.Ro, MEDIA_SECTOR.L, MEDIA_SECTOR.alpha)
+    assert opened_energy(sector_residuals([layer]), *cand) == pytest.approx(0.0, abs=1e-14)
     m, = glued_opening_maps([MEDIA_SECTOR], cand.alpha_trial, cand.rho_interface, cand.l_open)
     R = np.linspace(MEDIA_SECTOR.Ri, MEDIA_SECTOR.Ro, 5)
     F = np.linalg.inv(m.F0(m.radius_current(R)))
@@ -67,8 +66,8 @@ def test_opened_energy_zero_at_own_sector():
 
 
 def test_opened_energy_positive_off_equilibrium(t3_layers):
-    cand = OpenedStateCandidate(math.radians(40.0), 1.05, 1.1)
-    assert opened_energy(sector_residuals(t3_layers), cand) > 0.0
+    cand = OpenedState(1.05, 1.1, math.radians(40.0))
+    assert opened_energy(sector_residuals(t3_layers), *cand) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +97,10 @@ def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
     cand, e, _ = equilibrate_opened(t3_layers, alpha)
     # energy stationarity in both inner unknowns
     for dx in ((1e-5, 0.0), (0.0, 1e-5)):
-        up = OpenedStateCandidate(alpha, cand.rho_interface + dx[0], cand.l_open + dx[1])
-        dn = OpenedStateCandidate(alpha, cand.rho_interface - dx[0], cand.l_open - dx[1])
+        up = (cand.rho_interface + dx[0], cand.l_open + dx[1], alpha)
+        dn = (cand.rho_interface - dx[0], cand.l_open - dx[1], alpha)
         wall = sector_residuals(t3_layers)
-        slope = (opened_energy(wall, up) - opened_energy(wall, dn)) / (2e-5)
+        slope = (opened_energy(wall, *up) - opened_energy(wall, *dn)) / (2e-5)
         assert abs(slope) < 1e-6
     # stationarity coincides with sector equilibrium (net traction balance)
     p_net, f_red, _ = opened_residuals(t3_layers, cand)
@@ -152,9 +151,9 @@ def test_scan_locking_regression(t3_layers):
     samples = dict(curve.samples)
     assert min(samples) == 100.0 and max(samples) == 150.0
     assert curve.e_min_microj <= min(samples.values()) + 1e-12
-    # equilibrated candidate is returned for downstream stress evaluation
-    assert curve.candidate.rho_interface > 0.0
-    assert curve.candidate.l_open > 0.0
+    # the equilibrated state at the argmin is returned for downstream stress evaluation
+    assert curve.rho_interface > 0.0
+    assert curve.l_open > 0.0
 
 
 def test_scan_argmin_is_dense_energy_argmin(t3_layers):
@@ -202,7 +201,7 @@ def test_scan_argmin_is_independent_of_its_start(t3_layers, monkeypatch, grid):
     (layers, wall, y0, _, tol, max_iter), = calls
     a_deg = min(curve.samples, key=lambda s: s[1])[0]
     cand = equilibrate_opened(t3_layers, math.radians(a_deg))[0]
-    y = np.array([cand.rho_interface, cand.l_open, cand.alpha_trial])
+    y = np.array(cand)
     assert abs(math.degrees(y0[2]) - a_deg) > 0.05 * grid[2]
     x, _, _ = solve_wall(layers, wall, y, y[0], tol, max_iter)
     assert abs(math.degrees(x[2]) - curve.argmin_deg) < 1e-10
@@ -243,9 +242,26 @@ def test_incompatible_layers_lock_below_both_angles(Ri, h_m, gap, h_a, L, L_rati
     assert curve.e_min_microj <= min(e for _, e in curve.samples) + 1e-12
 
 
+def thin_adventitia_argmin(Ri, h_m, thin, L, alpha_a, wider, gap=0.0):
+    """The composite angle (deg) of a media sector (Ri to Ri + h_m) opened wider
+    than an adventitia of thickness thin * h_m whose inner sf radius lies a
+    stress-free gap above the media's outer one, both of length L."""
+    Ro_m = Ri + h_m
+    media = MaterialLayer.from_constants(
+        **MEDIA_EQ, sector=SectorGeometry(Ri, Ro_m, L, math.radians(alpha_a + wider)))
+    adventitia = MaterialLayer.from_constants(
+        **ADV_EQ, sector=SectorGeometry(Ro_m + gap, Ro_m + gap + thin * h_m, L,
+                                        math.radians(alpha_a)))
+    return find_opening_angle([media, adventitia], 0.0, 180.0, 4.0).argmin_deg
+
+
+THIN_ADVENTITIA_WALLS = dict(Ri=st.floats(0.9, 1.1), h_m=st.floats(0.35, 0.5),
+                             thin=st.floats(0.2, 0.45), L=st.floats(0.8, 1.2),
+                             alpha_a=st.floats(90.0, 150.0))
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(Ri=st.floats(0.9, 1.1), h_m=st.floats(0.35, 0.5), thin=st.floats(0.2, 0.45),
-       L=st.floats(0.8, 1.2), alpha_a=st.floats(90.0, 150.0), wider=st.floats(1.0, 25.0))
+@given(**THIN_ADVENTITIA_WALLS, wider=st.floats(1.0, 25.0))
 def test_layers_without_a_radial_gap_open_between_their_angles(Ri, h_m, thin, L, alpha_a,
                                                                wider):
     # under a thin adventitia (h_a / h_m = thin) what locks the layers is the
@@ -254,13 +270,28 @@ def test_layers_without_a_radial_gap_open_between_their_angles(Ri, h_m, thin, L,
     # angles (0.19 to 0.78 of the way up from alpha_a at the corners of these
     # ranges).  A thick adventitia locks without a gap: h_a = h_m = 0.3 mm on
     # Ri = 1 mm opens about 0.64 (alpha_m - alpha_a) below alpha_a
-    Ro_m = Ri + h_m
-    media = MaterialLayer.from_constants(
-        **MEDIA_EQ, sector=SectorGeometry(Ri, Ro_m, L, math.radians(alpha_a + wider)))
-    adventitia = MaterialLayer.from_constants(
-        **ADV_EQ, sector=SectorGeometry(Ro_m, Ro_m + thin * h_m, L, math.radians(alpha_a)))
-    curve = find_opening_angle([media, adventitia], 0.0, 180.0, 4.0)
-    assert alpha_a < curve.argmin_deg < alpha_a + wider
+    assert alpha_a < thin_adventitia_argmin(Ri, h_m, thin, L, alpha_a, wider) < alpha_a + wider
+
+
+def _ordered_pair(lo, hi, least):
+    """Two draws in [lo, hi], ascending and at least least apart."""
+    return (st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted)
+            .filter(lambda p: p[1] - p[0] >= least))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**THIN_ADVENTITIA_WALLS, wider=_ordered_pair(1.0, 25.0, 0.1),
+       gap=_ordered_pair(0.0, 0.1, 1e-3))
+def test_composite_angle_rises_with_the_angle_difference_and_falls_with_the_gap(
+        Ri, h_m, thin, L, alpha_a, wider, gap):
+    # on the walls above with a stress-free gap of 0 to 0.1 mm between the
+    # layers: a media opened wider pulls the composite open, a wider gap lets
+    # the layers lock further (no draw of 300 rose by less than 0.25 deg per
+    # deg of alpha_m - alpha_a or fell by less than 40 deg per mm of gap)
+    wall = (Ri, h_m, thin, L, alpha_a)
+    base = thin_adventitia_argmin(*wall, wider[0], gap[0])
+    assert thin_adventitia_argmin(*wall, wider[1], gap[0]) > base
+    assert thin_adventitia_argmin(*wall, wider[0], gap[1]) < base
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)

@@ -222,7 +222,8 @@ def test_closed_form_kernel_matches_tensor_route(c1, c2, k1, k2, beta_deg, k, c,
         t_terms = t_terms + (2.0 * fp.k1 * np.exp(fp.k2 * u * u) * (1.0 + 2.0 * fp.k2 * u * u)
                              * (u + 2.0) * (u + 1.0))
         w_terms = w_terms + fp.k1 / (2.0 * fp.k2) * (np.exp(fp.k2 * u * u) + 1.0)
-    _assert_roundoff_close([*diagonal_stress_differences(l2, mat), diagonal_energy(l2, mat)],
+    cols = material_columns([mat])
+    _assert_roundoff_close([*diagonal_stress_differences(l2, cols), diagonal_energy(l2, cols)],
                            [T[:, 1, 1] - T[:, 0, 0], T[:, 2, 2] - T[:, 0, 0], w],
                            [t_terms, t_terms, w_terms])
 
@@ -237,10 +238,11 @@ def test_closed_form_kernel_takes_any_fibre_direction():
     for i in range(3):
         F[:, i, i] = np.sqrt(l2[i])
     T = extra_cauchy_equilibrium(F, mat)
-    dth, dzz = diagonal_stress_differences(l2, mat)
+    cols = material_columns([mat])
+    dth, dzz = diagonal_stress_differences(l2, cols)
     assert_allclose(dth, T[:, 1, 1] - T[:, 0, 0], rtol=1e-13)
     assert_allclose(dzz, T[:, 2, 2] - T[:, 0, 0], rtol=1e-13)
-    assert_allclose(diagonal_energy(l2, mat), equilibrium_energy_sf(tn.transpose(F) @ F, mat),
+    assert_allclose(diagonal_energy(l2, cols), equilibrium_energy_sf(tn.transpose(F) @ F, mat),
                     rtol=1e-13)
 
 
@@ -381,9 +383,8 @@ def test_three_layer_mixed_material_wall_matches_segment_route(mats, Ri, h, gap,
                     atol=1e-12 * e_max)
     assert curve.e_min_microj == pytest.approx(ref_curve.e_min_microj, rel=1e-12,
                                                abs=1e-12 * e_max)
-    assert_allclose([curve.argmin_deg, curve.candidate.rho_interface, curve.candidate.l_open],
-                    [ref_curve.argmin_deg, ref_curve.candidate.rho_interface,
-                     ref_curve.candidate.l_open], rtol=1e-12)
+    assert_allclose([curve.argmin_deg, curve.rho_interface, curve.l_open],
+                    [ref_curve.argmin_deg, ref_curve.rho_interface, ref_curve.l_open], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +783,20 @@ def test_load_free_closes_a_thick_sector_opened_wide():
     assert_allclose((got.Ri, got.Ro, got.L), (sec.Ri, sec.Ro, sec.L), rtol=1e-12, atol=0.0)
 
 
+def test_quad_check_flags_an_under_resolved_wall():
+    # Ro/Ri = 2 opened to 200 deg closes to r_o/r_i = 4.6 (0.198 to 0.914 mm), past
+    # the walls the default node count resolves: the 1/r^2 integrand near its small
+    # inner radius moves the converged net pressure by 1.2e-9 kPa when the nodes
+    # double from N_QUAD = 24, above the 1e-12 c that
+    # test_default_quadrature_resolves_every_workflow allows, and by 1.7e-13 from 32
+    sec = SectorGeometry(0.8, 1.6, 1.0, math.radians(200.0))
+    layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=sec)
+    c = max(MEDIA_EQ["c1"], MEDIA_EQ["c2"])
+    coarse, fine = (solve_load_free([layer], npts).report.quad_check["p_refine_change"]
+                    for npts in (tube.N_QUAD, 32))
+    assert coarse > 1e-12 * c > fine
+
+
 @pytest.mark.parametrize("alpha_deg", [0.0, 80.0, 124.6, 200.0, 340.0])
 def test_sector_solve_is_independent_of_its_start(monkeypatch, t3_layers, alpha_deg):
     # from its start next to the root and from the start it took before (rho
@@ -879,7 +894,7 @@ def _walls_at_scale(s):
     lf = solve_load_free(layers)
     curve = find_opening_angle(layers, 100.0, 150.0, 5.0)
     return ([(sec.Ri, sec.Ro, sec.L) for sec in inv.sectors], lf.tube.radii + (lf.tube.l,),
-            curve.argmin_deg, (curve.candidate.rho_interface, curve.candidate.l_open),
+            curve.argmin_deg, (curve.rho_interface, curve.l_open),
             [a for a, _ in curve.samples])
 
 
