@@ -37,26 +37,21 @@ PROFILE_HEADER = ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"]
 def _write_csv(path: str, header, rows, cfg_hash: str):
     """A comment line, then the header and FLOAT_FMT rows as csv.writer writes them: one
     "%.12g" %-format for all rows, written as one buffer.  An existing file is overwritten
-    in place, then trimmed to the new length if it is a regular file (/dev/null and other
-    non-regular targets take no trim).  Opening with truncation freed and discarded every
-    block of the old file first: 0.1-0.5 ms per ~16 KB rewrite on ext4 mounted with
-    discard, against 9-15 us to overwrite and trim.  Not atomic, as truncate-on-open was
-    not: a kill during the write leaves a broken file.  A new file gets mode
-    0o666 & ~umask, as open(path, 'w') gives it."""
+    in place (no O_TRUNC), then trimmed to the new length if it is a regular file
+    (/dev/null and other non-regular targets take no trim).  Opening with truncation
+    freed and discarded every block of the old file first: 0.1-0.5 ms per ~16 KB rewrite
+    on ext4 mounted with discard, against 9-15 us to overwrite and trim.  Not atomic, as
+    truncate-on-open was not: a kill during the write leaves a broken file.  A new file
+    gets mode 0o666 & ~umask, as open(path, 'w') gives it."""
     line = ",".join(["%.12g"] * len(header)) + "\r\n"
     data = (f"# prestress-tube {__version__} config_sha256={cfg_hash}\n" + ",".join(header)
             + "\r\n" + (line * len(rows)) % tuple(np.asarray(rows, dtype=float).ravel().tolist())
             ).encode()
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            view = memoryview(data)
-            while view:   # os.write may write less than it is given
-                view = view[os.write(fd, view):]
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, len(data))
-        finally:
-            os.close(fd)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as e:
         raise ConfigError(f"cannot write output file {path}: {e}")
 
@@ -74,26 +69,17 @@ def _summary(workflow: str, report: SolverReport, key: dict, out_path: str) -> d
 
 def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg)
-    geom_block = config.get_block(cfg, "geometry")
-    tube_geom = config.parse_tube(geom_block, "geometry", need_interface=len(layers) == 2)
-    alpha_deg = config.get_number(geom_block, "alpha_deg", "geometry")
-    if not 0.0 <= alpha_deg < 360.0:
-        raise ConfigError(f'field "geometry.alpha_deg" must be in [0, 360) (got {alpha_deg})')
-    alpha = math.radians(alpha_deg)
+    tube_geom, alpha = config.parse_tube(config.get_block(cfg, "geometry"), "geometry",
+                                         len(layers))
     solver = config.parse_solver(cfg, args.tol)
     config.reject_unread(cfg)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **solver)
     _write_csv(out_path, PROFILE_HEADER,
                wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l), cfg_hash)
-    key = {
-        "Ri_mm": sol.sectors[0].Ri,
-        "Ro_mm": sol.sectors[-1].Ro,
-        "L_mm": sol.sectors[0].L,
-        "alpha_deg": math.degrees(alpha),
-    }
-    if len(sol.sectors) == 2:
-        key["R_interface_mm"] = sol.sectors[0].Ro
+    radii = [sol.sectors[0].Ri] + [sector.Ro for sector in sol.sectors]
+    key = dict(zip(config.boundary_keys(len(layers), "Ri_mm", "R_interface_mm", "Ro_mm"), radii),
+               L_mm=sol.sectors[0].L, alpha_deg=math.degrees(alpha))
     return _summary("inverse-sf", sol.report, key, out_path)
 
 
@@ -105,10 +91,8 @@ def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     sol = solve_load_free(layers, **solver)
     _write_csv(out_path, PROFILE_HEADER,
                wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l), cfg_hash)
-    radii = sol.tube.radii
-    key = {"r_i_mm": radii[0], "r_o_mm": radii[-1], "l_mm": sol.tube.l}
-    if len(radii) == 3:
-        key["r_interface_mm"] = radii[1]
+    key = dict(zip(config.boundary_keys(len(layers), "r_i_mm", "r_interface_mm", "r_o_mm"),
+                   sol.tube.radii), l_mm=sol.tube.l)
     return _summary("load-free", sol.report, key, out_path)
 
 

@@ -1,11 +1,12 @@
 """JSON run-configuration parsing with field-level diagnostics.
 
 Keys are snake_case with unit suffixes so that a config is a literal
-transcription of a parameter table: geometry r_i_mm / r_interface_mm (two
-layers) / r_o_mm / l_mm / alpha_deg (sectors R_i_mm / R_o_mm / L_mm /
-alpha_deg), materials EQUILIBRIUM_KEYS and MAXWELL_KEYS.  A wall workflow reads
-the Maxwell constants of a material that has them and uses its relaxed
-equilibrium response, so one material block serves all four workflows.
+transcription of a parameter table: geometry radii r_i_mm / r_interface_mm /
+r_o_mm by boundary_keys, which follows the layer count, then l_mm / alpha_deg
+(sectors R_i_mm / R_o_mm / L_mm / alpha_deg), materials EQUILIBRIUM_KEYS and
+MAXWELL_KEYS.  A wall workflow reads the Maxwell constants of a material that
+has them and uses its relaxed equilibrium response, so one material block
+serves all four workflows.
 
 One rule for every field: a key that no parser of the workflow reads, at the
 top level or inside a block it reads, is a config error (reject_unread), and
@@ -134,23 +135,35 @@ def parse_workflow(cfg: dict, expected: str):
         raise ConfigError(f'config workflow "{wf}" does not match the requested command "{expected}"')
 
 
+def boundary_keys(n_layers: int, inner: str, interface: str, outer: str) -> tuple:
+    """The keys of the n_layers + 1 boundary radii of a wall, inner to outer."""
+    return (inner,) + (interface,) * (n_layers - 1) + (outer,)
+
+
+def _build(what: str, ctor, /, *args, **kwargs):
+    """ctor(*args, **kwargs) from fields already read: its ValueError is a config error."""
+    try:
+        return ctor(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{what}: {e}")
+
+
 def parse_sector(block: dict, ctx: str) -> SectorGeometry:
-    try:
-        return SectorGeometry(get_number(block, "R_i_mm", ctx), get_number(block, "R_o_mm", ctx),
-                              get_number(block, "L_mm", ctx),
-                              math.radians(get_number(block, "alpha_deg", ctx)))
-    except ValueError as e:
-        raise ConfigError(f'invalid sector "{ctx}": {e}')
+    Ri, Ro, L, alpha_deg = (get_number(block, key, ctx)
+                            for key in ("R_i_mm", "R_o_mm", "L_mm", "alpha_deg"))
+    return _build(f'invalid sector "{ctx}"', SectorGeometry, Ri, Ro, L, math.radians(alpha_deg))
 
 
-def parse_tube(block: dict, ctx: str, need_interface: bool) -> TubeGeometry:
-    """Tube radii r_i_mm, r_interface_mm (two-layer walls only), r_o_mm and l_mm."""
-    keys = ("r_i_mm", "r_interface_mm", "r_o_mm") if need_interface else ("r_i_mm", "r_o_mm")
-    try:
-        return TubeGeometry([get_number(block, key, ctx) for key in keys],
-                            get_number(block, "l_mm", ctx))
-    except ValueError as e:
-        raise ConfigError(f'invalid geometry "{ctx}": {e}')
+def parse_tube(block: dict, ctx: str, n_layers: int):
+    """The tube of an n_layers wall, radii by boundary_keys(n_layers, "r_i_mm",
+    "r_interface_mm", "r_o_mm") and l_mm, and its opening angle alpha_deg in [0, 360):
+    returns (TubeGeometry, alpha in rad)."""
+    keys = boundary_keys(n_layers, "r_i_mm", "r_interface_mm", "r_o_mm")
+    radii = [get_number(block, key, ctx) for key in keys]
+    l, alpha_deg = get_number(block, "l_mm", ctx), get_number(block, "alpha_deg", ctx)
+    if not 0.0 <= alpha_deg < 360.0:
+        raise ConfigError(f'field "{ctx}.alpha_deg" must be in [0, 360) (got {alpha_deg})')
+    return _build(f'invalid geometry "{ctx}"', TubeGeometry, radii, l), math.radians(alpha_deg)
 
 
 def parse_layer(block: dict, ctx: str, need_sector: bool = False,
@@ -160,28 +173,19 @@ def parse_layer(block: dict, ctx: str, need_sector: bool = False,
     kwargs = {name: get_number(block, key, ctx) for name, key in keys.items()}
     if need_sector:
         kwargs["sector"] = parse_sector(get_block(block, "sector", ctx), f"{ctx}.sector")
-    try:
-        return MaterialLayer.from_constants(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f'invalid material "{ctx}": {e}')
+    return _build(f'invalid material "{ctx}"', MaterialLayer.from_constants, **kwargs)
 
 
 def parse_layers(cfg: dict, need_sector: bool = False):
     """The media layer plus, when present, the adventitia layer."""
-    layers = [parse_layer(get_block(cfg, "media"), "media", need_sector)]
-    if "adventitia" in cfg:
-        layers.append(parse_layer(get_block(cfg, "adventitia"), "adventitia", need_sector))
-    return layers
+    return [parse_layer(get_block(cfg, key), key, need_sector)
+            for key in ("media", "adventitia") if key == "media" or key in cfg]
 
 
 def parse_f0(cfg: dict) -> PreStressField:
     """F0 either as an explicit 3x3 matrix or, without one, from an opening map at one radius."""
     if "f0" in cfg:
-        arr = _matrix(cfg["f0"], "f0")
-        try:
-            return PreStressField(arr)
-        except ValueError as e:
-            raise ConfigError(f'invalid "f0": {e}')
+        return _build('invalid "f0"', PreStressField, _matrix(cfg["f0"], "f0"))
     if "f0_opening_map" in cfg:
         ctx = "f0_opening_map"
         b = get_block(cfg, ctx)
@@ -220,10 +224,7 @@ def parse_program(cfg: dict, dt_override: Optional[float] = None) -> LoadProgram
         if not isinstance(item, list) or len(item) != 2:
             raise ConfigError(f'field "{field}" must be [t_s, 3x3 matrix]')
         keyframes.append((_number(item[0], f"{field}[0]"), _matrix(item[1], f"{field}[1]")))
-    try:
-        program = LoadProgram(tuple(keyframes), dt)
-    except ValueError as e:
-        raise ConfigError(f'invalid "program": {e}')
+    program = _build('invalid "program"', LoadProgram, tuple(keyframes), dt)
     if program.t_end / program.dt > MAX_STEPS:
         source = "" if dt_override is None else " (from --dt)"
         raise ConfigError(f'field "program.dt_s"{source} makes {program.t_end / program.dt:.4g} '

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NonPositiveDeterminant, SingularTensor
 
-# module tolerances (tests may monkeypatch)
+# module tolerances
 SYM_TOL = 1e-12       # relative symmetry check
 SINGULAR_TOL = 1e-14  # |det| below this counts as singular
 

@@ -357,7 +357,8 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
     the first n of residuals(*x) = (p_net, F_red, M) over (c, c length^2, c
     length^2), c the largest matrix modulus c1 or c2 (c1 may be 0), length a scalar
     or one per system.  Inadmissible candidates (a length x[0] or x[1] <= 0, a
-    DomainError or an overflow) make every state of the call huge, so the line
+    DomainError, a QuadratureFailure or a floating-point error, raised whatever the
+    caller's numpy error state) make every state of the call huge, so the line
     search backs off.  Returns (x, residual in kPa and kPa mm^2, iterations)."""
     n = len(x0)
     c = max(max(layer.equilibrium.matrix.c1, layer.equilibrium.matrix.c2) for layer in layers)
@@ -365,9 +366,10 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
 
     def resid(x):
         try:
-            if (x[:2].real > 0.0).all():
-                return np.asarray(residuals(*x[..., None])[:n]) / scale
-        except (DomainError, ArithmeticError):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                if (x[:2].real > 0.0).all():
+                    return np.asarray(residuals(*x[..., None])[:n]) / scale
+        except (DomainError, QuadratureFailure, ArithmeticError):
             pass
         return np.full(x.shape, 1e30)
 

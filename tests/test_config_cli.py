@@ -125,7 +125,7 @@ def test_missing_field_is_named():
     cfg = inverse_config()
     del cfg["geometry"]["r_i_mm"]
     with pytest.raises(ConfigError, match=r"geometry\.r_i_mm"):
-        config.parse_tube(cfg["geometry"], "geometry", need_interface=True)
+        config.parse_tube(cfg["geometry"], "geometry", 2)
 
 
 def test_non_numeric_field_rejected():
@@ -474,6 +474,25 @@ def test_cli_inverse_single_layer_no_opening(tmp_path, capsys):
     assert key["Ro_mm"] == pytest.approx(1.2, abs=1e-8)
     assert key["L_mm"] == pytest.approx(2.0, abs=1e-8)
     assert "R_interface_mm" not in key
+
+
+@pytest.mark.parametrize("workflow, make_config, keys", [
+    ("inverse-sf", inverse_config, {"Ri_mm", "R_interface_mm", "Ro_mm", "L_mm", "alpha_deg"}),
+    ("load-free", load_free_config, {"r_i_mm", "r_interface_mm", "r_o_mm", "l_mm"}),
+])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_cli_radius_key_results_follow_the_layer_count(tmp_path, capsys, workflow, make_config,
+                                                       keys, n_layers):
+    # one interface radius key per boundary between layers, in the config and the results
+    cfg = make_config()
+    if n_layers == 1:
+        del cfg["adventitia"]
+        cfg.get("geometry", {}).pop("r_interface_mm", None)
+        keys = {key for key in keys if "interface" not in key}
+    rc, stdout, _ = run_cli(capsys, workflow, "--config", str(write_config(tmp_path, cfg)),
+                            "--out", str(tmp_path / "x.csv"))
+    assert rc == 0
+    assert set(json.loads(stdout)["key_results"]) == keys
 
 
 # ---------------------------------------------------------------------------
@@ -972,6 +991,27 @@ def test_cli_exit_1_on_integer_beyond_float_range(tmp_path, capsys, workflow, fi
     assert (rc, stdout) == (1, "")
     assert stderr.startswith("config error:") and stderr.count("\n") == 1
     assert f'field "{field}" must be a finite number (got 401 digits)' in stderr
+
+
+@pytest.mark.parametrize("value, message", [("one", "must be a number (got 'one')"),
+                                            (10 ** 400, "must be a finite number (got 401 digits)")],
+                         ids=["string", "401-digit-integer"])
+@pytest.mark.parametrize("workflow, field", [("inverse-sf", "geometry.r_o_mm"),
+                                             ("load-free", "media.sector.R_i_mm")])
+def test_cli_field_error_in_a_built_block_has_one_prefix(tmp_path, capsys, workflow, field,
+                                                         value, message):
+    # a field error inside a geometry or a sector names the field once, with no
+    # "invalid geometry"/"invalid sector" prefix around it
+    cfg = dict(WORKFLOW_CONFIGS)[workflow]()
+    *path, key = field.split(".")
+    block = cfg
+    for name in path:
+        block = block[name]
+    block[key] = value
+    rc, stdout, stderr = run_cli(capsys, workflow, "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert (rc, stdout) == (1, "")
+    assert stderr == f'config error: field "{field}" {message}\n'
 
 
 def test_cli_c1_zero_round_trip(tmp_path, capsys):

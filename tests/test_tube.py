@@ -545,6 +545,19 @@ def test_wall_solve_backs_off_an_inadmissible_trial(monkeypatch):
     assert_allclose(x, ref, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("errstate", ["ignore", "warn", "raise"])
+def test_wall_solve_failure_is_independent_of_numpy_error_state(errstate):
+    # a stiff fibre family (k2 = 50) closed from a 300 deg sector: its trials overflow
+    # the fibre exponential; whatever the caller's numpy error state (warnings are
+    # errors under this suite), the line search backs off them and the solve ends in
+    # NoConvergence at a finite last iterate
+    layer = MaterialLayer.from_constants(3.0, 0.0, 2.0, 50.0, 0.0, sector=SectorGeometry(
+        1.0, 2.0, 1.0, math.radians(300.0)))
+    with np.errstate(all=errstate), pytest.raises(NoConvergence) as info:
+        solve_load_free([layer])
+    assert np.all(np.isfinite(info.value.last_iterate))
+
+
 @pytest.mark.parametrize("workflow", ["inverse-sf", "load-free", "energy-scan"])
 def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, workflow):
     # Gauss nodes and Legendre rules are built per solve, never per Newton
