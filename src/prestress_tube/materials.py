@@ -173,11 +173,12 @@ def equilibrium_sbar(cbar, mat: EquilibriumMaterial, f=None):
 
 
 # ---------------------------------------------------------------------------
-# closed forms for F_sf = diag(lam_i), det = 1, in l2 = (lam_1^2, lam_2^2, lam_3^2):
-# C_sf = diag(l2) = Cbar, 1/l2_i the product of the other two, and a fibre's lam2 =
-# sum_i a_i^2 l2_i.  Only arithmetic and exp appear, so complex arguments pass
-# through (complex-step derivatives).  Fibre families with equal per-node columns
-# (material_columns; a +/- beta pair) share one group: one exp, counted n times.
+# closed forms for F_sf = diag(lam_i), det = 1, in l2 = (lam_1^2, lam_2^2, lam_3^2): C_sf =
+# diag(l2) = Cbar and 1/l2_i is the product of the other two, so the matrix's T_jj - T_11
+# factors into (l2_j - l2_1)(c1 + c2 l2_k), {j, k} = {2, 3}, and a fibre's lam2 = sum_i
+# a_i^2 l2_i adds 2 f(lam2)(a_j^2 l2_j - a_1^2 l2_1).  Only arithmetic and exp appear, so
+# complex arguments pass through (complex-step derivatives).  Fibre families with equal
+# per-node columns (material_columns; a +/- beta pair) share one group: one exp, counted n times.
 # ---------------------------------------------------------------------------
 
 def material_columns(mats, n: int = 1):
@@ -197,15 +198,19 @@ def material_columns(mats, n: int = 1):
 def diagonal_stress_differences(l2, cols):
     """(T_22 - T_11, T_33 - T_11) of the Cauchy stress F_sf S F_sf^T, S =
     isochoric_pk2 of equilibrium_sbar, at F_sf = diag(sqrt(l2)) on the per-node columns
-    cols (material_columns); the incompressibility pressure cancels from them."""
-    c1, c2, groups = cols
-    inv = (l2[1] * l2[2], l2[2] * l2[0], l2[0] * l2[1])   # 1/l2_i
-    t = [c1 * s - c2 * v for s, v in zip(l2, inv)]
-    for n, k1, k2, *a2 in groups:
-        al = [ai * si for ai, si in zip(a2, l2)]
-        f2 = 2.0 * n * fibre_f(al[0] + al[1] + al[2], k1, k2)
-        t = [ti + f2 * x for ti, x in zip(t, al)]
-    return t[1] - t[0], t[2] - t[0]
+    cols (material_columns), in the factored forms above (l2_1 = 1/(l2_2 l2_3)); the
+    pressure cancels from them.  A group forms a_1^2 l2_1 only if its a_1^2 is nonzero."""
+    (c1, c2, groups), (lr, lt, lz) = cols, l2
+    dth, dzz = (lt - lr) * (c1 + c2 * lz), (lz - lr) * (c1 + c2 * lt)
+    for n, k1, k2, ar, at, az in groups:
+        ft, fz = at * lt, az * lz
+        lam2 = ft + fz
+        if ar.any():
+            fr = ar * lr
+            lam2, ft, fz = fr + lam2, ft - fr, fz - fr
+        f2 = 2.0 * n * fibre_f(lam2, k1, k2)
+        dth, dzz = dth + f2 * ft, dzz + f2 * fz
+    return dth, dzz
 
 
 def diagonal_energy(l2, cols):

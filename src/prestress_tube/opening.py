@@ -67,7 +67,7 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
     the cell's two samples to zero moment; without a sign change there
     (minimum on a grid end) it is the lowest sample.
     """
-    if grid_step_deg <= 0.0 or grid_end_deg <= grid_start_deg:
+    if not (0.0 < grid_step_deg < math.inf and -math.inf < grid_start_deg < grid_end_deg < math.inf):
         raise ValueError("invalid angle grid")
     angles = np.arange(grid_start_deg, grid_end_deg + 0.5 * grid_step_deg, grid_step_deg)
     if angles[0] < 0.0 or angles[-1] >= 360.0:

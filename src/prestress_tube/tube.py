@@ -358,7 +358,7 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
     length^2), c the largest matrix modulus c1 or c2 (c1 may be 0), length a scalar
     or one per system.  Inadmissible candidates (a length x[0] or x[1] <= 0, a
     DomainError, a QuadratureFailure or a floating-point error, raised whatever the
-    caller's numpy error state) make every state of the call huge, so the line
+    caller's numpy error state) make every state of the call infinite, so the line
     search backs off.  Returns (x, residual in kPa and kPa mm^2, iterations)."""
     n = len(x0)
     c = max(max(layer.equilibrium.matrix.c1, layer.equilibrium.matrix.c2) for layer in layers)
@@ -369,9 +369,10 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 if (x[:2].real > 0.0).all():
                     return np.asarray(residuals(*x[..., None])[:n]) / scale
-        except (DomainError, QuadratureFailure, ArithmeticError):
-            pass
-        return np.full(x.shape, 1e30)
+        except (DomainError, QuadratureFailure, ArithmeticError) as e:
+            if np.array_equal(x.real[..., 0], x0):   # the start: no step backs off from it
+                raise NoConvergence(f"inadmissible start ({type(e).__name__}: {e})", x0, {}, 0)
+        return np.full(x.shape, np.inf)
 
     x, fhat, iters = newton2(resid, x0, tol=tol, max_iter=max_iter)
     return x, fhat * scale[..., 0], iters
@@ -448,7 +449,16 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
     x0 = np.array([rho0, np.full_like(rho0, sec.L)])
     # a batch's states have shape (B, m): the angles vary along the first axis
     a = alphas[:, None, None] if alphas.ndim else alpha
-    return _solve_wall(layers, lambda rho, l: residuals(rho, l, a), x0, rho0, tol, max_iter)
+    try:
+        return _solve_wall(layers, lambda rho, l: residuals(rho, l, a), x0, rho0, tol, max_iter)
+    except NoConvergence as e:
+        bad = []   # at a batch's inadmissible start: the angles inadmissible on their own
+        for t in alphas if alphas.ndim and str(e).startswith("inadmissible start") else ():
+            try:   # tol = inf stops at any admissible start
+                _solve_sector(layers, residuals, t, math.inf, 0)
+            except NoConvergence:
+                bad.append(f"{math.degrees(t):g}")
+        raise NoConvergence(f"{e} at alpha = {', '.join(bad)} deg", x0, {}, 0) if bad else e
 
 
 def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,

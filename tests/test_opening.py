@@ -371,6 +371,46 @@ def test_cutting_test_lacks_information(Ri, h_m, gap, h_a, L, L_ratio, alpha_a, 
     assert hoop[0] - hoop[1] > 0.5
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(Ri=st.floats(0.9, 1.1), h_m=st.floats(0.35, 0.45), gap=st.floats(0.08, 0.15),
+       h_a=st.floats(0.25, 0.35), L=st.floats(0.8, 1.2), L_ratio=st.floats(1.0, 1.1),
+       alpha_m=st.floats(130.0, 170.0), alpha_a=st.floats(110.0, 150.0))
+def test_composite_angle_and_inner_radius_determine_the_layer_angles(Ri, h_m, gap, h_a, L,
+                                                                     L_ratio, alpha_m, alpha_a):
+    # the refined experiment: observe the composite opening angle (4 deg grid) and the
+    # load-free tube's inner radius, and a 2x2 Newton with a forward-difference
+    # Jacobian, started 8 and 6 deg off, recovers both layer angles
+    Ri_a = Ri + h_m + gap
+
+    def observe(angles):
+        wall = [MaterialLayer.from_constants(**MEDIA_EQ, sector=SectorGeometry(
+                    Ri, Ri + h_m, L, math.radians(angles[0]))),
+                MaterialLayer.from_constants(**ADV_EQ, sector=SectorGeometry(
+                    Ri_a, Ri_a + h_a, L * L_ratio, math.radians(angles[1])))]
+        return np.array([find_opening_angle(wall, 0.0, 180.0, 4.0).argmin_deg,
+                         solve_load_free(wall).tube.radii[0]])
+
+    def jacobian(angles, at, h=1e-4):
+        return np.column_stack([(observe(angles + h * e) - at) / h for e in np.eye(2)])
+
+    truth = np.array([alpha_m, alpha_a])
+    target = observe(truth)
+    angles = truth + [8.0, 6.0]
+    for _ in range(8):
+        at = observe(angles)
+        step = np.linalg.solve(jacobian(angles, at), target - at)
+        angles = angles + step
+        if np.max(np.abs(step)) < 1e-9:
+            break
+    assert np.max(np.abs(angles - truth)) <= 1e-6
+    # how weak the cutting test is: the composite angle follows the adventitia
+    # and barely the media, whose angle shows in r_i at about 3 um per degree
+    (dc_dm, dc_da), (dr_dm, _) = jacobian(truth, target)
+    assert 0.85 <= dc_da <= 1.6
+    assert abs(dc_dm) <= 0.4
+    assert -0.0036 <= dr_dm <= -0.0028
+
+
 def test_scan_endpoint_energies(t3_layers):
     # frozen endpoints of the full curve (regression against convention drift)
     e0 = equilibrate_opened(t3_layers, 0.0)[1]
@@ -386,3 +426,12 @@ def test_scan_rejects_bad_grid(t3_layers):
         find_opening_angle(t3_layers, 0.0, 10.0, 0.0)
     with pytest.raises(ValueError):      # the last sample, 360, is the closed tube again
         find_opening_angle(t3_layers, 300.0, 359.6, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", ["grid_start_deg", "grid_end_deg", "grid_step_deg"])
+def test_scan_rejects_a_non_finite_grid(t3_layers, arg, value):
+    # a NaN or infinite grid bound or step is a bad grid, not a numpy error
+    grid = {"grid_start_deg": 100.0, "grid_end_deg": 150.0, "grid_step_deg": 2.0, arg: value}
+    with pytest.raises(ValueError, match="^invalid angle grid$"):
+        find_opening_angle(t3_layers, **grid)

@@ -558,6 +558,66 @@ def test_wall_solve_failure_is_independent_of_numpy_error_state(errstate):
     assert np.all(np.isfinite(info.value.last_iterate))
 
 
+def test_inadmissible_start_is_named():
+    # the stiff wall above overflows its fibre exponential at the closed-form start
+    # itself, from which no line search can back off: the solve fails at once,
+    # naming the overflow, with the start as its last iterate and 0 iterations
+    layer = MaterialLayer.from_constants(3.0, 0.0, 2.0, 50.0, 0.0, sector=SectorGeometry(
+        1.0, 2.0, 1.0, math.radians(300.0)))
+    with pytest.raises(NoConvergence) as info:
+        solve_load_free([layer])
+    assert str(info.value) == "inadmissible start (FloatingPointError: overflow encountered in exp)"
+    assert info.value.iterations == 0
+    assert_allclose(info.value.last_iterate, [0.7638, 1.0], atol=1e-4)
+    # a scan's batch names the angles whose own start is inadmissible
+    with pytest.raises(NoConvergence) as info:
+        find_opening_angle([layer], 0.0, 180.0, 4.0)
+    assert str(info.value).startswith("inadmissible start (FloatingPointError: overflow")
+    assert str(info.value).endswith(" at alpha = 0, 4, 8, 12, 16, 20, 24, 28, 32 deg")
+    assert info.value.iterations == 0 and info.value.last_iterate.shape == (2, 46)
+    # past them the starts are admissible, with residuals far above 1e30: an
+    # inadmissible trial reads infinite, never lower, so the line search backs off
+    # it and the solve ends at an admissible iterate
+    with pytest.raises(NoConvergence, match="^line search stalled") as info:
+        find_opening_angle([layer], 36.0, 180.0, 4.0)
+    assert 1e30 < info.value.residuals["norm"] < math.inf
+
+
+@pytest.mark.parametrize("workflow, newton_calls", [
+    ("inverse-sf", [4]), ("load-free", [5]), ("energy-scan", [5, 3])])
+def test_residual_calls_per_solve(monkeypatch, two_layers, t3_layers, workflow, newton_calls):
+    # every wall-kernel call of a workflow, counted: each Newton's (one per trial
+    # point, its Jacobian included), then a tube solve's quadrature check, or the
+    # scan's energy pass over its grid and the argmin's opened_energy.  The Newtons'
+    # counts are the bounds a kernel change that costs iterations would exceed
+    calls, newtons = [], []
+    residuals, newton = tube.equilibrium_residuals, tube.newton2
+
+    def counting(table, r2a, h, k2, c2, energy=False):
+        calls.append(energy)
+        return residuals(table, r2a, h, k2, c2, energy)
+
+    def recording(fun, x0, tol, max_iter):
+        before = len(calls)
+        out = newton(fun, x0, tol=tol, max_iter=max_iter)
+        newtons.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(tube, "equilibrium_residuals", counting)
+    monkeypatch.setattr(tube, "newton2", recording)
+    if workflow == "inverse-sf":
+        solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
+    elif workflow == "load-free":
+        solve_load_free(t3_layers)
+    else:
+        find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
+    assert len(newtons) == len(newton_calls)
+    assert all(n <= bound for n, bound in zip(newtons, newton_calls))
+    energy_calls = 2 if workflow == "energy-scan" else 0
+    assert sum(calls) == energy_calls
+    assert len(calls) == sum(newtons) + (energy_calls or 1)
+
+
 @pytest.mark.parametrize("workflow", ["inverse-sf", "load-free", "energy-scan"])
 def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, workflow):
     # Gauss nodes and Legendre rules are built per solve, never per Newton
