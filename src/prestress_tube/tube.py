@@ -20,8 +20,8 @@ R has r^2 = r_a^2 + (R^2 - R_a^2)/(k c), a node in r has R^2 = R_a^2 + k c (r^2
 - r_a^2), and dr = R dR/(k c r) leaves only squared radii in the integrands:
 the kernel equilibrium_residuals sweeps every layer in one pass, with no
 square root.  Glued sectors, with s = 2*pi - alpha and g_j = (2*pi -
-alpha_j) L_j, have 1/(k_j c_j) = g_j/(s l) and r^2 = rho^2 + Q/(s l), Q fixed.
-A solved wall's radii and its stress profile come from the same glued form.
+alpha_j) L_j, have 1/(k_j c_j) = g_j/(s l) and r^2 = r_i^2 + Q/(s l), Q >= 0
+fixed: anchored at the inner surface, no state with r_i, l > 0 closes a node.
 Load-free equilibrium of the wall is characterised by two integrals over its
 thickness (inner/outer tractions and resultant axial force both zero), and an
 opened sector at rest also carries no moment on its cut face:
@@ -39,16 +39,16 @@ construction.  Two solvers are provided:
 * solve_load_free:  per-layer sectors known, find the composite tube.
 
 Both use a damped Newton iteration on the first n nondimensionalized
-residuals with a complex-step Jacobian: one residual call at the columns
-x + i h e_j gives the residual and the exact Jacobian.  The Newton takes one
-system or a batch of independent ones.  Both solvers start next to the
-root, at the map that keeps the length and leaves the middle of the first
-layer without hoop strain, and every solve stops at NEWTON_TOL, near
-roundoff, so its result does not depend on its start.  The load-free solve is the
-glued-sector Newton at alpha = 0; the energy scan runs the same solve at
-every angle of its grid as one batch, and its argmin solves all three
-residuals for (rho, l, alpha).  The inverse solve's nodes, weights and
-layers stay fixed in r; only each node's R^2 moves with (Ri, L).
+residuals in the logs of the wall's two lengths, (ln r_i, ln l) or (ln Ri,
+ln L), with a complex-step Jacobian: one residual call at the columns x + i h
+e_j gives the residual and the exact Jacobian.  The Newton takes one system or
+a batch of independent ones.  Both solvers start next to the root, at the map
+that keeps the length and leaves the middle of the first layer without hoop
+strain, and every solve stops at NEWTON_TOL, near roundoff, so its result does
+not depend on its start.  The load-free solve is the glued-sector Newton at
+alpha = 0; the energy scan runs the same solve at every angle of its grid as
+one batch, and its argmin solves all three residuals for (ln r_i, ln l, alpha).
+The inverse solve's nodes stay fixed in r; each node's R^2 moves with (Ri, L).
 """
 
 from __future__ import annotations
@@ -158,35 +158,35 @@ def wall_sectors(layers: Sequence[MaterialLayer]):
     return [layer.sector for layer in layers]
 
 
-def glued_radii(sectors, rho, l, alpha=0.0):
+def glued_radii(sectors, ri, l, alpha=0.0):
     """Boundary radii, inner to outer, of the sectors glued into one sector of angle
-    alpha (0: the tube) and length l whose first sector's outer sf radius sits at the
-    current radius rho: r^2 = rho^2 + Q/(s l) at the sectors' boundaries."""
+    alpha (0: the tube) and length l whose inner surface sits at the current radius
+    ri: r^2 = ri^2 + Q/(s l) at the sectors' boundaries."""
     g = [(TWO_PI - sec.alpha) * sec.L * (sec.Ro ** 2 - sec.Ri ** 2) for sec in sectors]
-    return np.sqrt(rho ** 2 + (np.cumsum([0.0] + g) - g[0]) / ((TWO_PI - alpha) * l))
+    return np.sqrt(ri ** 2 + np.cumsum([0.0] + g) / ((TWO_PI - alpha) * l))
 
 
 def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
-    """The glued wall's (rho, l, alpha=0, energy=False) -> equilibrium_residuals over
-    its node table, whose nodes stay fixed in R: the first sector's outer sf radius
-    at the current radius rho, each later one's inner at the outer of the one inside
-    it, gives Q = g_j (R^2 - R_a,j^2) + sum_{1<i<j} g_i (Ro_i^2 - Ri_i^2), R_a,j the anchor,
-    A = ((2*pi - alpha_j) R)^-2, B = L_j^-2 and V = w R g_j."""
+    """The glued wall's (ri, l, alpha=0, energy=False) -> equilibrium_residuals over
+    its node table, whose nodes stay fixed in R: the first sector's inner sf radius
+    at the current radius ri, each later one's inner at the outer of the one inside
+    it, gives Q = g_j (R^2 - Ri_j^2) + sum_{i<j} g_i (Ro_i^2 - Ri_i^2) >= 0, so r^2 >=
+    ri^2, A = ((2*pi - alpha_j) R)^-2, B = L_j^-2 and V = w R g_j."""
     cols, q0 = [], 0.0
-    for j, sec in enumerate(wall_sectors(layers)):
+    for sec in wall_sectors(layers):
         R, w = gauss_segment(sec.Ri, sec.Ro, npts)
-        g, Ra = (TWO_PI - sec.alpha) * sec.L, sec.Ri if j else sec.Ro
-        cols.append((q0 + g * (R ** 2 - Ra ** 2), ((TWO_PI - sec.alpha) * R) ** -2,
+        g = (TWO_PI - sec.alpha) * sec.L
+        cols.append((q0 + g * (R ** 2 - sec.Ri ** 2), ((TWO_PI - sec.alpha) * R) ** -2,
                      np.full(npts, sec.L ** -2), g * w * R))
-        q0 += g * (sec.Ro ** 2 - sec.Ri ** 2) if j else 0.0
+        q0 += g * (sec.Ro ** 2 - sec.Ri ** 2)
     table = (material_columns([layer.equilibrium for layer in layers], npts),
              *np.concatenate(cols, axis=1))
 
-    def residuals(rho, l, alpha=0.0, energy=False):
+    def residuals(ri, l, alpha=0.0, energy=False):
         s = TWO_PI - alpha
         if np.less_equal(np.real(s), 0.0).any():
             raise DomainError(f"need alpha < 2*pi (got {alpha})")
-        return equilibrium_residuals(table, rho ** 2, 1.0 / (s * l), s * s, l * l, energy)
+        return equilibrium_residuals(table, ri ** 2, 1.0 / (s * l), s * s, l * l, energy)
     return residuals
 
 
@@ -223,8 +223,6 @@ def equilibrium_residuals(table, r2a, h, k2, c2, energy: bool = False):
     """
     cols, Q, A, B, V = table
     r2 = r2a + Q * h
-    if (np.real(r2) <= 0.0).any():
-        raise DomainError("current radius radicand not positive")
     lt, lz = k2 * r2 * A, c2 * B
     l2 = (1.0 / (lt * lz), lt, lz)
     dth, dzz = diagonal_stress_differences(l2, cols)
@@ -353,29 +351,35 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
 
 
 def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
-    """newton2 on the n = 2 or 3 unknowns x of the wall, x0 of shape (n,) or (n, B):
-    the first n of residuals(*x) = (p_net, F_red, M) over (c, c length^2, c
-    length^2), c the largest matrix modulus c1 or c2 (c1 may be 0), length a scalar
-    or one per system.  Inadmissible candidates (a length x[0] or x[1] <= 0, a
-    DomainError, a QuadratureFailure or a floating-point error, raised whatever the
-    caller's numpy error state) make every state of the call infinite, so the line
-    search backs off.  Returns (x, residual in kPa and kPa mm^2, iterations)."""
+    """newton2 on the n = 2 or 3 unknowns x of the wall, x0 of shape (n,) or (n, B),
+    solved as u = (ln x[0], ln x[1], x[2:]), so no trial length is <= 0: the first n
+    of residuals(*x) = (p_net, F_red, M) over (c, c length^2, c length^2), c the
+    largest matrix modulus c1 or c2 (c1 may be 0), length the wall's one scalar.  A
+    DomainError, a QuadratureFailure or a floating-point error (whatever the caller's
+    numpy error state) makes every state of the call infinite, so the line search
+    backs off.  Returns (x, residual in kPa and kPa mm^2, iterations); a
+    NoConvergence carries its last iterate as x."""
     n = len(x0)
     c = max(max(layer.equilibrium.matrix.c1, layer.equilibrium.matrix.c2) for layer in layers)
-    scale = c * np.array([np.ones_like(length), length ** 2, length ** 2])[:n, ..., None]
+    scale = c * np.array([1.0, length ** 2, length ** 2])[:n].reshape((n,) + (1,) * np.ndim(x0))
+    u0 = np.concatenate((np.log(x0[:2]), x0[2:]))
 
-    def resid(x):
+    def resid(u):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                if (x[:2].real > 0.0).all():
-                    return np.asarray(residuals(*x[..., None])[:n]) / scale
+                v = u[..., None]
+                return np.asarray(residuals(*np.exp(v[:2]), *v[2:])[:n]) / scale
         except (DomainError, QuadratureFailure, ArithmeticError) as e:
-            if np.array_equal(x.real[..., 0], x0):   # the start: no step backs off from it
-                raise NoConvergence(f"inadmissible start ({type(e).__name__}: {e})", x0, {}, 0)
-        return np.full(x.shape, np.inf)
+            if np.array_equal(u.real[..., 0], u0):   # the start: no step backs off from it
+                raise NoConvergence(f"inadmissible start ({type(e).__name__}: {e})", u0, {}, 0)
+        return np.full(u.shape, np.inf)
 
-    x, fhat, iters = newton2(resid, x0, tol=tol, max_iter=max_iter)
-    return x, fhat * scale[..., 0], iters
+    try:
+        u, fhat, iters = newton2(resid, u0, tol=tol, max_iter=max_iter)
+    except NoConvergence as e:
+        e.last_iterate = np.concatenate((np.exp(e.last_iterate[:2]), e.last_iterate[2:]))
+        raise
+    return np.concatenate((np.exp(u[:2]), u[2:])), fhat * scale[..., 0], iters
 
 
 @dataclass
@@ -412,8 +416,8 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     ri, k = tube.radii[0], TWO_PI / (TWO_PI - alpha)
     rm = 0.5 * (ri + tube.radii[1])
     x0 = np.array([math.sqrt(k * k * rm * rm - k * (rm * rm - ri * ri)), tube.l])
-    x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts), x0, ri,
-                              tol, max_iter)
+    x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts), x0,
+                              tube.radii[-1], tol, max_iter)
     Ri, L = float(x[0]), float(x[1])
     R = np.sqrt(Ri * Ri + k * (tube.l / L) * (np.square(tube.radii) - ri * ri)).tolist()
     sectors = tuple(SectorGeometry(lo, hi, L, alpha) for lo, hi in zip(R, R[1:]))
@@ -427,30 +431,26 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
 
 def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float = NEWTON_TOL,
                   max_iter: int = NEWTON_MAXIT):
-    """Newton on (rho, l) of the glued sector of angle alpha (alpha = 0: the tube),
-    or on one (rho, l) per angle of an array alpha, in one batch, on the layers'
-    sector_residuals.
+    """Newton on (ri, l) of the glued sector of angle alpha (alpha = 0: the tube),
+    or on one (ri, l) per angle of an array alpha, in one batch, on the layers'
+    sector_residuals, scaled by the outermost sector's Ro.
 
     Every angle starts from its own closed form: l = L_1 and unit hoop stretch
     at the middle R_n of the first sector, so with a1 = (2*pi - alpha_1) / (2*pi
-    - alpha), r_n = a1 R_n and rho^2 = r_n^2 - a1 (R_n^2 - Ro_1^2).  Where that
-    start would close the inner surface, r_i^2 = a1 (Ri_1^2 - (1 - a1) R_n^2) <= 0
-    (a thick first sector closed far past its own angle), R_n = Ri_1 / sqrt(2 (1 -
-    a1)) instead, so r_i^2 = a1 Ri_1^2 / 2.  Returns (x, residual in kPa and kPa
-    mm^2, iterations), of shape (2,) or (2, B).
+    - alpha), r_n = a1 R_n and ri^2 = a1 (Ri_1^2 - (1 - a1) R_n^2), floored at
+    a1 Ri_1^2 / 2 for a thick first sector closed far past its own angle.
+    Returns (x, residual in kPa and kPa mm^2, iterations), of shape (2,) or (2, B).
     """
-    sec = layers[0].sector
+    secs = wall_sectors(layers)
     alphas = np.asarray(alpha)
-    a1 = (TWO_PI - sec.alpha) / (TWO_PI - alphas)
-    Rn = 0.5 * (sec.Ri + sec.Ro)
-    closes = (1.0 - a1) * Rn * Rn >= sec.Ri ** 2
-    Rn = np.where(closes, sec.Ri / np.sqrt(2.0 * np.where(closes, 1.0 - a1, 1.0)), Rn)
-    rho0 = np.sqrt(a1 * a1 * Rn * Rn - a1 * (Rn * Rn - sec.Ro ** 2))
-    x0 = np.array([rho0, np.full_like(rho0, sec.L)])
+    a1 = (TWO_PI - secs[0].alpha) / (TWO_PI - alphas)
+    Ri2, Rn2 = secs[0].Ri ** 2, (0.5 * (secs[0].Ri + secs[0].Ro)) ** 2
+    ri0 = np.sqrt(a1 * np.maximum(Ri2 - (1.0 - a1) * Rn2, 0.5 * Ri2))
+    x0 = np.array([ri0, np.full_like(ri0, secs[0].L)])
     # a batch's states have shape (B, m): the angles vary along the first axis
     a = alphas[:, None, None] if alphas.ndim else alpha
     try:
-        return _solve_wall(layers, lambda rho, l: residuals(rho, l, a), x0, rho0, tol, max_iter)
+        return _solve_wall(layers, lambda *x: residuals(*x, a), x0, secs[-1].Ro, tol, max_iter)
     except NoConvergence as e:
         bad = []   # at a batch's inadmissible start: the angles inadmissible on their own
         for t in alphas if alphas.ndim and str(e).startswith("inadmissible start") else ():
@@ -465,13 +465,12 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
                     tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT) -> WallSolution:
     """Close the per-layer sectors into one equilibrated load-free tube.
 
-    Unknowns are the current radius of the first layer's outer sf radius and
-    the tube length l (see sector_residuals); the tube radii follow in closed
-    form (glued_radii).
+    Unknowns are the current inner radius and the tube length l (see
+    sector_residuals); the tube radii follow in closed form (glued_radii).
     """
     x, f, iters = _solve_sector(layers, sector_residuals(layers, npts), 0.0, tol, max_iter)
-    rho, l = float(x[0]), float(x[1])
+    ri, l = float(x[0]), float(x[1])
     sectors = tuple(wall_sectors(layers))
-    refined = sector_residuals(layers, 2 * npts)(rho, l)
-    return WallSolution(TubeGeometry(glued_radii(sectors, rho, l), l), sectors,
+    refined = sector_residuals(layers, 2 * npts)(ri, l)
+    return WallSolution(TubeGeometry(glued_radii(sectors, ri, l), l), sectors,
                         _report(f, refined, iters))

@@ -75,7 +75,7 @@ def split_sectored_layer(layers, j, t):
 
 
 # an opened sector's state: the glued wall's unknowns (mm, mm, rad) in its kernel's order
-OpenedState = namedtuple("OpenedState", "rho_interface l_open alpha_trial")
+OpenedState = namedtuple("OpenedState", "r_inner l_open alpha_trial")
 
 
 def equilibrate_opened(layers, alpha_trial, npts=N_QUAD):

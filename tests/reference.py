@@ -167,14 +167,13 @@ def diagonal_stress_and_energy(l2, mat: EquilibriumMaterial):
     return t[1] - t[0], t[2] - t[0], w
 
 
-def glued_opening_maps(sectors, alpha, rho, l):
+def glued_opening_maps(sectors, alpha, ri, l):
     """One OpeningMap per sector of the sectors glued into one sector of angle
-    alpha: the first anchored at the current radius rho by its outer sf radius,
-    each later one by its inner sf radius at the outer current radius of the
-    one inside it."""
-    span, r, maps = 2.0 * math.pi - alpha, rho, []
-    for j, sec in enumerate(sectors):
-        m = OpeningMap(span / (2.0 * math.pi - sec.alpha), l / sec.L, r, sec.Ri if j else sec.Ro)
+    alpha: each anchored by its inner sf radius, the first at the current radius
+    ri, each later one at the outer current radius of the one inside it."""
+    span, r, maps = 2.0 * math.pi - alpha, ri, []
+    for sec in sectors:
+        m = OpeningMap(span / (2.0 * math.pi - sec.alpha), l / sec.L, r, sec.Ri)
         maps.append(m)
         r = m.radius_current(sec.Ro)
     return maps
@@ -206,13 +205,13 @@ def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False, load_
 
 
 def segment_sector_residuals(layers, npts):
-    """tube.sector_residuals on the segment route: the glued wall's (rho, l,
+    """tube.sector_residuals on the segment route: the glued wall's (ri, l,
     alpha=0, energy=False) -> segment_wall_integrals at glued_opening_maps."""
     secs = [layer.sector for layer in layers]
     mats, spans = [layer.equilibrium for layer in layers], [(s.Ri, s.Ro) for s in secs]
 
-    def wall(rho, l, alpha=0.0, energy=False):
-        out = segment_wall_integrals(mats, glued_opening_maps(secs, alpha, rho, l), spans, npts)
+    def wall(ri, l, alpha=0.0, energy=False):
+        out = segment_wall_integrals(mats, glued_opening_maps(secs, alpha, ri, l), spans, npts)
         return out if energy else out[:3]
     return wall
 

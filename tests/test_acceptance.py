@@ -137,8 +137,12 @@ def test_criterion_3_locking_angle():
 def test_criterion_4_residual_stress_after_cut():
     layers = sectored_layers()
     curve = find_opening_angle(layers, 118.0, 130.0, 2.0)
-    prof = opened_profile(layers, OpenedState(curve.rho_interface, curve.l_open,
-                                              math.radians(curve.argmin_deg)))
+    # the inner radius from rho_interface, the first layer's outer one: r_i^2 =
+    # rho^2 - g_1 (Ro_1^2 - Ri_1^2) / (s l), g_1 = (2 pi - alpha_1) L_1, s = 2 pi - alpha
+    sec, alpha = layers[0].sector, math.radians(curve.argmin_deg)
+    ri = math.sqrt(curve.rho_interface ** 2 - (2.0 * math.pi - sec.alpha) * sec.L
+                   * (sec.Ro ** 2 - sec.Ri ** 2) / ((2.0 * math.pi - alpha) * curve.l_open))
+    prof = opened_profile(layers, OpenedState(ri, curve.l_open, alpha))
     hoop_max = float(np.max(np.abs(prof[:, 2])))
     ok = hoop_max > 0.1
     assert report(4, ok, f"max |T_theta| = {hoop_max:.4f} kPa at "

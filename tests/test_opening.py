@@ -40,11 +40,11 @@ def load_free_profile(layers):
 # ---------------------------------------------------------------------------
 
 def test_opened_energy_matches_fine_trapezoid(t3_layers):
-    cand = OpenedState(1.05, 1.1, math.radians(40.0))
+    cand = OpenedState(0.75, 1.1, math.radians(40.0))
     e_gauss = opened_energy(sector_residuals(t3_layers), *cand)
     e_trap = 0.0
     secs = [layer.sector for layer in t3_layers]
-    maps = glued_opening_maps(secs, cand.alpha_trial, cand.rho_interface, cand.l_open)
+    maps = glued_opening_maps(secs, cand.alpha_trial, cand.r_inner, cand.l_open)
     for layer, sec, m in zip(t3_layers, secs, maps):
         R = np.linspace(sec.Ri, sec.Ro, 20001)
         rho = m.radius_current(R)
@@ -57,16 +57,16 @@ def test_opened_energy_matches_fine_trapezoid(t3_layers):
 def test_opened_energy_zero_at_own_sector():
     # a single layer opened to its own angle at its own geometry is unstrained
     layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR)
-    cand = OpenedState(MEDIA_SECTOR.Ro, MEDIA_SECTOR.L, MEDIA_SECTOR.alpha)
+    cand = OpenedState(MEDIA_SECTOR.Ri, MEDIA_SECTOR.L, MEDIA_SECTOR.alpha)
     assert opened_energy(sector_residuals([layer]), *cand) == pytest.approx(0.0, abs=1e-14)
-    m, = glued_opening_maps([MEDIA_SECTOR], cand.alpha_trial, cand.rho_interface, cand.l_open)
+    m, = glued_opening_maps([MEDIA_SECTOR], cand.alpha_trial, cand.r_inner, cand.l_open)
     R = np.linspace(MEDIA_SECTOR.Ri, MEDIA_SECTOR.Ro, 5)
     F = np.linalg.inv(m.F0(m.radius_current(R)))
     assert_allclose(F, np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-12)
 
 
 def test_opened_energy_positive_off_equilibrium(t3_layers):
-    cand = OpenedState(1.05, 1.1, math.radians(40.0))
+    cand = OpenedState(0.75, 1.1, math.radians(40.0))
     assert opened_energy(sector_residuals(t3_layers), *cand) > 0.0
 
 
@@ -77,7 +77,7 @@ def test_opened_energy_positive_off_equilibrium(t3_layers):
 def test_equilibrate_single_layer_recovers_sector():
     layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR)
     cand, e, _ = equilibrate_opened([layer], MEDIA_SECTOR.alpha)
-    assert cand.rho_interface == pytest.approx(MEDIA_SECTOR.Ro, abs=1e-6)
+    assert cand.r_inner == pytest.approx(MEDIA_SECTOR.Ri, abs=1e-6)
     assert cand.l_open == pytest.approx(MEDIA_SECTOR.L, abs=1e-6)
     assert e == pytest.approx(0.0, abs=1e-12)
 
@@ -87,7 +87,7 @@ def test_equilibrate_closed_matches_load_free(t3_layers):
     # load-free equilibrium solver (cross-module consistency)
     cand, e, _ = equilibrate_opened(t3_layers, 0.0)
     sol = solve_load_free(t3_layers)
-    assert cand.rho_interface == pytest.approx(sol.tube.radii[1], abs=1e-5)
+    assert cand.r_inner == pytest.approx(sol.tube.radii[0], abs=1e-5)
     assert cand.l_open == pytest.approx(sol.tube.l, abs=1e-5)
     assert e > 0.0
 
@@ -97,8 +97,8 @@ def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
     cand, e, _ = equilibrate_opened(t3_layers, alpha)
     # energy stationarity in both inner unknowns
     for dx in ((1e-5, 0.0), (0.0, 1e-5)):
-        up = (cand.rho_interface + dx[0], cand.l_open + dx[1], alpha)
-        dn = (cand.rho_interface - dx[0], cand.l_open - dx[1], alpha)
+        up = (cand.r_inner + dx[0], cand.l_open + dx[1], alpha)
+        dn = (cand.r_inner - dx[0], cand.l_open - dx[1], alpha)
         wall = sector_residuals(t3_layers)
         slope = (opened_energy(wall, *up) - opened_energy(wall, *dn)) / (2e-5)
         assert abs(slope) < 1e-6
@@ -198,12 +198,12 @@ def test_scan_argmin_is_independent_of_its_start(t3_layers, monkeypatch, grid):
 
     monkeypatch.setattr(opening, "_solve_wall", recording)
     curve = find_opening_angle(t3_layers, *grid)
-    (layers, wall, y0, _, tol, max_iter), = calls
+    (layers, wall, y0, length, tol, max_iter), = calls
     a_deg = min(curve.samples, key=lambda s: s[1])[0]
     cand = equilibrate_opened(t3_layers, math.radians(a_deg))[0]
     y = np.array(cand)
     assert abs(math.degrees(y0[2]) - a_deg) > 0.05 * grid[2]
-    x, _, _ = solve_wall(layers, wall, y, y[0], tol, max_iter)
+    x, _, _ = solve_wall(layers, wall, y, length, tol, max_iter)
     assert abs(math.degrees(x[2]) - curve.argmin_deg) < 1e-10
 
 
@@ -292,6 +292,32 @@ def test_composite_angle_rises_with_the_angle_difference_and_falls_with_the_gap(
     base = thin_adventitia_argmin(*wall, wider[0], gap[0])
     assert thin_adventitia_argmin(*wall, wider[1], gap[0]) > base
     assert thin_adventitia_argmin(*wall, wider[0], gap[1]) < base
+
+
+def test_locking_boundary_rises_with_the_gap():
+    # on a zero-gap wall of the test above (Ri 1 mm, media 0.5 mm, adventitia
+    # 0.203 mm, L 1 mm, alpha_a 100 deg) a stress-free gap locks the composite
+    # below alpha_a until the media opens wider by dalpha*(gap), the root of
+    # composite - alpha_a found by a secant from 0 and 160 deg per mm of gap:
+    # finite, and rising with the gap by about 160 deg per mm
+    wall = (1.0, 0.5, 0.203 / 0.5, 1.0, 100.0)
+
+    def boundary(gap):
+        def f(wider):
+            return thin_adventitia_argmin(*wall, wider, gap) - wall[4]
+        x0, x1 = 0.0, 160.0 * gap
+        f0, f1 = f(x0), f(x1)
+        assert f0 < 0.0   # at equal angles the gap locks the composite below them
+        for _ in range(10):
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+            f1 = f(x1)
+            if abs(f1) < 1e-8:
+                return x1
+        raise AssertionError(f"no secant root at a gap of {gap} mm")
+
+    dstar = [boundary(gap) for gap in (0.02, 0.04, 0.06, 0.08, 0.1)]
+    assert np.all(np.isfinite(dstar)) and np.all(np.diff(dstar) > 0.0)
+    assert_allclose(dstar, [3.152, 6.361, 9.639, 12.999, 16.455], rtol=1e-3)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
