@@ -157,6 +157,11 @@ class EquilibriumMaterial:
     matrix: MooneyRivlinParams
     fibres: tuple = field(default=())
 
+    def __post_init__(self):
+        # its row of per-node constants (material_columns): c1, c2, then (k1, k2, a^2) per family
+        object.__setattr__(self, '_columns', [self.matrix.c1, self.matrix.c2, *[
+            v for fp in self.fibres for v in (fp.k1, fp.k2, *(fp.a ** 2).tolist())]])
+
     @classmethod
     def from_constants(cls, c1, c2, k1, k2, beta_deg):
         ap, am = fibre_directions(np.radians(beta_deg))
@@ -186,12 +191,12 @@ def material_columns(mats, n: int = 1):
     c2, groups), a group (count, k1, k2, a_r^2, a_theta^2, a_z^2) per set of fibre families
     equal on every node; a material short of families holds k1 = 0 (adds nothing) there."""
     width = max(len(m.fibres) for m in mats)
-    rows = [[m.matrix.c1, m.matrix.c2] + [v for fp in m.fibres for v in (fp.k1, fp.k2, *fp.a ** 2)]
-            + [0.0, 1.0, 0.0, 0.0, 0.0] * (width - len(m.fibres)) for m in mats]
-    cols = np.repeat(rows, n, axis=0).T.copy()   # c1, c2, then (k1, k2, a^2) per family
+    pad = [0.0, 1.0, 0.0, 0.0, 0.0] * width
+    cols = np.repeat(np.array([m._columns + pad[5 * len(m.fibres):] for m in mats]).T, n, axis=1)
     groups = {}
-    for f in cols[2:].reshape(width, 5, len(cols[0])):
-        groups[f.tobytes()] = (groups.get(f.tobytes(), (0,))[0] + 1, *f)
+    for f in cols[2:].reshape(width, 5, -1):
+        key = f.tobytes()
+        groups[key] = (groups.get(key, (0,))[0] + 1, *f)
     return cols[0], cols[1], tuple(groups.values())
 
 

@@ -15,9 +15,13 @@ inverse is the pre-stress map F0 = diag(c f, 1/f, 1/c), f = k r / R.
 A wall is a list of layers, inner to outer.  Its integrals run over one
 per-node table of the whole wall built once per solve, with Gauss nodes fixed
 in the radius the solve knows: the stress-free R for the sectors
-(sector_residuals), the load-free r for the tube (tube_residuals).  A node in
-R has r^2 = r_a^2 + (R^2 - R_a^2)/(k c), a node in r has R^2 = R_a^2 + k c (r^2
-- r_a^2), and dr = R dR/(k c r) leaves only squared radii in the integrands:
+(sector_residuals), the load-free r for the tube (tube_residuals).  The wall
+integrands are smooth in ln r, so the nodes are uniform in ln r over each
+layer: over its tube span for the tube, and for the sectors over its span of
+the wall closed with neo-Hookean layers (neo_hookean_closing), mapped once to
+R.  A node in R has r^2 = r_a^2 + (R^2 - R_a^2)/(k c), a node in r has R^2 =
+R_a^2 + k c (r^2 - r_a^2), and dr = R dR/(k c r) leaves only squared radii in
+the integrands:
 the kernel equilibrium_residuals sweeps every layer in one pass, with no
 square root.  Glued sectors, with s = 2*pi - alpha and g_j = (2*pi -
 alpha_j) L_j, have 1/(k_j c_j) = g_j/(s l) and r^2 = r_i^2 + Q/(s l), Q >= 0
@@ -68,8 +72,9 @@ from .maxwell import FibreMaxwellParams, IsoMaxwellParams
 TWO_PI = 2.0 * math.pi
 
 # solver defaults
-N_QUAD = 24            # Gauss-Legendre points per layer: the fewest with which every accuracy
-                       # oracle of the tests holds on sweeps of its input ranges (README)
+N_QUAD = 12            # Gauss-Legendre points per layer, uniform in ln r: the fewest with
+                       # which every accuracy oracle of the tests holds on sweeps of its input
+                       # ranges (README)
 NEWTON_TOL = 1e-13     # infinity-norm of the nondimensional residual: near roundoff
 NEWTON_MAXIT = 25
 CS_STEP = 1e-20        # relative complex step for the Jacobian
@@ -144,11 +149,13 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_segment(a: float, b: float, n: int = N_QUAD):
-    """Gauss-Legendre nodes/weights mapped to [a, b]."""
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def _ln_r_nodes(lo2, span, npts: int):
+    """Gauss-Legendre nodes uniform in ln r over spans of r^2 from lo2 to lo2 e^span
+    (columns, one row per span): (r^2 - lo2, V) at the nodes, V = w r^2 for the
+    weights w in ln r, so that int f dr = sum V f / r."""
+    x, w = _leggauss(npts)
+    dx2 = lo2 * np.expm1(0.5 * span * (1.0 + x))
+    return dx2, 0.25 * span * w * (lo2 + dx2)
 
 
 def wall_sectors(layers: Sequence[MaterialLayer]):
@@ -166,21 +173,74 @@ def glued_radii(sectors, ri, l, alpha=0.0):
     return np.sqrt(ri ** 2 + np.cumsum([0.0] + g) / ((TWO_PI - alpha) * l))
 
 
+def _start_ri2(sec: SectorGeometry, alpha):
+    """r_i^2 of the glued sector's start at angle alpha: l = L_1 and unit hoop stretch
+    at the middle R_n of the first sector sec, so with a1 = (2*pi - alpha_1) / (2*pi -
+    alpha), r_n = a1 R_n and ri^2 = a1 (Ri_1^2 - (1 - a1) R_n^2), floored at a1 Ri_1^2 / 2
+    for a thick first sector closed far past its own angle."""
+    a1 = (TWO_PI - sec.alpha) / (TWO_PI - alpha)
+    Ri2, Rn2 = sec.Ri ** 2, (0.5 * (sec.Ri + sec.Ro)) ** 2
+    return a1 * np.maximum(Ri2 - (1.0 - a1) * Rn2, 0.5 * Ri2)
+
+
+def neo_hookean_closing(layers: Sequence[MaterialLayer]):
+    """Squared boundary radii, inner to outer, of the glued wall closed at alpha = 0
+    and l = L_1 with every layer neo-Hookean of modulus mu = c1 + c2, where its net
+    pressure vanishes.
+
+    Layer j, k = 2*pi / (2*pi - alpha_j) and c = L_1 / L_j, spans x = r^2 from x0 to x1
+    with R^2 = Ri^2 + k c (x - x0), so its share of p_net is the closed form mu (k/(2c)
+    ln(Ro^2/Ri^2) - (Ri^2/x0 - Ro^2/x1 + k c ln(x1/x0)) / (2 k^2 c^2)).  p_net rises
+    with r_i from -inf to a positive limit and is near linear in v = 1/r_i^2 toward the
+    axis: Newton in v from the sector solve's start, multiplying r_i^2 by 4 where a
+    step would leave v > 0, until a step moves v by 1e-3 of itself.
+    """
+    secs = wall_sectors(layers)
+    terms, d = [], [0.0]   # d: x - x0 at the layers' boundaries
+    for layer, sec in zip(layers, secs):
+        k, c, Ri2, Ro2 = TWO_PI / (TWO_PI - sec.alpha), secs[0].L / sec.L, sec.Ri ** 2, sec.Ro ** 2
+        mu = layer.equilibrium.matrix.c1 + layer.equilibrium.matrix.c2
+        m = mu / (2.0 * k * k * c * c)
+        d.append(d[-1] + (Ro2 - Ri2) / (k * c))
+        terms.append((mu * k / (2.0 * c) * math.log(Ro2 / Ri2), m * Ri2, m * Ro2, m * k * c,
+                      d[-2], d[-1]))
+    x0 = float(_start_ri2(secs[0], 0.0))
+    for _ in range(NEWTON_MAXIT):
+        p = dp = 0.0
+        for t, mRi2, mRo2, mkc, d0, d1 in terms:
+            lo, hi = 1.0 / (x0 + d0), 1.0 / (x0 + d1)
+            p += t - mRi2 * lo + mRo2 * hi - mkc * math.log(lo / hi)
+            dp += mRi2 * lo * lo - mRo2 * hi * hi + mkc * (lo - hi)
+        step = p / (x0 * dp)          # the Newton step in v, relative to v
+        if step <= -1.0:
+            x0 *= 4.0
+            continue
+        x0 /= 1.0 + step
+        if abs(step) <= 1e-3:
+            break
+    return [x0 + dj for dj in d]
+
+
 def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
     """The glued wall's (ri, l, alpha=0, energy=False) -> equilibrium_residuals over
     its node table, whose nodes stay fixed in R: the first sector's inner sf radius
     at the current radius ri, each later one's inner at the outer of the one inside
     it, gives Q = g_j (R^2 - Ri_j^2) + sum_{i<j} g_i (Ro_i^2 - Ri_i^2) >= 0, so r^2 >=
-    ri^2, A = ((2*pi - alpha_j) R)^-2, B = L_j^-2 and V = w R g_j."""
-    cols, q0 = [], 0.0
-    for sec in wall_sectors(layers):
-        R, w = gauss_segment(sec.Ri, sec.Ro, npts)
-        g = (TWO_PI - sec.alpha) * sec.L
-        cols.append((q0 + g * (R ** 2 - sec.Ri ** 2), ((TWO_PI - sec.alpha) * R) ** -2,
-                     np.full(npts, sec.L ** -2), g * w * R))
-        q0 += g * (sec.Ro ** 2 - sec.Ri ** 2)
+    ri^2, A = ((2*pi - alpha_j) R)^-2 and B = L_j^-2.  The nodes are uniform in ln r
+    over each layer's span of the wall's neo_hookean_closing, squared radii b2 at
+    l = L_1, where a node at r_c has Q = S (r_c^2 - b2_0), S = 2*pi L_1, R^2 = Ri_j^2 +
+    S (r_c^2 - b2_j) / g_j and V = S w r_c^2 for the weights w in ln r."""
+    secs = wall_sectors(layers)
+    b2, S = neo_hookean_closing(layers), TWO_PI * secs[0].L
+    # per layer, a = 2*pi - alpha_j: b2_j, ln(b2_j+1 / b2_j), Q at b2_j, a^2 Ri^2, a S / L, B
+    lo2, span, q, aRi2, aSL, B = np.array([
+        (b2[j], math.log(b2[j + 1] / b2[j]), S * (b2[j] - b2[0]),
+         ((TWO_PI - sec.alpha) * sec.Ri) ** 2, (TWO_PI - sec.alpha) * S / sec.L, sec.L ** -2)
+        for j, sec in enumerate(secs)]).T[..., None]
+    dx2, V = _ln_r_nodes(lo2, span, npts)
     table = (material_columns([layer.equilibrium for layer in layers], npts),
-             *np.concatenate(cols, axis=1))
+             (q + S * dx2).ravel(), (1.0 / (aRi2 + aSL * dx2)).ravel(), np.repeat(B, npts),
+             (S * V).ravel())
 
     def residuals(ri, l, alpha=0.0, energy=False):
         s = TWO_PI - alpha
@@ -194,17 +254,17 @@ def tube_residuals(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLa
                    npts: int = N_QUAD):
     """The inverse solve's (Ri, L) -> equilibrium_residuals of the one map
     (k, c, ri, Ri), c = l/L, of the wall over its node table, whose nodes stay fixed
-    in r: a node at Legendre abscissa x of its layer's tube span sits at r = mid +
-    half x, with V = half w r, and each call gives it R^2 = Ri^2 + k c (r^2 - ri^2),
-    A = 1/R^2 and B = 1 (the kernel at r2a = 0 and h = 1): for Ri, L > 0, R^2 >= Ri^2
-    > 0, so a call takes no square root."""
-    x, w = _leggauss(npts)
-    rb = np.array(tube.radii)
-    mid, half = 0.5 * (rb[1:, None] + rb[:-1, None]), 0.5 * np.diff(rb)[:, None]
-    r = (mid + half * x).ravel()
-    r2, V = r * r, (half * w).ravel() * r
+    in r, uniform in ln r over each layer's tube span, with V = w r^2 for the weights
+    w in ln r; each call gives a node R^2 = Ri^2 + k c (r^2 - ri^2), A = 1/R^2 and B =
+    1 (the kernel at r2a = 0 and h = 1): for Ri, L > 0, R^2 >= Ri^2 > 0, so a call
+    takes no square root."""
+    rb2 = np.square(tube.radii)
+    lo2 = rb2[:-1, None]
+    dx2, V = _ln_r_nodes(lo2, np.log(rb2[1:, None] / lo2), npts)
+    dr2 = (lo2 - rb2[0] + dx2).ravel()
+    r2, V = rb2[0] + dr2, V.ravel()
     cols = material_columns([layer.equilibrium for layer in layers], npts)
-    dr2, k = r2 - rb[0] ** 2, TWO_PI / (TWO_PI - alpha)
+    k = TWO_PI / (TWO_PI - alpha)
 
     def residuals(Ri, L):
         c = tube.l / L
@@ -298,12 +358,24 @@ def _value_and_jacobian(fun, x):
 
     x has shape (n,), or (n, B) for B systems; fun gets the columns as (n, n),
     or (n, B, n) with system b's at [:, b, :], and the Jacobian comes back as
-    (n, n) or (B, n, n).
+    (n, n) or (B, n, n).  A system whose Jacobian overflows gets an infinite value:
+    like a state fun cannot evaluate, it is inadmissible.
     """
     h = CS_STEP * np.where(x == 0.0, 1.0, abs(x))   # relative: any length scale
     eye = _eye(len(x))[:, None] if x.ndim > 1 else _eye(len(x))
     out = np.asarray(fun(x[..., None] + 1j * (h[..., None] * eye)))
-    return out.real[..., 0], (out.imag / h.T).swapaxes(0, -2)
+    try:
+        return out.real[..., 0], _jacobian(out.imag, h)
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore"):
+            jac = (out.imag / h.T).swapaxes(0, -2)
+        return np.where(np.isfinite(jac).all(axis=(-2, -1)), out.real[..., 0], np.inf), jac
+
+
+@np.errstate(over="raise", under="ignore")
+def _jacobian(imag, h):
+    """The complex-step Jacobian from the imaginary parts; an overflow raises."""
+    return (imag / h.T).swapaxes(0, -2)
 
 
 def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
@@ -314,12 +386,14 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
     array (n, *S), to residuals of the same shape, analytically (no abs,
     comparisons or casts on the values).  Each trial point comes with its
     Jacobian, one call per accepted step; a step is taken only once the
-    residual at its end is checked to be smaller.  Every system converges,
-    halves its step and stops on its own: where fun evaluates each state as it
-    would alone, a batch returns the x each system reaches alone.  Returns (x,
-    residual, iterations of the slowest system); raises NoConvergence carrying
-    the last checked iterates and the largest residual norm, and ValueError
-    for a tolerance that is not > 0, which no residual can meet.
+    residual at its end is checked to be smaller and its Jacobian finite, and a
+    start whose residual or Jacobian is not finite is named inadmissible.  Every
+    system converges, halves its step and stops on its own: where fun evaluates
+    each state as it would alone, a batch returns the x each system reaches
+    alone.  Returns (x, residual, iterations of the slowest system); raises
+    NoConvergence carrying the last checked iterates and the largest residual
+    norm, and ValueError for a tolerance that is not > 0, which no residual can
+    meet.
     """
     if not tol > 0.0:
         raise ValueError(f"need tol > 0 (got {tol})")
@@ -330,6 +404,9 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
         worst = float(norm.max())
         if worst < tol:
             return x, f, it
+        if not worst < math.inf:   # only at the start: every accepted step lowers the norm
+            what = "residual" if np.isfinite(jac).all() else "Jacobian"
+            raise NoConvergence(f"inadmissible start (non-finite {what})", x, {}, 0)
         if it == max_iter:
             raise NoConvergence(f"no convergence in {max_iter} Newton iterations "
                                 f"(|res| = {worst:.3e})", x, {'norm': worst}, it)
@@ -339,7 +416,8 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
         except np.linalg.LinAlgError:
             raise NoConvergence("singular Jacobian in tube solve", x, {'norm': worst}, it)
         for _ in range(MAX_HALVINGS):
-            fn, jn = _value_and_jacobian(fun, x + step)
+            trial = x + step
+            fn, jn = _value_and_jacobian(fun, trial)
             worse = pending & ~(abs(fn).max(axis=0) < norm)
             if not worse.any():
                 break
@@ -347,7 +425,7 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
         else:
             raise NoConvergence(f"line search stalled at |res| = {worst:.3e}", x,
                                 {'norm': worst}, it)
-        x, f, jac = x + step, fn, jn
+        x, f, jac = trial, fn, jn
 
 
 def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
@@ -355,10 +433,11 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
     solved as u = (ln x[0], ln x[1], x[2:]), so no trial length is <= 0: the first n
     of residuals(*x) = (p_net, F_red, M) over (c, c length^2, c length^2), c the
     largest matrix modulus c1 or c2 (c1 may be 0), length the wall's one scalar.  A
-    DomainError, a QuadratureFailure or a floating-point error (whatever the caller's
-    numpy error state) makes every state of the call infinite, so the line search
-    backs off.  Returns (x, residual in kPa and kPa mm^2, iterations); a
-    NoConvergence carries its last iterate as x."""
+    DomainError, a QuadratureFailure or a floating-point overflow, division by zero or
+    invalid operation makes every state of the call infinite, so the line search backs
+    off; the solve sets numpy's error state itself (an underflow is no error), so the
+    caller's does not matter.  Returns (x, residual in kPa and kPa mm^2, iterations);
+    a NoConvergence carries its last iterate as x."""
     n = len(x0)
     c = max(max(layer.equilibrium.matrix.c1, layer.equilibrium.matrix.c2) for layer in layers)
     scale = c * np.array([1.0, length ** 2, length ** 2])[:n].reshape((n,) + (1,) * np.ndim(x0))
@@ -366,19 +445,19 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
 
     def resid(u):
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                v = u[..., None]
-                return np.asarray(residuals(*np.exp(v[:2]), *v[2:])[:n]) / scale
+            v = u[..., None]
+            return np.asarray(residuals(*np.exp(v[:2]), *v[2:])[:n]) / scale
         except (DomainError, QuadratureFailure, ArithmeticError) as e:
             if np.array_equal(u.real[..., 0], u0):   # the start: no step backs off from it
                 raise NoConvergence(f"inadmissible start ({type(e).__name__}: {e})", u0, {}, 0)
         return np.full(u.shape, np.inf)
 
-    try:
-        u, fhat, iters = newton2(resid, u0, tol=tol, max_iter=max_iter)
-    except NoConvergence as e:
-        e.last_iterate = np.concatenate((np.exp(e.last_iterate[:2]), e.last_iterate[2:]))
-        raise
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        try:
+            u, fhat, iters = newton2(resid, u0, tol=tol, max_iter=max_iter)
+        except NoConvergence as e:
+            e.last_iterate = np.concatenate((np.exp(e.last_iterate[:2]), e.last_iterate[2:]))
+            raise
     return np.concatenate((np.exp(u[:2]), u[2:])), fhat * scale[..., 0], iters
 
 
@@ -435,17 +514,12 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
     or on one (ri, l) per angle of an array alpha, in one batch, on the layers'
     sector_residuals, scaled by the outermost sector's Ro.
 
-    Every angle starts from its own closed form: l = L_1 and unit hoop stretch
-    at the middle R_n of the first sector, so with a1 = (2*pi - alpha_1) / (2*pi
-    - alpha), r_n = a1 R_n and ri^2 = a1 (Ri_1^2 - (1 - a1) R_n^2), floored at
-    a1 Ri_1^2 / 2 for a thick first sector closed far past its own angle.
-    Returns (x, residual in kPa and kPa mm^2, iterations), of shape (2,) or (2, B).
+    Every angle starts from its own closed form (_start_ri2, l = L_1).  Returns
+    (x, residual in kPa and kPa mm^2, iterations), of shape (2,) or (2, B).
     """
     secs = wall_sectors(layers)
     alphas = np.asarray(alpha)
-    a1 = (TWO_PI - secs[0].alpha) / (TWO_PI - alphas)
-    Ri2, Rn2 = secs[0].Ri ** 2, (0.5 * (secs[0].Ri + secs[0].Ro)) ** 2
-    ri0 = np.sqrt(a1 * np.maximum(Ri2 - (1.0 - a1) * Rn2, 0.5 * Ri2))
+    ri0 = np.sqrt(_start_ri2(secs[0], alphas))
     x0 = np.array([ri0, np.full_like(ri0, secs[0].L)])
     # a batch's states have shape (B, m): the angles vary along the first axis
     a = alphas[:, None, None] if alphas.ndim else alpha

@@ -6,7 +6,7 @@ and fictitious-stress kernels the workflows run: the stored energies on the
 match), the extra Cauchy stress, the Maxwell flow right-hand sides (integrated
 by the Runge-Kutta references), the lf <- sf strain transform, one layer's
 sector<->tube map (OpeningMap) and the wall integrals built segment by segment
-from OpeningMaps.  The tensor-route laws
+from OpeningMaps, on Gauss nodes uniform in ln r.  The tensor-route laws
 call the package's fictitious-stress kernels and fibre law; the wall integrals
 use their own closed forms, written family by family.
 """
@@ -20,7 +20,7 @@ from prestress_tube import tensor as tn
 from prestress_tube.errors import DomainError
 from prestress_tube.materials import (EquilibriumMaterial, MooneyRivlinParams, PreStressField,
                                       equilibrium_sbar, fibre_energy, fibre_f, isochoric_pk2)
-from prestress_tube.tube import gauss_segment
+from prestress_tube.tube import neo_hookean_closing
 from prestress_tube.maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 
@@ -179,21 +179,41 @@ def glued_opening_maps(sectors, alpha, ri, l):
     return maps
 
 
-def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False, load_free=False):
-    """(p_net, F_red, M, int W r dr) of a wall, one layer at a time: Gauss nodes
-    over each span in the sf radius R, their current radii, weights dr/dR and
-    squared stretches from the layer's OpeningMap; with load_free, Gauss nodes
-    over each span in the load-free radius r and their sf radii.  With magnitudes,
-    each is instead the sum of its terms' real parts' magnitudes: the scale of its
-    roundoff."""
+def gauss_segment(a: float, b: float, n: int):
+    """Gauss-Legendre nodes/weights mapped to [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
+
+
+def closing_maps(layers):
+    """The glued wall's neo-Hookean closing (tube.neo_hookean_closing): one OpeningMap
+    per layer, at alpha = 0 and l = L_1, and each layer's span of current radii."""
+    secs = [layer.sector for layer in layers]
+    r = np.sqrt(neo_hookean_closing(layers))
+    return glued_opening_maps(secs, 0.0, r[0], secs[0].L), list(zip(r, r[1:]))
+
+
+def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False, closing=None):
+    """(p_net, F_red, M, int W r dr) of a wall, one layer at a time, on Gauss nodes
+    uniform in ln r over each span of current radii: of the maps' own wall (the
+    inverse solve's nodes, fixed in the load-free r), whose sf radii follow from the
+    maps, or of the closing maps' wall, whose sf radii R stay fixed and give the
+    current radii, weights dr/dR and squared stretches from the maps.  With
+    magnitudes, each is instead the sum of its terms' real parts' magnitudes: the
+    scale of its roundoff."""
     part = (lambda v: abs(np.real(v))) if magnitudes else (lambda v: v)
     p = fz = mo = e = 0.0
-    for mat, m, span in zip(materials, maps, spans):
-        if load_free:
-            r, w = gauss_segment(*span, npts)
+    for j, (mat, m, span) in enumerate(zip(materials, maps, spans)):
+        t, w = gauss_segment(*np.log(span), npts)
+        r = np.exp(t)
+        w = w * r
+        if closing is None:
             R = m.radius_sf(r)
         else:
-            R, w = gauss_segment(*span, npts)
+            mc = closing[j]
+            R = mc.radius_sf(r)
+            w = w * mc.k * mc.c * r / R
             r = m.radius_current(R)
             w = w * R / (m.k * m.c * r)
         dth, dzz, energy = diagonal_stress_and_energy(m.sq_stretches(r, R), mat)
@@ -208,10 +228,11 @@ def segment_sector_residuals(layers, npts):
     """tube.sector_residuals on the segment route: the glued wall's (ri, l,
     alpha=0, energy=False) -> segment_wall_integrals at glued_opening_maps."""
     secs = [layer.sector for layer in layers]
-    mats, spans = [layer.equilibrium for layer in layers], [(s.Ri, s.Ro) for s in secs]
+    mats, (closing, spans) = [layer.equilibrium for layer in layers], closing_maps(layers)
 
     def wall(ri, l, alpha=0.0, energy=False):
-        out = segment_wall_integrals(mats, glued_opening_maps(secs, alpha, ri, l), spans, npts)
+        out = segment_wall_integrals(mats, glued_opening_maps(secs, alpha, ri, l), spans, npts,
+                                     closing=closing)
         return out if energy else out[:3]
     return wall
 

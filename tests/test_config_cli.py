@@ -965,6 +965,24 @@ def test_cli_exit_2_on_an_inadmissible_start(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("k2, error", [
+    (15.0, "line search stalled at |res| = "), (15.05, "inadmissible start (non-finite Jacobian)")])
+def test_cli_exit_2_on_an_overflowing_jacobian(tmp_path, capsys, k2, error):
+    # a stiff media sector closed from 320 deg whose residual is finite where its
+    # complex-step Jacobian overflows, at a trial or at the start: a numerical failure
+    # with its last iterate, not a floating-point error
+    media = {"c1_kpa": 3.0, "c2_kpa": 0.0, "k1_kpa": 2.0, "k2": k2, "beta_deg": 0.0,
+             "sector": {"R_i_mm": 1.0, "R_o_mm": 2.0, "L_mm": 1.0, "alpha_deg": 320.0}}
+    cfg = {"workflow": "load-free", "media": media}
+    rc, stdout, stderr = run_cli(capsys, "load-free", "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(tmp_path / "x.csv"))
+    summary = json.loads(stdout)
+    assert (rc, stderr, summary["converged"]) == (2, "", False)
+    assert summary["error"].startswith(error)
+    assert len(summary["last_iterate"]) == 2 and np.all(np.isfinite(summary["last_iterate"]))
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("text", [
     b'{"workflow": "inverse-sf", "output": "\xff.csv"}',             # not UTF-8
     b'{"workflow": "inverse-sf", "l_mm": 1' + b"0" * 5000 + b"}",   # past int()'s digit limit

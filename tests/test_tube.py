@@ -19,7 +19,6 @@ from prestress_tube import (
     diagonal_energy,
     diagonal_stress_differences,
     find_opening_angle,
-    gauss_segment,
     glued_radii,
     newton2,
     solve_inverse_sf,
@@ -43,9 +42,9 @@ from conftest import (
     split_sectored_layer,
 )
 # one layer's sector<->tube map and the segment route
-from reference import (OpeningMap, diagonal_stress_and_energy, equilibrium_energy_sf,
-                       extra_cauchy_equilibrium, glued_opening_maps, segment_sector_residuals,
-                       segment_wall_integrals)
+from reference import (OpeningMap, closing_maps, diagonal_stress_and_energy,
+                       equilibrium_energy_sf, extra_cauchy_equilibrium, gauss_segment,
+                       glued_opening_maps, segment_sector_residuals, segment_wall_integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +172,13 @@ def test_opening_map_radius_round_trip_on_gauss_nodes():
 
 
 def test_wall_r_span_R_span_equivalence():
-    # the inverse solve's table, Gauss nodes fixed in the load-free r, integrates the
-    # wall as the tensor route's extra stress does at the same nodes
+    # the inverse solve's table, Gauss nodes fixed in the load-free r and uniform in
+    # ln r, integrates the wall as the tensor route's extra stress does at the same nodes
     layer = MaterialLayer.from_constants(**MEDIA_EQ)
     m = OpeningMap(k=1.8, c=1.05, ri=0.71, Ri=1.39)
-    r, w = gauss_segment(0.71, 0.97, 24)
+    t, w = gauss_segment(math.log(0.71), math.log(0.97), 24)
+    r = np.exp(t)
+    w = w * r
     t = extra_cauchy_equilibrium(np.linalg.inv(m.F0(r)), layer.equilibrium)
     dth, dzz = t[:, 1, 1] - t[:, 0, 0], t[:, 2, 2] - t[:, 0, 0]
     p_r = np.sum(w * dth / r)
@@ -188,6 +189,35 @@ def test_wall_r_span_R_span_equivalence():
     p_R, f_R, _ = wall(m.Ri, 1.0)
     assert p_r == pytest.approx(p_R, rel=1e-12, abs=1e-12)
     assert f_r == pytest.approx(f_R, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("wall", ["t3", "media-200", "adventitia-280", "media-240", "mixed"])
+def test_neo_hookean_closing_zeroes_its_net_pressure(wall):
+    # the sector nodes' grading point: the glued wall closed at alpha = 0 and l = L_1,
+    # each layer neo-Hookean of modulus c1 + c2, whose net pressure vanishes there on
+    # the segment route's 64 nodes (to 1e-6 of its terms' magnitudes; observed at
+    # most 2.4e-8), with its boundary radii those of glued_radii
+    walls = {"t3": sectored_layers(),
+             "media-200": [MaterialLayer.from_constants(**MEDIA_EQ, sector=SectorGeometry(
+                 0.8, 1.6, 1.0, math.radians(200.0)))],
+             "adventitia-280": [MaterialLayer.from_constants(**ADV_EQ, sector=SectorGeometry(
+                 1.0, 1.375, 1.0, math.radians(280.0)))],
+             "media-240": [MaterialLayer.from_constants(**MEDIA_EQ, sector=SectorGeometry(
+                 0.8, 2.0, 1.0, math.radians(240.0)))],
+             "mixed": [MaterialLayer.from_constants(**ADV_EQ, sector=SectorGeometry(
+                           0.86, 1.24, 1.04, math.radians(103.0))),
+                       MaterialLayer.from_constants(**MEDIA_EQ, sector=SectorGeometry(
+                           1.24, 1.52, 1.05, math.radians(170.0)))]}
+    layers = walls[wall]
+    secs = [layer.sector for layer in layers]
+    r = np.sqrt(tube.neo_hookean_closing(layers))
+    assert_allclose(r, glued_radii(secs, r[0], secs[0].L), rtol=1e-15, atol=0.0)
+    neo_hookean = [EquilibriumMaterial(MooneyRivlinParams(
+        layer.equilibrium.matrix.c1 + layer.equilibrium.matrix.c2, 0.0)) for layer in layers]
+    closing, spans = closing_maps(layers)
+    args = (neo_hookean, glued_opening_maps(secs, 0.0, r[0], secs[0].L), spans, 64)
+    p_net = segment_wall_integrals(*args, closing=closing)[0]
+    assert abs(p_net) <= 1e-6 * segment_wall_integrals(*args, magnitudes=True, closing=closing)[0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -315,13 +345,16 @@ def test_wall_kernel_matches_segment_route(n, npts, form, seed, mats):
                              form, rng)
     if form == "batched":
         alpha = alpha + np.radians(rng.uniform(-5.0, 5.0, (3, 1, 1)))
-    mat_list = [layer.equilibrium for layer in layers]
-    args = (mat_list, glued_opening_maps(secs, alpha, ri, l), [(s.Ri, s.Ro) for s in secs], npts)
-    ref, terms = segment_wall_integrals(*args), segment_wall_integrals(*args, magnitudes=True)
+    mat_list, (closing, spans) = [layer.equilibrium for layer in layers], closing_maps(layers)
+    # both place the nodes uniform in ln r over the wall's neo-Hookean closing
+    args = (mat_list, glued_opening_maps(secs, alpha, ri, l), spans, npts)
+    ref = segment_wall_integrals(*args, closing=closing)
+    terms = segment_wall_integrals(*args, magnitudes=True, closing=closing)
     _assert_roundoff_close(tube.sector_residuals(layers, npts)(ri, l, alpha, energy=True),
                            ref, terms)
     _assert_roundoff_close(tube.sector_residuals(layers, npts)(ri, l, alpha), ref[:3], terms)
-    # one map for the whole wall, Gauss nodes over each layer's tube span (the inverse solve)
+    # one map for the whole wall, Gauss nodes uniform in ln r over each layer's tube span
+    # (the inverse solve)
     tube_geom = TubeGeometry(rng.uniform(0.4, 1.0) * np.cumprod([1.0] + [1.2] * n),
                              rng.uniform(0.8, 1.2))
     alpha = math.radians(rng.uniform(0.0, 200.0))
@@ -331,8 +364,8 @@ def test_wall_kernel_matches_segment_route(n, npts, form, seed, mats):
     m = OpeningMap(k, tube_geom.l / L, ri, Ri)
     args = (mat_list, [m] * n, list(zip(tube_geom.radii, tube_geom.radii[1:])), npts)
     _assert_roundoff_close(tube.tube_residuals(tube_geom, alpha, layers, npts)(Ri, L),
-                           segment_wall_integrals(*args, load_free=True)[:3],
-                           segment_wall_integrals(*args, magnitudes=True, load_free=True))
+                           segment_wall_integrals(*args)[:3],
+                           segment_wall_integrals(*args, magnitudes=True))
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
@@ -509,16 +542,31 @@ def test_newton2_rejects_a_tolerance_no_residual_can_meet(tol):
 
 
 @pytest.mark.parametrize("errstate", ["ignore", "warn", "raise"])
-def test_wall_solve_failure_is_independent_of_numpy_error_state(errstate):
-    # a stiff fibre family (k2 = 50) closed from a thin 300 deg sector: from an
-    # admissible start, its trials overflow the fibre exponential; whatever the
-    # caller's numpy error state (warnings are errors under this suite), the line
-    # search backs off them and the solve ends in NoConvergence at a finite last iterate
-    layer = MaterialLayer.from_constants(3.0, 0.0, 2.0, 50.0, 0.0, sector=SectorGeometry(
-        1.0, 1.5, 1.0, math.radians(300.0)))
-    with np.errstate(all=errstate), pytest.raises(NoConvergence) as info:
-        solve_load_free([layer])
-    assert info.value.iterations > 0
+def test_wall_solve_failure_is_independent_of_numpy_error_state(monkeypatch, errstate):
+    # a stiff fibre family (k2 = 20) closed from a thick 210 deg sector: from an
+    # admissible start, some of its trials overflow the fibre exponential; whatever
+    # the caller's numpy error state (warnings are errors under this suite), the line
+    # search backs off them, an underflow backs off nothing, and the solve ends in
+    # one NoConvergence at a finite last iterate
+    layer = MaterialLayer.from_constants(3.0, 0.0, 2.0, 20.0, 0.0, sector=SectorGeometry(
+        1.0, 2.1, 1.0, math.radians(210.0)))
+    overflows, kernel = [], tube.equilibrium_residuals
+
+    def recording(*args):
+        try:
+            return kernel(*args)
+        except FloatingPointError as e:
+            overflows.append(str(e))
+            raise
+
+    monkeypatch.setattr(tube, "equilibrium_residuals", recording)
+    failures = []
+    for state in ("ignore", errstate):
+        with np.errstate(all=state), pytest.raises(NoConvergence) as info:
+            solve_load_free([layer])
+        failures.append((str(info.value), info.value.iterations, info.value.last_iterate.tolist()))
+    assert failures[0] == failures[1]
+    assert info.value.iterations > 0 and "overflow encountered in exp" in overflows
     assert np.all(np.isfinite(info.value.last_iterate))
 
 
@@ -539,13 +587,38 @@ def test_inadmissible_start_is_named():
         find_opening_angle([layer], 0.0, 180.0, 4.0)
     assert str(info.value).startswith("inadmissible start (FloatingPointError: overflow")
     assert str(info.value).endswith(" at alpha = 0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, "
-                                    "48, 52, 56 deg")
+                                    "48, 52 deg")
     assert info.value.iterations == 0 and info.value.last_iterate.shape == (2, 46)
     # past them the starts are admissible, with residuals far above 1e30: the solve
     # ends in NoConvergence at an admissible iterate, its residual finite
-    with pytest.raises(NoConvergence, match="^no convergence in 25 Newton iterations") as info:
-        find_opening_angle([layer], 64.0, 180.0, 4.0)
+    with pytest.raises(NoConvergence, match="^line search stalled") as info:
+        find_opening_angle([layer], 56.0, 180.0, 4.0)
     assert 1e30 < info.value.residuals["norm"] < math.inf
+    assert np.all(np.isfinite(info.value.last_iterate))
+
+
+@pytest.mark.parametrize("k2, message", [
+    (15.0, "^line search stalled"), (15.05, r"^inadmissible start \(non-finite Jacobian\)$")])
+def test_an_overflowing_jacobian_is_inadmissible(monkeypatch, k2, message):
+    # a stiff fibre family closed from a thick 320 deg sector: its residual stays
+    # finite where its complex-step Jacobian overflows, at a trial (k2 = 15), from
+    # which the line search backs off, or at the start (k2 = 15.05), which is named;
+    # either way a NoConvergence at a finite last iterate, also under the CLI's error
+    # state, and never a floating-point error
+    layer = MaterialLayer.from_constants(3.0, 0.0, 2.0, k2, 0.0, sector=SectorGeometry(
+        1.0, 2.0, 1.0, math.radians(320.0)))
+    overflowed, value_and_jacobian = [], tube._value_and_jacobian
+
+    def recording(fun, x):
+        out = value_and_jacobian(fun, x)
+        overflowed.append(not np.isfinite(out[1]).all())
+        return out
+
+    monkeypatch.setattr(tube, "_value_and_jacobian", recording)
+    with np.errstate(over="raise", divide="raise", invalid="raise"), \
+            pytest.raises(NoConvergence, match=message) as info:
+        solve_load_free([layer])
+    assert any(overflowed) and overflowed[0] == (k2 > 15.0)
     assert np.all(np.isfinite(info.value.last_iterate))
 
 
@@ -597,7 +670,8 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
             return fun(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(tube, "gauss_segment", counting("gauss_segment", tube.gauss_segment))
+    monkeypatch.setattr(tube, "neo_hookean_closing",
+                        counting("neo_hookean_closing", tube.neo_hookean_closing))
     monkeypatch.setattr(tube, "_leggauss", counting("_leggauss", tube._leggauss))
     newton = tube.newton2
     runs = []
@@ -621,12 +695,11 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
     (loose, built), (tight, built_tight) = runs
     assert tight > loose
     assert built_tight == built
-    # the tube solvers add a table at 2 * npts for their quadrature check
+    # the tube solvers add a table at 2 * npts for their quadrature check; one Legendre
+    # rule per table, for every layer at once, and the sectors' grading point with it
     tables = 1 if workflow == "energy-scan" else 2
-    if workflow == "inverse-sf":   # one Legendre rule per table, for every layer at once
-        assert built["_leggauss"] == tables and "gauss_segment" not in built
-    else:   # one Gauss segment per sector per table
-        assert built["gauss_segment"] == built["_leggauss"] == tables * len(t3_layers)
+    assert built["_leggauss"] == tables
+    assert built.get("neo_hookean_closing", 0) == (0 if workflow == "inverse-sf" else tables)
 
 
 # ---------------------------------------------------------------------------
@@ -782,17 +855,18 @@ def test_round_trip_to_roundoff(r_i, thick, split, l, alpha_deg, two, npts):
 def test_default_quadrature_resolves_every_workflow(n, seed):
     # N_QUAD Gauss points per layer already give what 2 N_QUAD give: the scan's
     # argmin and energies, and both tube solves' quadrature checks, on walls of
-    # 1-3 kernel materials as thick as the round trips' (Ro/Ri up to 2.1 in
-    # one layer).  It fails at N_QUAD = 12, 16, 20 and 22
+    # 1-3 kernel materials, Ro/Ri up to 2.25 in one layer, opened 100-180 deg.
+    # It fails at N_QUAD = 8; 10 and 11 pass these examples but not the sweeps of
+    # the README's node-count table
     rng = np.random.default_rng(seed)
     mats = [KERNEL_MATERIALS[i] for i in rng.integers(0, len(KERNEL_MATERIALS), n)]
-    Ri, Ro = rng.uniform(0.8, 1.2), rng.uniform(1.3, 1.7)
+    Ri, Ro = rng.uniform(0.8, 1.2), rng.uniform(1.3, 1.8)
     bounds = Ri + (Ro - Ri) * np.r_[0.0, np.sort(rng.uniform(0.0, 1.0, n - 1)), 1.0]
     gaps = np.r_[0.0, np.cumsum(rng.uniform(0.0, 0.1, n - 1))]
     L = rng.uniform(0.8, 2.0)
     layers = [MaterialLayer(mat, sector=SectorGeometry(
                   bounds[j] + gaps[j], bounds[j + 1] + gaps[j], L * rng.uniform(0.95, 1.05),
-                  math.radians(rng.uniform(100.0, 170.0))))
+                  math.radians(rng.uniform(100.0, 180.0))))
               for j, mat in enumerate(mats)]
     curve = find_opening_angle(layers, 0.0, 180.0, 4.0)
     fine = find_opening_angle(layers, 0.0, 180.0, 4.0, npts=2 * tube.N_QUAD)
@@ -820,6 +894,22 @@ def test_load_free_closes_a_thick_sector_opened_wide():
     fwd = solve_load_free([replace(layer, sector=sec)])
     got = solve_inverse_sf(fwd.tube, sec.alpha, [layer]).sectors[0]
     assert_allclose((got.Ri, got.Ro, got.L), (sec.Ri, sec.Ro, sec.L), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("eq, sec, rtol", [
+    (MEDIA_EQ, SectorGeometry(0.8, 1.6, 1.0, math.radians(200.0)), 1e-13),
+    (ADV_EQ, SectorGeometry(1.0, 1.375, 1.0, math.radians(280.0)), 1e-14)],
+    ids=["media-200", "adventitia-280"])
+def test_walls_closed_toward_the_axis_round_trip_at_the_default_nodes(eq, sec, rtol):
+    # walls that close toward the axis (r_o/r_i = 4.6 and 3.5, r_i = 0.198 and 0.133
+    # mm): the default nodes, uniform in ln r, resolve their 1/r^2 integrands, so
+    # load-free, then inverse-sf on its tube, recovers the sector to roundoff
+    # (observed 3.3e-14 and 0); 12 nodes uniform in R missed by 8.6e-6 and 1.6e-6,
+    # and 24 by 3.3e-11 and 7.5e-13
+    layer = MaterialLayer.from_constants(**eq)
+    fwd = solve_load_free([replace(layer, sector=sec)])
+    got = solve_inverse_sf(fwd.tube, sec.alpha, [layer]).sectors[0]
+    assert_allclose((got.Ri, got.Ro, got.L), (sec.Ri, sec.Ro, sec.L), rtol=rtol, atol=0.0)
 
 
 def _glued_walls(n, mats, Ri, ratio, split, alpha, L):
@@ -875,12 +965,12 @@ def test_walls_past_the_range_fail_only_by_no_convergence(n, mats, Ri, ratio, sp
 
 
 def test_quad_check_flags_an_under_resolved_wall():
-    # Ro/Ri = 2 opened to 200 deg closes to r_o/r_i = 4.6 (0.198 to 0.914 mm), past
+    # Ro/Ri = 2 opened to 240 deg closes to r_o/r_i = 7.1 (0.105 to 0.748 mm), past
     # the walls the default node count resolves: the 1/r^2 integrand near its small
-    # inner radius moves the converged net pressure by 1.2e-9 kPa when the nodes
-    # double from N_QUAD = 24, above the 1e-12 c that
-    # test_default_quadrature_resolves_every_workflow allows, and by 1.7e-13 from 32
-    sec = SectorGeometry(0.8, 1.6, 1.0, math.radians(200.0))
+    # inner radius moves the converged net pressure by 1.3e-8 kPa when the nodes
+    # double from N_QUAD = 12, above the 1e-12 c that
+    # test_default_quadrature_resolves_every_workflow allows, and by 2.7e-14 from 32
+    sec = SectorGeometry(0.8, 1.6, 1.0, math.radians(240.0))
     layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=sec)
     c = max(MEDIA_EQ["c1"], MEDIA_EQ["c2"])
     coarse, fine = (solve_load_free([layer], npts).report.quad_check["p_refine_change"]
