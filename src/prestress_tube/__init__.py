@@ -14,7 +14,7 @@ Units: mm, kPa, kPa s; forces in kPa mm^2; energies in microjoule (kPa mm^3).
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDeterminant,
-                     NonPositiveStretch, QuadratureFailure, SingularTensor)
+                     NonPositiveStretch, SingularTensor)
 from .materials import (EquilibriumMaterial, HolzapfelFibreParams, MooneyRivlinParams,
                         PreStressField, cauchy_from_pk2, csf_from_clf, diagonal_energy,
                         diagonal_stress_differences, fibre_directions, fibre_energy, fibre_f,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, config, maxwell
 from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDeterminant,
-                     NonPositiveStretch, QuadratureFailure, SingularTensor)
+                     NonPositiveStretch, SingularTensor)
 from .opening import find_opening_angle
 from .driver import run_point
 from .tube import SolverReport, solve_inverse_sf, solve_load_free, wall_stress_profile
@@ -183,8 +183,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (NoConvergence, DomainError, QuadratureFailure, SingularTensor,
-            NonPositiveDeterminant, NonPositiveStretch, ArithmeticError) as e:
+    except (NoConvergence, DomainError, SingularTensor, NonPositiveDeterminant,
+            NonPositiveStretch, ArithmeticError) as e:
         summary = {"workflow": args.workflow, "converged": False,
                    "error": f"{type(e).__name__}: {e}", "residuals": {}}
         if isinstance(e, NoConvergence):  # a solver's failure: its message, residuals, last iterate

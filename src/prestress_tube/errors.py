@@ -17,10 +17,6 @@ class DomainError(ValueError):
     """Kinematically inadmissible input (negative radicand, radius out of range, ...)."""
 
 
-class QuadratureFailure(RuntimeError):
-    """A wall integral produced non-finite values."""
-
-
 class NoConvergence(RuntimeError):
     """An iterative solve failed; carries the last iterate and residuals."""
 

@@ -15,9 +15,9 @@ equilibrates its whole angle grid in one batched Newton, each angle from its
 own closed-form start (tube._solve_sector), and evaluates every energy and
 moment in one broadcast call; the argmin solve reuses that solve's node table
 (tube.sector_residuals).  When M changes sign next to the lowest sample, the
-argmin is the Newton root of (p_net, F_red, M) in (ln r_i, ln l_open, alpha)
-inside that grid cell, started where the two samples' moments interpolate
-linearly to zero; its rho_interface follows from tube.glued_radii.
+argmin is the Newton root of (p_net, F_red, M) in (ln r_i, ln l_open,
+ln(2*pi - alpha)) inside that grid cell, started where the two samples' moments
+interpolate linearly to zero; its rho_interface follows from tube.glued_radii.
 
 The argmin exhibits the mutual locking of the layers: the composite's opening
 angle is smaller than each layer's own angle.  All energies are

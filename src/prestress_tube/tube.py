@@ -46,12 +46,13 @@ Both use a damped Newton iteration on the first n nondimensionalized
 residuals in the logs of the wall's two lengths, (ln r_i, ln l) or (ln Ri,
 ln L), with a complex-step Jacobian: one residual call at the columns x + i h
 e_j gives the residual and the exact Jacobian.  The Newton takes one system or
-a batch of independent ones.  Both solvers start next to the root, at the map
-that keeps the length and leaves the middle of the first layer without hoop
-strain, and every solve stops at NEWTON_TOL, near roundoff, so its result does
-not depend on its start.  The load-free solve is the glued-sector Newton at
-alpha = 0; the energy scan runs the same solve at every angle of its grid as
-one batch, and its argmin solves all three residuals for (ln r_i, ln l, alpha).
+a batch of independent ones, each inadmissible on its own where its residual or
+Jacobian is not finite.  Both solvers start next to the root, at the map that
+keeps the length and leaves the middle of the first layer without hoop strain,
+and every solve stops at NEWTON_TOL, near roundoff, so its result does not
+depend on its start.  The load-free solve is the glued-sector Newton at alpha =
+0; the energy scan runs the same solve at every angle of its grid as one batch,
+and its argmin solves all three residuals for (ln r_i, ln l, ln(2*pi - alpha)).
 The inverse solve's nodes stay fixed in r; each node's R^2 moves with (Ri, L).
 """
 
@@ -64,7 +65,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, QuadratureFailure
+from .errors import DomainError, NoConvergence
 from .materials import (EquilibriumMaterial, diagonal_energy, diagonal_stress_differences,
                         material_columns)
 from .maxwell import FibreMaxwellParams, IsoMaxwellParams
@@ -290,8 +291,6 @@ def equilibrium_residuals(table, r2a, h, k2, c2, energy: bool = False):
     wdth = wt * dth
     p, m = (wdth / r2).sum(axis=-1), 0.5 * wdth.sum(axis=-1)
     fz = math.pi * (wt * (2.0 * dzz - dth)).sum(axis=-1)
-    if not np.isfinite((p, fz, m)).all():
-        raise QuadratureFailure(f"non-finite wall integrals (p={p}, F={fz}, M={m})")
     return (p, fz, m, (wt * diagonal_energy(l2, cols)).sum(axis=-1)) if energy else (p, fz, m)
 
 
@@ -358,24 +357,14 @@ def _value_and_jacobian(fun, x):
 
     x has shape (n,), or (n, B) for B systems; fun gets the columns as (n, n),
     or (n, B, n) with system b's at [:, b, :], and the Jacobian comes back as
-    (n, n) or (B, n, n).  A system whose Jacobian overflows gets an infinite value:
-    like a state fun cannot evaluate, it is inadmissible.
+    (n, n) or (B, n, n).  A system whose Jacobian has a non-finite entry gets an
+    infinite value: like one whose value is not finite, it is inadmissible.
     """
     h = CS_STEP * np.where(x == 0.0, 1.0, abs(x))   # relative: any length scale
     eye = _eye(len(x))[:, None] if x.ndim > 1 else _eye(len(x))
     out = np.asarray(fun(x[..., None] + 1j * (h[..., None] * eye)))
-    try:
-        return out.real[..., 0], _jacobian(out.imag, h)
-    except FloatingPointError:
-        with np.errstate(over="ignore", under="ignore"):
-            jac = (out.imag / h.T).swapaxes(0, -2)
-        return np.where(np.isfinite(jac).all(axis=(-2, -1)), out.real[..., 0], np.inf), jac
-
-
-@np.errstate(over="raise", under="ignore")
-def _jacobian(imag, h):
-    """The complex-step Jacobian from the imaginary parts; an overflow raises."""
-    return (imag / h.T).swapaxes(0, -2)
+    jac = (out.imag / h.T).swapaxes(0, -2)
+    return np.where(np.isfinite(jac).all(axis=(-2, -1)), out.real[..., 0], np.inf), jac
 
 
 def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
@@ -385,15 +374,16 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
     maps n unknowns for complex states of shape S, (m,) or (B, m), given as an
     array (n, *S), to residuals of the same shape, analytically (no abs,
     comparisons or casts on the values).  Each trial point comes with its
-    Jacobian, one call per accepted step; a step is taken only once the
-    residual at its end is checked to be smaller and its Jacobian finite, and a
-    start whose residual or Jacobian is not finite is named inadmissible.  Every
-    system converges, halves its step and stops on its own: where fun evaluates
-    each state as it would alone, a batch returns the x each system reaches
-    alone.  Returns (x, residual, iterations of the slowest system); raises
+    Jacobian, one call per accepted step.  A system whose value or Jacobian is
+    not finite is inadmissible: it reads as infinite, so the line search backs
+    off it, and a start is named by its non-finite residual, or Jacobian where
+    only that is.  Where fun evaluates each state as it would alone, every
+    system converges, halves its step and fails on its own: a batch returns the
+    x each system reaches alone, or fails as the first to fail does alone.
+    Returns (x, residual, iterations of the slowest system); raises
     NoConvergence carrying the last checked iterates and the largest residual
-    norm, and ValueError for a tolerance that is not > 0, which no residual can
-    meet.
+    norm (of the stalled systems, where the line search stalls), and ValueError
+    for a tolerance that is not > 0, which no residual can meet.
     """
     if not tol > 0.0:
         raise ValueError(f"need tol > 0 (got {tol})")
@@ -405,7 +395,7 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
         if worst < tol:
             return x, f, it
         if not worst < math.inf:   # only at the start: every accepted step lowers the norm
-            what = "residual" if np.isfinite(jac).all() else "Jacobian"
+            what = "Jacobian" if np.isfinite(fun(x[..., None])).all() else "residual"
             raise NoConvergence(f"inadmissible start (non-finite {what})", x, {}, 0)
         if it == max_iter:
             raise NoConvergence(f"no convergence in {max_iter} Newton iterations "
@@ -422,7 +412,8 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
             if not worse.any():
                 break
             step *= 1.0 - 0.5 * worse
-        else:
+        else:   # at the norm of the systems that stalled, as each would alone
+            worst = float(norm[worse].max())
             raise NoConvergence(f"line search stalled at |res| = {worst:.3e}", x,
                                 {'norm': worst}, it)
         x, f, jac = trial, fn, jn
@@ -430,35 +421,32 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
 
 def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
     """newton2 on the n = 2 or 3 unknowns x of the wall, x0 of shape (n,) or (n, B),
-    solved as u = (ln x[0], ln x[1], x[2:]), so no trial length is <= 0: the first n
-    of residuals(*x) = (p_net, F_red, M) over (c, c length^2, c length^2), c the
-    largest matrix modulus c1 or c2 (c1 may be 0), length the wall's one scalar.  A
-    DomainError, a QuadratureFailure or a floating-point overflow, division by zero or
-    invalid operation makes every state of the call infinite, so the line search backs
-    off; the solve sets numpy's error state itself (an underflow is no error), so the
-    caller's does not matter.  Returns (x, residual in kPa and kPa mm^2, iterations);
-    a NoConvergence carries its last iterate as x."""
+    solved in logs as u = (ln x[0], ln x[1], ln(2*pi - x[2])), so no trial leaves the
+    domain: the first n of residuals(*x) = (p_net, F_red, M) over (c, c length^2,
+    c length^2), c the largest matrix modulus c1 or c2 (c1 may be 0), length the wall's
+    one scalar.  The Newton runs with numpy's floating-point errors ignored, whatever
+    the caller's error state: an overflow, a division by zero or an invalid operation
+    leaves a non-finite value or Jacobian in its own system, which newton2 reads as
+    inadmissible.  Returns (x, residual in kPa and kPa mm^2, iterations); a
+    NoConvergence carries its last iterate as x."""
     n = len(x0)
     c = max(max(layer.equilibrium.matrix.c1, layer.equilibrium.matrix.c2) for layer in layers)
     scale = c * np.array([1.0, length ** 2, length ** 2])[:n].reshape((n,) + (1,) * np.ndim(x0))
-    u0 = np.concatenate((np.log(x0[:2]), x0[2:]))
+    a, b = np.array([[0.0, 0.0, TWO_PI], [1.0, 1.0, -1.0]])[:, :n]   # x = a + b e^u
+
+    def unlog(u):
+        return (a + b * np.exp(u.T)).T
 
     def resid(u):
-        try:
-            v = u[..., None]
-            return np.asarray(residuals(*np.exp(v[:2]), *v[2:])[:n]) / scale
-        except (DomainError, QuadratureFailure, ArithmeticError) as e:
-            if np.array_equal(u.real[..., 0], u0):   # the start: no step backs off from it
-                raise NoConvergence(f"inadmissible start ({type(e).__name__}: {e})", u0, {}, 0)
-        return np.full(u.shape, np.inf)
+        return np.asarray(residuals(*unlog(u)[..., None])[:n]) / scale
 
-    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+    with np.errstate(all="ignore"):
         try:
-            u, fhat, iters = newton2(resid, u0, tol=tol, max_iter=max_iter)
+            u, fhat, iters = newton2(resid, np.log((x0.T - a) / b).T, tol=tol, max_iter=max_iter)
         except NoConvergence as e:
-            e.last_iterate = np.concatenate((np.exp(e.last_iterate[:2]), e.last_iterate[2:]))
+            e.last_iterate = unlog(e.last_iterate)
             raise
-    return np.concatenate((np.exp(u[:2]), u[2:])), fhat * scale[..., 0], iters
+    return unlog(u), fhat * scale[..., 0], iters
 
 
 @dataclass
@@ -526,13 +514,13 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
     try:
         return _solve_wall(layers, lambda *x: residuals(*x, a), x0, secs[-1].Ro, tol, max_iter)
     except NoConvergence as e:
-        bad = []   # at a batch's inadmissible start: the angles inadmissible on their own
-        for t in alphas if alphas.ndim and str(e).startswith("inadmissible start") else ():
-            try:   # tol = inf stops at any admissible start
-                _solve_sector(layers, residuals, t, math.inf, 0)
-            except NoConvergence:
-                bad.append(f"{math.degrees(t):g}")
-        raise NoConvergence(f"{e} at alpha = {', '.join(bad)} deg", x0, {}, 0) if bad else e
+        if not (alphas.ndim and str(e).startswith("inadmissible start")):
+            raise
+        with np.errstate(all="ignore"):   # one evaluation names the inadmissible angles
+            f, _ = _value_and_jacobian(
+                lambda u: np.asarray(residuals(*np.exp(u[..., None]), a)[:2]), np.log(x0))
+        bad = ", ".join(f"{math.degrees(t):g}" for t in alphas[~np.isfinite(f).all(axis=0)])
+        raise NoConvergence(f"{e} at alpha = {bad} deg", x0, {}, 0)
 
 
 def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,

@@ -947,7 +947,7 @@ def test_cli_exit_2_on_overflow(tmp_path, capsys, workflow, block, key):
     # an overflow inside a wall solve's residual makes the line search back off, and
     # one at the solve's start names the start inadmissible
     assert summary["error"].startswith(("FloatingPointError:", "OverflowError:",
-                                        "inadmissible start"))
+                                        "inadmissible start (non-finite residual)"))
 
 
 def test_cli_exit_2_on_an_inadmissible_start(tmp_path, capsys):
@@ -960,7 +960,7 @@ def test_cli_exit_2_on_an_inadmissible_start(tmp_path, capsys):
                                  "--out", str(tmp_path / "x.csv"))
     summary = json.loads(stdout)
     assert (rc, stderr, summary["converged"]) == (2, "", False)
-    assert summary["error"] == "inadmissible start (FloatingPointError: overflow encountered in exp)"
+    assert summary["error"] == "inadmissible start (non-finite residual)"
     assert_allclose(summary["last_iterate"], [0.2887, 1.0], atol=1e-4)
     assert not (tmp_path / "x.csv").exists()
 
@@ -1229,3 +1229,18 @@ def test_every_definition_is_reached_by_a_workflow(tmp_path, capsys):
     assert codes == [0, 0, 0, 0, 2]
     entered = {(str(Path(f).resolve()), line) for f, line in entered if "prestress_tube" in f}
     assert sorted(name for key, name in _package_definitions().items() if key not in entered) == []
+
+
+def test_every_exception_class_is_raised_by_the_package():
+    # every class errors.py defines is named by a raise statement of the package:
+    # none is there only for except clauses and imports to list
+    package = Path(prestress_tube.__file__).resolve().parent
+    classes = {node.name for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    assert "NoConvergence" in classes and sorted(classes - raised) == []

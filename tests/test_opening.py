@@ -207,6 +207,20 @@ def test_scan_argmin_is_independent_of_its_start(t3_layers, monkeypatch, grid):
     assert abs(math.degrees(x[2]) - curve.argmin_deg) < 1e-10
 
 
+def test_scan_argmin_failure_reports_its_angle(t3_layers, monkeypatch):
+    # the argmin solves for ln(2*pi - alpha), yet stopped by its iteration limit it
+    # reports its last iterate as (ri, l, alpha) in mm and rad: one Newton step from
+    # its start, next to the opened state at the argmin
+    curve = find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
+    solve_wall = opening._solve_wall
+    monkeypatch.setattr(opening, "_solve_wall", lambda *args: solve_wall(*args[:-1], 1))
+    with pytest.raises(NoConvergence, match="^no convergence in 1 Newton iterations") as info:
+        find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
+    assert info.value.iterations == 1
+    assert_allclose(info.value.last_iterate,
+                    equilibrate_opened(t3_layers, math.radians(curve.argmin_deg))[0], rtol=1e-6)
+
+
 def test_scan_starts_every_angle_cold(t3_layers):
     # every angle starts from its own closed form, not from its neighbours: a
     # grid up to 359 deg converges, and its samples are the per-angle equilibria
