@@ -189,14 +189,15 @@ def equilibrium_sbar(cbar, mat: EquilibriumMaterial, f=None):
 def material_columns(mats, n: int = 1):
     """Per-node constants of the materials mats[j], each over n consecutive nodes: (c1,
     c2, groups), a group (count, k1, k2, a_r^2, a_theta^2, a_z^2) per set of fibre families
-    equal on every node; a material short of families holds k1 = 0 (adds nothing) there."""
+    equal on every node, a_r^2 None where it is 0 on every node (decided once per table, not
+    per kernel call); a material short of families holds k1 = 0 (adds nothing) there."""
     width = max(len(m.fibres) for m in mats)
     pad = [0.0, 1.0, 0.0, 0.0, 0.0] * width
     cols = np.repeat(np.array([m._columns + pad[5 * len(m.fibres):] for m in mats]).T, n, axis=1)
     groups = {}
     for f in cols[2:].reshape(width, 5, -1):
-        key = f.tobytes()
-        groups[key] = (groups.get(key, (0,))[0] + 1, *f)
+        key, (k1, k2, ar, at, az) = f.tobytes(), f
+        groups[key] = (groups.get(key, (0,))[0] + 1, k1, k2, ar if ar.any() else None, at, az)
     return cols[0], cols[1], tuple(groups.values())
 
 
@@ -204,13 +205,13 @@ def diagonal_stress_differences(l2, cols):
     """(T_22 - T_11, T_33 - T_11) of the Cauchy stress F_sf S F_sf^T, S =
     isochoric_pk2 of equilibrium_sbar, at F_sf = diag(sqrt(l2)) on the per-node columns
     cols (material_columns), in the factored forms above (l2_1 = 1/(l2_2 l2_3)); the
-    pressure cancels from them.  A group forms a_1^2 l2_1 only if its a_1^2 is nonzero."""
+    pressure cancels from them.  A group forms a_1^2 l2_1 only if its a_1^2 is not None."""
     (c1, c2, groups), (lr, lt, lz) = cols, l2
     dth, dzz = (lt - lr) * (c1 + c2 * lz), (lz - lr) * (c1 + c2 * lt)
     for n, k1, k2, ar, at, az in groups:
         ft, fz = at * lt, az * lz
         lam2 = ft + fz
-        if ar.any():
+        if ar is not None:
             fr = ar * lr
             lam2, ft, fz = fr + lam2, ft - fr, fz - fr
         f2 = 2.0 * n * fibre_f(lam2, k1, k2)
@@ -224,6 +225,7 @@ def diagonal_energy(l2, cols):
     c1, c2, groups = cols
     inv = l2[0] * l2[1] + l2[1] * l2[2] + l2[2] * l2[0]   # sum of 1/l2_i
     w = 0.5 * c1 * (sum(l2) - 3.0) + 0.5 * c2 * (inv - 3.0)
-    for n, k1, k2, *a2 in groups:
-        w = w + n * fibre_energy(a2[0] * l2[0] + a2[1] * l2[1] + a2[2] * l2[2], k1, k2)
+    for n, k1, k2, ar, at, az in groups:
+        lam2 = at * l2[1] if ar is None else ar * l2[0] + at * l2[1]
+        w = w + n * fibre_energy(lam2 + az * l2[2], k1, k2)
     return w

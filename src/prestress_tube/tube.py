@@ -48,11 +48,12 @@ ln L), with a complex-step Jacobian: one residual call at the columns x + i h
 e_j gives the residual and the exact Jacobian.  The Newton takes one system or
 a batch of independent ones, each inadmissible on its own where its residual or
 Jacobian is not finite.  Both solvers start next to the root, at the map that
-keeps the length and leaves the middle of the first layer without hoop strain,
-and every solve stops at NEWTON_TOL, near roundoff, so its result does not
-depend on its start.  The load-free solve is the glued-sector Newton at alpha =
-0; the energy scan runs the same solve at every angle of its grid as one batch,
-and its argmin solves all three residuals for (ln r_i, ln l, ln(2*pi - alpha)).
+leaves the middle of the first layer without hoop strain, at the tube's length or
+the sectors' stiffness-weighted one, and every solve stops at NEWTON_TOL, near
+roundoff, so its start moves its result only at roundoff.  The load-free solve
+is the glued-sector Newton at alpha = 0; the energy scan runs the same solve at
+every angle of its grid as one batch, and its argmin solves all three residuals
+for (ln r_i, ln l, ln(2*pi - alpha)).
 The inverse solve's nodes stay fixed in r; each node's R^2 moves with (Ri, L).
 """
 
@@ -175,7 +176,7 @@ def glued_radii(sectors, ri, l, alpha=0.0):
 
 
 def _start_ri2(sec: SectorGeometry, alpha):
-    """r_i^2 of the glued sector's start at angle alpha: l = L_1 and unit hoop stretch
+    """r_i^2 of the glued sector's start at angle alpha: unit hoop stretch at l = L_1
     at the middle R_n of the first sector sec, so with a1 = (2*pi - alpha_1) / (2*pi -
     alpha), r_n = a1 R_n and ri^2 = a1 (Ri_1^2 - (1 - a1) R_n^2), floored at a1 Ri_1^2 / 2
     for a thick first sector closed far past its own angle."""
@@ -349,7 +350,7 @@ def _report(residual, refined, iterations: int) -> SolverReport:
                         {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
 
 
-_eye = functools.cache(np.eye)     # shared, so never written to
+_ieye = functools.cache(lambda n: 1j * np.eye(n))   # i times the identity: never written to
 
 
 def _value_and_jacobian(fun, x):
@@ -361,8 +362,8 @@ def _value_and_jacobian(fun, x):
     infinite value: like one whose value is not finite, it is inadmissible.
     """
     h = CS_STEP * np.where(x == 0.0, 1.0, abs(x))   # relative: any length scale
-    eye = _eye(len(x))[:, None] if x.ndim > 1 else _eye(len(x))
-    out = np.asarray(fun(x[..., None] + 1j * (h[..., None] * eye)))
+    ieye = _ieye(len(x))[:, None] if x.ndim > 1 else _ieye(len(x))
+    out = np.asarray(fun(x[..., None] + h[..., None] * ieye))
     jac = (out.imag / h.T).swapaxes(0, -2)
     return np.where(np.isfinite(jac).all(axis=(-2, -1)), out.real[..., 0], np.inf), jac
 
@@ -373,13 +374,14 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
     x0 has shape (n,) for one system or (n, B) for B independent systems.  fun
     maps n unknowns for complex states of shape S, (m,) or (B, m), given as an
     array (n, *S), to residuals of the same shape, analytically (no abs,
-    comparisons or casts on the values).  Each trial point comes with its
-    Jacobian, one call per accepted step.  A system whose value or Jacobian is
-    not finite is inadmissible: it reads as infinite, so the line search backs
-    off it, and a start is named by its non-finite residual, or Jacobian where
-    only that is.  Where fun evaluates each state as it would alone, every
-    system converges, halves its step and fails on its own: a batch returns the
-    x each system reaches alone, or fails as the first to fail does alone.
+    comparisons or casts on the values).  Each trial point comes with its Jacobian,
+    one call per accepted step, whose residual norm the next iteration keeps.  A
+    system whose value or Jacobian is not finite is inadmissible: it reads as
+    infinite, so the line search backs off it, and a start is named by its non-finite
+    residual, or Jacobian where only that is.  Where fun evaluates each state as it
+    would alone, every system converges, halves its step and fails on its own: a
+    batch returns the x each system reaches alone, or fails as the first to fail
+    does alone.
     Returns (x, residual, iterations of the slowest system); raises
     NoConvergence carrying the last checked iterates and the largest residual
     norm (of the stalled systems, where the line search stalls), and ValueError
@@ -389,8 +391,8 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
         raise ValueError(f"need tol > 0 (got {tol})")
     x = np.array(x0, dtype=float)
     f, jac = _value_and_jacobian(fun, x)
+    norm = abs(f).max(axis=0)
     for it in range(max_iter + 1):
-        norm = abs(f).max(axis=0)
         worst = float(norm.max())
         if worst < tol:
             return x, f, it
@@ -408,7 +410,8 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
         for _ in range(MAX_HALVINGS):
             trial = x + step
             fn, jn = _value_and_jacobian(fun, trial)
-            worse = pending & ~(abs(fn).max(axis=0) < norm)
+            nn = abs(fn).max(axis=0)
+            worse = pending & ~(nn < norm)
             if not worse.any():
                 break
             step *= 1.0 - 0.5 * worse
@@ -416,7 +419,7 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
             worst = float(norm[worse].max())
             raise NoConvergence(f"line search stalled at |res| = {worst:.3e}", x,
                                 {'norm': worst}, it)
-        x, f, jac = trial, fn, jn
+        x, f, jac, norm = trial, fn, jn, nn
 
 
 def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
@@ -427,26 +430,30 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
     one scalar.  The Newton runs with numpy's floating-point errors ignored, whatever
     the caller's error state: an overflow, a division by zero or an invalid operation
     leaves a non-finite value or Jacobian in its own system, which newton2 reads as
-    inadmissible.  Returns (x, residual in kPa and kPa mm^2, iterations); a
-    NoConvergence carries its last iterate as x."""
+    inadmissible.  Returns (x, residual in kPa and kPa mm^2, iterations); a NoConvergence
+    carries its last iterate as x and names a length that e^u underflowed to 0 mm."""
     n = len(x0)
     c = max(max(layer.equilibrium.matrix.c1, layer.equilibrium.matrix.c2) for layer in layers)
     scale = c * np.array([1.0, length ** 2, length ** 2])[:n].reshape((n,) + (1,) * np.ndim(x0))
-    a, b = np.array([[0.0, 0.0, TWO_PI], [1.0, 1.0, -1.0]])[:, :n]   # x = a + b e^u
 
-    def unlog(u):
-        return (a + b * np.exp(u.T)).T
+    def flip(x):   # in place: alpha <-> 2*pi - alpha, so x = flip(e^u)
+        if n == 3:
+            x[2] = TWO_PI - x[2]
+        return x
 
     def resid(u):
-        return np.asarray(residuals(*unlog(u)[..., None])[:n]) / scale
+        return np.asarray(residuals(*flip(np.exp(u))[..., None])[:n]) / scale
 
     with np.errstate(all="ignore"):
         try:
-            u, fhat, iters = newton2(resid, np.log((x0.T - a) / b).T, tol=tol, max_iter=max_iter)
+            u, fhat, iters = newton2(resid, np.log(flip(np.array(x0, dtype=float))), tol=tol,
+                                     max_iter=max_iter)
         except NoConvergence as e:
-            e.last_iterate = unlog(e.last_iterate)
+            e.last_iterate = flip(np.exp(e.last_iterate))
+            if (e.last_iterate[:2] == 0.0).any():   # e^u underflowed: ln r_i or ln l ran off
+                e.args = (f"{e}: the iterates walked to a length of 0 mm",)
             raise
-    return unlog(u), fhat * scale[..., 0], iters
+    return flip(np.exp(u)), fhat * scale[..., 0], iters
 
 
 @dataclass
@@ -502,13 +509,19 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
     or on one (ri, l) per angle of an array alpha, in one batch, on the layers'
     sector_residuals, scaled by the outermost sector's Ro.
 
-    Every angle starts from its own closed form (_start_ri2, l = L_1).  Returns
-    (x, residual in kPa and kPa mm^2, iterations), of shape (2,) or (2, B).
+    Every angle starts from its own closed form, _start_ri2 and l = L_1 + sum w_j (L_j - L_1)
+    / sum w_j: w_j is layer j's small-strain axial stiffness 6 (c1 + c2) + 4 sum_f k1 a_z^4
+    times its sector area (2*pi - alpha_j)(Ro_j^2 - Ri_j^2), so l = L_1 exactly where the
+    layers' L are equal.  Returns (x, residual in kPa and kPa mm^2, iterations), (2,) or (2, B).
     """
     secs = wall_sectors(layers)
+    w = [(6.0 * (m.matrix.c1 + m.matrix.c2) + 4.0 * sum(fp.k1 * fp.a[2] ** 4 for fp in m.fibres))
+         * (TWO_PI - sec.alpha) * (sec.Ro ** 2 - sec.Ri ** 2)
+         for m, sec in zip((layer.equilibrium for layer in layers), secs)]
     alphas = np.asarray(alpha)
     ri0 = np.sqrt(_start_ri2(secs[0], alphas))
-    x0 = np.array([ri0, np.full_like(ri0, secs[0].L)])
+    l0 = secs[0].L + sum(wj * (sec.L - secs[0].L) for wj, sec in zip(w, secs)) / sum(w)
+    x0 = np.array([ri0, np.full_like(ri0, l0)])
     # a batch's states have shape (B, m): the angles vary along the first axis
     a = alphas[:, None, None] if alphas.ndim else alpha
     try:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -389,8 +389,9 @@ def test_three_layer_mixed_material_wall_matches_segment_route(mats, Ri, h, gap,
                       axis=0).T for i in range(2)]
     cols = material_columns(eqs, 5)
     assert len(cols[2]) == 2   # the material whose families differ splits every pair
-    for count, *f in cols[2]:
-        assert count == sum(np.array_equal(f, fam) for fam in fams)
+    for count, k1, k2, ar, *f in cols[2]:   # a_r^2 is None where it is 0 on every node
+        ar = np.zeros_like(k1) if ar is None else ar
+        assert count == sum(np.array_equal([k1, k2, ar, *f], fam) for fam in fams)
     # and the grouped columns give the tensor route's stresses on every node
     lt, lz = np.linspace(0.8, 1.3, 15), np.linspace(1.2, 0.9, 15)
     l2 = (1.0 / (lt * lz), lt, lz)
@@ -648,8 +649,48 @@ def test_an_overflowing_jacobian_is_inadmissible(monkeypatch, k2, message):
     assert np.all(np.isfinite(info.value.last_iterate))
 
 
+@pytest.mark.parametrize("k2, ro, sector_deg, iterations, l", [
+    (6.0, 2.0, 230.0, 10, 0.9160912856957825), (2.0, 1.75, 270.0, 15, 0.8791034675578646),
+    (15.0, 2.5, 210.0, 10, 0.9508911922650412)])
+def test_a_wall_solve_that_walked_to_the_axis_says_so(k2, ro, sector_deg, iterations, l):
+    # a stiff fibre family closed from a thick sector: the log-space Newton walks
+    # ln r_i off to where e^u underflows, so its last iterate has r_i = 0 mm and its
+    # Jacobian is singular; the message names that cause, not only the symptom
+    layer = MaterialLayer.from_constants(3.0, 0.0, 2.0, k2, 0.0, sector=SectorGeometry(
+        1.0, ro, 1.0, math.radians(sector_deg)))
+    with pytest.raises(NoConvergence) as info:
+        solve_load_free([layer])
+    assert str(info.value) == ("singular Jacobian in tube solve: the iterates walked to a "
+                               "length of 0 mm")
+    assert info.value.iterations == iterations
+    assert_allclose(info.value.last_iterate, [0.0, l], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k2, norm", [(30.0, "8.309e+232"), (35.0, "4.586e+271")])
+def test_a_wall_past_the_fibre_range_stalls_at_its_start(monkeypatch, k2, norm):
+    # a very stiff fibre family closed from a thick 300 deg sector: every
+    # damped step from the start raises the astronomically large residual, so
+    # the line search stalls there, after the start's call and its 8 halvings,
+    # and does not creep through the iteration limit
+    layer = MaterialLayer.from_constants(3.0, 0.0, 2.0, k2, 0.0, sector=SectorGeometry(
+        1.0, 2.0, 1.0, math.radians(300.0)))
+    calls, kernel = [], tube.equilibrium_residuals
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tube, "equilibrium_residuals", counting)
+    with pytest.raises(NoConvergence) as info:
+        solve_load_free([layer])
+    assert str(info.value) == f"line search stalled at |res| = {norm}"
+    assert info.value.iterations == 0 and len(calls) <= 1 + tube.MAX_HALVINGS
+
+
 @pytest.mark.parametrize("workflow, newton_calls", [
-    ("inverse-sf", [4]), ("load-free", [5]), ("energy-scan", [4, 3])])
+    ("inverse-sf", [4]), ("load-free", [5]), ("energy-scan", [4, 3]),
+    # layers of unequal length, adventitia L 1.1 mm: its start at l = L_1 took 5
+    ("energy-scan-unequal-L", [4, 3])])
 def test_residual_calls_per_solve(monkeypatch, two_layers, t3_layers, workflow, newton_calls):
     # every wall-kernel call of a workflow, counted: each Newton's (one per trial
     # point, its Jacobian included), then a tube solve's quadrature check, or the
@@ -674,11 +715,15 @@ def test_residual_calls_per_solve(monkeypatch, two_layers, t3_layers, workflow, 
         solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
     elif workflow == "load-free":
         solve_load_free(t3_layers)
-    else:
+    elif workflow == "energy-scan":
         find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
+    else:
+        adv = t3_layers[1]
+        find_opening_angle([t3_layers[0], replace(adv, sector=replace(adv.sector, L=1.1))],
+                           100.0, 150.0, 2.0)
     assert len(newtons) == len(newton_calls)
     assert all(n <= bound for n, bound in zip(newtons, newton_calls))
-    energy_calls = 2 if workflow == "energy-scan" else 0
+    energy_calls = 2 if workflow.startswith("energy-scan") else 0
     assert sum(calls) == energy_calls
     assert len(calls) == sum(newtons) + (energy_calls or 1)
 
@@ -1024,6 +1069,45 @@ def test_sector_solve_is_independent_of_its_start(monkeypatch, t3_layers, alpha_
     assert not np.allclose(crude, x0, rtol=1e-3)
     x, _, _ = solve_wall(layers, residuals, np.array(crude), length, tol, max_iter)
     assert_allclose(x, new, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mats=st.lists(st.sampled_from([MEDIA_EQ, ADV_EQ]), min_size=2, max_size=3),
+       Ri=st.floats(0.8, 1.2), h=st.lists(st.floats(0.15, 0.5), min_size=3, max_size=3),
+       gap=st.lists(st.floats(0.0, 0.1), min_size=2, max_size=2),
+       alpha_deg=st.lists(st.floats(60.0, 190.0), min_size=3, max_size=3),
+       L=st.lists(st.floats(0.8, 1.25), min_size=3, max_size=3))
+def test_scan_batch_is_independent_of_its_length_start(mats, Ri, h, gap, alpha_deg, L):
+    # glued walls of 2-3 layers whose lengths differ: the scan batch started at the
+    # stiffness-weighted length converges to where it converges from l = L_1, and
+    # the same walls with every length L_1 start at exactly l = L_1
+    assume(len(set(L[:len(mats)])) > 1)
+    calls, solve_wall = [], tube._solve_wall
+
+    def recording(*args):
+        calls.append(args)
+        return solve_wall(*args)
+
+    alphas = np.radians(np.arange(0.0, 181.0, 20.0))
+
+    def scan_batch(lengths):
+        layers, ri = [], Ri
+        for j, mat in enumerate(mats):
+            sec = SectorGeometry(ri, ri + h[j], lengths[j], math.radians(alpha_deg[j]))
+            layers.append(MaterialLayer.from_constants(**mat, sector=sec))
+            ri = sec.Ro + gap[min(j, 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tube, "_solve_wall", recording)
+            x, _, _ = tube._solve_sector(layers, tube.sector_residuals(layers), alphas)
+        return x, calls[-1]
+
+    x, (layers, residuals, x0, length, tol, max_iter) = scan_batch(L)
+    from_l1 = np.array([x0[0], np.full_like(x0[1], L[0])])   # the same r_i starts
+    assert not np.array_equal(from_l1, x0)
+    y, _, _ = solve_wall(layers, residuals, from_l1, length, tol, max_iter)
+    assert_allclose(x, y, rtol=1e-13, atol=0.0)
+    _, (_, _, x0, *_) = scan_batch(L[:1] * 3)
+    assert np.array_equal(x0[1], np.full_like(x0[1], L[0]))
 
 
 # ---------------------------------------------------------------------------
