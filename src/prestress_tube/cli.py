@@ -67,11 +67,11 @@ def _summary(workflow: str, report: SolverReport, key: dict, out_path: str) -> d
     return summary
 
 
-def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
+def cmd_inverse_sf(cfg: dict, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg)
     tube_geom, alpha = config.parse_tube(config.get_block(cfg, "geometry"), "geometry",
                                          len(layers))
-    solver = config.parse_solver(cfg, args.tol)
+    solver = config.parse_solver(cfg)
     config.reject_unread(cfg)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **solver)
@@ -83,9 +83,9 @@ def cmd_inverse_sf(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     return _summary("inverse-sf", sol.report, key, out_path)
 
 
-def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
+def cmd_load_free(cfg: dict, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg, need_sector=True)
-    solver = config.parse_solver(cfg, args.tol)
+    solver = config.parse_solver(cfg)
     config.reject_unread(cfg)
 
     sol = solve_load_free(layers, **solver)
@@ -96,9 +96,9 @@ def cmd_load_free(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     return _summary("load-free", sol.report, key, out_path)
 
 
-def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
+def cmd_energy_scan(cfg: dict, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg, need_sector=True)
-    grid = config.parse_grid(cfg, args.grid_start, args.grid_end, args.grid_step)
+    grid = config.parse_grid(cfg)
     solver = config.parse_solver(cfg, keys=("quad_points",))
     config.reject_unread(cfg)
 
@@ -109,10 +109,10 @@ def cmd_energy_scan(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
     return _summary("energy-scan", curve.report, key, out_path)
 
 
-def cmd_point_test(cfg: dict, args, out_path: str, cfg_hash: str) -> dict:
+def cmd_point_test(cfg: dict, out_path: str, cfg_hash: str) -> dict:
     layer = config.parse_layer(config.get_block(cfg, "material"), "material", need_maxwell=True)
     f0 = config.parse_f0(cfg)
-    program = config.parse_program(cfg, args.dt)
+    program = config.parse_program(cfg)
     config.reject_unread(cfg)
 
     trace = run_point(program, layer, f0)
@@ -150,15 +150,7 @@ def _parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output CSV path")
-        if name in ("inverse-sf", "load-free"):
-            p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
-        if name == "energy-scan":
-            p.add_argument("--grid-start", type=float, default=None, help="grid start, deg")
-            p.add_argument("--grid-end", type=float, default=None, help="grid end, deg")
-            p.add_argument("--grid-step", type=float, default=None, help="grid step, deg")
-        if name == "point-test":
-            p.add_argument("--dt", type=float, default=None, help="time step override, s")
+        p.add_argument("--out", default=f"{name.replace('-', '_')}.csv", help="output CSV path")
     return parser
 
 
@@ -170,16 +162,11 @@ def main(argv=None) -> int:
     try:
         cfg, raw = config.load_config(args.config)
         config.parse_workflow(cfg, args.workflow)
-        out_path = cfg.get("output", f"{args.workflow.replace('-', '_')}.csv")
-        if not isinstance(out_path, str) or not out_path:   # checked under --out too
-            raise ConfigError(f'field "output" must be a non-empty string path (got {out_path!r})')
-        if args.out is not None:
-            if not args.out:
-                raise ConfigError("--out must be a non-empty path")
-            out_path = args.out
+        if not args.out:
+            raise ConfigError("--out must be a non-empty path")
         cfg_hash = sha256(raw).hexdigest()
         with np.errstate(over="raise", divide="raise", invalid="raise"):  # exit 2, not a warning
-            summary = _COMMANDS[args.workflow](cfg, args, out_path, cfg_hash)
+            summary = _COMMANDS[args.workflow](cfg, args.out, cfg_hash)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -114,14 +113,6 @@ def get_number(block: dict, key: str, ctx: str) -> float:
     return _number(_require(block, key, ctx), f"{ctx}.{key}")
 
 
-def _overridable_number(block: dict, key: str, ctx: str, override: Optional[float],
-                        default: Optional[float] = None) -> Optional[float]:
-    """override (a CLI flag) if given, else block[key] or default when it is absent;
-    a present field must be a JSON number even when the flag overrides it."""
-    v = _number(block[key], f"{ctx}.{key}") if key in block else default
-    return v if override is None else override
-
-
 def get_block(cfg: dict, key: str, ctx: str = "config") -> dict:
     v = _require(cfg, key, ctx)
     if not isinstance(v, dict):
@@ -210,11 +201,9 @@ def parse_f0(cfg: dict) -> PreStressField:
     raise ConfigError('missing field "f0" (or "f0_opening_map")')
 
 
-def parse_program(cfg: dict, dt_override: Optional[float] = None) -> LoadProgram:
+def parse_program(cfg: dict) -> LoadProgram:
     b = get_block(cfg, "program")
-    dt = _overridable_number(b, "dt_s", "program", dt_override)
-    if dt is None:
-        raise ConfigError('missing field "program.dt_s"')
+    dt = get_number(b, "dt_s", "program")
     frames = _require(b, "keyframes", "program")
     if not isinstance(frames, list) or not frames:
         raise ConfigError('field "program.keyframes" must be a non-empty list of [t_s, F] pairs')
@@ -226,18 +215,17 @@ def parse_program(cfg: dict, dt_override: Optional[float] = None) -> LoadProgram
         keyframes.append((_number(item[0], f"{field}[0]"), _matrix(item[1], f"{field}[1]")))
     program = _build('invalid "program"', LoadProgram, tuple(keyframes), dt)
     if program.t_end / program.dt > MAX_STEPS:
-        source = "" if dt_override is None else " (from --dt)"
-        raise ConfigError(f'field "program.dt_s"{source} makes {program.t_end / program.dt:.4g} '
+        raise ConfigError(f'field "program.dt_s" makes {program.t_end / program.dt:.4g} '
                           f'> {MAX_STEPS} steps')
     return program
 
 
-def parse_grid(cfg: dict, start=None, end=None, step=None):
-    """Energy-scan angle grid (start_deg, end_deg, step_deg); CLI flags override fields."""
+def parse_grid(cfg: dict):
+    """Energy-scan angle grid (start_deg, end_deg, step_deg); absent fields take defaults."""
     b = get_block(cfg, "grid") if "grid" in cfg else {}
-    start, end, step = (_overridable_number(b, key, "grid", v, default)
-                        for v, key, default in ((start, "start_deg", 0.0), (end, "end_deg", 180.0),
-                                                (step, "step_deg", 2.0)))
+    start, end, step = (_number(b[key], f"grid.{key}") if key in b else default
+                        for key, default in (("start_deg", 0.0), ("end_deg", 180.0),
+                                             ("step_deg", 2.0)))
     # the scan samples start, start + step, ... below end + step/2
     for key, ok, want in (("start_deg", 0.0 <= start, ">= 0"),
                           ("step_deg", 0.0 < step < 360.0, "in (0, 360)"),
@@ -252,17 +240,15 @@ def parse_grid(cfg: dict, start=None, end=None, step=None):
     return start, end, step
 
 
-def parse_solver(cfg: dict, tol_override: Optional[float] = None,
-                 keys=("tol", "max_iter", "quad_points")) -> dict:
+def parse_solver(cfg: dict, keys=("tol", "max_iter", "quad_points")) -> dict:
     """The solver block's fields among keys (a solver's own) as its keyword arguments
     tol, max_iter and npts (from quad_points), the given ones only."""
     b = get_block(cfg, "solver") if "solver" in cfg else {}
     kwargs = {}
-    if "tol" in keys:
-        tol = kwargs["tol"] = _overridable_number(b, "tol", "solver", tol_override)
-        source = "" if tol_override is None else " (from --tol)"
-        if tol is not None and not 0.0 < tol < math.inf:
-            raise ConfigError(f'field "solver.tol"{source} must be a finite number > 0 (got {tol})')
+    if "tol" in keys and "tol" in b:
+        tol = kwargs["tol"] = _number(b["tol"], "solver.tol")
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f'field "solver.tol" must be a finite number > 0 (got {tol})')
     for key, name, least, most, want in (
             ("max_iter", "max_iter", 1, math.inf, "a positive integer"),
             ("quad_points", "npts", 2, MAX_QUAD_POINTS, f"an integer in [2, {MAX_QUAD_POINTS}]")):

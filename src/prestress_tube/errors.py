@@ -20,11 +20,13 @@ class DomainError(ValueError):
 class NoConvergence(RuntimeError):
     """An iterative solve failed; carries the last iterate and residuals."""
 
-    def __init__(self, message, last_iterate=None, residuals=None, iterations=None):
+    def __init__(self, message, last_iterate=None, residuals=None, iterations=None,
+                 inadmissible=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residuals = residuals
         self.iterations = iterations
+        self.inadmissible = inadmissible   # at an inadmissible start: which systems are not finite
 
 
 class ConfigError(ValueError):

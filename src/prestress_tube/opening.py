@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import DomainError, NoConvergence
 from .tube import (N_QUAD, NEWTON_MAXIT, NEWTON_TOL, TWO_PI, MaterialLayer, SolverReport,
                    _solve_sector, _solve_wall, glued_radii, sector_residuals, wall_sectors)
 
@@ -52,7 +52,9 @@ class EnergyCurve:
 def opened_energy(wall, ri, l, alpha) -> float:
     """Stored equilibrium energy (microJ) of the opened composite on a tube.sector_residuals
     wall at its unknowns (ri, l, alpha): E = (2*pi - alpha) l int W r dr = sum_j (2*pi -
-    alpha_j) L_j int W R dR."""
+    alpha_j) L_j int W R dR; DomainError for alpha >= 2*pi, where no sector is left."""
+    if not alpha < TWO_PI:
+        raise DomainError(f"need alpha < 2*pi (got {alpha})")
     return float((TWO_PI - alpha) * l * wall(ri, l, alpha, energy=True)[3])
 
 

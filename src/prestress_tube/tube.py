@@ -50,10 +50,11 @@ a batch of independent ones, each inadmissible on its own where its residual or
 Jacobian is not finite.  Both solvers start next to the root, at the map that
 leaves the middle of the first layer without hoop strain, at the tube's length or
 the sectors' stiffness-weighted one, and every solve stops at NEWTON_TOL, near
-roundoff, so its start moves its result only at roundoff.  The load-free solve
-is the glued-sector Newton at alpha = 0; the energy scan runs the same solve at
-every angle of its grid as one batch, and its argmin solves all three residuals
-for (ln r_i, ln l, ln(2*pi - alpha)).
+roundoff.  A start moves a scan batch's result by 7.1e-14 relative at most, but the
+argmin's by up to 3.7e-10 deg in alpha and 1.75e-12 relative in r_i (four starts in
+its grid cell, 256 scans).  The load-free solve is the glued-sector Newton at
+alpha = 0; the energy scan runs the same solve at every angle of its grid as one
+batch, and its argmin solves all three residuals for (ln r_i, ln l, ln(2*pi - alpha)).
 The inverse solve's nodes stay fixed in r; each node's R^2 moves with (Ri, L).
 """
 
@@ -244,10 +245,8 @@ def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
              (q + S * dx2).ravel(), (1.0 / (aRi2 + aSL * dx2)).ravel(), np.repeat(B, npts),
              (S * V).ravel())
 
-    def residuals(ri, l, alpha=0.0, energy=False):
+    def residuals(ri, l, alpha=0.0, energy=False):   # for alpha < 2*pi, which callers check
         s = TWO_PI - alpha
-        if np.less_equal(np.real(s), 0.0).any():
-            raise DomainError(f"need alpha < 2*pi (got {alpha})")
         return equilibrium_residuals(table, ri ** 2, 1.0 / (s * l), s * s, l * l, energy)
     return residuals
 
@@ -384,7 +383,8 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
     does alone.
     Returns (x, residual, iterations of the slowest system); raises
     NoConvergence carrying the last checked iterates and the largest residual
-    norm (of the stalled systems, where the line search stalls), and ValueError
+    norm (of the stalled systems, where the line search stalls), or at an
+    inadmissible start which systems are inadmissible, and ValueError
     for a tolerance that is not > 0, which no residual can meet.
     """
     if not tol > 0.0:
@@ -398,7 +398,8 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
             return x, f, it
         if not worst < math.inf:   # only at the start: every accepted step lowers the norm
             what = "Jacobian" if np.isfinite(fun(x[..., None])).all() else "residual"
-            raise NoConvergence(f"inadmissible start (non-finite {what})", x, {}, 0)
+            raise NoConvergence(f"inadmissible start (non-finite {what})", x, {}, 0,
+                                ~(norm < math.inf))
         if it == max_iter:
             raise NoConvergence(f"no convergence in {max_iter} Newton iterations "
                                 f"(|res| = {worst:.3e})", x, {'norm': worst}, it)
@@ -527,13 +528,10 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
     try:
         return _solve_wall(layers, lambda *x: residuals(*x, a), x0, secs[-1].Ro, tol, max_iter)
     except NoConvergence as e:
-        if not (alphas.ndim and str(e).startswith("inadmissible start")):
+        if not alphas.ndim or e.inadmissible is None:
             raise
-        with np.errstate(all="ignore"):   # one evaluation names the inadmissible angles
-            f, _ = _value_and_jacobian(
-                lambda u: np.asarray(residuals(*np.exp(u[..., None]), a)[:2]), np.log(x0))
-        bad = ", ".join(f"{math.degrees(t):g}" for t in alphas[~np.isfinite(f).all(axis=0)])
-        raise NoConvergence(f"{e} at alpha = {bad} deg", x0, {}, 0)
+        bad = ", ".join(f"{math.degrees(t):g}" for t in alphas[e.inadmissible])
+        raise NoConvergence(f"{e} at alpha = {bad} deg", x0, {}, 0, e.inadmissible)
 
 
 def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,

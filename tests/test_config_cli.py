@@ -172,16 +172,14 @@ def test_parse_f0_matrix_and_opening_map():
             config.parse_f0({"f0_opening_map": dict(m, **bad)})
 
 
-def test_parse_program_and_override():
+def test_parse_program():
     cfg = point_config()
     prog = config.parse_program(cfg)
     assert prog.dt == pytest.approx(0.002)
     assert prog.t_end == pytest.approx(0.6)
-    prog2 = config.parse_program(cfg, dt_override=0.001)
-    assert prog2.dt == pytest.approx(0.001)
-    cfg["program"]["dt_s"] = "bogus"      # overridden, but still a number when present
+    cfg["program"]["dt_s"] = "bogus"
     with pytest.raises(ConfigError, match=r'field "program\.dt_s" must be a number'):
-        config.parse_program(cfg, dt_override=0.001)
+        config.parse_program(cfg)
     with pytest.raises(ConfigError, match=r"keyframes\[0\]"):
         config.parse_program({"program": {"dt_s": 0.01, "keyframes": [[0.0]]}})
     nan_frame = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -249,12 +247,13 @@ def test_cli_load_free(tmp_path, capsys):
     assert key["l_mm"] == pytest.approx(1.0063, abs=2e-4)
 
 
-def test_cli_energy_scan_with_grid_flags(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, scan_config())
+def test_cli_energy_scan_with_grid_block(tmp_path, capsys):
+    cfg = scan_config()
+    cfg["grid"] = {"start_deg": 118.0, "end_deg": 130.0, "step_deg": 2.0}
+    cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "curve.csv"
     rc, stdout, _ = run_cli(capsys, "energy-scan", "--config", str(cfg_path),
-                            "--out", str(out), "--grid-start", "118", "--grid-end",
-                            "130", "--grid-step", "2")
+                            "--out", str(out))
     assert rc == 0
     key = json.loads(stdout)["key_results"]
     assert key["argmin_deg"] == pytest.approx(124.6, abs=0.3)
@@ -280,10 +279,11 @@ def test_cli_energy_scan_with_grid_flags(tmp_path, capsys):
 
 def test_cli_energy_scan_to_the_last_admissible_angles(tmp_path, capsys):
     # every angle starts cold, so a grid that ends next to 360 deg converges
-    cfg_path = write_config(tmp_path, scan_config())
+    cfg = scan_config()
+    cfg["grid"] = {"start_deg": 300.0, "end_deg": 359.0, "step_deg": 0.5}
+    cfg_path = write_config(tmp_path, cfg)
     rc, stdout, _ = run_cli(capsys, "energy-scan", "--config", str(cfg_path),
-                            "--out", str(tmp_path / "x.csv"), "--grid-start", "300",
-                            "--grid-end", "359", "--grid-step", "0.5")
+                            "--out", str(tmp_path / "x.csv"))
     assert rc == 0
     assert json.loads(stdout)["key_results"]["argmin_deg"] == 300.0
 
@@ -291,24 +291,25 @@ def test_cli_energy_scan_to_the_last_admissible_angles(tmp_path, capsys):
 @pytest.mark.parametrize("grid, argv, field", [
     ({"step_deg": "two"}, [], "grid.step_deg"),
     ({"step_deg": 0.0}, [], "grid.step_deg"),
-    ({}, ["--grid-start", "130", "--grid-end", "120"], "grid.end_deg"),
+    ({"start_deg": 130.0, "end_deg": 120.0}, ["--out", "x.csv"], "grid.end_deg"),
     ({"start_deg": 300.0, "end_deg": 359.6, "step_deg": 1.0}, [], "grid.end_deg"),
     ({"start_deg": 300.0, "end_deg": 359.0, "step_deg": 100.0}, [], "grid.end_deg"),
-    # a field a flag overrides must still be a number
-    ({"start_deg": "bogus"}, ["--grid-start", "80"], 'field "grid.start_deg" must be a number'),
-    ({"end_deg": "bogus"}, ["--grid-end", "200"], 'field "grid.end_deg" must be a number'),
-    ({"step_deg": "bogus"}, ["--grid-step", "5"], 'field "grid.step_deg" must be a number'),
+    ({"start_deg": "bogus"}, ["--out", "x.csv"], 'field "grid.start_deg" must be a number'),
+    ({"end_deg": "bogus"}, ["--out", "x.csv"], 'field "grid.end_deg" must be a number'),
+    ({"step_deg": "bogus"}, ["--out", "x.csv"], 'field "grid.step_deg" must be a number'),
 ])
-def test_cli_exit_1_bad_grid(tmp_path, capsys, grid, argv, field):
+def test_cli_exit_1_bad_grid(tmp_path, capsys, monkeypatch, grid, argv, field):
+    # named before anything is written, to the default path or to --out (argv)
+    monkeypatch.chdir(tmp_path)
     cfg = scan_config()
     cfg["grid"] = grid
     cfg_path = write_config(tmp_path, cfg)
-    rc, stdout, stderr = run_cli(capsys, "energy-scan", "--config", str(cfg_path),
-                                 "--out", str(tmp_path / "x.csv"), *argv)
+    rc, stdout, stderr = run_cli(capsys, "energy-scan", "--config", str(cfg_path), *argv)
     assert rc == 1
     assert stderr.startswith("config error:")
     assert field in stderr
     assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_cli_point_test(tmp_path, capsys):
@@ -429,15 +430,6 @@ def test_cli_parser_is_built_once():
     assert _parser() is _parser()
 
 
-def test_cli_point_test_dt_override(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, point_config())
-    out = tmp_path / "trace.csv"
-    rc, stdout, _ = run_cli(capsys, "point-test", "--config", str(cfg_path),
-                            "--out", str(out), "--dt", "0.001")
-    assert rc == 0
-    assert json.loads(stdout)["key_results"]["steps"] == 600
-
-
 def test_cli_csv_is_deterministic(tmp_path, capsys):
     cfg_path = write_config(tmp_path, point_config())
     out1 = tmp_path / "a.csv"
@@ -447,15 +439,47 @@ def test_cli_csv_is_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_default_output_path(tmp_path, capsys, monkeypatch):
+# flags for run parameters, which only the config file sets
+REMOVED_FLAGS = (["--tol", "1e-9"], ["--grid-start", "10"], ["--grid-end", "20"],
+                 ["--grid-step", "1"], ["--dt", "0.001"])
+
+
+@pytest.mark.parametrize("workflow, make_config", WORKFLOW_CONFIGS)
+def test_cli_csv_header_hash_identifies_the_run(tmp_path, capsys, monkeypatch, workflow,
+                                                make_config):
+    # every run parameter comes from the config file whose SHA-256 heads the CSV: the
+    # same file writes the same bytes, and neither a flag nor an "output" field is a
+    # second way in (each exits 1 before anything is written)
     monkeypatch.chdir(tmp_path)
-    cfg = point_config()
-    cfg["output"] = "custom.csv"
-    cfg_path = write_config(tmp_path, cfg)
+    cfg_path = write_config(tmp_path, make_config())
+    digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+    for name in ("a.csv", "b.csv"):
+        assert run_cli(capsys, workflow, "--config", str(cfg_path), "--out", name)[0] == 0
+    first = (tmp_path / "a.csv").read_bytes()
+    assert first == (tmp_path / "b.csv").read_bytes()
+    assert first.split(b"\n")[0].decode() == (f"# prestress-tube {prestress_tube.__version__} "
+                                              f"config_sha256={digest}")
+    for flag in REMOVED_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main([workflow, "--config", str(cfg_path), "--out", "c.csv", *flag])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+    with_output = write_config(tmp_path, dict(make_config(), output="c.csv"), "output.json")
+    rc, stdout, stderr = run_cli(capsys, workflow, "--config", str(with_output))
+    assert (rc, stdout, stderr) == (1, "", 'config error: unknown field "output"\n')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "output.json",
+                                                         "run.json"]
+
+
+def test_cli_default_output_path(tmp_path, capsys, monkeypatch):
+    # without --out the CSV goes to <workflow>.csv in the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, point_config())
     rc, stdout, _ = run_cli(capsys, "point-test", "--config", str(cfg_path))
     assert rc == 0
-    assert (tmp_path / "custom.csv").exists()
-    assert json.loads(stdout)["csv"] == "custom.csv"
+    assert (tmp_path / "point_test.csv").exists()
+    assert json.loads(stdout)["csv"] == "point_test.csv"
 
 
 def test_cli_inverse_single_layer_no_opening(tmp_path, capsys):
@@ -520,26 +544,25 @@ def test_cli_exit_1_unreadable_config(tmp_path, capsys):
 @pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
 @pytest.mark.parametrize("workflow, make_config", WORKFLOW_CONFIGS)
 def test_cli_exit_1_unwritable_output(tmp_path, capsys, workflow, make_config, target):
-    # the output path, from --out or from the config's "output" field, cannot be opened for
-    # writing: one "config error:" line, exit 1 and nothing on stdout, not a traceback
+    # the --out path cannot be opened for writing: one "config error:" line, exit 1
+    # and nothing on stdout, not a traceback
     out = tmp_path / "nowhere" / "x.csv" if target == "missing-directory" else tmp_path
-    for argv, cfg in ((["--out", str(out)], make_config()),
-                      ([], dict(make_config(), output=str(out)))):
-        rc, stdout, stderr = run_cli(capsys, workflow, "--config",
-                                     str(write_config(tmp_path, cfg)), *argv)
-        assert (rc, stdout) == (1, "")
-        assert stderr.startswith(f"config error: cannot write output file {out}: ")
-        assert stderr.count("\n") == 1
+    rc, stdout, stderr = run_cli(capsys, workflow, "--config",
+                                 str(write_config(tmp_path, make_config())), "--out", str(out))
+    assert (rc, stdout) == (1, "")
+    assert stderr.startswith(f"config error: cannot write output file {out}: ")
+    assert stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, output, message", [
     (["--out", ""], None, "config error: --out must be a non-empty path"),
-    ([], "", 'config error: field "output" must be a non-empty string path'),
-    (["--out", "x.csv"], "", 'config error: field "output" must be a non-empty string path'),
-    (["--out", "x.csv"], 3, 'config error: field "output" must be a non-empty string path'),
+    ([], "", 'config error: unknown field "output"'),
+    (["--out", "x.csv"], "", 'config error: unknown field "output"'),
+    (["--out", "x.csv"], 3, 'config error: unknown field "output"'),
 ], ids=["empty-out", "empty-output", "empty-output-under-out", "number-output"])
 def test_cli_exit_1_empty_output_path(tmp_path, capsys, monkeypatch, argv, output, message):
-    # an empty path, given or in the config, is an error, not the default path
+    # an empty --out is an error, not the default path; the output path has no config
+    # field, so an "output" in the config, empty or not, is an unknown field
     monkeypatch.chdir(tmp_path)
     cfg = point_config() if output is None else dict(point_config(), output=output)
     rc, stdout, stderr = run_cli(capsys, "point-test", "--config",
@@ -591,18 +614,8 @@ def test_cli_exit_1_opening_angle_out_of_range(tmp_path, capsys):
     assert "geometry.alpha_deg" in stderr
 
 
-def test_cli_tol_only_on_tube_solvers(tmp_path, capsys):
-    # --tol is read only by the tube solvers; elsewhere argparse rejects it
-    for workflow, cfg in (("point-test", point_config()), ("energy-scan", scan_config())):
-        cfg_path = write_config(tmp_path, cfg)
-        with pytest.raises(SystemExit) as exc:
-            main([workflow, "--config", str(cfg_path), "--tol", "1e-99"])
-        assert exc.value.code == 1
-        assert "--tol" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, message", [
-    (["inverse-sf", "--config", "{cfg}", "--tol", "abc"], "invalid float value: 'abc'"),
+    (["inverse-sf", "--config"], "argument --config: expected one argument"),
     (["no-such-workflow", "--config", "{cfg}"], "invalid choice: 'no-such-workflow'"),
     (["inverse-sf"], "the following arguments are required: --config"),
     (["point-test", "--config", "{cfg}", "--tol", "1e-9"], "unrecognized arguments: --tol"),
@@ -650,25 +663,27 @@ def test_cli_energy_scan_solver_block(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver, argv, field", [
-    ({}, ["--tol", "-1"], "solver.tol"),
-    ({}, ["--tol", "0"], "solver.tol"),
-    ({}, ["--tol", "nan"], "solver.tol"),
+    ({"tol": -1.0}, ["--out", "x.csv"], "solver.tol"),
+    ({"tol": 0.0}, ["--out", "x.csv"], "solver.tol"),
+    ({"tol": -math.inf}, ["--out", "x.csv"], "solver.tol"),
     ({"tol": math.nan}, [], "solver.tol"),
     ({"tol": math.inf}, [], "solver.tol"),
     ({"max_iter": True}, [], "solver.max_iter"),
     ({"quad_points": True}, [], "solver.quad_points"),
-    ({"tol": "bogus"}, ["--tol", "1e-9"], 'field "solver.tol" must be a number'),
+    ({"tol": "bogus"}, ["--out", "x.csv"], 'field "solver.tol" must be a number'),
 ])
-def test_cli_exit_1_bad_solver_block(tmp_path, capsys, solver, argv, field):
+def test_cli_exit_1_bad_solver_block(tmp_path, capsys, monkeypatch, solver, argv, field):
+    # named before anything is written, to the default path or to --out (argv)
+    monkeypatch.chdir(tmp_path)
     cfg = load_free_config()
     cfg["solver"] = solver
     cfg_path = write_config(tmp_path, cfg)
-    rc, stdout, stderr = run_cli(capsys, "load-free", "--config", str(cfg_path),
-                                 "--out", str(tmp_path / "x.csv"), *argv)
+    rc, stdout, stderr = run_cli(capsys, "load-free", "--config", str(cfg_path), *argv)
     assert rc == 1
     assert stderr.startswith("config error:")
     assert field in stderr
     assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_cli_exit_1_unused_interface_radius(tmp_path, capsys):
@@ -700,18 +715,22 @@ def test_cli_exit_2_nonconvergence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("frames", [[[0.0, IDENT]], [[0.0, IDENT], [0.1, F_STRETCH]]])
-@pytest.mark.parametrize("dt_s, argv", [(0.002, ["--dt", "nan"]), (0.002, ["--dt", "inf"]),
+@pytest.mark.parametrize("dt_s, argv", [(math.inf, ["--out", "x.csv"]),   # written as Infinity,
+                                        (-math.inf, ["--out", "x.csv"]),  # -Infinity and NaN
                                         (math.nan, [])])
-def test_cli_exit_1_non_finite_dt(tmp_path, capsys, frames, dt_s, argv):
-    # one keyframe leaves no keyframe spacing to trip over a bad dt
+def test_cli_exit_1_non_finite_dt(tmp_path, capsys, monkeypatch, frames, dt_s, argv):
+    # one keyframe leaves no keyframe spacing to trip over a bad dt; named before
+    # anything is written, to the default path or to --out (argv)
+    monkeypatch.chdir(tmp_path)
     cfg = point_config()
     cfg["program"] = {"dt_s": dt_s, "keyframes": frames}
     rc, stdout, stderr = run_cli(capsys, "point-test", "--config", str(write_config(tmp_path, cfg)),
-                                 "--out", str(tmp_path / "x.csv"), *argv)
+                                 *argv)
     assert rc == 1
     assert stderr.startswith("config error:")
     assert "dt must be a finite number > 0" in stderr
     assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 @pytest.mark.parametrize("frames", [
@@ -776,13 +795,11 @@ def test_config_bounds_the_sizes_it_sets():
     with pytest.raises(ConfigError, match=r"grid\.step_deg"):
         config.parse_grid({"grid": {"start_deg": 0.0, "end_deg": 359.9, "step_deg": 0.09}})
     with pytest.raises(ConfigError, match=r"grid\.step_deg"):
-        config.parse_grid({}, 0.0, 180.0, 1e-6)
-    # t_end / dt steps, from program.dt_s or --dt
+        config.parse_grid({"grid": {"step_deg": 1e-6}})
+    # t_end / dt steps
     cfg = {"program": {"dt_s": 1.0 / config.MAX_STEPS, "keyframes": [[0.0, IDENT], [1.0, IDENT]]}}
     assert config.parse_program(cfg).dt == 1.0 / config.MAX_STEPS
-    with pytest.raises(ConfigError, match=r'"program\.dt_s" \(from --dt\)'):
-        config.parse_program(cfg, dt_override=0.5 / config.MAX_STEPS)
-    cfg["program"]["dt_s"] = 1e-9
+    cfg["program"]["dt_s"] = 0.5 / config.MAX_STEPS
     with pytest.raises(ConfigError, match=r'"program\.dt_s" makes'):
         config.parse_program(cfg)
 

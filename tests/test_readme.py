@@ -1,10 +1,12 @@
-"""README's library example and its JSON config run as written."""
+"""README's library example and its JSON config run as written, and its
+command-line synopsis names the parser's options."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
-from prestress_tube.cli import main
+from prestress_tube.cli import _parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +29,13 @@ def test_readme_json_config_runs(tmp_path, capsys):
     workflow = json.loads(blocks[0])["workflow"]
     assert main([workflow, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
     assert json.loads(capsys.readouterr().out)["converged"] is True
+
+
+def test_readme_synopsis_names_every_option():
+    # the fenced block that starts "prestress-tube <workflow>" lists exactly the options
+    # of the workflows' parsers, help aside: a flag that comes or goes changes both
+    block = re.search(r"```\n(prestress-tube <workflow>.*?)```",
+                      README.read_text(encoding="utf-8"), re.S).group(1)
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for p in sub.choices.values() for a in p._actions for s in a.option_strings}
+    assert set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", block)) == options - {"-h", "--help"}

@@ -142,10 +142,18 @@ def test_opening_map_validation():
 
 
 def test_sector_at_a_full_turn_is_a_domain_error():
-    # alpha >= 2 pi leaves k <= 0: a DomainError, from which a Newton trial
-    # on the opening angle backs off
-    with pytest.raises(DomainError):
-        tube.sector_residuals(sectored_layers())(1.0, 1.0, 2.0 * math.pi)
+    # alpha >= 2 pi leaves no sector: the energy of an opened wall there is a
+    # DomainError, and a scan grid that reaches 360 deg is rejected before it solves;
+    # the kernel itself takes no check: at a full turn a Newton's trial arrays give
+    # residuals that are not finite, which it reads as inadmissible
+    wall = tube.sector_residuals(sectored_layers())
+    for alpha in (2.0 * math.pi, 7.0, math.nan):
+        with pytest.raises(DomainError):
+            opening.opened_energy(wall, 1.0, 1.0, alpha)
+    with pytest.raises(ValueError, match="leaves"):
+        find_opening_angle(sectored_layers(), 300.0, 360.0, 2.0)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(wall(*np.array([[1.0], [1.0], [2.0 * math.pi]]))).any()
 
 
 # ---------------------------------------------------------------------------
