@@ -99,7 +99,7 @@ def cmd_load_free(cfg: dict, out_path: str, cfg_hash: str) -> dict:
 def cmd_energy_scan(cfg: dict, out_path: str, cfg_hash: str) -> dict:
     layers = config.parse_layers(cfg, need_sector=True)
     grid = config.parse_grid(cfg)
-    solver = config.parse_solver(cfg, keys=("quad_points",))
+    solver = config.parse_solver(cfg)
     config.reject_unread(cfg)
 
     curve = find_opening_angle(layers, *grid, **solver)

@@ -240,19 +240,14 @@ def parse_grid(cfg: dict):
     return start, end, step
 
 
-def parse_solver(cfg: dict, keys=("tol", "max_iter", "quad_points")) -> dict:
-    """The solver block's fields among keys (a solver's own) as its keyword arguments
-    tol, max_iter and npts (from quad_points), the given ones only."""
+def parse_solver(cfg: dict) -> dict:
+    """The solver block as the wall solvers' keyword arguments: npts from quad_points,
+    when given.  No field sets the Newton's stop, tube.NEWTON_TOL and NEWTON_MAXIT."""
     b = get_block(cfg, "solver") if "solver" in cfg else {}
-    kwargs = {}
-    if "tol" in keys and "tol" in b:
-        tol = kwargs["tol"] = _number(b["tol"], "solver.tol")
-        if not 0.0 < tol < math.inf:
-            raise ConfigError(f'field "solver.tol" must be a finite number > 0 (got {tol})')
-    for key, name, least, most, want in (
-            ("max_iter", "max_iter", 1, math.inf, "a positive integer"),
-            ("quad_points", "npts", 2, MAX_QUAD_POINTS, f"an integer in [2, {MAX_QUAD_POINTS}]")):
-        v = kwargs[name] = b.get(key) if key in keys else None
-        if v is not None and (type(v) is not int or not least <= v <= most):   # no bool either
-            raise ConfigError(f'field "solver.{key}" must be {want} (got {v!r})')
-    return {name: v for name, v in kwargs.items() if v is not None}
+    if "quad_points" not in b:
+        return {}
+    v = b["quad_points"]
+    if type(v) is not int or not 2 <= v <= MAX_QUAD_POINTS:   # no bool either
+        raise ConfigError(f'field "solver.quad_points" must be an integer in '
+                          f'[2, {MAX_QUAD_POINTS}] (got {v!r})')
+    return {"npts": v}

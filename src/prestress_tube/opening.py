@@ -33,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .tube import (N_QUAD, NEWTON_MAXIT, NEWTON_TOL, TWO_PI, MaterialLayer, SolverReport,
-                   _solve_sector, _solve_wall, glued_radii, sector_residuals, wall_sectors)
+from .tube import (N_QUAD, TWO_PI, MaterialLayer, SolverReport, _solve_sector, _solve_wall,
+                   glued_radii, sector_residuals, wall_sectors)
 
 
 @dataclass
@@ -58,8 +58,8 @@ def opened_energy(wall, ri, l, alpha) -> float:
     return float((TWO_PI - alpha) * l * wall(ri, l, alpha, energy=True)[3])
 
 
-def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 0.0,
-                       grid_end_deg: float = 180.0, grid_step_deg: float = 2.0,
+def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float,
+                       grid_end_deg: float, grid_step_deg: float,
                        npts: int = N_QUAD) -> EnergyCurve:
     """Scan the energy over an angle grid and solve for its argmin.
 
@@ -89,7 +89,7 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float = 
         # start where the moments of samples i and j interpolate to zero
         y = y + moments[i] / (moments[i] - moments[j]) * (
             np.array([x[0, j], x[1, j], alpha[j]]) - y)
-        y, res, iterations = _solve_wall(layers, wall, y, secs[-1].Ro, NEWTON_TOL, NEWTON_MAXIT)
+        y, res, iterations = _solve_wall(layers, wall, y, secs[-1].Ro)
         if (y[2] - alpha[i]) * (y[2] - alpha[j]) > 0.0:
             raise NoConvergence(f"cut-moment root left the grid cell {angles[min(i, j)]:g}.."
                                 f"{angles[max(i, j)]:g} deg", y,

@@ -49,10 +49,11 @@ e_j gives the residual and the exact Jacobian.  The Newton takes one system or
 a batch of independent ones, each inadmissible on its own where its residual or
 Jacobian is not finite.  Both solvers start next to the root, at the map that
 leaves the middle of the first layer without hoop strain, at the tube's length or
-the sectors' stiffness-weighted one, and every solve stops at NEWTON_TOL, near
-roundoff.  A start moves a scan batch's result by 7.1e-14 relative at most, but the
-argmin's by up to 3.7e-10 deg in alpha and 1.75e-12 relative in r_i (four starts in
-its grid cell, 256 scans).  The load-free solve is the glued-sector Newton at
+the sectors' stiffness-weighted one, and every solve stops by one rule that no
+caller sets: below NEWTON_TOL, near roundoff, within NEWTON_MAXIT iterations.  A
+start moves a scan batch's result by 7.1e-14 relative at most, but the argmin's by
+up to 3.7e-10 deg in alpha and 1.75e-12 relative in r_i (four starts in its grid
+cell, 256 scans).  The load-free solve is the glued-sector Newton at
 alpha = 0; the energy scan runs the same solve at every angle of its grid as one
 batch, and its argmin solves all three residuals for (ln r_i, ln l, ln(2*pi - alpha)).
 The inverse solve's nodes stay fixed in r; each node's R^2 moves with (Ri, L).
@@ -367,7 +368,7 @@ def _value_and_jacobian(fun, x):
     return np.where(np.isfinite(jac).all(axis=(-2, -1)), out.real[..., 0], np.inf), jac
 
 
-def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
+def newton2(fun, x0):
     """Damped Newton for a nondimensional residual function, complex-step Jacobian.
 
     x0 has shape (n,) for one system or (n, B) for B independent systems.  fun
@@ -381,14 +382,14 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
     would alone, every system converges, halves its step and fails on its own: a
     batch returns the x each system reaches alone, or fails as the first to fail
     does alone.
+    Every system stops once its residual norm is below NEWTON_TOL, and the batch
+    fails after NEWTON_MAXIT iterations, both read at call time.
     Returns (x, residual, iterations of the slowest system); raises
     NoConvergence carrying the last checked iterates and the largest residual
     norm (of the stalled systems, where the line search stalls), or at an
-    inadmissible start which systems are inadmissible, and ValueError
-    for a tolerance that is not > 0, which no residual can meet.
+    inadmissible start which systems are inadmissible.
     """
-    if not tol > 0.0:
-        raise ValueError(f"need tol > 0 (got {tol})")
+    tol, max_iter = NEWTON_TOL, NEWTON_MAXIT
     x = np.array(x0, dtype=float)
     f, jac = _value_and_jacobian(fun, x)
     norm = abs(f).max(axis=0)
@@ -423,7 +424,7 @@ def newton2(fun, x0, tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT):
         x, f, jac, norm = trial, fn, jn, nn
 
 
-def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
+def _solve_wall(layers, residuals, x0, length):
     """newton2 on the n = 2 or 3 unknowns x of the wall, x0 of shape (n,) or (n, B),
     solved in logs as u = (ln x[0], ln x[1], ln(2*pi - x[2])), so no trial leaves the
     domain: the first n of residuals(*x) = (p_net, F_red, M) over (c, c length^2,
@@ -431,7 +432,8 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
     one scalar.  The Newton runs with numpy's floating-point errors ignored, whatever
     the caller's error state: an overflow, a division by zero or an invalid operation
     leaves a non-finite value or Jacobian in its own system, which newton2 reads as
-    inadmissible.  Returns (x, residual in kPa and kPa mm^2, iterations); a NoConvergence
+    inadmissible.  It stops where newton2 does, at NEWTON_TOL within NEWTON_MAXIT
+    iterations.  Returns (x, residual in kPa and kPa mm^2, iterations); a NoConvergence
     carries its last iterate as x and names a length that e^u underflowed to 0 mm."""
     n = len(x0)
     c = max(max(layer.equilibrium.matrix.c1, layer.equilibrium.matrix.c2) for layer in layers)
@@ -447,8 +449,7 @@ def _solve_wall(layers, residuals, x0, length, tol: float, max_iter: int):
 
     with np.errstate(all="ignore"):
         try:
-            u, fhat, iters = newton2(resid, np.log(flip(np.array(x0, dtype=float))), tol=tol,
-                                     max_iter=max_iter)
+            u, fhat, iters = newton2(resid, np.log(flip(np.array(x0, dtype=float))))
         except NoConvergence as e:
             e.last_iterate = flip(np.exp(e.last_iterate))
             if (e.last_iterate[:2] == 0.0).any():   # e^u underflowed: ln r_i or ln l ran off
@@ -471,8 +472,7 @@ class WallSolution:
 # ---------------------------------------------------------------------------
 
 def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLayer],
-                     npts: int = N_QUAD, tol: float = NEWTON_TOL,
-                     max_iter: int = NEWTON_MAXIT) -> WallSolution:
+                     npts: int = N_QUAD) -> WallSolution:
     """Find the stress-free sector geometry of a load-free tube.
 
     All layers share the opening angle alpha (rad) and the sector length L;
@@ -492,7 +492,7 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     rm = 0.5 * (ri + tube.radii[1])
     x0 = np.array([math.sqrt(k * k * rm * rm - k * (rm * rm - ri * ri)), tube.l])
     x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts), x0,
-                              tube.radii[-1], tol, max_iter)
+                              tube.radii[-1])
     Ri, L = float(x[0]), float(x[1])
     R = np.sqrt(Ri * Ri + k * (tube.l / L) * (np.square(tube.radii) - ri * ri)).tolist()
     sectors = tuple(SectorGeometry(lo, hi, L, alpha) for lo, hi in zip(R, R[1:]))
@@ -504,8 +504,7 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
 # forward problem: sector(s) -> load-free tube
 # ---------------------------------------------------------------------------
 
-def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float = NEWTON_TOL,
-                  max_iter: int = NEWTON_MAXIT):
+def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha):
     """Newton on (ri, l) of the glued sector of angle alpha (alpha = 0: the tube),
     or on one (ri, l) per angle of an array alpha, in one batch, on the layers'
     sector_residuals, scaled by the outermost sector's Ro.
@@ -526,7 +525,7 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
     # a batch's states have shape (B, m): the angles vary along the first axis
     a = alphas[:, None, None] if alphas.ndim else alpha
     try:
-        return _solve_wall(layers, lambda *x: residuals(*x, a), x0, secs[-1].Ro, tol, max_iter)
+        return _solve_wall(layers, lambda *x: residuals(*x, a), x0, secs[-1].Ro)
     except NoConvergence as e:
         if not alphas.ndim or e.inadmissible is None:
             raise
@@ -534,14 +533,13 @@ def _solve_sector(layers: Sequence[MaterialLayer], residuals, alpha, tol: float 
         raise NoConvergence(f"{e} at alpha = {bad} deg", x0, {}, 0, e.inadmissible)
 
 
-def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD,
-                    tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAXIT) -> WallSolution:
+def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD) -> WallSolution:
     """Close the per-layer sectors into one equilibrated load-free tube.
 
     Unknowns are the current inner radius and the tube length l (see
     sector_residuals); the tube radii follow in closed form (glued_radii).
     """
-    x, f, iters = _solve_sector(layers, sector_residuals(layers, npts), 0.0, tol, max_iter)
+    x, f, iters = _solve_sector(layers, sector_residuals(layers, npts), 0.0)
     ri, l = float(x[0]), float(x[1])
     sectors = tuple(wall_sectors(layers))
     refined = sector_residuals(layers, 2 * npts)(ri, l)

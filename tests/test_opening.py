@@ -17,7 +17,7 @@ from prestress_tube import (
     solve_load_free,
     wall_stress_profile,
 )
-from prestress_tube import opening
+from prestress_tube import opening, tube
 from prestress_tube import tensor as tn
 from prestress_tube.errors import NoConvergence
 from prestress_tube.tube import sector_residuals
@@ -198,12 +198,12 @@ def test_scan_argmin_is_independent_of_its_start(t3_layers, monkeypatch, grid):
 
     monkeypatch.setattr(opening, "_solve_wall", recording)
     curve = find_opening_angle(t3_layers, *grid)
-    (layers, wall, y0, length, tol, max_iter), = calls
+    (layers, wall, y0, length), = calls
     a_deg = min(curve.samples, key=lambda s: s[1])[0]
     cand = equilibrate_opened(t3_layers, math.radians(a_deg))[0]
     y = np.array(cand)
     assert abs(math.degrees(y0[2]) - a_deg) > 0.05 * grid[2]
-    x, _, _ = solve_wall(layers, wall, y, length, tol, max_iter)
+    x, _, _ = solve_wall(layers, wall, y, length)
     assert abs(math.degrees(x[2]) - curve.argmin_deg) < 1e-10
 
 
@@ -213,7 +213,13 @@ def test_scan_argmin_failure_reports_its_angle(t3_layers, monkeypatch):
     # its start, next to the opened state at the argmin
     curve = find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
     solve_wall = opening._solve_wall
-    monkeypatch.setattr(opening, "_solve_wall", lambda *args: solve_wall(*args[:-1], 1))
+
+    def stopped(*args):   # the argmin's Newton alone, at a limit of 1 iteration
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tube, "NEWTON_MAXIT", 1)
+            return solve_wall(*args)
+
+    monkeypatch.setattr(opening, "_solve_wall", stopped)
     with pytest.raises(NoConvergence, match="^no convergence in 1 Newton iterations") as info:
         find_opening_angle(t3_layers, 100.0, 150.0, 2.0)
     assert info.value.iterations == 1
@@ -356,14 +362,14 @@ def test_opening_angle_does_not_determine_the_residual_stress(t3_layers):
         return [replace(media, sector=replace(MEDIA_SECTOR, alpha=math.radians(180.0))),
                 replace(adventitia, sector=replace(ADV_SECTOR, alpha=math.radians(alpha_a_deg)))]
 
-    target = find_opening_angle(t3_layers).argmin_deg
+    target = find_opening_angle(t3_layers, 0.0, 180.0, 2.0).argmin_deg
     a0, a1 = 140.0, 141.0
-    m0, m1 = (find_opening_angle(wall(a)).argmin_deg - target for a in (a0, a1))
+    m0, m1 = (find_opening_angle(wall(a), 0.0, 180.0, 2.0).argmin_deg - target for a in (a0, a1))
     for _ in range(10):
         if abs(m1) < 1e-9:
             break
         a0, a1, m0 = a1, a1 - m1 * (a1 - a0) / (m1 - m0), m1
-        m1 = find_opening_angle(wall(a1)).argmin_deg - target
+        m1 = find_opening_angle(wall(a1), 0.0, 180.0, 2.0).argmin_deg - target
     assert abs(m1) < 1e-6
     assert a1 == pytest.approx(140.782, abs=1e-3)
     # yet their load-free residual hoop stresses differ: -4.28 against -5.19 kPa

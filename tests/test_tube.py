@@ -519,35 +519,19 @@ def test_newton2_solves_smooth_system():
     assert iters <= 10
 
 
-def test_newton2_reports_nonconvergence():
+def test_newton2_reports_nonconvergence(monkeypatch):
     def fun(x):
         return np.array([x[0] ** 2 + 1.0, x[1]])  # no real root
 
+    monkeypatch.setattr(tube, "NEWTON_MAXIT", 5)
     with pytest.raises(NoConvergence) as exc:
-        newton2(fun, np.array([3.0, 3.0]), max_iter=5)
+        newton2(fun, np.array([3.0, 3.0]))
     e = exc.value
     assert e.last_iterate is not None and len(e.last_iterate) == 2
     # the line search stalls at iteration 4; the reported residual is that
     # of the reported iterate, not of an unchecked step past it
     assert e.iterations == 4
     assert e.residuals['norm'] == np.max(np.abs(fun(e.last_iterate)))
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-def test_newton2_rejects_a_tolerance_no_residual_can_meet(tol):
-    calls = []
-
-    def fun(x):
-        calls.append(x)
-        return x - 1.0
-
-    with pytest.raises(ValueError, match="tol > 0"):
-        newton2(fun, np.array([2.0]), tol=tol)
-    assert not calls
-    # every solver passes its tol to newton2
-    with pytest.raises(ValueError, match="tol > 0"):
-        solve_inverse_sf(TubeGeometry((0.71, 1.1), 3.0), 1.0,
-                         [MaterialLayer.from_constants(**MEDIA_EQ)], tol=tol)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -695,6 +679,27 @@ def test_a_wall_past_the_fibre_range_stalls_at_its_start(monkeypatch, k2, norm):
     assert info.value.iterations == 0 and len(calls) <= 1 + tube.MAX_HALVINGS
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k2=st.floats(2.0, 35.0), ratio=st.floats(1.5, 2.5), sector_deg=st.floats(150.0, 320.0))
+@example(k2=20.0, ratio=2.1, sector_deg=210.0)   # the iteration limit (test_config_cli)
+def test_one_layer_walls_return_or_fail_only_by_no_convergence(k2, ratio, sector_deg):
+    # one-layer walls of stiff fibres closed from thick sectors, under the CLI's
+    # numpy error state: a solve returns a wall or raises NoConvergence at a finite
+    # last iterate (r_i, l) within the iteration limit, never a floating-point error
+    # (of 600 uniform random draws: 199 solves; 318 stalls, 53 iteration limits, 19
+    # inadmissible starts and 11 singular Jacobians)
+    layer = MaterialLayer.from_constants(3.0, 0.0, 2.0, k2, 0.0, sector=SectorGeometry(
+        1.0, ratio, 1.0, math.radians(sector_deg)))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            sol = solve_load_free([layer])
+        except NoConvergence as e:
+            assert e.last_iterate.shape == (2,) and np.all(np.isfinite(e.last_iterate))
+            assert 0 <= e.iterations <= tube.NEWTON_MAXIT
+        else:
+            assert sol.report.converged and sol.report.iterations <= tube.NEWTON_MAXIT
+
+
 @pytest.mark.parametrize("workflow, newton_calls", [
     ("inverse-sf", [4]), ("load-free", [5]), ("energy-scan", [4, 3]),
     # layers of unequal length, adventitia L 1.1 mm: its start at l = L_1 took 5
@@ -711,9 +716,9 @@ def test_residual_calls_per_solve(monkeypatch, two_layers, t3_layers, workflow, 
         calls.append(energy)
         return residuals(table, r2a, h, k2, c2, energy)
 
-    def recording(fun, x0, tol, max_iter):
+    def recording(fun, x0):
         before = len(calls)
-        out = newton(fun, x0, tol=tol, max_iter=max_iter)
+        out = newton(fun, x0)
         newtons.append(len(calls) - before)
         return out
 
@@ -758,12 +763,13 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
         counts.clear()
         iterations = []
 
-        def at_tol(fun, x0, tol=None, max_iter=tube.NEWTON_MAXIT, forced=tol):
-            x, f, it = newton(fun, x0, tol=forced, max_iter=max_iter)
+        def recording(fun, x0):
+            x, f, it = newton(fun, x0)
             iterations.append(it)
             return x, f, it
 
-        monkeypatch.setattr(tube, "newton2", at_tol)
+        monkeypatch.setattr(tube, "NEWTON_TOL", tol)
+        monkeypatch.setattr(tube, "newton2", recording)
         if workflow == "inverse-sf":
             solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
         elif workflow == "load-free":
@@ -831,9 +837,10 @@ def test_inverse_trivial_when_no_opening():
     assert np.max(np.abs(prof[:, 1:])) < 1e-9  # stress-free everywhere
 
 
-def test_inverse_max_iter_guard(two_layers):
+def test_inverse_max_iter_guard(monkeypatch, two_layers):
+    monkeypatch.setattr(tube, "NEWTON_MAXIT", 1)
     with pytest.raises(NoConvergence) as exc:
-        solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers, max_iter=1)
+        solve_inverse_sf(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
     assert exc.value.last_iterate is not None
 
 
@@ -1071,11 +1078,11 @@ def test_sector_solve_is_independent_of_its_start(monkeypatch, t3_layers, alpha_
     monkeypatch.setattr(tube, "_solve_wall", recording)
     alpha = math.radians(alpha_deg)
     new, _, _ = tube._solve_sector(t3_layers, tube.sector_residuals(t3_layers), alpha)
-    (layers, residuals, x0, length, tol, max_iter), = calls
+    (layers, residuals, x0, length), = calls
     secs = [layer.sector for layer in t3_layers]
     crude = [secs[0].Ri, sum(s.L for s in secs) / 2.0]
     assert not np.allclose(crude, x0, rtol=1e-3)
-    x, _, _ = solve_wall(layers, residuals, np.array(crude), length, tol, max_iter)
+    x, _, _ = solve_wall(layers, residuals, np.array(crude), length)
     assert_allclose(x, new, rtol=1e-13, atol=0.0)
 
 
@@ -1109,10 +1116,10 @@ def test_scan_batch_is_independent_of_its_length_start(mats, Ri, h, gap, alpha_d
             x, _, _ = tube._solve_sector(layers, tube.sector_residuals(layers), alphas)
         return x, calls[-1]
 
-    x, (layers, residuals, x0, length, tol, max_iter) = scan_batch(L)
+    x, (layers, residuals, x0, length) = scan_batch(L)
     from_l1 = np.array([x0[0], np.full_like(x0[1], L[0])])   # the same r_i starts
     assert not np.array_equal(from_l1, x0)
-    y, _, _ = solve_wall(layers, residuals, from_l1, length, tol, max_iter)
+    y, _, _ = solve_wall(layers, residuals, from_l1, length)
     assert_allclose(x, y, rtol=1e-13, atol=0.0)
     _, (_, _, x0, *_) = scan_batch(L[:1] * 3)
     assert np.array_equal(x0[1], np.full_like(x0[1], L[0]))
