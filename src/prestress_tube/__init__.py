@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDeterminant,
                      NonPositiveStretch, SingularTensor)
 from .materials import (EquilibriumMaterial, HolzapfelFibreParams, MooneyRivlinParams,
-                        PreStressField, cauchy_from_pk2, csf_from_clf, diagonal_energy,
-                        diagonal_stress_differences, fibre_directions, fibre_energy, fibre_f,
-                        isochoric_pk2, pull_back_pk2)
+                        PreStressField, csf_from_clf, diagonal_energy, diagonal_stress_differences,
+                        fibre_directions, fibre_energy, fibre_f, isochoric_kirchhoff)
 from .maxwell import (FibreMaxwellParams, IsoMaxwellParams, ViscousState, fibre_evolve,
                       fibre_overstress_scalar, initial_state, iso_evolve)
 from .tube import (MaterialLayer, SectorGeometry, SolverReport, TubeGeometry, WallSolution,

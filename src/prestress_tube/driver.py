@@ -3,13 +3,14 @@
 The driver composes all constitutive pieces at one material point carrying a
 pre-stress map F0: the load-free deformation gradient F_lf is converted to the
 stress-free one (F_sf = F_lf F0^{-1}), the Maxwell internal variables are
-advanced implicitly, and the total PK2 stress (equilibrium + overstresses) is
-pulled back to the lf-configuration and pushed forward to a Cauchy stress.
+advanced implicitly, and the total sf PK2 stress (equilibrium + overstresses),
+pulled back by F0 and pushed forward by F_lf, is the Cauchy stress: its Kirchhoff
+stress F_sf S F_sf^T (materials.isochoric_kirchhoff, F_sf C^{-1} F_sf^T = 1) over det F_lf.
 
-A run is batched over its rows: F_lf, C_sf, Cbar, the fibre stretches, the
-stresses (one isochoric projection for equilibrium and overstress) and their
-transforms come from whole-run calls, with one det per history and one inverse
-each of F0, C_sf and Ci.  Only the recurrences step, in plain-float loops: the
+A run is batched over its rows: F_lf, C_sf, Cbar, the fibre stretches and the
+stresses (one projection for equilibrium and overstress) come from whole-run calls,
+with one det per history (det F_sf = sqrt(det C_sf)) and one inverse each of F0
+and, with an isotropic branch, Ci.  Only the recurrences step, in plain-float loops: the
 isotropic Ci update and one fibre Newton per group of equivalent families (equal
 constants, lambda_i(0) and stretch history: the +/- beta pair at zero torsion),
 which share their fibre terms too.  Checks cover whole histories: det C > 0
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tn
-from .errors import DomainError
-from .materials import (PreStressField, cauchy_from_pk2, equilibrium_sbar, fibre_f,
-                        isochoric_pk2, pull_back_pk2)
+from .errors import DomainError, NonPositiveDeterminant
+from .materials import PreStressField, equilibrium_sbar, fibre_f, isochoric_kirchhoff
 from .maxwell import (NEWTON_TOL, ViscousState, fibre_evolve, fibre_overstress_scalar,
                       initial_state, iso_evolve, overstress_sbar)
 from .tube import MaterialLayer, SolverReport
@@ -168,13 +168,14 @@ def run_point(program: LoadProgram, layer: MaterialLayer, f0: PreStressField) ->
     history = ViscousState(ci, lam_i)
     pref = _shared(lambda j: fibre_overstress_scalar(lam[j], lam_i[:, j], fibres_v[j]), keys)
 
-    t_eq_sf, t_over_sf = isochoric_pk2(c_sf, lambda cbar: np.stack((
+    tau = isochoric_kirchhoff(F_sf, c_sf, d_sf, lambda cbar: np.stack((
         equilibrium_sbar(cbar, layer.equilibrium, f_eq),
-        overstress_sbar(cbar, history, iso, fibres_v, pref))), d_sf)
+        overstress_sbar(cbar, history, iso, fibres_v, pref))))
+    if np.any((j_lf := tn.det(F_lf)) <= 0.0):
+        raise NonPositiveDeterminant(f"push-forward needs det F > 0 (min = {np.min(j_lf):.3e})")
     # converged: every fibre solve ended below the local Newton tolerance
     report = SolverReport(r_max < NEWTON_TOL, its,
                           {"det_ci_max_dev": float(np.max(np.abs(history._det - 1.0))),
                            "fibre_r_max": r_max})
-    return PointTrace(times, cauchy_from_pk2(pull_back_pk2(t_eq_sf + t_over_sf, f0), F_lf),
-                      history._det, lam_i,
-                      np.linalg.norm(cauchy_from_pk2(t_over_sf, F_sf), axis=(1, 2)), report)
+    return PointTrace(times, (tau[0] + tau[1]) / j_lf[:, None, None], history._det, lam_i,
+                      np.linalg.norm(tau[1], axis=(1, 2)) / np.sqrt(d_sf), report)

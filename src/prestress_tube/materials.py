@@ -12,8 +12,10 @@ Conventions used throughout:
   the finite-difference tests check it against the tensor-route energies of
   tests/reference.py.
 * Every energy acts on Cbar = J^(-2/3) C (J^2 = det C), so every PK2 stress is
-  J^(-2/3) Dev Sbar, Dev(.) = (.) - 1/3 [(.) : C] C^{-1} (Holzapfel 2000, 6.4), of
-  its fictitious stress Sbar = 2 dW/dCbar: each law gives Sbar to isochoric_pk2.
+  S = J^(-2/3) Dev Sbar, Dev(.) = (.) - 1/3 [(.) : C] C^{-1} (Holzapfel 2000, 6.4), of
+  its fictitious stress Sbar = 2 dW/dCbar.  Each law gives Sbar to isochoric_kirchhoff,
+  which returns the Kirchhoff stress F S F^T: F C^{-1} F^T = 1, so C is never inverted.
+  The PK2 route itself (and its pull-back by F0) is tests/reference.py's oracle.
 * The matrix is an incompressible Mooney-Rivlin solid; fibre families use an
   exponential stored energy in the squared fibre stretch lam2 = a . Cbar a.
 
@@ -46,8 +48,8 @@ class MooneyRivlinParams:
 def unit_direction(a):
     """a as a float array, checked to be a unit vector (NaN entries fail)."""
     a = np.asarray(a, dtype=float)
-    if not abs(np.linalg.norm(a) - 1.0) <= 1e-12:
-        raise ValueError(f"fibre direction must be unit length (|a| = {np.linalg.norm(a):.3e})")
+    if not abs((norm := math.sqrt(a @ a)) - 1.0) <= 1e-12:
+        raise ValueError(f"fibre direction must be unit length (|a| = {norm:.3e})")
     return a
 
 
@@ -90,7 +92,7 @@ def fibre_directions(beta_rad: float):
 
 
 # ---------------------------------------------------------------------------
-# configuration transforms
+# configuration transform and isochoric projection
 # ---------------------------------------------------------------------------
 
 def csf_from_clf(c_lf, f0: PreStressField):
@@ -98,31 +100,15 @@ def csf_from_clf(c_lf, f0: PreStressField):
     return tn.transpose(f0._inv) @ np.asarray(c_lf, dtype=float) @ f0._inv
 
 
-def pull_back_pk2(t_sf, f0: PreStressField):
-    """PK2 re-referencing sf -> lf: T_lf = F0^{-1} T_sf F0^{-T}."""
-    return f0._inv @ np.asarray(t_sf, dtype=float) @ tn.transpose(f0._inv)
-
-
-def cauchy_from_pk2(t_pk2, f):
-    """Push-forward T = (det F)^{-1} F T_pk2 F^T."""
-    f = np.asarray(f, dtype=float)
-    d = tn.det(f)
-    if np.any(d <= 0.0):
-        raise NonPositiveDeterminant(f"push-forward needs det F > 0 (min = {np.min(d):.3e})")
-    return (f @ np.asarray(t_pk2, dtype=float) @ tn.transpose(f)) / d[..., None, None]
-
-
-def isochoric_pk2(c_sf, fictitious, d=None):
-    """J^(-2/3) Dev Sbar for Sbar = fictitious(Cbar) of shape (..., 3, 3), or (k, ..., 3, 3)
-    for k stresses at once; det C (d, if known) and C^{-1} are formed once for all of them."""
-    c = np.asarray(c_sf, dtype=float)
-    d = tn.det(c) if d is None else d
-    cinv = tn.inverse(c, d)
-    if np.any(d <= 0.0):
+def isochoric_kirchhoff(f, c, d, fictitious):
+    """Kirchhoff stress F S F^T = J^(-2/3) (F Sbar F^T - 1/3 (Sbar : C) 1) of S = J^(-2/3) Dev
+    Sbar at F, C = F^T F, d = det C > 0; Sbar = fictitious(Cbar) (..., 3, 3) or (k, ..., 3, 3)."""
+    if np.any(tn.check_regular(d) <= 0.0):   # Dev needs C^{-1}
         raise NonPositiveDeterminant(f"unimodular part needs det > 0 (min det = {np.min(d):.3e})")
     j23 = d[..., None, None] ** (-1.0 / 3.0)
     sbar = fictitious(c * j23)
-    return j23 * (sbar - (tn.ddot(sbar, c) / 3.0)[..., None, None] * cinv)
+    return j23 * (f @ sbar @ tn.transpose(f)
+                  - (tn.ddot(sbar, c) / 3.0)[..., None, None] * np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +188,8 @@ def material_columns(mats, n: int = 1):
 
 
 def diagonal_stress_differences(l2, cols):
-    """(T_22 - T_11, T_33 - T_11) of the Cauchy stress F_sf S F_sf^T, S =
-    isochoric_pk2 of equilibrium_sbar, at F_sf = diag(sqrt(l2)) on the per-node columns
+    """(T_22 - T_11, T_33 - T_11) of the Cauchy stress, isochoric_kirchhoff of
+    equilibrium_sbar (det F_sf = 1), at F_sf = diag(sqrt(l2)) on the per-node columns
     cols (material_columns), in the factored forms above (l2_1 = 1/(l2_2 l2_3)); the
     pressure cancels from them.  A group forms a_1^2 l2_1 only if its a_1^2 is not None."""
     (c1, c2, groups), (lr, lt, lz) = cols, l2

@@ -21,8 +21,8 @@ lambda_i monotonically toward lambda.  iso_evolve and fibre_evolve step whole
 histories in plain floats; one step is a history of length one, and equivalent
 families share one fibre_evolve (driver.run_point).  The viscous fibre energy
 is twice the equilibrium fibre law, 2 materials.fibre_energy, so its derivative
-is 2 materials.fibre_f.  Each overstress is materials.isochoric_pk2 of its
-fictitious stress.
+is 2 materials.fibre_f.  Each overstress is materials.isochoric_kirchhoff of
+its fictitious stress.
 """
 
 from __future__ import annotations

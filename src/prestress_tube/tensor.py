@@ -1,4 +1,4 @@
-"""Dense 3x3 tensor algebra on numpy arrays.
+"""Dense 3x3 tensor algebra on numpy arrays; det and inverse in closed form.
 
 All operations accept arrays of shape (..., 3, 3) (or (..., 3) for vectors)
 and broadcast over leading axes.  Components live in a fixed orthonormal
@@ -15,6 +15,9 @@ from .errors import NonPositiveDeterminant, SingularTensor
 # module tolerances
 SYM_TOL = 1e-12       # relative symmetry check
 SINGULAR_TOL = 1e-14  # |det| below this counts as singular
+# flat indices of the factors of adj_ij = a_{j+1,i+1} a_{j+2,i+2} - a_{j+1,i+2} a_{j+2,i+1}
+_I, _J = np.indices((3, 3))
+_ADJ = np.dstack([3 * ((_J + p) % 3) + (_I + q) % 3 for p, q in ((1, 1), (2, 2), (1, 2), (2, 1))])
 
 
 def transpose(a):
@@ -26,23 +29,34 @@ def trace(a):
 
 
 def det(a):
-    return np.linalg.det(np.asarray(a, dtype=float))
-
-
-def inverse(a, d=None):
-    """Matrix inverse; raises SingularTensor if any |det| <= SINGULAR_TOL (d: det a, if known)."""
+    """Cofactor expansion along the first row: cheaper than LAPACK on short stacks, to a few
+    eps |a|^3 / |det a| relative (inverse too), between eps cond(a) and eps cond(a)^2."""
     a = np.asarray(a, dtype=float)
-    d = np.linalg.det(a) if d is None else d
+    return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+
+
+def check_regular(d):
+    """d, if no |det| d is at or below SINGULAR_TOL; else raises SingularTensor."""
     if np.any(np.abs(d) <= SINGULAR_TOL):
         raise SingularTensor(f"tensor is singular to tolerance {SINGULAR_TOL:g} "
                              f"(min |det| = {np.min(np.abs(d)):.3e})")
-    return np.linalg.inv(a)
+    return d
+
+
+def inverse(a, d=None):
+    """Adjugate / det; raises SingularTensor if any |det| <= SINGULAR_TOL (d: det a, if known)."""
+    a = np.asarray(a, dtype=float)
+    d = check_regular(det(a) if d is None else d)
+    g = a.reshape(a.shape[:-2] + (9,))[..., _ADJ]   # (..., 3, 3, 4): the factors of each adj_ij
+    return (g[..., 0] * g[..., 1] - g[..., 2] * g[..., 3]) / d[..., None, None]
 
 
 def unimodular(a, d=None):
     """(det a)^(-1/3) * a.  Requires det > 0 (d: det a, if known)."""
     a = np.asarray(a, dtype=float)
-    d = np.linalg.det(a) if d is None else d
+    d = det(a) if d is None else d
     if np.any(d <= 0.0):
         raise NonPositiveDeterminant(f"unimodular part needs det > 0 (min det = {np.min(d):.3e})")
     return a * d[..., None, None] ** (-1.0 / 3.0)

@@ -68,7 +68,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence
+from .errors import NoConvergence
 from .materials import (EquilibriumMaterial, diagonal_energy, diagonal_stress_differences,
                         material_columns)
 from .maxwell import FibreMaxwellParams, IsoMaxwellParams
@@ -313,9 +313,7 @@ def wall_stress_profile(layers: Sequence[MaterialLayer], sectors, radii, l, alph
     r = np.concatenate((rs, nodes.reshape(-1, len(rb) - 1)))
     a, L, Ri = np.array([[TWO_PI - sec.alpha, sec.L, sec.Ri] for sec in sectors]).T
     s = TWO_PI - alpha
-    R2 = Ri ** 2 + s * l / (a * L) * (r ** 2 - rb[:-1] ** 2)
-    if (R2 <= 0.0).any():
-        raise DomainError("sf radius radicand not positive")
+    R2 = Ri ** 2 + s * l / (a * L) * (r ** 2 - rb[:-1] ** 2)   # >= Ri^2: r >= r_j
     lt, lz = (s * r / a) ** 2 / R2, (l / L) ** 2
     dth, dzz = diagonal_stress_differences((1.0 / (lt * lz), lt, lz),
                                            material_columns([layer.equilibrium for layer in layers]))

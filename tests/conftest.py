@@ -12,13 +12,10 @@ from prestress_tube import (
     MaterialLayer,
     SectorGeometry,
     TubeGeometry,
-    cauchy_from_pk2,
     fibre_evolve,
     initial_state,
-    isochoric_pk2,
     iso_evolve,
     opened_energy,
-    pull_back_pk2,
 )
 from prestress_tube import tensor as tn
 from prestress_tube.driver import PointTrace, step_times
@@ -27,6 +24,8 @@ from prestress_tube.materials import equilibrium_sbar
 from prestress_tube.maxwell import LAM_E_RANGE, NEWTON_MAXIT, NEWTON_TOL, overstress_sbar
 from prestress_tube.tube import (N_QUAD, _solve_sector, glued_radii, sector_residuals,
                                  wall_stress_profile)
+
+from reference import cauchy_from_pk2, isochoric_pk2, pull_back_pk2
 
 # ---------------------------------------------------------------------------
 # reference parameter sets (kPa, kPa*s, degrees).  "media" = stiff inner

@@ -4,7 +4,9 @@ Each function states a law on its own terms, independently of the closed-form
 and fictitious-stress kernels the workflows run: the stored energies on the
 3x3 tensor route (whose finite-difference gradients the PK2 stresses must
 match), the extra Cauchy stress, the Maxwell flow right-hand sides (integrated
-by the Runge-Kutta references), the lf <- sf strain transform, one layer's
+by the Runge-Kutta references), the PK2 route of the isochoric projection (the
+C^{-1} projection, the pull-back by F0 and the push-forward) that the driver's
+Kirchhoff projection replaces, the lf <- sf strain transform, one layer's
 sector<->tube map (OpeningMap) and the wall integrals built segment by segment
 from OpeningMaps, on Gauss nodes uniform in ln r.  The tensor-route laws
 call the package's fictitious-stress kernels and fibre law; the wall integrals
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from prestress_tube import tensor as tn
-from prestress_tube.errors import DomainError
+from prestress_tube.errors import DomainError, NonPositiveDeterminant
 from prestress_tube.materials import (EquilibriumMaterial, MooneyRivlinParams, PreStressField,
-                                      equilibrium_sbar, fibre_energy, fibre_f, isochoric_pk2)
+                                      equilibrium_sbar, fibre_energy, fibre_f)
 from prestress_tube.tube import neo_hookean_closing
 from prestress_tube.maxwell import FibreMaxwellParams, IsoMaxwellParams
 
@@ -51,13 +53,41 @@ def sym(a):
 
 
 # ---------------------------------------------------------------------------
-# configuration transform
+# configuration transforms and the PK2 route
 # ---------------------------------------------------------------------------
 
 def clf_from_csf(c_sf, f0: PreStressField):
     """Inverse transform C_lf = F0^T C_sf F0."""
     f = np.asarray(f0.F0, dtype=float)
     return tn.transpose(f) @ np.asarray(c_sf, dtype=float) @ f
+
+
+def pull_back_pk2(t_sf, f0: PreStressField):
+    """PK2 re-referencing sf -> lf: T_lf = F0^{-1} T_sf F0^{-T}."""
+    return f0._inv @ np.asarray(t_sf, dtype=float) @ tn.transpose(f0._inv)
+
+
+def cauchy_from_pk2(t_pk2, f):
+    """Push-forward T = (det F)^{-1} F T_pk2 F^T."""
+    f = np.asarray(f, dtype=float)
+    d = tn.det(f)
+    if np.any(d <= 0.0):
+        raise NonPositiveDeterminant(f"push-forward needs det F > 0 (min = {np.min(d):.3e})")
+    return (f @ np.asarray(t_pk2, dtype=float) @ tn.transpose(f)) / d[..., None, None]
+
+
+def isochoric_pk2(c_sf, fictitious, d=None):
+    """PK2 stress J^(-2/3) Dev Sbar, Dev(.) = (.) - 1/3 [(.) : C] C^{-1}, for Sbar =
+    fictitious(Cbar) of shape (..., 3, 3), or (k, ..., 3, 3) for k stresses at once;
+    det C (d, if known) and C^{-1} are formed once for all of them."""
+    c = np.asarray(c_sf, dtype=float)
+    d = tn.det(c) if d is None else d
+    cinv = tn.inverse(c, d)
+    if np.any(d <= 0.0):
+        raise NonPositiveDeterminant(f"unimodular part needs det > 0 (min det = {np.min(d):.3e})")
+    j23 = d[..., None, None] ** (-1.0 / 3.0)
+    sbar = fictitious(c * j23)
+    return j23 * (sbar - (tn.ddot(sbar, c) / 3.0)[..., None, None] * cinv)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,22 @@ def test_batched_driver_matches_per_step_reference(kind, branches, seed, dt, n_s
     assert np.max(np.abs(got.det_ci - 1.0)) <= 1e-12
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(branches=st.sampled_from(sorted(VISC_BRANCHES)), seed=st.integers(0, 2 ** 32 - 1),
+       frac=st.floats(0.05, 0.95))
+def test_overstress_norm_matches_per_step_reference(branches, seed, frac):
+    # the batched overstress norm |tau_over| / sqrt(det C_sf) is the per-step loop's
+    # Cauchy overstress pushed forward by F_sf, on motions with det F far from 1
+    rng = np.random.default_rng(seed)
+    f0, F = PreStressField(rand_unimodular(rng)), rand_motion(rng, spread=0.2)
+    prog = LoadProgram(((0.0, IDENT), (0.02 * frac, F), (0.02, F)), dt=0.0015)
+    assume(np.all(tn.det(prog.F_at(step_times(prog))) > 0.1))
+    layer = MaterialLayer.from_constants(**MEDIA_EQ, **VISC_BRANCHES[branches])
+    ref, got = reference_run_point(prog, layer, f0), run_point(prog, layer, f0)
+    scale = np.max(np.abs(ref.cauchy))
+    assert np.max(np.abs(got.overstress_norm - ref.overstress_norm)) <= 1e-13 * scale
+
+
 def test_corrupted_ci_history_raises_like_per_step_code(monkeypatch):
     # a starting Ci off the unimodular manifold by 1e-3 (scaled after the state's own check)
     def corrupted(f0, c_lf, fibres):
@@ -349,47 +365,47 @@ def test_non_positive_det_step_raises_like_per_step_code(f_end, t_end, error, vi
 
 @pytest.mark.parametrize("visc, inverses", [("neither", 1), ("fibre", 1), ("iso", 2), ("both", 2)])
 def test_run_point_inverts_each_history_once(monkeypatch, visc, inverses):
-    # one isochoric projection for the equilibrium and the overstress PK2: the C
-    # history is inverted once, and the Ci history once when there is an isotropic branch.
-    # F0 is inverted once, and each history (F_lf, F_sf, C_sf, Ci) has its det taken once
+    # one Kirchhoff projection for the equilibrium and the overstress, F C^{-1} F^T = 1:
+    # the C history is never inverted; F0 is inverted once, and the Ci history once with
+    # an isotropic branch.  Each of the F_lf, C_sf and Ci histories has its det taken
+    # once, and no call goes to numpy's LAPACK det or inverse
     prog = LoadProgram(((0.0, IDENT), (0.05, F_STRETCH), (0.1, F_STRETCH)), dt=0.002)
     f0_matrix = rand_unimodular(np.random.default_rng(61))
     layer = MaterialLayer.from_constants(**MEDIA_EQ, **VISC_BRANCHES[visc])
     times = step_times(prog)
     F_lf = prog.F_at(times)
-    F_sf = F_lf @ np.linalg.inv(f0_matrix)
+    F_sf = F_lf @ tn.inverse(f0_matrix)
     c_sf = tn.transpose(F_sf) @ F_sf
     ci0 = initial_state(PreStressField(f0_matrix), tn.transpose(F_lf[0]) @ F_lf[0], ()).Ci
     ci = np.broadcast_to(ci0, c_sf.shape) if layer.iso_maxwell is None else \
         iso_evolve(ci0, tn.unimodular(c_sf)[1:], np.diff(times), layer.iso_maxwell)
-    histories = {"F_lf": F_lf, "F_sf": F_sf, "C_sf": c_sf, "Ci": ci}
+    histories = {"F0": f0_matrix, "F_lf": F_lf, "F_sf": F_sf, "C_sf": c_sf, "Ci": ci}
 
-    shapes, dets, single_inverses = [], [], []
-    inverse, det, inv = tn.inverse, np.linalg.det, np.linalg.inv
+    def name(a):
+        return [k for k, v in histories.items()
+                if np.shape(v) == np.shape(a) and np.array_equal(v, a)] or ["other"]
+
+    inverted, dets, lapack = [], [], []
+    inverse, det = tn.inverse, tn.det
 
     def counting_inverse(a, d=None):
-        if np.ndim(a) == 3:
-            shapes.append(np.shape(a))
+        inverted.append(name(a))
         return inverse(a, d)
 
     def counting_det(a):
         if np.ndim(a) == 3:
-            dets.append([k for k, v in histories.items() if np.array_equal(v, a)] or ["other"])
+            dets.append(name(a))
         return det(a)
 
-    def counting_inv(a):
-        if np.ndim(a) == 2:
-            single_inverses.append(np.array(a))
-        return inv(a)
-
     monkeypatch.setattr(tn, "inverse", counting_inverse)
-    monkeypatch.setattr(np.linalg, "det", counting_det)
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    trace = run_point(prog, layer, PreStressField(f0_matrix))
+    monkeypatch.setattr(tn, "det", counting_det)
+    monkeypatch.setattr(np.linalg, "det", lambda *args: lapack.append("det"))
+    monkeypatch.setattr(np.linalg, "inv", lambda *args: lapack.append("inv"))
+    run_point(prog, layer, PreStressField(f0_matrix))
     monkeypatch.undo()
-    assert shapes == [(trace.t.size, 3, 3)] * inverses
-    assert sorted(dets) == [["C_sf"], ["Ci"], ["F_lf"], ["F_sf"]]
-    assert len(single_inverses) == 1 and np.array_equal(single_inverses[0], f0_matrix)
+    assert inverted == [["F0"]] + [["Ci"]] * (inverses - 1)
+    assert sorted(dets) == [["C_sf"], ["Ci"], ["F_lf"]]
+    assert lapack == []
 
 
 def _theta_z_shear(g):
@@ -439,7 +455,7 @@ def test_equivalent_fibre_families_share_one_solve(case, beta, k1v, k2v, eta_fib
 
     times = step_times(prog)
     F_lf = prog.F_at(times)
-    F_sf = F_lf @ np.linalg.inv(f0_matrix)
+    F_sf = F_lf @ f0._inv
     cbar = tn.unimodular(tn.transpose(F_sf) @ F_sf)
     state = initial_state(f0, tn.transpose(F_lf[0]) @ F_lf[0], layer.fibre_maxwell)
     for j, fp in enumerate(layer.fibre_maxwell):

@@ -13,26 +13,27 @@ from prestress_tube import (
     IsoMaxwellParams,
     MooneyRivlinParams,
     PreStressField,
-    cauchy_from_pk2,
     csf_from_clf,
     fibre_directions,
     fibre_energy,
     fibre_f,
-    isochoric_pk2,
-    pull_back_pk2,
+    isochoric_kirchhoff,
 )
 from prestress_tube import tensor as tn
-from prestress_tube.errors import DomainError, NonPositiveDeterminant
+from prestress_tube.errors import DomainError, NonPositiveDeterminant, SingularTensor
 from prestress_tube.materials import equilibrium_sbar, holzapfel_sbar
 from prestress_tube.maxwell import fibre_sbar
 
 from reference import (
+    cauchy_from_pk2,
     clf_from_csf,
     deviator,
     equilibrium_energy_sf,
     extra_cauchy_equilibrium,
     fibre_sq_stretch,
+    isochoric_pk2,
     mooney_rivlin_energy,
+    pull_back_pk2,
     sym,
 )
 
@@ -79,7 +80,7 @@ def test_param_validation():
         MooneyRivlinParams(c1=0.0, c2=0.0)
     with pytest.raises(ValueError):
         HolzapfelFibreParams(k1=0.0, k2=1.0, a=np.array([0.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unit length \(\|a\| = 2\.000e\+00\)"):
         HolzapfelFibreParams(k1=1.0, k2=1.0, a=np.array([0.0, 2.0, 0.0]))
     with pytest.raises(ValueError):
         PreStressField(2.0 * np.eye(3))  # det != 1
@@ -89,7 +90,7 @@ def test_param_validation():
             MooneyRivlinParams(c1=c1, c2=1.0)
     with pytest.raises(ValueError):
         HolzapfelFibreParams(k1=math.nan, k2=1.0, a=np.array([0.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(\|a\| = nan\)"):
         HolzapfelFibreParams(k1=1.0, k2=1.0, a=np.array([0.0, math.nan, 0.0]))
     with pytest.raises(ValueError):
         fibre_directions(math.inf)
@@ -277,6 +278,28 @@ def test_route_invariance_small():
         t_direct = cauchy_from_pk2(s_sf, f_sf)
         t_pulled = cauchy_from_pk2(pull_back_pk2(s_sf, f0), f_lf)
         assert rel_err(t_pulled, t_direct) < 1e-12
+
+
+def test_kirchhoff_projection_is_the_pk2_route_pushed_forward():
+    # isochoric_kirchhoff never inverts C: F C^{-1} F^T = 1 turns F (J^(-2/3) Dev Sbar) F^T
+    # into J^(-2/3) (F Sbar F^T - 1/3 (Sbar : C) 1).  It matches the C^{-1} projection
+    # pushed forward by F (times det F) to roundoff, and fails as that route does
+    rng = np.random.default_rng(23)
+    mat = EquilibriumMaterial.from_constants(**MEDIA_EQ)
+    f = np.stack([rand_motion(rng) for _ in range(20)])
+    c = tn.transpose(f) @ f
+
+    def fictitious(cb):
+        return equilibrium_sbar(cb, mat)
+    tau = isochoric_kirchhoff(f, c, tn.det(c), fictitious)
+    expect = tn.det(f)[:, None, None] * cauchy_from_pk2(isochoric_pk2(c, fictitious), f)
+    assert np.max(np.abs(tau - expect)) <= 1e-13 * np.max(np.abs(expect))
+    singular = np.diag([1.0, 1.0, 0.0])
+    for c_bad, error in ((singular, SingularTensor), (-np.eye(3), NonPositiveDeterminant)):
+        with pytest.raises(error):
+            isochoric_pk2(c_bad, fictitious)
+        with pytest.raises(error):
+            isochoric_kirchhoff(c_bad, c_bad, tn.det(c_bad), fictitious)
 
 
 # ---------------------------------------------------------------------------

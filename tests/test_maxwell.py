@@ -18,7 +18,6 @@ from prestress_tube import (
     fibre_evolve,
     fibre_overstress_scalar,
     initial_state,
-    isochoric_pk2,
 )
 from prestress_tube import tensor as tn
 from prestress_tube.errors import NoConvergence, NonPositiveStretch
@@ -26,7 +25,8 @@ from prestress_tube.maxwell import fibre_sbar, overstress_sbar
 
 from conftest import (constant_strain_ci, constant_stretch_lambda_i, fd_pk2, ode_reference,
                       rand_spd, rand_unimodular, reference_fibre_step, rel_err, rk4_path)
-from reference import fibre_flow_rhs, fibre_sq_stretch, iso_energy, iso_flow_rhs, sym
+from reference import (fibre_flow_rhs, fibre_sq_stretch, iso_energy, iso_flow_rhs, isochoric_pk2,
+                       sym)
 
 ISO = IsoMaxwellParams(mu=5.0, eta=5.0)
 FIB = FibreMaxwellParams(k1v=5.3, k2v=0.8393, eta_f=5.3, a=np.array([0.0, 1.0, 0.0]))

@@ -936,6 +936,21 @@ def test_round_trip_to_roundoff(r_i, thick, split, l, alpha_deg, two, npts):
     assert_allclose(fwd.tube.radii + (fwd.tube.l,), radii + (l,), rtol=1e-13, atol=0.0)
 
 
+def _random_wall(n, seed):
+    """n kernel materials and their sectored layers, drawn from seed: Ri 0.8-1.2 mm,
+    Ro 1.3-1.8 mm, each layer opened 100-180 deg, lengths and gaps slightly unequal."""
+    rng = np.random.default_rng(seed)
+    mats = [KERNEL_MATERIALS[i] for i in rng.integers(0, len(KERNEL_MATERIALS), n)]
+    Ri, Ro = rng.uniform(0.8, 1.2), rng.uniform(1.3, 1.8)
+    bounds = Ri + (Ro - Ri) * np.r_[0.0, np.sort(rng.uniform(0.0, 1.0, n - 1)), 1.0]
+    gaps = np.r_[0.0, np.cumsum(rng.uniform(0.0, 0.1, n - 1))]
+    L = rng.uniform(0.8, 2.0)
+    return mats, [MaterialLayer(mat, sector=SectorGeometry(
+                      bounds[j] + gaps[j], bounds[j + 1] + gaps[j], L * rng.uniform(0.95, 1.05),
+                      math.radians(rng.uniform(100.0, 180.0))))
+                  for j, mat in enumerate(mats)]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_default_quadrature_resolves_every_workflow(n, seed):
@@ -944,16 +959,7 @@ def test_default_quadrature_resolves_every_workflow(n, seed):
     # 1-3 kernel materials, Ro/Ri up to 2.25 in one layer, opened 100-180 deg.
     # It fails at N_QUAD = 8; 10 and 11 pass these examples but not the sweeps of
     # the README's node-count table
-    rng = np.random.default_rng(seed)
-    mats = [KERNEL_MATERIALS[i] for i in rng.integers(0, len(KERNEL_MATERIALS), n)]
-    Ri, Ro = rng.uniform(0.8, 1.2), rng.uniform(1.3, 1.8)
-    bounds = Ri + (Ro - Ri) * np.r_[0.0, np.sort(rng.uniform(0.0, 1.0, n - 1)), 1.0]
-    gaps = np.r_[0.0, np.cumsum(rng.uniform(0.0, 0.1, n - 1))]
-    L = rng.uniform(0.8, 2.0)
-    layers = [MaterialLayer(mat, sector=SectorGeometry(
-                  bounds[j] + gaps[j], bounds[j + 1] + gaps[j], L * rng.uniform(0.95, 1.05),
-                  math.radians(rng.uniform(100.0, 180.0))))
-              for j, mat in enumerate(mats)]
+    mats, layers = _random_wall(n, seed)
     curve = find_opening_angle(layers, 0.0, 180.0, 4.0)
     fine = find_opening_angle(layers, 0.0, 180.0, 4.0, npts=2 * tube.N_QUAD)
     assert abs(curve.argmin_deg - fine.argmin_deg) <= 1e-9
@@ -969,6 +975,33 @@ def test_default_quadrature_resolves_every_workflow(n, seed):
         check = sol.report.quad_check
         assert check["p_refine_change"] <= 1e-12 * c
         assert check["F_refine_change"] <= 1e-12 * c * lf.tube.radii[-1] ** 2
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_profile_sf_radii_are_at_least_each_layers_inner_one(n, seed):
+    # wall_stress_profile maps layer j by R^2 = Ri_j^2 + (s l/g_j)(r^2 - r_j^2), and
+    # every sample and Gauss node of layer j has r >= r_j, so R^2 >= Ri_j^2 needs no
+    # check: on the load-free and inverse-sf walls of 1-3 layers, the R^2 that the
+    # kernel's hoop stretch lam_t^2 = (s r/a_j)^2 / R^2 implies is at least Ri_j^2
+    mats, layers = _random_wall(n, seed)
+    lf = solve_load_free(layers)
+    inv = solve_inverse_sf(lf.tube, layers[0].sector.alpha, [MaterialLayer(m) for m in mats])
+    x = np.polynomial.legendre.leggauss(3)[0]
+    kernel = tube.diagonal_stress_differences
+    for sol in (lf, inv):
+        rb, lt = np.array(sol.tube.radii), []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tube, "diagonal_stress_differences",
+                       lambda l2, cols: lt.append(l2[1]) or kernel(l2, cols))
+            profile = wall_stress_profile(layers, sol.sectors, rb, sol.tube.l)
+        rs = np.linspace(rb[:-1], rb[1:], tube.PROFILE_POINTS)
+        assert np.array_equal(profile[:, 0], rs.T.ravel())
+        mid, half = 0.5 * (rs[1:] + rs[:-1]), 0.5 * np.diff(rs, axis=0)
+        r = np.concatenate((rs, (mid[:, None] + half[:, None] * x[:, None]).reshape(-1, n)))
+        a = np.array([2.0 * math.pi - sec.alpha for sec in sol.sectors])
+        Ri = np.array([sec.Ri for sec in sol.sectors])
+        assert np.all((2.0 * math.pi * r / a) ** 2 / lt[0] >= Ri ** 2 * (1.0 - 1e-12))
 
 
 def test_load_free_closes_a_thick_sector_opened_wide():
