@@ -144,7 +144,7 @@ class EquilibriumMaterial:
     fibres: tuple = field(default=())
 
     def __post_init__(self):
-        # its row of per-node constants (material_columns): c1, c2, then (k1, k2, a^2) per family
+        # its layer's constants in material_columns: c1, c2, then (k1, k2, a^2) per family
         object.__setattr__(self, '_columns', [self.matrix.c1, self.matrix.c2, *[
             v for fp in self.fibres for v in (fp.k1, fp.k2, *(fp.a ** 2).tolist())]])
 
@@ -169,17 +169,17 @@ def equilibrium_sbar(cbar, mat: EquilibriumMaterial, f=None):
 # factors into (l2_j - l2_1)(c1 + c2 l2_k), {j, k} = {2, 3}, and a fibre's lam2 = sum_i
 # a_i^2 l2_i adds 2 f(lam2)(a_j^2 l2_j - a_1^2 l2_1).  Only arithmetic and exp appear, so
 # complex arguments pass through (complex-step derivatives).  Fibre families with equal
-# per-node columns (material_columns; a +/- beta pair) share one group: one exp, counted n times.
+# columns (material_columns; a +/- beta pair) share one group: one exp, counted n times.
 # ---------------------------------------------------------------------------
 
-def material_columns(mats, n: int = 1):
-    """Per-node constants of the materials mats[j], each over n consecutive nodes: (c1,
-    c2, groups), a group (count, k1, k2, a_r^2, a_theta^2, a_z^2) per set of fibre families
-    equal on every node, a_r^2 None where it is 0 on every node (decided once per table, not
-    per kernel call); a material short of families holds k1 = 0 (adds nothing) there."""
+def material_columns(mats):
+    """Constants of the materials mats[j], entry j for layer j: (c1, c2, groups), a group
+    (count, k1, k2, a_r^2, a_theta^2, a_z^2) per set of fibre families equal on every layer,
+    a_r^2 None where it is 0 on every layer (decided once per wall, not per kernel call); a
+    material short of families holds k1 = 0 (adds nothing) there."""
     width = max(len(m.fibres) for m in mats)
     pad = [0.0, 1.0, 0.0, 0.0, 0.0] * width
-    cols = np.repeat(np.array([m._columns + pad[5 * len(m.fibres):] for m in mats]).T, n, axis=1)
+    cols = np.array([m._columns + pad[5 * len(m.fibres):] for m in mats]).T
     groups = {}
     for f in cols[2:].reshape(width, 5, -1):
         key, (k1, k2, ar, at, az) = f.tobytes(), f
@@ -187,9 +187,17 @@ def material_columns(mats, n: int = 1):
     return cols[0], cols[1], tuple(groups.values())
 
 
+def expand_columns(cols, index):
+    """material_columns cols at index, v[index] of each column v: the layer of each node
+    (np.repeat(np.arange(n_layers), n) for n nodes a layer), or np.s_[:, None] for a layer axis."""
+    c1, c2, groups = cols
+    return c1[index], c2[index], tuple((n, *(v if v is None else v[index] for v in g))
+                                       for n, *g in groups)
+
+
 def diagonal_stress_differences(l2, cols):
     """(T_22 - T_11, T_33 - T_11) of the Cauchy stress, isochoric_kirchhoff of
-    equilibrium_sbar (det F_sf = 1), at F_sf = diag(sqrt(l2)) on the per-node columns
+    equilibrium_sbar (det F_sf = 1), at F_sf = diag(sqrt(l2)) on the material columns
     cols (material_columns), in the factored forms above (l2_1 = 1/(l2_2 l2_3)); the
     pressure cancels from them.  A group forms a_1^2 l2_1 only if its a_1^2 is not None."""
     (c1, c2, groups), (lr, lt, lz) = cols, l2
@@ -207,7 +215,7 @@ def diagonal_stress_differences(l2, cols):
 
 def diagonal_energy(l2, cols):
     """Stored energy of the matrix and all fibre families at C_sf = diag(l2), det = 1,
-    per unit reference volume (kPa = microJ/mm^3), on the per-node columns cols."""
+    per unit reference volume (kPa = microJ/mm^3), on the material columns cols."""
     c1, c2, groups = cols
     inv = l2[0] * l2[1] + l2[1] * l2[2] + l2[2] * l2[0]   # sum of 1/l2_i
     w = 0.5 * c1 * (sum(l2) - 3.0) + 0.5 * c2 * (inv - 3.0)

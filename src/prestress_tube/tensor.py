@@ -31,10 +31,10 @@ def trace(a):
 def det(a):
     """Cofactor expansion along the first row: cheaper than LAPACK on short stacks, to a few
     eps |a|^3 / |det a| relative (inverse too), between eps cond(a) and eps cond(a)^2."""
-    a = np.asarray(a, dtype=float)
-    return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+    t = np.asarray(a, dtype=float).T   # t[j, i] = a[..., i, j]: numpy scalars on one tensor
+    return (t[0, 0] * (t[1, 1] * t[2, 2] - t[2, 1] * t[1, 2])
+            - t[1, 0] * (t[0, 1] * t[2, 2] - t[2, 1] * t[0, 2])
+            + t[2, 0] * (t[0, 1] * t[1, 2] - t[1, 1] * t[0, 2])).T
 
 
 def check_regular(d):

@@ -12,8 +12,9 @@ R^2 - R_a^2 = k c (r^2 - r_a^2) pointwise and the deformation gradient in the
 cylindrical triad is diag(R/(k c r), k r / R, c) with det = 1 exactly; its
 inverse is the pre-stress map F0 = diag(c f, 1/f, 1/c), f = k r / R.
 
-A wall is a list of layers, inner to outer.  Its integrals run over one
-per-node table of the whole wall built once per solve, with Gauss nodes fixed
+A wall is a list of layers, inner to outer.  Each solve sets it up once, one row
+per layer, and builds from these rows its per-node tables of the whole wall (the
+Newton's, and the quadrature check's at twice its nodes), with Gauss nodes fixed
 in the radius the solve knows: the stress-free R for the sectors
 (sector_residuals), the load-free r for the tube (tube_residuals).  The wall
 integrands are smooth in ln r, so the nodes are uniform in ln r over each
@@ -70,7 +71,7 @@ import numpy as np
 
 from .errors import NoConvergence
 from .materials import (EquilibriumMaterial, diagonal_energy, diagonal_stress_differences,
-                        material_columns)
+                        expand_columns, material_columns)
 from .maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 TWO_PI = 2.0 * math.pi
@@ -148,18 +149,29 @@ class MaterialLayer:
 # node tables, equilibrium integrals and the stress profile
 # ---------------------------------------------------------------------------
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+_leggauss = functools.cache(lambda n: tuple(map(_read_only, np.polynomial.legendre.leggauss(n))))
+
+
 @functools.cache
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _profile_steps():
+    """wall_stress_profile's samples, then each sample interval's 3-point Gauss nodes, in
+    sample steps from a layer's inner radius; and the Gauss weights."""
+    i, (x, w) = np.arange(float(PROFILE_POINTS)), _leggauss(3)
+    return _read_only(np.concatenate((i, (i[:-1, None] + 0.5 * (1.0 + x)).ravel()))), w
 
 
-def _ln_r_nodes(lo2, span, npts: int):
+def _ln_r_nodes(lo2, span, npts: int, cols):
     """Gauss-Legendre nodes uniform in ln r over spans of r^2 from lo2 to lo2 e^span
-    (columns, one row per span): (r^2 - lo2, V) at the nodes, V = w r^2 for the
-    weights w in ln r, so that int f dr = sum V f / r."""
-    x, w = _leggauss(npts)
+    (columns, one row per layer): (r^2 - lo2, V) at the nodes, V = w r^2 for the
+    weights w in ln r, so that int f dr = sum V f / r, and the layers' columns cols there."""
+    (x, w), layer = _leggauss(npts), np.repeat(np.arange(len(lo2)), npts)
     dx2 = lo2 * np.expm1(0.5 * span * (1.0 + x))
-    return dx2, 0.25 * span * w * (lo2 + dx2)
+    return dx2, 0.25 * span * w * (lo2 + dx2), expand_columns(cols, layer)
 
 
 def wall_sectors(layers: Sequence[MaterialLayer]):
@@ -225,7 +237,7 @@ def neo_hookean_closing(layers: Sequence[MaterialLayer]):
     return [x0 + dj for dj in d]
 
 
-def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
+def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD, check: bool = False):
     """The glued wall's (ri, l, alpha=0, energy=False) -> equilibrium_residuals over
     its node table, whose nodes stay fixed in R: the first sector's inner sf radius
     at the current radius ri, each later one's inner at the outer of the one inside
@@ -233,7 +245,8 @@ def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
     ri^2, A = ((2*pi - alpha_j) R)^-2 and B = L_j^-2.  The nodes are uniform in ln r
     over each layer's span of the wall's neo_hookean_closing, squared radii b2 at
     l = L_1, where a node at r_c has Q = S (r_c^2 - b2_0), S = 2*pi L_1, R^2 = Ri_j^2 +
-    S (r_c^2 - b2_j) / g_j and V = S w r_c^2 for the weights w in ln r."""
+    S (r_c^2 - b2_j) / g_j and V = S w r_c^2 for the weights w in ln r.  With check, also
+    the wall at 2 npts from the same setup."""
     secs = wall_sectors(layers)
     b2, S = neo_hookean_closing(layers), TWO_PI * secs[0].L
     # per layer, a = 2*pi - alpha_j: b2_j, ln(b2_j+1 / b2_j), Q at b2_j, a^2 Ri^2, a S / L, B
@@ -241,38 +254,43 @@ def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD):
         (b2[j], math.log(b2[j + 1] / b2[j]), S * (b2[j] - b2[0]),
          ((TWO_PI - sec.alpha) * sec.Ri) ** 2, (TWO_PI - sec.alpha) * S / sec.L, sec.L ** -2)
         for j, sec in enumerate(secs)]).T[..., None]
-    dx2, V = _ln_r_nodes(lo2, span, npts)
-    table = (material_columns([layer.equilibrium for layer in layers], npts),
-             (q + S * dx2).ravel(), (1.0 / (aRi2 + aSL * dx2)).ravel(), np.repeat(B, npts),
-             (S * V).ravel())
+    cols = material_columns([layer.equilibrium for layer in layers])
 
-    def residuals(ri, l, alpha=0.0, energy=False):   # for alpha < 2*pi, which callers check
-        s = TWO_PI - alpha
-        return equilibrium_residuals(table, ri ** 2, 1.0 / (s * l), s * s, l * l, energy)
-    return residuals
+    def wall(n):
+        dx2, V, ncols = _ln_r_nodes(lo2, span, n, cols)
+        table = (ncols, (q + S * dx2).ravel(), (1.0 / (aRi2 + aSL * dx2)).ravel(),
+                 np.repeat(B, n), (S * V).ravel())
+
+        def residuals(ri, l, alpha=0.0, energy=False):   # for alpha < 2*pi, which callers check
+            s = TWO_PI - alpha
+            return equilibrium_residuals(table, ri ** 2, 1.0 / (s * l), s * s, l * l, energy)
+        return residuals
+    return (wall(npts), wall(2 * npts)) if check else wall(npts)
 
 
 def tube_residuals(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLayer],
-                   npts: int = N_QUAD):
+                   npts: int = N_QUAD, check: bool = False):
     """The inverse solve's (Ri, L) -> equilibrium_residuals of the one map
     (k, c, ri, Ri), c = l/L, of the wall over its node table, whose nodes stay fixed
     in r, uniform in ln r over each layer's tube span, with V = w r^2 for the weights
     w in ln r; each call gives a node R^2 = Ri^2 + k c (r^2 - ri^2), A = 1/R^2 and B =
     1 (the kernel at r2a = 0 and h = 1): for Ri, L > 0, R^2 >= Ri^2 > 0, so a call
-    takes no square root."""
-    rb2 = np.square(tube.radii)
+    takes no square root.  With check, also the wall at 2 npts from the same setup."""
+    rb2, k = np.square(tube.radii), TWO_PI / (TWO_PI - alpha)
     lo2 = rb2[:-1, None]
-    dx2, V = _ln_r_nodes(lo2, np.log(rb2[1:, None] / lo2), npts)
-    dr2 = (lo2 - rb2[0] + dx2).ravel()
-    r2, V = rb2[0] + dr2, V.ravel()
-    cols = material_columns([layer.equilibrium for layer in layers], npts)
-    k = TWO_PI / (TWO_PI - alpha)
+    span, cols = np.log(rb2[1:, None] / lo2), material_columns([la.equilibrium for la in layers])
 
-    def residuals(Ri, L):
-        c = tube.l / L
-        return equilibrium_residuals((cols, r2, 1.0 / (Ri * Ri + k * c * dr2), 1.0, V),
-                                     0.0, 1.0, k * k, c * c)
-    return residuals
+    def wall(n):
+        dx2, V, ncols = _ln_r_nodes(lo2, span, n, cols)
+        dr2 = (lo2 - rb2[0] + dx2).ravel()
+        r2, V = rb2[0] + dr2, V.ravel()
+
+        def residuals(Ri, L):
+            c = tube.l / L
+            return equilibrium_residuals((ncols, r2, 1.0 / (Ri * Ri + k * c * dr2), 1.0, V),
+                                         0.0, 1.0, k * k, c * c)
+        return residuals
+    return (wall(npts), wall(2 * npts)) if check else wall(npts)
 
 
 def equilibrium_residuals(table, r2a, h, k2, c2, energy: bool = False):
@@ -301,25 +319,25 @@ def wall_stress_profile(layers: Sequence[MaterialLayer], sectors, radii, l, alph
     radii r_j, inner to outer: layer j maps by R^2 = Ri_j^2 + (s l/g_j)(r^2 - r_j^2),
     s = 2*pi - alpha and g_j = (2*pi - alpha_j) L_j.
 
-    Each layer is sampled at PROFILE_POINTS radii uniform in r.  T_rr(r) =
-    int_{r_0}^{r} (T_theta - T_rr)/rho d(rho) from the traction-free inner surface,
-    summed over a 3-point Gauss rule on every sample interval.
+    Each layer is sampled at PROFILE_POINTS radii uniform in r, as np.linspace places
+    them, row j of one kernel call holding layer j's samples, then its Gauss nodes.  T_rr(r)
+    = int_{r_0}^{r} (T_theta - T_rr)/rho d(rho) from the traction-free inner surface,
+    summed over a 3-point Gauss rule on every sample interval and carried across interfaces.
     """
-    n, (x, w) = PROFILE_POINTS, _leggauss(3)
+    n, (t, w) = PROFILE_POINTS, _profile_steps()
     rb = np.asarray(radii, dtype=float)
-    rs = np.linspace(rb[:-1], rb[1:], n)   # (sample, layer); the layers on the last axis
-    mid, half = 0.5 * (rs[1:] + rs[:-1]), 0.5 * np.diff(rs, axis=0)
-    nodes = mid[:, None] + half[:, None] * x[:, None]
-    r = np.concatenate((rs, nodes.reshape(-1, len(rb) - 1)))
-    a, L, Ri = np.array([[TWO_PI - sec.alpha, sec.L, sec.Ri] for sec in sectors]).T
+    lo, step = rb[:-1, None], ((rb[1:] - rb[:-1]) / (n - 1))[:, None]
+    r = t * step + lo
+    r[:, n - 1] = rb[1:]
+    a, L, Ri = np.array([[TWO_PI - sec.alpha, sec.L, sec.Ri] for sec in sectors]).T[..., None]
     s = TWO_PI - alpha
-    R2 = Ri ** 2 + s * l / (a * L) * (r ** 2 - rb[:-1] ** 2)   # >= Ri^2: r >= r_j
+    R2 = Ri ** 2 + s * l / (a * L) * (r ** 2 - lo ** 2)   # >= Ri^2: r >= r_j
     lt, lz = (s * r / a) ** 2 / R2, (l / L) ** 2
-    dth, dzz = diagonal_stress_differences((1.0 / (lt * lz), lt, lz),
-                                           material_columns([layer.equilibrium for layer in layers]))
-    c = np.cumsum((half * (w @ (dth / r)[n:].reshape(nodes.shape))).T).reshape(half.T.shape)
-    t_rr = np.column_stack((np.r_[0.0, c[:-1, -1]], c))
-    return np.column_stack([v.ravel() for v in (rs.T, t_rr, t_rr + dth[:n].T, t_rr + dzz[:n].T)])
+    cols = expand_columns(material_columns([la.equilibrium for la in layers]), np.s_[:, None])
+    dth, dzz = diagonal_stress_differences((1.0 / (lt * lz), lt, lz), cols)
+    dt_rr = 0.5 * step * ((dth / r)[:, n:].reshape(len(lo), n - 1, 3) @ w)
+    t_rr = np.concatenate((np.zeros_like(lo), dt_rr), axis=1).cumsum().reshape(-1, n)
+    return np.stack((r[:, :n], t_rr, t_rr + dth[:, :n], t_rr + dzz[:, :n]), axis=-1).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +360,12 @@ class SolverReport:
 
 def _report(residual, refined, iterations: int) -> SolverReport:
     """A converged solve's residual (kPa, kPa mm^2) and its change at 2*npts nodes."""
-    p, fz = float(residual[0]), float(residual[1])
-    p2, fz2 = map(float, refined[:2])
+    (p, fz), (p2, fz2) = map(float, residual[:2]), map(float, refined[:2])
     return SolverReport(True, iterations, {'p_net_kpa': p, 'F_red_kpa_mm2': fz},
                         {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
 
 
-_ieye = functools.cache(lambda n: 1j * np.eye(n))   # i times the identity: never written to
+_ieye = functools.cache(lambda n: _read_only(1j * np.eye(n)))   # i times the identity
 
 
 def _value_and_jacobian(fun, x):
@@ -489,13 +506,12 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     ri, k = tube.radii[0], TWO_PI / (TWO_PI - alpha)
     rm = 0.5 * (ri + tube.radii[1])
     x0 = np.array([math.sqrt(k * k * rm * rm - k * (rm * rm - ri * ri)), tube.l])
-    x, f, iters = _solve_wall(layers, tube_residuals(tube, alpha, layers, npts), x0,
-                              tube.radii[-1])
+    wall, check = tube_residuals(tube, alpha, layers, npts, check=True)
+    x, f, iters = _solve_wall(layers, wall, x0, tube.radii[-1])
     Ri, L = float(x[0]), float(x[1])
     R = np.sqrt(Ri * Ri + k * (tube.l / L) * (np.square(tube.radii) - ri * ri)).tolist()
     sectors = tuple(SectorGeometry(lo, hi, L, alpha) for lo, hi in zip(R, R[1:]))
-    return WallSolution(tube, sectors,
-                        _report(f, tube_residuals(tube, alpha, layers, 2 * npts)(Ri, L), iters))
+    return WallSolution(tube, sectors, _report(f, check(Ri, L), iters))
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +553,8 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD) -> Wall
     Unknowns are the current inner radius and the tube length l (see
     sector_residuals); the tube radii follow in closed form (glued_radii).
     """
-    x, f, iters = _solve_sector(layers, sector_residuals(layers, npts), 0.0)
-    ri, l = float(x[0]), float(x[1])
-    sectors = tuple(wall_sectors(layers))
-    refined = sector_residuals(layers, 2 * npts)(ri, l)
+    wall, check = sector_residuals(layers, npts, check=True)
+    x, f, iters = _solve_sector(layers, wall, 0.0)
+    (ri, l), sectors = x.tolist(), tuple(wall_sectors(layers))
     return WallSolution(TubeGeometry(glued_radii(sectors, ri, l), l), sectors,
-                        _report(f, refined, iters))
+                        _report(f, check(ri, l), iters))

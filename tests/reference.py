@@ -7,10 +7,12 @@ match), the extra Cauchy stress, the Maxwell flow right-hand sides (integrated
 by the Runge-Kutta references), the PK2 route of the isochoric projection (the
 C^{-1} projection, the pull-back by F0 and the push-forward) that the driver's
 Kirchhoff projection replaces, the lf <- sf strain transform, one layer's
-sector<->tube map (OpeningMap) and the wall integrals built segment by segment
-from OpeningMaps, on Gauss nodes uniform in ln r.  The tensor-route laws
-call the package's fictitious-stress kernels and fibre law; the wall integrals
-use their own closed forms, written family by family.
+sector<->tube map (OpeningMap), the wall integrals built segment by segment
+from OpeningMaps, on Gauss nodes uniform in ln r, and the stress profile laid
+out sample-major as np.linspace samples it.  The tensor-route laws
+call the package's fictitious-stress kernels and fibre law, and the stress
+profile its closed-form kernel; the wall integrals use their own closed forms,
+written family by family.
 """
 
 import math
@@ -21,8 +23,9 @@ import numpy as np
 from prestress_tube import tensor as tn
 from prestress_tube.errors import DomainError, NonPositiveDeterminant
 from prestress_tube.materials import (EquilibriumMaterial, MooneyRivlinParams, PreStressField,
-                                      equilibrium_sbar, fibre_energy, fibre_f)
-from prestress_tube.tube import neo_hookean_closing
+                                      diagonal_stress_differences, equilibrium_sbar,
+                                      fibre_energy, fibre_f, material_columns)
+from prestress_tube.tube import PROFILE_POINTS, neo_hookean_closing
 from prestress_tube.maxwell import FibreMaxwellParams, IsoMaxwellParams
 
 
@@ -254,17 +257,42 @@ def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False, closi
     return p, fz, mo, e
 
 
-def segment_sector_residuals(layers, npts):
+def segment_sector_residuals(layers, npts, check=False):
     """tube.sector_residuals on the segment route: the glued wall's (ri, l,
-    alpha=0, energy=False) -> segment_wall_integrals at glued_opening_maps."""
+    alpha=0, energy=False) -> segment_wall_integrals at glued_opening_maps; with
+    check, also the same wall at 2 * npts nodes."""
     secs = [layer.sector for layer in layers]
     mats, (closing, spans) = [layer.equilibrium for layer in layers], closing_maps(layers)
 
-    def wall(ri, l, alpha=0.0, energy=False):
-        out = segment_wall_integrals(mats, glued_opening_maps(secs, alpha, ri, l), spans, npts,
-                                     closing=closing)
-        return out if energy else out[:3]
-    return wall
+    def at(n):
+        def wall(ri, l, alpha=0.0, energy=False):
+            out = segment_wall_integrals(mats, glued_opening_maps(secs, alpha, ri, l), spans, n,
+                                         closing=closing)
+            return out if energy else out[:3]
+        return wall
+    return (at(npts), at(2 * npts)) if check else at(npts)
+
+
+def linspace_wall_stress_profile(layers, sectors, radii, l, alpha=0.0):
+    """tube.wall_stress_profile as sampled sample-major by np.linspace: (r, T_rr,
+    T_theta, T_zz) at PROFILE_POINTS radii per layer, T_rr summed from the inner
+    surface over a 3-point Gauss rule on every sample interval, whose nodes and
+    half-widths come from the samples."""
+    n, (x, w) = PROFILE_POINTS, np.polynomial.legendre.leggauss(3)
+    rb = np.asarray(radii, dtype=float)
+    rs = np.linspace(rb[:-1], rb[1:], n)   # (sample, layer); the layers on the last axis
+    mid, half = 0.5 * (rs[1:] + rs[:-1]), 0.5 * np.diff(rs, axis=0)
+    nodes = mid[:, None] + half[:, None] * x[:, None]
+    r = np.concatenate((rs, nodes.reshape(-1, len(rb) - 1)))
+    a, L, Ri = np.array([[2.0 * math.pi - sec.alpha, sec.L, sec.Ri] for sec in sectors]).T
+    s = 2.0 * math.pi - alpha
+    R2 = Ri ** 2 + s * l / (a * L) * (r ** 2 - rb[:-1] ** 2)
+    lt, lz = (s * r / a) ** 2 / R2, (l / L) ** 2
+    dth, dzz = diagonal_stress_differences((1.0 / (lt * lz), lt, lz),
+                                           material_columns([layer.equilibrium for layer in layers]))
+    c = np.cumsum((half * (w @ (dth / r)[n:].reshape(nodes.shape))).T).reshape(half.T.shape)
+    t_rr = np.column_stack((np.r_[0.0, c[:-1, -1]], c))
+    return np.column_stack([v.ravel() for v in (rs.T, t_rr, t_rr + dth[:n].T, t_rr + dzz[:n].T)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,20 @@ def test_transpose_trace_det_inverse_batched():
     assert_allclose(a @ tn.inverse(a), identity((4, 5)), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(), (200,), (4, 5)])
+def test_det_is_the_first_row_expansion_bit_for_bit(shape):
+    # det indexes the transpose, so a single tensor runs on numpy scalars; its values
+    # are the first-row cofactor expansion's on a[..., i, j], bit for bit, on a single
+    # tensor and on stacks with one and two batch axes
+    a = np.random.default_rng(11).normal(size=shape + (3, 3))
+    want = (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+    got = tn.det(a)
+    assert np.shape(got) == shape
+    assert np.array_equal(got, want)
+
+
 def test_inverse_rejects_singular():
     a = np.zeros((3, 3))
     a[0, 0] = 1.0

@@ -27,7 +27,7 @@ from prestress_tube import (
 )
 from prestress_tube import opening, tube
 from prestress_tube import tensor as tn
-from prestress_tube.materials import material_columns
+from prestress_tube.materials import expand_columns, material_columns
 from prestress_tube.errors import DomainError, NoConvergence
 
 from conftest import (
@@ -44,7 +44,8 @@ from conftest import (
 # one layer's sector<->tube map and the segment route
 from reference import (OpeningMap, closing_maps, diagonal_stress_and_energy,
                        equilibrium_energy_sf, extra_cauchy_equilibrium, gauss_segment,
-                       glued_opening_maps, segment_sector_residuals, segment_wall_integrals)
+                       glued_opening_maps, linspace_wall_stress_profile, segment_sector_residuals,
+                       segment_wall_integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +396,7 @@ def test_three_layer_mixed_material_wall_matches_segment_route(mats, Ri, h, gap,
     eqs = [layer.equilibrium for layer in layers]
     fams = [np.repeat([(m.fibres[i].k1, m.fibres[i].k2, *m.fibres[i].a ** 2) for m in eqs], 5,
                       axis=0).T for i in range(2)]
-    cols = material_columns(eqs, 5)
+    cols = expand_columns(material_columns(eqs), np.repeat(np.arange(3), 5))
     assert len(cols[2]) == 2   # the material whose families differ splits every pair
     for count, k1, k2, ar, *f in cols[2]:   # a_r^2 is None where it is 0 on every node
         ar = np.zeros_like(k1) if ar is None else ar
@@ -754,9 +755,8 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
             return fun(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(tube, "neo_hookean_closing",
-                        counting("neo_hookean_closing", tube.neo_hookean_closing))
-    monkeypatch.setattr(tube, "_leggauss", counting("_leggauss", tube._leggauss))
+    for name in ("neo_hookean_closing", "material_columns", "_leggauss"):
+        monkeypatch.setattr(tube, name, counting(name, getattr(tube, name)))
     newton = tube.newton2
     runs = []
     for tol in (1e-4, 1e-11):
@@ -780,11 +780,12 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
     (loose, built), (tight, built_tight) = runs
     assert tight > loose
     assert built_tight == built
-    # the tube solvers add a table at 2 * npts for their quadrature check; one Legendre
-    # rule per table, for every layer at once, and the sectors' grading point with it
-    tables = 1 if workflow == "energy-scan" else 2
-    assert built["_leggauss"] == tables
-    assert built.get("neo_hookean_closing", 0) == (0 if workflow == "inverse-sf" else tables)
+    # one setup per solve: one set of material columns and, for sectors, one closing to
+    # grade the nodes, from which the tube solvers also build their quadrature check's
+    # table at 2 * npts; one Legendre rule per node count, for every layer at once
+    assert built["_leggauss"] == (1 if workflow == "energy-scan" else 2)
+    assert built["material_columns"] == 1
+    assert built.get("neo_hookean_closing", 0) == (0 if workflow == "inverse-sf" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -998,10 +999,40 @@ def test_profile_sf_radii_are_at_least_each_layers_inner_one(n, seed):
         rs = np.linspace(rb[:-1], rb[1:], tube.PROFILE_POINTS)
         assert np.array_equal(profile[:, 0], rs.T.ravel())
         mid, half = 0.5 * (rs[1:] + rs[:-1]), 0.5 * np.diff(rs, axis=0)
-        r = np.concatenate((rs, (mid[:, None] + half[:, None] * x[:, None]).reshape(-1, n)))
-        a = np.array([2.0 * math.pi - sec.alpha for sec in sol.sectors])
-        Ri = np.array([sec.Ri for sec in sol.sectors])
+        # layer-major: row j holds layer j's samples, then its Gauss nodes interval by interval
+        r = np.concatenate((rs, (mid[:, None] + half[:, None] * x[:, None]).reshape(-1, n))).T
+        a = np.array([[2.0 * math.pi - sec.alpha] for sec in sol.sectors])
+        Ri = np.array([[sec.Ri] for sec in sol.sectors])
         assert np.all((2.0 * math.pi * r / a) ** 2 / lt[0] >= Ri ** 2 * (1.0 - 1e-12))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), alpha_deg=st.floats(20.0, 160.0))
+def test_profile_matches_the_linspace_route(n, seed, alpha_deg):
+    # the profile takes its positions from one cached table in units of the sample
+    # step, layer-major: its radii are np.linspace's bit for bit, and its stresses the
+    # sample-major linspace route's (tests/reference.py) to roundoff, on the load-free
+    # and inverse-sf walls of 1-3 layers and on the same sectors opened to alpha
+    mats, layers = _random_wall(n, seed)
+    sectors, alpha = [layer.sector for layer in layers], math.radians(alpha_deg)
+    lf = solve_load_free(layers)
+    eq_layers = [MaterialLayer(m) for m in mats]
+    inv = solve_inverse_sf(lf.tube, sectors[0].alpha, eq_layers)
+    state, _, _ = equilibrate_opened(layers, alpha)
+    for wall in ((layers, lf.sectors, lf.tube.radii, lf.tube.l),
+                 (eq_layers, inv.sectors, inv.tube.radii, inv.tube.l),
+                 (layers, sectors, glued_radii(sectors, *state), state.l_open, alpha)):
+        got, want = wall_stress_profile(*wall), linspace_wall_stress_profile(*wall)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-14 * np.max(np.abs(want[:, 1:]))
+
+
+def test_cached_arrays_are_read_only():
+    # every later solve shares the cached Legendre rules, complex-step identities and
+    # profile positions: a write into one raises instead of corrupting them
+    for a in (*tube._leggauss(4), tube._ieye(2), *tube._profile_steps()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_load_free_closes_a_thick_sector_opened_wide():
