@@ -48,11 +48,12 @@ residuals in the logs of the wall's two lengths, (ln r_i, ln l) or (ln Ri,
 ln L), with a complex-step Jacobian: one residual call at the columns x + i h
 e_j gives the residual and the exact Jacobian.  The Newton takes one system or
 a batch of independent ones, each inadmissible on its own where its residual or
-Jacobian is not finite.  Both solvers start next to the root, at the map that
-leaves the middle of the first layer without hoop strain, at the tube's length or
-the sectors' stiffness-weighted one, and every solve stops by one rule that no
-caller sets: below NEWTON_TOL, near roundoff, within NEWTON_MAXIT iterations.  A
-start moves a scan batch's result by 7.1e-14 relative at most, but the argmin's by
+Jacobian is not finite; one system's bookkeeping runs in Python floats and a
+batch's in arrays, with one LAPACK step for both.  Both solvers start next to the
+root, at the map that leaves the middle of the first layer without hoop strain, at
+the tube's length or the sectors' stiffness-weighted one, and every solve stops by
+one rule that no caller sets: below NEWTON_TOL, near roundoff, within NEWTON_MAXIT
+iterations.  A start moves a scan batch's result by 7.1e-14 relative at most, but the argmin's by
 up to 3.7e-10 deg in alpha and 1.75e-12 relative in r_i (four starts in its grid
 cell, 256 scans).  The load-free solve is the glued-sector Newton at
 alpha = 0; the energy scan runs the same solve at every angle of its grid as one
@@ -374,13 +375,29 @@ def _value_and_jacobian(fun, x):
     x has shape (n,), or (n, B) for B systems; fun gets the columns as (n, n),
     or (n, B, n) with system b's at [:, b, :], and the Jacobian comes back as
     (n, n) or (B, n, n).  A system whose Jacobian has a non-finite entry gets an
-    infinite value: like one whose value is not finite, it is inadmissible.
+    infinite value: like one whose value is not finite, it is inadmissible.  One
+    system's columns and Jacobian are formed in Python floats by the batch's
+    arithmetic, from one read of fun's output, so bitwise as in a batch.
     """
-    h = CS_STEP * np.where(x == 0.0, 1.0, abs(x))   # relative: any length scale
-    ieye = _ieye(len(x))[:, None] if x.ndim > 1 else _ieye(len(x))
-    out = np.asarray(fun(x[..., None] + h[..., None] * ieye))
-    jac = (out.imag / h.T).swapaxes(0, -2)
-    return np.where(np.isfinite(jac).all(axis=(-2, -1)), out.real[..., 0], np.inf), jac
+    if x.ndim > 1:
+        h = CS_STEP * np.where(x == 0.0, 1.0, abs(x))   # relative: any length scale
+        out = np.asarray(fun(x[..., None] + h[..., None] * _ieye(len(x))[:, None]))
+        jac = (out.imag / h.T).swapaxes(0, -2)
+        return np.where(np.isfinite(jac).all(axis=(-2, -1)), out.real[..., 0], np.inf), jac
+    xs = x.tolist()
+    h = [CS_STEP * (abs(v) or 1.0) for v in xs]
+    out = np.asarray(fun(np.array([[v + hv * e for e in row] for v, hv, row
+                                   in zip(xs, h, _ieye(len(xs)).tolist())]))).tolist()
+    # o / 0 as numpy has it where h underflowed to 0 (|x| < 2.5e-304): inf, or NaN at o = 0
+    jac = [[o.imag / hv if hv else o.imag * math.inf for o, hv in zip(row, h)] for row in out]
+    finite = all(math.isfinite(d) for row in jac for d in row)
+    return np.array([row[0].real if finite else math.inf for row in out]), np.array(jac)
+
+
+def _sup_norm(f):
+    """max |f_i| of one system's value as a float, inf where an entry is not finite."""
+    a = [abs(v) for v in f.tolist()]
+    return max(a) if all(map(math.isfinite, a)) else math.inf
 
 
 def newton2(fun, x0):
@@ -396,7 +413,9 @@ def newton2(fun, x0):
     residual, or Jacobian where only that is.  Where fun evaluates each state as it
     would alone, every system converges, halves its step and fails on its own: a
     batch returns the x each system reaches alone, or fails as the first to fail
-    does alone.
+    does alone.  One system's norms and stop tests run in Python floats, a batch's
+    in arrays, and both take the step by one LAPACK solve: a system alone takes
+    bitwise the iterates it takes in a batch.
     Every system stops once its residual norm is below NEWTON_TOL, and the batch
     fails after NEWTON_MAXIT iterations, both read at call time.
     Returns (x, residual, iterations of the slowest system); raises
@@ -406,36 +425,50 @@ def newton2(fun, x0):
     """
     tol, max_iter = NEWTON_TOL, NEWTON_MAXIT
     x = np.array(x0, dtype=float)
+    one = x.ndim == 1
     f, jac = _value_and_jacobian(fun, x)
-    norm = abs(f).max(axis=0)
+    norm = _sup_norm(f) if one else abs(f).max(axis=0)
     for it in range(max_iter + 1):
-        worst = float(norm.max())
+        worst = norm if one else float(norm.max())
         if worst < tol:
             return x, f, it
         if not worst < math.inf:   # only at the start: every accepted step lowers the norm
             what = "Jacobian" if np.isfinite(fun(x[..., None])).all() else "residual"
             raise NoConvergence(f"inadmissible start (non-finite {what})", x, {}, 0,
-                                ~(norm < math.inf))
+                                np.logical_not(norm < math.inf))
         if it == max_iter:
             raise NoConvergence(f"no convergence in {max_iter} Newton iterations "
                                 f"(|res| = {worst:.3e})", x, {'norm': worst}, it)
-        pending = ~(norm < tol)
         try:
-            step = np.linalg.solve(jac, -f.T[..., None])[..., 0].T * pending
+            step = np.linalg.solve(jac, -f if one else -f.T[..., None])
         except np.linalg.LinAlgError:
             raise NoConvergence("singular Jacobian in tube solve", x, {'norm': worst}, it)
-        for _ in range(MAX_HALVINGS):
-            trial = x + step
-            fn, jn = _value_and_jacobian(fun, trial)
-            nn = abs(fn).max(axis=0)
-            worse = pending & ~(nn < norm)
-            if not worse.any():
-                break
-            step *= 1.0 - 0.5 * worse
-        else:   # at the norm of the systems that stalled, as each would alone
-            worst = float(norm[worse].max())
-            raise NoConvergence(f"line search stalled at |res| = {worst:.3e}", x,
-                                {'norm': worst}, it)
+        if one:   # halve until the norm falls
+            for _ in range(MAX_HALVINGS):
+                trial = x + step
+                fn, jn = _value_and_jacobian(fun, trial)
+                nn = _sup_norm(fn)
+                if nn < norm:
+                    break
+                step *= 0.5
+            else:
+                raise NoConvergence(f"line search stalled at |res| = {norm:.3e}", x,
+                                    {'norm': norm}, it)
+        else:   # halve each system's step until its norm falls
+            pending = ~(norm < tol)
+            step = step[..., 0].T * pending
+            for _ in range(MAX_HALVINGS):
+                trial = x + step
+                fn, jn = _value_and_jacobian(fun, trial)
+                nn = abs(fn).max(axis=0)
+                worse = pending & ~(nn < norm)
+                if not worse.any():
+                    break
+                step *= 1.0 - 0.5 * worse
+            else:   # at the norm of the systems that stalled, as each would alone
+                worst = float(norm[worse].max())
+                raise NoConvergence(f"line search stalled at |res| = {worst:.3e}", x,
+                                    {'norm': worst}, it)
         x, f, jac, norm = trial, fn, jn, nn
 
 

@@ -46,6 +46,24 @@ def test_det_is_the_first_row_expansion_bit_for_bit(shape):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(), (200,), (4, 5)])
+def test_inverse_is_the_adjugate_over_det_bit_for_bit(shape):
+    # adj_ij = a_{j+1,i+1} a_{j+2,i+2} - a_{j+1,i+2} a_{j+2,i+1} (indices mod 3) over
+    # det, in that product order, bit for bit on a single tensor (in Python floats) and
+    # on stacks with one and two batch axes, with its det computed or given: each
+    # tensor inverts alone to bitwise its slice of its stack's inverse
+    a = np.random.default_rng(12).normal(size=shape + (3, 3))
+    d, want = tn.det(a), np.empty_like(a)
+    for i, j in np.ndindex(3, 3):
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        want[..., i, j] = (a[..., j1, i1] * a[..., j2, i2] - a[..., j1, i2] * a[..., j2, i1]) / d
+    for got in (tn.inverse(a), tn.inverse(a, d)):
+        assert got.shape == a.shape and np.array_equal(got, want)
+    for k in np.ndindex(shape):
+        assert np.array_equal(tn.inverse(a[k]), want[k])
+        assert np.array_equal(tn.inverse(a[k].tolist(), d[k]), want[k])
+
+
 def test_inverse_rejects_singular():
     a = np.zeros((3, 3))
     a[0, 0] = 1.0

@@ -564,6 +564,119 @@ def test_a_batch_reaches_what_each_angle_reaches_alone(k2, ro, sector_deg, grid)
         assert not failures and np.array_equal(batch, np.hstack(alone))
 
 
+def _newton_outcome(newton, fun, x0):
+    try:
+        return newton(fun, x0)
+    except NoConvergence as e:
+        return e
+
+
+def _solve_alone_and_as_a_batch_of_one(layers, tube_geom, alpha):
+    """solve_inverse_sf and solve_load_free of one wall, every Newton of theirs also run
+    as a batch of one, x0[:, None], on the same states; asserts that both reach bitwise
+    the same x, residual and iteration count, or fail with the same message, iteration
+    count and last iterate.  Returns each solve's iterations or failure message."""
+    newton, outcomes = tube.newton2, []
+
+    def both(fun, x0):
+        assert x0.shape == (2,)
+        alone = _newton_outcome(newton, fun, x0)
+        batch = _newton_outcome(newton, lambda u: fun(u[:, 0])[:, None], x0[:, None])
+        if isinstance(alone, NoConvergence):
+            assert isinstance(batch, NoConvergence)
+            assert (str(batch), batch.iterations, batch.residuals) == \
+                (str(alone), alone.iterations, alone.residuals)
+            assert np.array_equal(batch.last_iterate[:, 0], alone.last_iterate, equal_nan=True)
+            assert alone.last_iterate.shape == (2,) and alone.inadmissible in (None, True)
+            outcomes.append(str(alone))
+            raise alone
+        assert not isinstance(batch, NoConvergence)
+        assert np.array_equal(batch[0][:, 0], alone[0])
+        assert np.array_equal(batch[1][:, 0], alone[1]) and batch[2] == alone[2]
+        outcomes.append(alone[2])
+        return alone
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tube, "newton2", both)
+        for solve in (lambda: solve_inverse_sf(tube_geom, alpha, layers),
+                      lambda: solve_load_free(layers)):
+            try:
+                solve()
+            except NoConvergence:
+                pass
+    assert len(outcomes) == 2
+    return outcomes
+
+
+def _spec_wall(spec):
+    """Layers of rows (c1, c2, k1, k2, beta_deg, thickness, L, alpha_deg) glued outward
+    from Ri = 1 mm, and the tube of the same radii at the first row's L and angle."""
+    radii = np.cumsum([1.0] + [row[5] for row in spec]).tolist()
+    layers = [MaterialLayer.from_constants(*row[:5], sector=SectorGeometry(
+        lo, hi, row[6], math.radians(row[7]))) for row, lo, hi in zip(spec, radii, radii[1:])]
+    return layers, TubeGeometry(radii, spec[0][6]), math.radians(spec[0][7])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=st.lists(st.tuples(
+    st.floats(0.3, 3.0), st.floats(0.0, 2.0), st.floats(0.5, 3.0), st.floats(0.5, 25.0),
+    st.floats(0.0, 90.0), st.floats(0.1, 0.8), st.floats(0.8, 1.25), st.floats(0.0, 320.0)),
+    min_size=1, max_size=3))
+def test_one_system_takes_the_iterates_of_a_batch_of_one(spec):
+    # newton2 keeps one system's norms and tests in Python floats and a batch's in
+    # arrays: on inverse-sf and load-free walls of one to three layers, each solve alone
+    # and as a batch of one reaches bitwise the same x, residual and iterations, or
+    # fails with the same message, iterations and last iterate
+    _solve_alone_and_as_a_batch_of_one(*_spec_wall(spec))
+
+
+@pytest.mark.parametrize("k2, ro, sector_deg, message", [
+    (6.0, 2.0, 230.0, "singular Jacobian in tube solve"),   # walks to the axis
+    (30.0, 2.0, 300.0, "line search stalled at |res| = 8.309e+232"),
+    (60.0, 2.0, 300.0, "inadmissible start (non-finite residual)"),
+    (15.05, 2.0, 320.0, "inadmissible start (non-finite Jacobian)"),   # overflowing Jacobian
+    (15.0, 2.0, 320.0, "line search stalled at"),   # a trial's Jacobian overflows
+    (20.0, 2.1, 210.0, "no convergence in 25 Newton iterations")])
+def test_a_failing_wall_fails_alike_alone_and_as_a_batch_of_one(k2, ro, sector_deg, message):
+    # the pinned failing one-layer walls of the load-free solve fail on either path
+    # with the same message, iterations and last iterate
+    layers, tube_geom, alpha = _spec_wall([(3.0, 0.0, 2.0, k2, 0.0, ro - 1.0, 1.0, sector_deg)])
+    assert _solve_alone_and_as_a_batch_of_one(layers, tube_geom, alpha)[1].startswith(message)
+
+
+def test_a_nan_behind_a_finite_residual_reads_as_infinite():
+    # a value with NaN in its second entry and a finite Jacobian is inadmissible on
+    # both paths, as max over [finite, NaN] alone would not have it: named at the
+    # start, backed off at a trial, here until the line search stalls at iteration 1
+    def fun(x):
+        return np.array([x[0] - 2.0, x[1] - 1.0 + np.where(x[0].real > 1.5, np.nan, 0.0)])
+
+    for start, message, iterations in (([2.0, 1.0], "inadmissible start (non-finite residual)", 0),
+                                       ([1.0, 0.5], "line search stalled at |res| = 5.000e-01", 1)):
+        for x0 in (np.array(start), np.array(start)[:, None]):
+            with pytest.raises(NoConvergence) as info:
+                newton2(fun, x0)
+            assert (str(info.value), info.value.iterations) == (message, iterations)
+
+
+def test_one_systems_value_and_jacobian_are_the_batch_of_ones():
+    # the complex-step columns, value and Jacobian of one system, in Python floats, are
+    # bitwise a batch of one's, also where h underflows to 0, at 0 and -0, and where x,
+    # the value or the Jacobian is not finite
+    def fun(x):
+        return np.array([x[0] ** 2 + np.sqrt(x[1]), x[0] * x[1] - 1.0, np.log(x[2])])
+
+    points = [[1.7, 0.4, 1.3], [1e-310, 0.4, 1.3], [0.0, -0.0, 1.0], [1.0, 0.0, 2.0],
+              [1.0, -1.0, 2.0], [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0], [1.0, 1.0, -1.0]]
+    with np.errstate(all="ignore"):
+        for x in map(np.array, points):
+            f, jac = tube._value_and_jacobian(fun, x)
+            fb, jb = tube._value_and_jacobian(lambda u: fun(u[:, 0])[:, None], x[:, None])
+            assert f.shape == (3,) and jac.shape == (3, 3)
+            assert np.array_equal(f, fb[:, 0], equal_nan=True)
+            assert np.array_equal(jac, jb[0], equal_nan=True)
+
+
 @pytest.mark.parametrize("errstate", ["ignore", "warn", "raise"])
 def test_wall_solve_failure_is_independent_of_numpy_error_state(monkeypatch, errstate):
     # a stiff fibre family (k2 = 20) closed from a thick 210 deg sector: from an
