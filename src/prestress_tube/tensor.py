@@ -18,7 +18,6 @@ SINGULAR_TOL = 1e-14  # |det| below this counts as singular
 # flat indices of the factors of adj_ij = a_{j+1,i+1} a_{j+2,i+2} - a_{j+1,i+2} a_{j+2,i+1}
 _I, _J = np.indices((3, 3))
 _ADJ = np.dstack([3 * ((_J + p) % 3) + (_I + q) % 3 for p, q in ((1, 1), (2, 2), (1, 2), (2, 1))])
-_NEXT = ((1, 2), (2, 0), (0, 1))   # (i + 1, i + 2) mod 3, for i = 0, 1, 2
 
 
 def transpose(a):
@@ -40,7 +39,7 @@ def det(a):
 
 def check_regular(d):
     """d, if no |det| d is at or below SINGULAR_TOL; else raises SingularTensor."""
-    if (np.abs(d) <= SINGULAR_TOL).any():
+    if np.any(np.abs(d) <= SINGULAR_TOL):
         raise SingularTensor(f"tensor is singular to tolerance {SINGULAR_TOL:g} "
                              f"(min |det| = {np.min(np.abs(d)):.3e})")
     return d
@@ -50,10 +49,6 @@ def inverse(a, d=None):
     """Adjugate / det; raises SingularTensor if any |det| <= SINGULAR_TOL (d: det a, if known)."""
     a = np.asarray(a, dtype=float)
     d = check_regular(det(a) if d is None else d)
-    if a.ndim == 2:   # one tensor: the stack's products and quotients, in Python floats
-        m, dd = a.tolist(), float(d)
-        return np.array([[(m[j1][i1] * m[j2][i2] - m[j1][i2] * m[j2][i1]) / dd for j1, j2 in _NEXT]
-                         for i1, i2 in _NEXT])
     g = a.reshape(a.shape[:-2] + (9,))[..., _ADJ]   # (..., 3, 3, 4): the factors of each adj_ij
     return (g[..., 0] * g[..., 1] - g[..., 2] * g[..., 3]) / d[..., None, None]
 

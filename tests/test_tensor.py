@@ -49,9 +49,9 @@ def test_det_is_the_first_row_expansion_bit_for_bit(shape):
 @pytest.mark.parametrize("shape", [(), (200,), (4, 5)])
 def test_inverse_is_the_adjugate_over_det_bit_for_bit(shape):
     # adj_ij = a_{j+1,i+1} a_{j+2,i+2} - a_{j+1,i+2} a_{j+2,i+1} (indices mod 3) over
-    # det, in that product order, bit for bit on a single tensor (in Python floats) and
-    # on stacks with one and two batch axes, with its det computed or given: each
-    # tensor inverts alone to bitwise its slice of its stack's inverse
+    # det, in that product order, bit for bit on a single tensor and on stacks with one
+    # and two batch axes, with its det computed or given: each tensor inverts alone to
+    # bitwise its slice of its stack's inverse
     a = np.random.default_rng(12).normal(size=shape + (3, 3))
     d, want = tn.det(a), np.empty_like(a)
     for i, j in np.ndindex(3, 3):
