@@ -24,26 +24,25 @@ except ImportError:
 import numpy as np
 
 from . import __version__, config, maxwell
-from .errors import (ConfigError, DomainError, NoConvergence, NonPositiveDeterminant,
-                     NonPositiveStretch, SingularTensor)
+from .errors import ConfigError, DomainError, NoConvergence
 from .opening import find_opening_angle
 from .driver import run_point
 from .tube import SolverReport, solve_inverse_sf, solve_load_free, wall_stress_profile
 
-FLOAT_FMT = "{:.12g}"
+FLOAT_FMT = "%.12g"
 PROFILE_HEADER = ["r_mm", "T_rr_kpa", "T_theta_kpa", "T_zz_kpa"]
 
 
 def _write_csv(path: str, header, rows, cfg_hash: str):
     """A comment line, then the header and FLOAT_FMT rows as csv.writer writes them: one
-    "%.12g" %-format for all rows, written as one buffer.  An existing file is overwritten
+    %-format for all rows, written as one buffer.  An existing file is overwritten
     in place (no O_TRUNC), then trimmed to the new length if it is a regular file
     (/dev/null and other non-regular targets take no trim).  Opening with truncation
     freed and discarded every block of the old file first: 0.1-0.5 ms per ~16 KB rewrite
     on ext4 mounted with discard, against 9-15 us to overwrite and trim.  Not atomic, as
     truncate-on-open was not: a kill during the write leaves a broken file.  A new file
     gets mode 0o666 & ~umask, as open(path, 'w') gives it."""
-    line = ",".join(["%.12g"] * len(header)) + "\r\n"
+    line = ",".join([FLOAT_FMT] * len(header)) + "\r\n"
     data = (f"# prestress-tube {__version__} config_sha256={cfg_hash}\n" + ",".join(header)
             + "\r\n" + (line * len(rows)) % tuple(np.asarray(rows, dtype=float).ravel().tolist())
             ).encode()
@@ -56,18 +55,18 @@ def _write_csv(path: str, header, rows, cfg_hash: str):
         raise ConfigError(f"cannot write output file {path}: {e}")
 
 
-def _summary(workflow: str, report: SolverReport, key: dict, out_path: str) -> dict:
-    """The JSON summary a workflow prints: its run record, key results and CSV path,
-    with the quadrature-refinement check under diagnostics when the solver made one."""
+def _summary(workflow: str, report: SolverReport, key: dict) -> dict:
+    """The JSON summary a workflow prints, but for its CSV path: its run record and key
+    results, with the quadrature-refinement check under diagnostics when the solver made one."""
     summary = {"workflow": workflow, "converged": report.converged,
                "iterations": report.iterations, "residuals": report.residuals,
-               "key_results": key, "csv": out_path}
+               "key_results": key}
     if report.quad_check is not None:
         summary["diagnostics"] = {"quad_check": report.quad_check}
     return summary
 
 
-def cmd_inverse_sf(cfg: dict, out_path: str, cfg_hash: str) -> dict:
+def cmd_inverse_sf(cfg: dict):
     layers = config.parse_layers(cfg)
     tube_geom, alpha = config.parse_tube(config.get_block(cfg, "geometry"), "geometry",
                                          len(layers))
@@ -75,59 +74,56 @@ def cmd_inverse_sf(cfg: dict, out_path: str, cfg_hash: str) -> dict:
     config.reject_unread(cfg)
 
     sol = solve_inverse_sf(tube_geom, alpha, layers, **solver)
-    _write_csv(out_path, PROFILE_HEADER,
-               wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l), cfg_hash)
     radii = [sol.sectors[0].Ri] + [sector.Ro for sector in sol.sectors]
     key = dict(zip(config.boundary_keys(len(layers), "Ri_mm", "R_interface_mm", "Ro_mm"), radii),
                L_mm=sol.sectors[0].L, alpha_deg=math.degrees(alpha))
-    return _summary("inverse-sf", sol.report, key, out_path)
+    return (_summary("inverse-sf", sol.report, key), PROFILE_HEADER,
+            wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l))
 
 
-def cmd_load_free(cfg: dict, out_path: str, cfg_hash: str) -> dict:
+def cmd_load_free(cfg: dict):
     layers = config.parse_layers(cfg, need_sector=True)
     solver = config.parse_solver(cfg)
     config.reject_unread(cfg)
 
     sol = solve_load_free(layers, **solver)
-    _write_csv(out_path, PROFILE_HEADER,
-               wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l), cfg_hash)
     key = dict(zip(config.boundary_keys(len(layers), "r_i_mm", "r_interface_mm", "r_o_mm"),
                    sol.tube.radii), l_mm=sol.tube.l)
-    return _summary("load-free", sol.report, key, out_path)
+    return (_summary("load-free", sol.report, key), PROFILE_HEADER,
+            wall_stress_profile(layers, sol.sectors, sol.tube.radii, sol.tube.l))
 
 
-def cmd_energy_scan(cfg: dict, out_path: str, cfg_hash: str) -> dict:
+def cmd_energy_scan(cfg: dict):
     layers = config.parse_layers(cfg, need_sector=True)
     grid = config.parse_grid(cfg)
     solver = config.parse_solver(cfg)
     config.reject_unread(cfg)
 
     curve = find_opening_angle(layers, *grid, **solver)
-    _write_csv(out_path, ["alpha_deg", "E_microJ"], curve.samples, cfg_hash)
     key = {"argmin_deg": curve.argmin_deg, "e_min_microj": curve.e_min_microj,
            "rho_interface_mm": curve.rho_interface, "l_open_mm": curve.l_open}
-    return _summary("energy-scan", curve.report, key, out_path)
+    return _summary("energy-scan", curve.report, key), ["alpha_deg", "E_microJ"], curve.samples
 
 
-def cmd_point_test(cfg: dict, out_path: str, cfg_hash: str) -> dict:
+def cmd_point_test(cfg: dict):
     layer = config.parse_layer(config.get_block(cfg, "material"), "material", need_maxwell=True)
     f0 = config.parse_f0(cfg)
     program = config.parse_program(cfg)
     config.reject_unread(cfg)
 
     trace = run_point(program, layer, f0)
-    _write_csv(out_path, trace.header(), trace.rows(), cfg_hash)
     key = {"steps": int(trace.t.size - 1),
            "peak_overstress_kpa": float(trace.overstress_norm.max()),
            "final_overstress_kpa": float(trace.overstress_norm[-1])}
-    summary = _summary("point-test", trace.report, key, out_path)
+    summary = _summary("point-test", trace.report, key)
     if not trace.report.converged:
         summary["error"] = (f"fibre stretch update ended at |r| = "
                             f"{trace.report.residuals['fibre_r_max']:.3e} > "
                             f"maxwell.NEWTON_TOL = {maxwell.NEWTON_TOL:g}")
-    return summary
+    return summary, trace.header(), trace.rows()
 
 
+# each takes the config and returns (JSON summary, CSV header, CSV rows)
 _COMMANDS = {
     "inverse-sf": cmd_inverse_sf,
     "load-free": cmd_load_free,
@@ -164,14 +160,14 @@ def main(argv=None) -> int:
         config.parse_workflow(cfg, args.workflow)
         if not args.out:
             raise ConfigError("--out must be a non-empty path")
-        cfg_hash = sha256(raw).hexdigest()
         with np.errstate(over="raise", divide="raise", invalid="raise"):  # exit 2, not a warning
-            summary = _COMMANDS[args.workflow](cfg, args.out, cfg_hash)
+            summary, header, rows = _COMMANDS[args.workflow](cfg)
+            _write_csv(args.out, header, rows, sha256(raw).hexdigest())
+        summary["csv"] = args.out
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (NoConvergence, DomainError, SingularTensor, NonPositiveDeterminant,
-            NonPositiveStretch, ArithmeticError) as e:
+    except (NoConvergence, DomainError, ArithmeticError) as e:
         summary = {"workflow": args.workflow, "converged": False,
                    "error": f"{type(e).__name__}: {e}", "residuals": {}}
         if isinstance(e, NoConvergence):  # a solver's failure: its message, residuals, last iterate

@@ -1,27 +1,9 @@
-"""Material-point driver: deformation-gradient histories through the full model.
+"""Material-point driver: a deformation-gradient program through the full model.
 
-The driver composes all constitutive pieces at one material point carrying a
-pre-stress map F0: the load-free deformation gradient F_lf is converted to the
-stress-free one (F_sf = F_lf F0^{-1}), the Maxwell internal variables are
-advanced implicitly, and the total sf PK2 stress (equilibrium + overstresses),
-pulled back by F0 and pushed forward by F_lf, is the Cauchy stress: its Kirchhoff
-stress F_sf S F_sf^T (materials.isochoric_kirchhoff, F_sf C^{-1} F_sf^T = 1) over det F_lf.
-
-A run is batched over its rows: F_lf, C_sf, Cbar, the fibre stretches and the
-stresses (one projection for equilibrium and overstress) come from whole-run calls,
-with one det per history (det F_sf = sqrt(det C_sf)) and one inverse each of F0
-and, with an isotropic branch, Ci.  Only the recurrences step, in plain-float loops: the
-isotropic Ci update and one fibre Newton per group of equivalent families (equal
-constants, lambda_i(0) and stretch history: the +/- beta pair at zero torsion),
-which share their fibre terms too.  Checks cover whole histories: det C > 0
-before the recurrences, a valid ViscousState history before the stresses.
-
-The model carries no volumetric energy: the reported stress is the
-constitutively determinate ("extra") part, to which an arbitrary hydrostatic
-pressure may be superposed for incompressible motions.
-
-Initial conditions are the relaxed-in-load-free state, so the t = 0 overstress
-is zero and a constant F_lf = identity program is a fixed point.
+run_point carries one material point with a pre-stress map F0 along a LoadProgram,
+from the state relaxed in the load-free configuration, and returns a PointTrace of
+its extra Cauchy stress, overstress and internal variables.  How a run is batched
+and checked is in README ("Material-point driver" and "Numerical notes").
 """
 
 from __future__ import annotations

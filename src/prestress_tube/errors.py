@@ -1,20 +1,20 @@
 """Exception types shared across the package."""
 
 
-class SingularTensor(ValueError):
+class DomainError(ValueError):
+    """Kinematically inadmissible input (negative radicand, radius out of range, ...)."""
+
+
+class SingularTensor(DomainError):
     """A tensor that must be invertible is (numerically) singular."""
 
 
-class NonPositiveDeterminant(ValueError):
+class NonPositiveDeterminant(DomainError):
     """An operation requiring det > 0 received a tensor violating it."""
 
 
-class NonPositiveStretch(ValueError):
+class NonPositiveStretch(DomainError):
     """A stretch ratio that must be positive is not."""
-
-
-class DomainError(ValueError):
-    """Kinematically inadmissible input (negative radicand, radius out of range, ...)."""
 
 
 class NoConvergence(RuntimeError):

@@ -1,25 +1,10 @@
-"""Equilibrium (hyperelastic) constitutive laws on the stress-free configuration.
+"""Equilibrium (hyperelastic) laws on the stress-free configuration: an incompressible
+Mooney-Rivlin matrix and exponential fibre families.
 
-Conventions used throughout:
-
-* Two reference configurations per particle: the load-free one (lf, the shape
-  of the unloaded body, possibly residually stressed) and the stress-free one
-  (sf, the locally unloaded state).  The unimodular tensor F0 carries lf -> sf,
-  so the deformation gradients relate by  F_sf = F_lf @ inv(F0).
-* Energies are stored per unit reference volume (units kPa), so the mass
-  density never appears as a separate parameter.
-* Every PK2 stress is the exact gradient 2 * d(energy)/dC of its stored energy;
-  the finite-difference tests check it against the tensor-route energies of
-  tests/reference.py.
-* Every energy acts on Cbar = J^(-2/3) C (J^2 = det C), so every PK2 stress is
-  S = J^(-2/3) Dev Sbar, Dev(.) = (.) - 1/3 [(.) : C] C^{-1} (Holzapfel 2000, 6.4), of
-  its fictitious stress Sbar = 2 dW/dCbar.  Each law gives Sbar to isochoric_kirchhoff,
-  which returns the Kirchhoff stress F S F^T: F C^{-1} F^T = 1, so C is never inverted.
-  The PK2 route itself (and its pull-back by F0) is tests/reference.py's oracle.
-* The matrix is an incompressible Mooney-Rivlin solid; fibre families use an
-  exponential stored energy in the squared fibre stretch lam2 = a . Cbar a.
-
-All stress functions broadcast over leading axes of C (shape (..., 3, 3)).
+Energies are per unit reference volume (kPa), every PK2 stress is the exact gradient
+of its energy, and all stress functions broadcast over leading axes of C (shape
+(..., 3, 3)).  The two configurations and the isochoric projection are in README (its
+introduction and "Material-point driver").
 """
 
 from __future__ import annotations

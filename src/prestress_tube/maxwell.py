@@ -1,28 +1,10 @@
-"""Isotropic and fibre-like Maxwell bodies on the stress-free configuration.
+"""Isotropic and fibre Maxwell branches on the stress-free configuration.
 
-Internal variables (per material point):
-
-* Ci       -- inelastic right Cauchy-Green tensor of the isotropic branch,
-              unimodular by construction of the flow and of the update;
-* lambda_i -- inelastic stretch of each viscous fibre family.
-
-Only these invariant combinations of the elastic/inelastic split are ever
-needed, so the split factors themselves are never stored.
-
-The isotropic update is the closed-form solution of implicit Euler applied to
-
-    dCi/dt = (mu/eta) (Cbar Ci^{-1})^D Ci ,
-
-namely  Ci_new = unimodular( Ci_old + (dt mu/eta) Cbar_new ),  which is
-unconditionally stable and preserves det Ci = 1 exactly.  The fibre update is
-backward Euler on x = ln(lambda_i) with a safeguarded Newton (bisection
-fallback); the root is bracketed by [x_old, ln(lambda)] because the flow drives
-lambda_i monotonically toward lambda.  iso_evolve and fibre_evolve step whole
-histories in plain floats; one step is a history of length one, and equivalent
-families share one fibre_evolve (driver.run_point).  The viscous fibre energy
-is twice the equilibrium fibre law, 2 materials.fibre_energy, so its derivative
-is 2 materials.fibre_f.  Each overstress is materials.isochoric_kirchhoff of
-its fictitious stress.
+The internal variables are Ci, the isotropic branch's inelastic right Cauchy-Green
+tensor (unimodular), and lambda_i, each viscous fibre family's inelastic stretch.
+iso_evolve and fibre_evolve step them implicitly over whole histories, and
+overstress_sbar gives the branches' fictitious stress.  The flow rules and their
+updates are in README ("Material-point driver" and "Numerical notes").
 """
 
 from __future__ import annotations

@@ -1,27 +1,10 @@
 """Stored energy of a cut composite sector versus trial opening angle.
 
-When a layered tube with incompatible stress-free sectors is cut open, it
-springs to an opened sector whose angle minimizes the total stored energy.
-For a trial angle alpha_t the opened sector is assumed circular: the layers'
-sectors glued into one sector of that angle (tube.sector_residuals).  Its
-inner radius and length l_open minimize the energy at that angle, that is,
-they satisfy sector equilibrium, which the tube solvers' Newton (complex-step
-Jacobian) solves in (ln r_i, ln l_open).
-
-At an equilibrated state dE/dalpha = -l_open * M, where M = 1/2 int (T_theta -
-T_rr) r dr is the bending moment on the cut face.  The argmin is therefore the
-angle at which the cut face carries no moment (Chuong & Fung 1986).  The scan
-equilibrates its whole angle grid in one batched Newton, each angle from its
-own closed-form start (tube._solve_sector), and evaluates every energy and
-moment in one broadcast call; the argmin solve reuses that solve's node table
-(tube.sector_residuals).  When M changes sign next to the lowest sample, the
-argmin is the Newton root of (p_net, F_red, M) in (ln r_i, ln l_open,
-ln(2*pi - alpha)) inside that grid cell, started where the two samples' moments
-interpolate linearly to zero; its rho_interface follows from tube.glued_radii.
-
-The argmin exhibits the mutual locking of the layers: the composite's opening
-angle is smaller than each layer's own angle.  All energies are
-equilibrium-only (Maxwell branches relaxed); units are microjoule (kPa mm^3).
+find_opening_angle equilibrates the opened composite at every angle of a grid and
+solves for the energy argmin, the angle at which the cut face carries no moment;
+opened_energy is one state's energy.  Energies are equilibrium-only (Maxwell branches
+relaxed), in microjoule (kPa mm^3).  The derivation is in README ("Opening-angle
+energy scan" and "Numerical notes").
 """
 
 from __future__ import annotations
@@ -76,7 +59,7 @@ def find_opening_angle(layers: Sequence[MaterialLayer], grid_start_deg: float,
         raise ValueError("angle grid leaves [0, 360) deg")
 
     alpha, secs = np.radians(angles), wall_sectors(layers)
-    wall = sector_residuals(layers, npts)
+    wall = sector_residuals(layers)(npts)
     x, f, _ = _solve_sector(layers, wall, alpha)
     *_, moments, e = wall(x[0, :, None], x[1, :, None], alpha[:, None], energy=True)
     energies = (TWO_PI - alpha) * x[1] * e

@@ -1,64 +1,10 @@
-"""Opening-angle kinematics and thick-walled-tube equilibrium solvers.
+"""Thick-walled tube equilibrium: the sector<->tube map, the wall kernel and its Newton.
 
-A circular sector (inner radius Ri, outer Ro, length L, opening angle alpha)
-closes into a tube (length l).  Each layer's map is determined by two
-constants,
-
-    k = 2*pi / (2*pi - alpha)   (circumferential ratio),
-    c = l / L                   (axial stretch),
-
-together with one anchored radius pair (r_a, R_a); incompressibility then gives
-R^2 - R_a^2 = k c (r^2 - r_a^2) pointwise and the deformation gradient in the
-cylindrical triad is diag(R/(k c r), k r / R, c) with det = 1 exactly; its
-inverse is the pre-stress map F0 = diag(c f, 1/f, 1/c), f = k r / R.
-
-A wall is a list of layers, inner to outer.  Each solve sets it up once, one row
-per layer, and builds from these rows its per-node tables of the whole wall (the
-Newton's, and the quadrature check's at twice its nodes), with Gauss nodes fixed
-in the radius the solve knows: the stress-free R for the sectors
-(sector_residuals), the load-free r for the tube (tube_residuals).  The wall
-integrands are smooth in ln r, so the nodes are uniform in ln r over each
-layer: over its tube span for the tube, and for the sectors over its span of
-the wall closed with neo-Hookean layers (neo_hookean_closing), mapped once to
-R.  A node in R has r^2 = r_a^2 + (R^2 - R_a^2)/(k c), a node in r has R^2 =
-R_a^2 + k c (r^2 - r_a^2), and dr = R dR/(k c r) leaves only squared radii in
-the integrands:
-the kernel equilibrium_residuals sweeps every layer in one pass, with no
-square root.  Glued sectors, with s = 2*pi - alpha and g_j = (2*pi -
-alpha_j) L_j, have 1/(k_j c_j) = g_j/(s l) and r^2 = r_i^2 + Q/(s l), Q >= 0
-fixed: anchored at the inner surface, no state with r_i, l > 0 closes a node.
-Load-free equilibrium of the wall is characterised by two integrals over its
-thickness (inner/outer tractions and resultant axial force both zero), and an
-opened sector at rest also carries no moment on its cut face:
-
-    p_net   = int (T_theta - T_rr) / r dr        = 0 ,
-    F_red   = pi * int (2 T_zz - T_theta - T_rr) r dr = 0 ,
-    M       = 1/2 int (T_theta - T_rr) r dr       = 0 ,
-
-evaluated with the pressure-free "extra" Cauchy stress, the hydrostatic part
-having cancelled from the differences; they are closed forms in the squared
-stretches, with lam_r^2 = 1/(lam_theta^2 lam_z^2), so det F_sf = 1 by
-construction.  Two solvers are provided:
-
-* solve_inverse_sf: tube geometry known, find the stress-free sector(s);
-* solve_load_free:  per-layer sectors known, find the composite tube.
-
-Both use a damped Newton iteration on the first n nondimensionalized
-residuals in the logs of the wall's two lengths, (ln r_i, ln l) or (ln Ri,
-ln L), with a complex-step Jacobian: one residual call at the columns x + i h
-e_j gives the residual and the exact Jacobian.  The Newton takes one system or
-a batch of independent ones, each inadmissible on its own where its residual or
-Jacobian is not finite; one system's bookkeeping runs in Python floats and a
-batch's in arrays, with one LAPACK step for both.  Both solvers start next to the
-root, at the map that leaves the middle of the first layer without hoop strain, at
-the tube's length or the sectors' stiffness-weighted one, and every solve stops by
-one rule that no caller sets: below NEWTON_TOL, near roundoff, within NEWTON_MAXIT
-iterations.  A start moves a scan batch's result by 7.1e-14 relative at most, but the argmin's by
-up to 3.7e-10 deg in alpha and 1.75e-12 relative in r_i (four starts in its grid
-cell, 256 scans).  The load-free solve is the glued-sector Newton at
-alpha = 0; the energy scan runs the same solve at every angle of its grid as one
-batch, and its argmin solves all three residuals for (ln r_i, ln l, ln(2*pi - alpha)).
-The inverse solve's nodes stay fixed in r; each node's R^2 moves with (Ri, L).
+A wall is a list of layers, inner to outer.  solve_inverse_sf finds the stress-free
+sectors of a load-free tube and solve_load_free glues per-layer sectors into the
+load-free tube; both solve p_net = F_red = 0 and return a WallSolution or raise
+NoConvergence.  The map, the node tables, the Newton and its starts are derived in
+README ("Tube solvers", the map after "Library quick tour", and "Numerical notes").
 """
 
 from __future__ import annotations
@@ -238,16 +184,16 @@ def neo_hookean_closing(layers: Sequence[MaterialLayer]):
     return [x0 + dj for dj in d]
 
 
-def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD, check: bool = False):
-    """The glued wall's (ri, l, alpha=0, energy=False) -> equilibrium_residuals over
-    its node table, whose nodes stay fixed in R: the first sector's inner sf radius
-    at the current radius ri, each later one's inner at the outer of the one inside
-    it, gives Q = g_j (R^2 - Ri_j^2) + sum_{i<j} g_i (Ro_i^2 - Ri_i^2) >= 0, so r^2 >=
-    ri^2, A = ((2*pi - alpha_j) R)^-2 and B = L_j^-2.  The nodes are uniform in ln r
-    over each layer's span of the wall's neo_hookean_closing, squared radii b2 at
-    l = L_1, where a node at r_c has Q = S (r_c^2 - b2_0), S = 2*pi L_1, R^2 = Ri_j^2 +
-    S (r_c^2 - b2_j) / g_j and V = S w r_c^2 for the weights w in ln r.  With check, also
-    the wall at 2 npts from the same setup."""
+def sector_residuals(layers: Sequence[MaterialLayer]):
+    """wall(n): the glued wall's (ri, l, alpha=0, energy=False) -> equilibrium_residuals
+    over its table of n nodes per layer, whose nodes stay fixed in R: the first
+    sector's inner sf radius at the current radius ri, each later one's inner at the
+    outer of the one inside it, gives Q = g_j (R^2 - Ri_j^2) + sum_{i<j} g_i (Ro_i^2 -
+    Ri_i^2) >= 0, so r^2 >= ri^2, A = ((2*pi - alpha_j) R)^-2 and B = L_j^-2.  The
+    nodes are uniform in ln r over each layer's span of the wall's neo_hookean_closing,
+    squared radii b2 at l = L_1, where a node at r_c has Q = S (r_c^2 - b2_0), S = 2*pi
+    L_1, R^2 = Ri_j^2 + S (r_c^2 - b2_j) / g_j and V = S w r_c^2 for the weights w in
+    ln r.  One setup serves every n."""
     secs = wall_sectors(layers)
     b2, S = neo_hookean_closing(layers), TWO_PI * secs[0].L
     # per layer, a = 2*pi - alpha_j: b2_j, ln(b2_j+1 / b2_j), Q at b2_j, a^2 Ri^2, a S / L, B
@@ -266,17 +212,16 @@ def sector_residuals(layers: Sequence[MaterialLayer], npts: int = N_QUAD, check:
             s = TWO_PI - alpha
             return equilibrium_residuals(table, ri ** 2, 1.0 / (s * l), s * s, l * l, energy)
         return residuals
-    return (wall(npts), wall(2 * npts)) if check else wall(npts)
+    return wall
 
 
-def tube_residuals(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLayer],
-                   npts: int = N_QUAD, check: bool = False):
-    """The inverse solve's (Ri, L) -> equilibrium_residuals of the one map
-    (k, c, ri, Ri), c = l/L, of the wall over its node table, whose nodes stay fixed
-    in r, uniform in ln r over each layer's tube span, with V = w r^2 for the weights
-    w in ln r; each call gives a node R^2 = Ri^2 + k c (r^2 - ri^2), A = 1/R^2 and B =
-    1 (the kernel at r2a = 0 and h = 1): for Ri, L > 0, R^2 >= Ri^2 > 0, so a call
-    takes no square root.  With check, also the wall at 2 npts from the same setup."""
+def tube_residuals(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLayer]):
+    """wall(n): the inverse solve's (Ri, L) -> equilibrium_residuals of the one map
+    (k, c, ri, Ri), c = l/L, of the wall over its table of n nodes per layer, whose
+    nodes stay fixed in r, uniform in ln r over each layer's tube span, with V = w r^2
+    for the weights w in ln r; each call gives a node R^2 = Ri^2 + k c (r^2 - ri^2),
+    A = 1/R^2 and B = 1 (the kernel at r2a = 0 and h = 1): for Ri, L > 0, R^2 >= Ri^2 >
+    0, so a call takes no square root.  One setup serves every n."""
     rb2, k = np.square(tube.radii), TWO_PI / (TWO_PI - alpha)
     lo2 = rb2[:-1, None]
     span, cols = np.log(rb2[1:, None] / lo2), material_columns([la.equilibrium for la in layers])
@@ -291,7 +236,7 @@ def tube_residuals(tube: TubeGeometry, alpha: float, layers: Sequence[MaterialLa
             return equilibrium_residuals((ncols, r2, 1.0 / (Ri * Ri + k * c * dr2), 1.0, V),
                                          0.0, 1.0, k * k, c * c)
         return residuals
-    return (wall(npts), wall(2 * npts)) if check else wall(npts)
+    return wall
 
 
 def equilibrium_residuals(table, r2a, h, k2, c2, energy: bool = False):
@@ -359,9 +304,10 @@ class SolverReport:
     quad_check: Optional[dict] = None
 
 
-def _report(residual, refined, iterations: int) -> SolverReport:
-    """A converged solve's residual (kPa, kPa mm^2) and its change at 2*npts nodes."""
-    (p, fz), (p2, fz2) = map(float, residual[:2]), map(float, refined[:2])
+def _report(wall, npts: int, x, residual, iterations: int) -> SolverReport:
+    """A converged solve's residual (kPa, kPa mm^2) at x on wall(npts), and its change on
+    wall(2*npts)."""
+    (p, fz), (p2, fz2) = map(float, residual[:2]), map(float, wall(2 * npts)(*x)[:2])
     return SolverReport(True, iterations, {'p_net_kpa': p, 'F_red_kpa_mm2': fz},
                         {'p_refine_change': abs(p2 - p), 'F_refine_change': abs(fz2 - fz)})
 
@@ -539,12 +485,12 @@ def solve_inverse_sf(tube: TubeGeometry, alpha: float, layers: Sequence[Material
     ri, k = tube.radii[0], TWO_PI / (TWO_PI - alpha)
     rm = 0.5 * (ri + tube.radii[1])
     x0 = np.array([math.sqrt(k * k * rm * rm - k * (rm * rm - ri * ri)), tube.l])
-    wall, check = tube_residuals(tube, alpha, layers, npts, check=True)
-    x, f, iters = _solve_wall(layers, wall, x0, tube.radii[-1])
+    wall = tube_residuals(tube, alpha, layers)
+    x, f, iters = _solve_wall(layers, wall(npts), x0, tube.radii[-1])
     Ri, L = float(x[0]), float(x[1])
     R = np.sqrt(Ri * Ri + k * (tube.l / L) * (np.square(tube.radii) - ri * ri)).tolist()
     sectors = tuple(SectorGeometry(lo, hi, L, alpha) for lo, hi in zip(R, R[1:]))
-    return WallSolution(tube, sectors, _report(f, check(Ri, L), iters))
+    return WallSolution(tube, sectors, _report(wall, npts, (Ri, L), f, iters))
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +532,8 @@ def solve_load_free(layers: Sequence[MaterialLayer], npts: int = N_QUAD) -> Wall
     Unknowns are the current inner radius and the tube length l (see
     sector_residuals); the tube radii follow in closed form (glued_radii).
     """
-    wall, check = sector_residuals(layers, npts, check=True)
-    x, f, iters = _solve_sector(layers, wall, 0.0)
+    wall = sector_residuals(layers)
+    x, f, iters = _solve_sector(layers, wall(npts), 0.0)
     (ri, l), sectors = x.tolist(), tuple(wall_sectors(layers))
     return WallSolution(TubeGeometry(glued_radii(sectors, ri, l), l), sectors,
-                        _report(f, check(ri, l), iters))
+                        _report(wall, npts, (ri, l), f, iters))

@@ -80,7 +80,7 @@ OpenedState = namedtuple("OpenedState", "r_inner l_open alpha_trial")
 def equilibrate_opened(layers, alpha_trial, npts=N_QUAD):
     """(OpenedState, energy, (p_net, F_red)) equilibrated at a fixed trial angle
     by Newton on sector equilibrium."""
-    wall = sector_residuals(layers, npts)
+    wall = sector_residuals(layers)(npts)
     x, f, _ = _solve_sector(layers, wall, alpha_trial)
     state = OpenedState(float(x[0]), float(x[1]), alpha_trial)
     return state, opened_energy(wall, *state), f
@@ -95,7 +95,7 @@ def opened_profile(layers, state):
 
 def opened_residuals(layers, state, npts=N_QUAD):
     """(p_net, F_red, M) of the opened sector at an OpenedState."""
-    return sector_residuals(layers, npts)(*state)
+    return sector_residuals(layers)(npts)(*state)
 
 
 @pytest.fixture

@@ -257,10 +257,10 @@ def segment_wall_integrals(materials, maps, spans, npts, magnitudes=False, closi
     return p, fz, mo, e
 
 
-def segment_sector_residuals(layers, npts, check=False):
-    """tube.sector_residuals on the segment route: the glued wall's (ri, l,
-    alpha=0, energy=False) -> segment_wall_integrals at glued_opening_maps; with
-    check, also the same wall at 2 * npts nodes."""
+def segment_sector_residuals(layers):
+    """tube.sector_residuals on the segment route: at(n), the glued wall's (ri, l,
+    alpha=0, energy=False) -> segment_wall_integrals at glued_opening_maps over n
+    nodes per layer."""
     secs = [layer.sector for layer in layers]
     mats, (closing, spans) = [layer.equilibrium for layer in layers], closing_maps(layers)
 
@@ -270,7 +270,7 @@ def segment_sector_residuals(layers, npts, check=False):
                                          closing=closing)
             return out if energy else out[:3]
         return wall
-    return (at(npts), at(2 * npts)) if check else at(npts)
+    return at
 
 
 def linspace_wall_stress_profile(layers, sectors, radii, l, alpha=0.0):

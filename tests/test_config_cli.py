@@ -24,7 +24,8 @@ from numpy.testing import assert_allclose
 import prestress_tube
 from prestress_tube import config, driver, find_opening_angle, maxwell
 from prestress_tube.cli import FLOAT_FMT, _parser, _write_csv, main
-from prestress_tube.errors import ConfigError
+from prestress_tube.errors import (ConfigError, DomainError, NonPositiveDeterminant,
+                                   NonPositiveStretch, SingularTensor)
 from prestress_tube.tube import (N_QUAD, NEWTON_MAXIT, NEWTON_TOL, solve_inverse_sf,
                                  solve_load_free)
 
@@ -389,7 +390,7 @@ def test_csv_writer_matches_csv_module(tmp_path):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([FLOAT_FMT.format(float(v)) for v in row])
+            writer.writerow([FLOAT_FMT % float(v) for v in row])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     # lists of tuples (the energy curve) and an empty table
     _write_csv(str(tmp_path / "list.csv"), header, [tuple(r) for r in rows], "abc")
@@ -1155,6 +1156,25 @@ def test_cli_exit_2_unresolvable_dt(tmp_path, capsys):
     assert summary["residuals"] == {}
     assert summary["converged"] is False
     assert "DomainError" in summary["error"]
+
+
+@pytest.mark.parametrize("error", [DomainError, SingularTensor, NonPositiveDeterminant,
+                                   NonPositiveStretch])
+def test_cli_exit_2_on_every_domain_error(tmp_path, capsys, monkeypatch, error):
+    # the domain errors are one family: each, raised inside a workflow, is a
+    # numerical failure named by its type, and no CSV is written
+    def failing(*args, **kwargs):
+        raise error("inadmissible")
+
+    monkeypatch.setattr(prestress_tube.cli, "solve_load_free", failing)
+    out = tmp_path / "x.csv"
+    rc, stdout, _ = run_cli(capsys, "load-free", "--config",
+                            str(write_config(tmp_path, load_free_config())), "--out", str(out))
+    assert rc == 2
+    summary = json.loads(stdout)
+    assert summary["converged"] is False
+    assert f"{error.__name__}: " in summary["error"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

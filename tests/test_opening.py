@@ -41,7 +41,7 @@ def load_free_profile(layers):
 
 def test_opened_energy_matches_fine_trapezoid(t3_layers):
     cand = OpenedState(0.75, 1.1, math.radians(40.0))
-    e_gauss = opened_energy(sector_residuals(t3_layers), *cand)
+    e_gauss = opened_energy(sector_residuals(t3_layers)(tube.N_QUAD), *cand)
     e_trap = 0.0
     secs = [layer.sector for layer in t3_layers]
     maps = glued_opening_maps(secs, cand.alpha_trial, cand.r_inner, cand.l_open)
@@ -58,7 +58,8 @@ def test_opened_energy_zero_at_own_sector():
     # a single layer opened to its own angle at its own geometry is unstrained
     layer = MaterialLayer.from_constants(**MEDIA_EQ, sector=MEDIA_SECTOR)
     cand = OpenedState(MEDIA_SECTOR.Ri, MEDIA_SECTOR.L, MEDIA_SECTOR.alpha)
-    assert opened_energy(sector_residuals([layer]), *cand) == pytest.approx(0.0, abs=1e-14)
+    wall = sector_residuals([layer])(tube.N_QUAD)
+    assert opened_energy(wall, *cand) == pytest.approx(0.0, abs=1e-14)
     m, = glued_opening_maps([MEDIA_SECTOR], cand.alpha_trial, cand.r_inner, cand.l_open)
     R = np.linspace(MEDIA_SECTOR.Ri, MEDIA_SECTOR.Ro, 5)
     F = np.linalg.inv(m.F0(m.radius_current(R)))
@@ -67,7 +68,7 @@ def test_opened_energy_zero_at_own_sector():
 
 def test_opened_energy_positive_off_equilibrium(t3_layers):
     cand = OpenedState(0.75, 1.1, math.radians(40.0))
-    assert opened_energy(sector_residuals(t3_layers), *cand) > 0.0
+    assert opened_energy(sector_residuals(t3_layers)(tube.N_QUAD), *cand) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ def test_equilibrated_state_is_stationary_and_balanced(t3_layers):
     for dx in ((1e-5, 0.0), (0.0, 1e-5)):
         up = (cand.r_inner + dx[0], cand.l_open + dx[1], alpha)
         dn = (cand.r_inner - dx[0], cand.l_open - dx[1], alpha)
-        wall = sector_residuals(t3_layers)
+        wall = sector_residuals(t3_layers)(tube.N_QUAD)
         slope = (opened_energy(wall, *up) - opened_energy(wall, *dn)) / (2e-5)
         assert abs(slope) < 1e-6
     # stationarity coincides with sector equilibrium (net traction balance)

@@ -147,7 +147,7 @@ def test_sector_at_a_full_turn_is_a_domain_error():
     # DomainError, and a scan grid that reaches 360 deg is rejected before it solves;
     # the kernel itself takes no check: at a full turn a Newton's trial arrays give
     # residuals that are not finite, which it reads as inadmissible
-    wall = tube.sector_residuals(sectored_layers())
+    wall = tube.sector_residuals(sectored_layers())(tube.N_QUAD)
     for alpha in (2.0 * math.pi, 7.0, math.nan):
         with pytest.raises(DomainError):
             opening.opened_energy(wall, 1.0, 1.0, alpha)
@@ -194,7 +194,7 @@ def test_wall_r_span_R_span_equivalence():
     f_r = math.pi * np.sum(w * (2.0 * dzz - dth) * r)
     # the inverse solve's wall of the tube (0.71, 0.97) at Ri = 1.39 and c = 1.05 / 1.0 = m.c
     wall = tube.tube_residuals(TubeGeometry((0.71, 0.97), 1.05), 2.0 * math.pi * (1.0 - 1.0 / m.k),
-                               [layer], 24)
+                               [layer])(24)
     p_R, f_R, _ = wall(m.Ri, 1.0)
     assert p_r == pytest.approx(p_R, rel=1e-12, abs=1e-12)
     assert f_r == pytest.approx(f_R, rel=1e-12, abs=1e-12)
@@ -359,9 +359,9 @@ def test_wall_kernel_matches_segment_route(n, npts, form, seed, mats):
     args = (mat_list, glued_opening_maps(secs, alpha, ri, l), spans, npts)
     ref = segment_wall_integrals(*args, closing=closing)
     terms = segment_wall_integrals(*args, magnitudes=True, closing=closing)
-    _assert_roundoff_close(tube.sector_residuals(layers, npts)(ri, l, alpha, energy=True),
+    _assert_roundoff_close(tube.sector_residuals(layers)(npts)(ri, l, alpha, energy=True),
                            ref, terms)
-    _assert_roundoff_close(tube.sector_residuals(layers, npts)(ri, l, alpha), ref[:3], terms)
+    _assert_roundoff_close(tube.sector_residuals(layers)(npts)(ri, l, alpha), ref[:3], terms)
     # one map for the whole wall, Gauss nodes uniform in ln r over each layer's tube span
     # (the inverse solve)
     tube_geom = TubeGeometry(rng.uniform(0.4, 1.0) * np.cumprod([1.0] + [1.2] * n),
@@ -372,7 +372,7 @@ def test_wall_kernel_matches_segment_route(n, npts, form, seed, mats):
                                        tube_geom.l * rng.uniform(0.8, 1.2)]), form, rng)
     m = OpeningMap(k, tube_geom.l / L, ri, Ri)
     args = (mat_list, [m] * n, list(zip(tube_geom.radii, tube_geom.radii[1:])), npts)
-    _assert_roundoff_close(tube.tube_residuals(tube_geom, alpha, layers, npts)(Ri, L),
+    _assert_roundoff_close(tube.tube_residuals(tube_geom, alpha, layers)(npts)(Ri, L),
                            segment_wall_integrals(*args)[:3],
                            segment_wall_integrals(*args, magnitudes=True))
 
@@ -547,7 +547,7 @@ def test_a_batch_reaches_what_each_angle_reaches_alone(k2, ro, sector_deg, grid)
     # alone, to bitwise the same x, and otherwise fails as one of them fails alone
     layers = [MaterialLayer.from_constants(3.0, 0.0, 2.0, k2, 0.0, sector=SectorGeometry(
         1.0, ro, 1.0, math.radians(sector_deg)))]
-    wall = tube.sector_residuals(layers)
+    wall = tube.sector_residuals(layers)(tube.N_QUAD)
 
     def solve(alpha):
         try:
@@ -899,6 +899,36 @@ def test_node_table_is_built_once_per_solve(monkeypatch, two_layers, t3_layers, 
     assert built["_leggauss"] == (1 if workflow == "energy-scan" else 2)
     assert built["material_columns"] == 1
     assert built.get("neo_hookean_closing", 0) == (0 if workflow == "inverse-sf" else 1)
+
+
+@pytest.mark.parametrize("builder", ["sector", "tube"])
+def test_one_wall_setup_serves_any_node_count(monkeypatch, two_layers, t3_layers, builder):
+    # one builder call sets the wall up once, one row per layer: its wall(n) at any
+    # node count gives bitwise what a fresh builder's wall(n) gives at the same state
+    def build():
+        if builder == "sector":
+            return tube.sector_residuals(t3_layers)
+        return tube.tube_residuals(T1_TUBE, math.radians(T1_ALPHA_DEG), two_layers)
+
+    state = (0.52, 1.01, 0.3) if builder == "sector" else (1.39, 2.93)
+    counts = {}
+
+    def counting(name, fun):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fun(*args, **kwargs)
+        return wrapped
+
+    for name in ("neo_hookean_closing", "material_columns"):
+        monkeypatch.setattr(tube, name, counting(name, getattr(tube, name)))
+    ns = (tube.N_QUAD, 2 * tube.N_QUAD, 4 * tube.N_QUAD)
+    fresh = [build()(n)(*state) for n in ns]
+    counts.clear()
+    wall = build()
+    got = [wall(n)(*state) for n in ns]
+    assert counts == ({"neo_hookean_closing": 1, "material_columns": 1} if builder == "sector"
+                      else {"material_columns": 1})
+    assert np.array(got).tobytes() == np.array(fresh).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1254,7 +1284,7 @@ def test_sector_solve_is_independent_of_its_start(monkeypatch, t3_layers, alpha_
 
     monkeypatch.setattr(tube, "_solve_wall", recording)
     alpha = math.radians(alpha_deg)
-    new, _, _ = tube._solve_sector(t3_layers, tube.sector_residuals(t3_layers), alpha)
+    new, _, _ = tube._solve_sector(t3_layers, tube.sector_residuals(t3_layers)(tube.N_QUAD), alpha)
     (layers, residuals, x0, length), = calls
     secs = [layer.sector for layer in t3_layers]
     crude = [secs[0].Ri, sum(s.L for s in secs) / 2.0]
@@ -1290,7 +1320,7 @@ def test_scan_batch_is_independent_of_its_length_start(mats, Ri, h, gap, alpha_d
             ri = sec.Ro + gap[min(j, 1)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tube, "_solve_wall", recording)
-            x, _, _ = tube._solve_sector(layers, tube.sector_residuals(layers), alphas)
+            x, _, _ = tube._solve_sector(layers, tube.sector_residuals(layers)(tube.N_QUAD), alphas)
         return x, calls[-1]
 
     x, (layers, residuals, x0, length) = scan_batch(L)
