@@ -316,34 +316,32 @@ _ieye = functools.cache(lambda n: _read_only(1j * np.eye(n)))   # i times the id
 
 
 def _value_and_jacobian(fun, x):
-    """fun(x) and its Jacobian from one call on the complex-step columns x + i h_j e_j.
+    """fun(x), its Jacobian and the value's norm max |f_i|, from one call on the
+    complex-step columns x + i h_j e_j.
 
     x has shape (n,), or (n, B) for B systems; fun gets the columns as (n, n),
     or (n, B, n) with system b's at [:, b, :], and the Jacobian comes back as
-    (n, n) or (B, n, n).  A system whose Jacobian has a non-finite entry gets an
-    infinite value: like one whose value is not finite, it is inadmissible.  One
-    system's columns and Jacobian are formed in Python floats by the batch's
-    arithmetic, from one read of fun's output, so bitwise as in a batch.
+    (n, n) or (B, n, n), the norm as a float or a (B,) array.  The value comes
+    back as fun computed it; the norm is infinite for a system whose value or
+    Jacobian has a non-finite entry: it is inadmissible.  One system's columns,
+    Jacobian and norm are formed in Python floats by the batch's arithmetic, from
+    one read of fun's output, so bitwise as in a batch.
     """
     if x.ndim > 1:
         h = CS_STEP * np.where(x == 0.0, 1.0, abs(x))   # relative: any length scale
         out = np.asarray(fun(x[..., None] + h[..., None] * _ieye(len(x))[:, None]))
-        jac = (out.imag / h.T).swapaxes(0, -2)
-        return np.where(np.isfinite(jac).all(axis=(-2, -1)), out.real[..., 0], np.inf), jac
+        f, jac = out.real[..., 0], (out.imag / h.T).swapaxes(0, -2)
+        finite = np.isfinite(f).all(axis=0) & np.isfinite(jac).all(axis=(-2, -1))
+        return f, jac, np.where(finite, abs(f).max(axis=0), np.inf)
     xs = x.tolist()
     h = [CS_STEP * (abs(v) or 1.0) for v in xs]
     out = np.asarray(fun(np.array([[v + hv * e for e in row] for v, hv, row
                                    in zip(xs, h, _ieye(len(xs)).tolist())]))).tolist()
     # o / 0 as numpy has it where h underflowed to 0 (|x| < 2.5e-304): inf, or NaN at o = 0
     jac = [[o.imag / hv if hv else o.imag * math.inf for o, hv in zip(row, h)] for row in out]
-    finite = all(math.isfinite(d) for row in jac for d in row)
-    return np.array([row[0].real if finite else math.inf for row in out]), np.array(jac)
-
-
-def _sup_norm(f):
-    """max |f_i| of one system's value as a float, inf where an entry is not finite."""
-    a = [abs(v) for v in f.tolist()]
-    return max(a) if all(map(math.isfinite, a)) else math.inf
+    f = [row[0].real for row in out]
+    finite = all(map(math.isfinite, f + [d for row in jac for d in row]))
+    return np.array(f), np.array(jac), max(map(abs, f)) if finite else math.inf
 
 
 def newton2(fun, x0):
@@ -352,16 +350,17 @@ def newton2(fun, x0):
     x0 has shape (n,) for one system or (n, B) for B independent systems.  fun
     maps n unknowns for complex states of shape S, (m,) or (B, m), given as an
     array (n, *S), to residuals of the same shape, analytically (no abs,
-    comparisons or casts on the values).  Each trial point comes with its Jacobian,
-    one call per accepted step, whose residual norm the next iteration keeps.  A
-    system whose value or Jacobian is not finite is inadmissible: it reads as
-    infinite, so the line search backs off it, and a start is named by its non-finite
-    residual, or Jacobian where only that is.  Where fun evaluates each state as it
-    would alone, every system converges, halves its step and fails on its own: a
-    batch returns the x each system reaches alone, or fails as the first to fail
-    does alone.  One system's norms and stop tests run in Python floats, a batch's
-    in arrays, and both take the step by one LAPACK solve: a system alone takes
-    bitwise the iterates it takes in a batch.
+    comparisons or casts on the values).  One call measures each trial point: its
+    value, Jacobian and residual norm (_value_and_jacobian), which the next iteration
+    keeps once the step is accepted.  A system whose value or Jacobian is not finite
+    is inadmissible: its norm is infinite, so the line search backs off it, and a start
+    is named by one more, real, evaluation: its non-finite residual, or its Jacobian
+    where the residual is finite.  Where fun evaluates each state as it would alone,
+    every system converges, halves its step and fails on its own: a batch returns the
+    x each system reaches alone, or fails as the first to fail does alone.  One
+    system's norms and stop tests run in Python floats, a batch's in arrays, and both
+    take the step by one LAPACK solve: a system alone takes bitwise the iterates it
+    takes in a batch.
     Every system stops once its residual norm is below NEWTON_TOL, and the batch
     fails after NEWTON_MAXIT iterations, both read at call time.
     Returns (x, residual, iterations of the slowest system); raises
@@ -372,8 +371,7 @@ def newton2(fun, x0):
     tol, max_iter = NEWTON_TOL, NEWTON_MAXIT
     x = np.array(x0, dtype=float)
     one = x.ndim == 1
-    f, jac = _value_and_jacobian(fun, x)
-    norm = _sup_norm(f) if one else abs(f).max(axis=0)
+    f, jac, norm = _value_and_jacobian(fun, x)
     for it in range(max_iter + 1):
         worst = norm if one else float(norm.max())
         if worst < tol:
@@ -392,8 +390,7 @@ def newton2(fun, x0):
         if one:   # halve until the norm falls
             for _ in range(MAX_HALVINGS):
                 trial = x + step
-                fn, jn = _value_and_jacobian(fun, trial)
-                nn = _sup_norm(fn)
+                fn, jn, nn = _value_and_jacobian(fun, trial)
                 if nn < norm:
                     break
                 step *= 0.5
@@ -405,8 +402,7 @@ def newton2(fun, x0):
             step = step[..., 0].T * pending
             for _ in range(MAX_HALVINGS):
                 trial = x + step
-                fn, jn = _value_and_jacobian(fun, trial)
-                nn = abs(fn).max(axis=0)
+                fn, jn, nn = _value_and_jacobian(fun, trial)
                 worse = pending & ~(nn < norm)
                 if not worse.any():
                     break

@@ -448,7 +448,7 @@ def test_newton2_complex_step_on_polynomial_system():
     # the complex-step Jacobian of a polynomial is exact, so newton2 takes the
     # iterates of Newton with the analytic Jacobian
     x0 = np.array([1.7, 0.4, 1.3])
-    f, jac = tube._value_and_jacobian(_cubic_system, x0)
+    f, jac, _ = tube._value_and_jacobian(_cubic_system, x0)
     assert_allclose(f, _cubic_system(x0), rtol=1e-15)
     assert_allclose(jac, _cubic_jacobian(x0), rtol=1e-15)
     x, res, iters = newton2(_cubic_system, x0)
@@ -469,7 +469,7 @@ def test_newton2_complex_step_on_polynomial_system():
     assert np.array_equal(xb, np.array([a[0] for a in alone]).T)
     assert np.array_equal(resb, np.array([a[1] for a in alone]).T)
     assert itb == max(a[2] for a in alone) and len({a[2] for a in alone}) > 1
-    f, jac = tube._value_and_jacobian(_cubic_system, x0s)
+    f, jac, _ = tube._value_and_jacobian(_cubic_system, x0s)
     assert jac.shape == (4, 3, 3)
     for b in range(x0s.shape[1]):
         assert np.array_equal(jac[b], tube._value_and_jacobian(_cubic_system, x0s[:, b])[1])
@@ -501,7 +501,7 @@ def test_complex_step_jacobian_matches_central_difference(monkeypatch, two_layer
     for fun, points in solves:
         assert len(points) >= 4
         for x in points:
-            _, jac = tube._value_and_jacobian(fun, x)
+            _, jac, _ = tube._value_and_jacobian(fun, x)
             cd = np.empty((2, 2))
             for j in range(2):
                 e = np.zeros(2)
@@ -660,9 +660,9 @@ def test_a_nan_behind_a_finite_residual_reads_as_infinite():
 
 
 def test_one_systems_value_and_jacobian_are_the_batch_of_ones():
-    # the complex-step columns, value and Jacobian of one system, in Python floats, are
-    # bitwise a batch of one's, also where h underflows to 0, at 0 and -0, and where x,
-    # the value or the Jacobian is not finite
+    # the complex-step columns, value, Jacobian and norm of one system, in Python floats,
+    # are bitwise a batch of one's, also where h underflows to 0, at 0 and -0, and where
+    # x, the value or the Jacobian is not finite, where the norm is infinite
     def fun(x):
         return np.array([x[0] ** 2 + np.sqrt(x[1]), x[0] * x[1] - 1.0, np.log(x[2])])
 
@@ -670,11 +670,13 @@ def test_one_systems_value_and_jacobian_are_the_batch_of_ones():
               [1.0, -1.0, 2.0], [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0], [1.0, 1.0, -1.0]]
     with np.errstate(all="ignore"):
         for x in map(np.array, points):
-            f, jac = tube._value_and_jacobian(fun, x)
-            fb, jb = tube._value_and_jacobian(lambda u: fun(u[:, 0])[:, None], x[:, None])
-            assert f.shape == (3,) and jac.shape == (3, 3)
+            f, jac, norm = tube._value_and_jacobian(fun, x)
+            fb, jb, nb = tube._value_and_jacobian(lambda u: fun(u[:, 0])[:, None], x[:, None])
+            assert f.shape == (3,) and jac.shape == (3, 3) and nb.shape == (1,)
             assert np.array_equal(f, fb[:, 0], equal_nan=True)
             assert np.array_equal(jac, jb[0], equal_nan=True)
+            assert type(norm) is float and norm == nb[0]
+            assert norm == (np.abs(f).max() if np.isfinite([f, *jac]).all() else math.inf)
 
 
 @pytest.mark.parametrize("errstate", ["ignore", "warn", "raise"])
