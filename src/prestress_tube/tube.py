@@ -292,12 +292,14 @@ def wall_stress_profile(layers: Sequence[MaterialLayer], sectors, radii, l, alph
 
 @dataclass
 class SolverReport:
-    """The record of a run, one per workflow result: whether it converged, the
-    iterations of its slowest Newton solve, the returned state's residuals keyed
-    by name and unit, and their change under doubled quadrature (tube solvers
-    only).  The equilibrium solvers raise NoConvergence rather than return
-    unconverged, so their records carry converged=True by construction; the
-    point driver's is False when a fibre solve ended above its tolerance."""
+    """The record of a run, one per workflow result: whether it converged, its
+    iterations, the returned state's residuals keyed by name and unit, and their change
+    under doubled quadrature (tube solvers only).  The iterations are a tube solve's one
+    Newton's, the scan's argmin solve's (0 at a grid sample; the grid's batch solve is
+    not counted) and the point driver's most of one fibre solve.  The equilibrium
+    solvers raise NoConvergence rather than return unconverged, so their records carry
+    converged=True by construction; the point driver's is False when a fibre solve
+    ended above its tolerance."""
     converged: bool
     iterations: int
     residuals: dict
@@ -316,16 +318,15 @@ _ieye = functools.cache(lambda n: _read_only(1j * np.eye(n)))   # i times the id
 
 
 def _value_and_jacobian(fun, x):
-    """fun(x), its Jacobian and the value's norm max |f_i|, from one call on the
-    complex-step columns x + i h_j e_j.
+    """fun(x), its Jacobian and norm max |f_i|, from one call on the complex-step columns.
 
-    x has shape (n,), or (n, B) for B systems; fun gets the columns as (n, n),
-    or (n, B, n) with system b's at [:, b, :], and the Jacobian comes back as
-    (n, n) or (B, n, n), the norm as a float or a (B,) array.  The value comes
-    back as fun computed it; the norm is infinite for a system whose value or
-    Jacobian has a non-finite entry: it is inadmissible.  One system's columns,
-    Jacobian and norm are formed in Python floats by the batch's arithmetic, from
-    one read of fun's output, so bitwise as in a batch.
+    x has shape (n,), or (n, B) for B systems; fun gets the columns x + i h_j e_j as
+    (n, n), or (n, B, n) with system b's at [:, b, :], and the Jacobian comes back as
+    (n, n) or (B, n, n), the norm as a float or a (B,) array.  The value comes back as
+    fun computed it; the norm is infinite for a system whose value or Jacobian has a
+    non-finite entry: it is inadmissible.  One system's columns, Jacobian and norm are
+    formed in Python floats by the batch's arithmetic, from one read of fun's output,
+    so bitwise as in a batch.
     """
     if x.ndim > 1:
         h = CS_STEP * np.where(x == 0.0, 1.0, abs(x))   # relative: any length scale

@@ -592,6 +592,24 @@ def test_cli_exit_1_bad_json(tmp_path, capsys):
     assert "not valid JSON" in stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "config root must be a JSON object"),
+    ('"point-test"', "config root must be a JSON object"),
+    ("3", "config root must be a JSON object"),
+    *((json.dumps(dict(point_config(), program={"dt_s": 0.002, "keyframes": frames})),
+       'field "program.keyframes" must be a non-empty list of [t_s, F] pairs')
+      for frames in ([], {}, "x")),
+], ids=["root-list", "root-string", "root-number", "keyframes-empty", "keyframes-object",
+        "keyframes-string"])
+def test_cli_exit_1_on_a_root_or_keyframes_of_the_wrong_kind(tmp_path, capsys, text, message):
+    p = tmp_path / "run.json"
+    p.write_text(text)
+    rc, stdout, stderr = run_cli(capsys, "point-test", "--config", str(p),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert (rc, stdout, stderr) == (1, "", f"config error: {message}\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_exit_1_workflow_mismatch(tmp_path, capsys):
     cfg_path = write_config(tmp_path, inverse_config())
     rc, _, stderr = run_cli(capsys, "load-free", "--config", str(cfg_path),

@@ -68,6 +68,18 @@ def test_program_validation():
         LoadProgram(((0.0, IDENT), (1.0, F_STRETCH)), dt=0.0)
 
 
+@pytest.mark.parametrize("keyframes, message", [
+    ((), "need at least one keyframe"),
+    (((0.0, np.eye(2)),), "keyframe deformation gradients must be 3x3"),
+    (((0.0, IDENT), (1.0, np.ones(9))), "keyframe deformation gradients must be 3x3"),
+], ids=["none", "2x2", "flat"])
+def test_program_rejects_no_keyframes_or_a_non_3x3_one(keyframes, message):
+    # the config never builds these (parse_program checks the list and each matrix
+    # first); a library caller gets the ValueError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LoadProgram(keyframes, dt=0.01)
+
+
 @pytest.mark.parametrize("bad, first", [((2, 3), 2.0), ((3, 2), 2.0), ((1, 3), 1.0)])
 def test_program_names_its_first_bad_keyframe(bad, first):
     # one stacked det check over all keyframes still reports the earliest bad one,

@@ -18,9 +18,11 @@ from prestress_tube import (
     fibre_evolve,
     fibre_overstress_scalar,
     initial_state,
+    iso_evolve,
 )
+from prestress_tube import maxwell
 from prestress_tube import tensor as tn
-from prestress_tube.errors import NoConvergence, NonPositiveStretch
+from prestress_tube.errors import NoConvergence, NonPositiveDeterminant, NonPositiveStretch
 from prestress_tube.maxwell import fibre_sbar, overstress_sbar
 
 from conftest import (constant_strain_ci, constant_stretch_lambda_i, fd_pk2, ode_reference,
@@ -52,6 +54,32 @@ def test_param_validation():
     for eta_f, a in ((math.nan, [0.0, 1.0, 0.0]), (0.53, [0.0, math.nan, 0.0])):
         with pytest.raises(ValueError):
             FibreMaxwellParams(k1v=5.3, k2v=0.8393, eta_f=eta_f, a=np.array(a))
+
+
+@pytest.mark.parametrize("call, error, message, maxit", [
+    (lambda: ViscousState(np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                          np.array([1.0])), ValueError, "Ci must be symmetric", None),
+    (lambda: iso_evolve(np.eye(3), np.eye(3)[None], [0.0], ISO), ValueError,
+     "dt must be positive", None),
+    (lambda: iso_evolve(np.eye(3), np.full((1, 3, 3), math.nan), [0.01], ISO),
+     NonPositiveDeterminant, r"unimodular part needs det > 0 \(det = nan\)", None),
+    (lambda: fibre_evolve([1.1], 1.0, [-0.01], FIB), ValueError, "dt must be positive", None),
+    (lambda: fibre_evolve([0.0], 1.0, [0.01], FIB), NonPositiveStretch,
+     "stretches must be positive", None),
+    (lambda: fibre_evolve([1.1], -1.0, [0.01], FIB), NonPositiveStretch,
+     "stretches must be positive", None),
+    (lambda: fibre_evolve([1.1], 1.0, [0.01], FIB), NoConvergence,
+     r"fibre stretch update did not converge \(dt=0.01, lam=1.1, lam_i=1.0\)", 0),
+], ids=["asymmetric-ci", "iso-zero-step", "iso-nan-cbar", "fibre-negative-step",
+        "fibre-zero-stretch", "fibre-negative-lam-i", "fibre-iteration-limit"])
+def test_maxwell_updates_reject_what_they_cannot_step(monkeypatch, call, error, message, maxit):
+    # a unimodular but asymmetric Ci; a step that is not positive; a step whose
+    # determinant is not positive (NaN); a stretch that is not positive; and, with
+    # NEWTON_MAXIT patched to 0 (no input is known to reach it), the fibre Newton's limit
+    if maxit is not None:
+        monkeypatch.setattr(maxwell, "NEWTON_MAXIT", maxit)
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

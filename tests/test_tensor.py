@@ -123,6 +123,13 @@ def test_sym_and_is_symmetric():
     assert tn.is_symmetric(big)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)])
+def test_zero_tensor_is_symmetric(shape):
+    # no magnitude to take the tolerance relative to: the zero tensor, or a batch of
+    # them, is symmetric outright
+    assert tn.is_symmetric(np.zeros(shape)) is True
+
+
 def test_batched_ops_match_loop():
     rng = np.random.default_rng(7)
     batch = np.stack([rand_spd(rng) for _ in range(6)])

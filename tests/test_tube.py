@@ -666,12 +666,15 @@ def test_one_systems_value_and_jacobian_are_the_batch_of_ones():
     def fun(x):
         return np.array([x[0] ** 2 + np.sqrt(x[1]), x[0] * x[1] - 1.0, np.log(x[2])])
 
+    def shifted(x):   # a NaN value whose Jacobian is finite
+        return fun(x) + np.array([0.0, math.nan, 0.0]).reshape((3,) + (1,) * (x.ndim - 1))
+
     points = [[1.7, 0.4, 1.3], [1e-310, 0.4, 1.3], [0.0, -0.0, 1.0], [1.0, 0.0, 2.0],
               [1.0, -1.0, 2.0], [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0], [1.0, 1.0, -1.0]]
     with np.errstate(all="ignore"):
-        for x in map(np.array, points):
-            f, jac, norm = tube._value_and_jacobian(fun, x)
-            fb, jb, nb = tube._value_and_jacobian(lambda u: fun(u[:, 0])[:, None], x[:, None])
+        for g, x in [(fun, np.array(p)) for p in points] + [(shifted, np.array(points[0]))]:
+            f, jac, norm = tube._value_and_jacobian(g, x)
+            fb, jb, nb = tube._value_and_jacobian(lambda u: g(u[:, 0])[:, None], x[:, None])
             assert f.shape == (3,) and jac.shape == (3, 3) and nb.shape == (1,)
             assert np.array_equal(f, fb[:, 0], equal_nan=True)
             assert np.array_equal(jac, jb[0], equal_nan=True)
